@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .operators import GeneralOp, commutator, compose, mat
@@ -57,6 +57,20 @@ class OrtSet:
             if lbl == label:
                 return text
         return ""
+
+    @cached_property
+    def unit_multiples(self) -> Dict[GeneralOp, Tuple[str, str]]:
+        """Maps unit * ort to (unit, label) for the units 1, -1, i, -i.
+
+        Cached on the instance, so the map lives and dies with its set."""
+        i_op = GeneralOp.imaginary_unit()
+        out: Dict[GeneralOp, Tuple[str, str]] = {}
+        for lbl, op in self.elements:
+            i_times = i_op @ op
+            for unit, multiple in (("1", op), ("-1", -op),
+                                   ("i", i_times), ("-i", -i_times)):
+                out[multiple] = (unit, lbl)
+        return out
 
 
 def _ortset(name: str, items: Sequence[Tuple[str, GeneralOp, str]]) -> OrtSet:
@@ -293,12 +307,6 @@ def pgi_lorentz6() -> Dict[Pair, GeneralOp]:
     }
 
 
-def pgi_lorentz6_set() -> OrtSet:
-    table = pgi_lorentz6()
-    items = [(f"s{a}{b}", op, f"s_{a}{b}") for (a, b), op in sorted(table.items())]
-    return _ortset("pgi_lorentz6", items)
-
-
 # ---------------------------------------------------------------------------
 # bosonic representation
 # ---------------------------------------------------------------------------
@@ -313,44 +321,36 @@ def bosonic_rep() -> Tuple[OrtSet, GeneralOp, GeneralOp]:
     r = INV_SQRT2  # 1/sqrt2
     i = I_UNIT
     one = ONE
-
-    def sc(grid):
-        return tuple(tuple(ExactScalar.coerce(x) if not isinstance(x, ExactScalar)
-                           else x for x in row) for row in grid)
-
-    def scaled(grid, s):
-        return tuple(tuple(s * x for x in row) for row in sc(grid))
-
     z = ZERO
-    bg1 = GeneralOp(scaled([[z, z, one, -one], [z, z, i, i],
-                            [-one, i, z, z], [one, i, z, z]], r), None)
-    bg2 = GeneralOp(scaled([[z, z, -i, i], [z, z, -one, -one],
-                            [-i, one, z, z], [i, one, z, z]], r), None)
-    bg3 = GeneralOp(None, sc([[z, i, z, z], [-i, z, z, z],
-                              [z, z, z, -one], [z, z, one, z]]))
-    bg4 = GeneralOp(None, sc([[z, one, z, z], [-one, z, z, z],
-                              [z, z, z, i], [z, z, -i, z]]))
-    bg5 = GeneralOp(scaled([[z, z, -one, -one], [z, z, i, -i],
-                            [one, i, z, z], [one, -i, z, z]], r), None)
-    bg6 = GeneralOp(scaled([[z, z, -i, -i], [z, z, one, -one],
-                            [-i, -one, z, z], [-i, one, z, z]], r), None)
+    bg1 = GeneralOp.linear([[z, z, one, -one], [z, z, i, i],
+                            [-one, i, z, z], [one, i, z, z]]).scaled(r)
+    bg2 = GeneralOp.linear([[z, z, -i, i], [z, z, -one, -one],
+                            [-i, one, z, z], [i, one, z, z]]).scaled(r)
+    bg3 = GeneralOp.antilinear([[z, i, z, z], [-i, z, z, z],
+                                [z, z, z, -one], [z, z, one, z]])
+    bg4 = GeneralOp.antilinear([[z, one, z, z], [-one, z, z, z],
+                                [z, z, z, i], [z, z, -i, z]])
+    bg5 = GeneralOp.linear([[z, z, -one, -one], [z, z, i, -i],
+                            [one, i, z, z], [one, -i, z, z]]).scaled(r)
+    bg6 = GeneralOp.linear([[z, z, -i, -i], [z, z, one, -one],
+                            [-i, -one, z, z], [-i, one, z, z]]).scaled(r)
     bg7 = extended_gammas().get("g7")
-    bg0 = GeneralOp(sc([[one, z, z, z], [z, -one, z, z],
-                        [z, z, z, one], [z, z, one, z]]), None)
-    bi = GeneralOp(sc([[i, z, z, z], [z, -i, z, z],
-                       [z, z, z, -i], [z, z, -i, z]]), None)
-    bC = GeneralOp(None, sc([[one, z, z, z], [z, -one, z, z],
-                             [z, z, one, z], [z, z, z, one]]))
+    bg0 = GeneralOp.linear([[one, z, z, z], [z, -one, z, z],
+                            [z, z, z, one], [z, z, one, z]])
+    bi = GeneralOp.linear([[i, z, z, z], [z, -i, z, z],
+                           [z, z, z, -i], [z, z, -i, z]])
+    bC = GeneralOp.antilinear([[one, z, z, z], [z, -one, z, z],
+                               [z, z, one, z], [z, z, z, one]])
 
     sqrt2 = ExactScalar(0, 1)
-    w = GeneralOp(scaled([[sqrt2, z, z, z], [z, z, z, z],
-                          [z, z, z, one], [z, z, z, -one]], r),
-                  scaled([[z, z, z, z], [z, z, i * sqrt2, z],
-                          [z, -one, z, z], [z, -one, z, z]], r))
-    w_inv = GeneralOp(scaled([[sqrt2, z, z, z], [z, z, z, z],
-                              [z, z, z, z], [z, z, one, -one]], r),
-                      scaled([[z, z, z, z], [z, z, -one, -one],
-                              [z, i * sqrt2, z, z], [z, z, z, z]], r))
+    w = GeneralOp(mat([[sqrt2, z, z, z], [z, z, z, z],
+                       [z, z, z, one], [z, z, z, -one]]),
+                  mat([[z, z, z, z], [z, z, i * sqrt2, z],
+                       [z, -one, z, z], [z, -one, z, z]])).scaled(r)
+    w_inv = GeneralOp(mat([[sqrt2, z, z, z], [z, z, z, z],
+                           [z, z, z, z], [z, z, one, -one]]),
+                      mat([[z, z, z, z], [z, z, -one, -one],
+                           [z, i * sqrt2, z, z], [z, z, z, z]])).scaled(r)
 
     ident = GeneralOp.identity()
     if not (w @ w_inv == ident and w_inv @ w == ident):
@@ -395,14 +395,10 @@ def breve_spin() -> OrtSet:
     one = ONE
     z = ZERO
 
-    def scaled(grid, s):
-        return tuple(tuple(s * ExactScalar.coerce(x) if not isinstance(x, ExactScalar)
-                           else s * x for x in row) for row in grid)
-
-    s1 = GeneralOp(None, scaled([[z, z, i, z], [z, z, -one, z],
-                                 [-i, one, z, z], [z, z, z, z]], r))
-    s2 = GeneralOp(None, scaled([[z, z, one, z], [z, z, -i, z],
-                                 [-one, i, z, z], [z, z, z, z]], r))
+    s1 = GeneralOp.antilinear([[z, z, i, z], [z, z, -one, z],
+                               [-i, one, z, z], [z, z, z, z]]).scaled(r)
+    s2 = GeneralOp.antilinear([[z, z, one, z], [z, z, -i, z],
+                               [-one, i, z, z], [z, z, z, z]]).scaled(r)
     s3 = GeneralOp((((-i), z, z, z), (z, i, z, z),
                     (z, z, z, z), (z, z, z, z)), None)
     return _ortset("breve_spin", [

@@ -11,6 +11,7 @@ relative output paths.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional
@@ -66,8 +67,19 @@ def _parse_tolerances(pairs: List[str]):
         key, value = pair.split("=", 1)
         if key not in ("momentum", "symmetry", "closure"):
             raise ValueError(f"unknown tolerance key {key!r}")
-        out.append((key, float(value)))
+        tol = float(value)
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"tolerance {key} must be finite and positive, "
+                             f"got {value}")
+        out.append((key, tol))
     return tuple(out)
+
+
+def _check_run_numbers(mass: float, samples: int) -> None:
+    if not (math.isfinite(mass) and mass >= 0):
+        raise ValueError(f"--mass must be finite and nonnegative, got {mass}")
+    if samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {samples}")
 
 
 def _parse_fault(spec: Optional[str]):
@@ -118,6 +130,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             _emit(content, _resolve_out(args.out))
             return 0
 
+        _check_run_numbers(args.mass, args.samples)
         config = SuiteConfig(
             suites=tuple(args.suite) if args.suite else ("all",),
             mass=args.mass,

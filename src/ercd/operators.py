@@ -1,10 +1,18 @@
 """Real-linear operators on C^4 with exact matrix entries.
 
-The universal carrier is a pair of 4x4 matrices (A, B) acting as
-phi -> A phi + B conj(phi): A is the linear part, B the antilinear part.
-Every basis element of the extended algebra is pure-linear or
-pure-antilinear, but sums (needed for span computations and the
-basis-change operator of the bosonic representation) may carry both.
+An operator acts as phi -> A phi + B conj(phi) (A linear, B antilinear).
+The carrier is its realification: with phi = u + iv written as (u; v),
+
+    R = [[Ar + Br, -Ai + Bi],
+         [Ai + Bi,  Ar - Br]] = (P + sqrt2*Q) / d,
+
+with int64 arrays P, Q and a positive integer d, normalised so that
+gcd(P, Q, d) = 1. Composition is integer matrix multiplication, the
+adjoint (A -> A^dagger, B -> B^T) is the transpose, and equality and
+hashing compare (P, Q, d). An operation whose int64 result could wrap
+raises OverflowError instead. The (A, B) matrices over Q(i, sqrt2) are
+views built on demand, for rendering, floating images and apply, the
+spinor action that tests keep as an independent oracle for composition.
 
 The algebra is real: scalar multiplication is restricted to real field
 elements, and multiplication by i is composition with the operator i.
@@ -12,96 +20,64 @@ elements, and multiplication by i is composition with the operator i.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Tuple
 
-from .scalars import ExactScalar, ZERO, ONE, I_UNIT
+import numpy as np
+
+from .scalars import ExactScalar, HALF, ZERO
 
 Matrix = Tuple[Tuple[ExactScalar, ...], ...]
 Spinor = Tuple[ExactScalar, ...]
 
+# every stored entry stays at or below this, so the sum or difference of
+# two entries never wraps
+_LIMIT = int(np.iinfo(np.int64).max) // 2
 
-# ---------------------------------------------------------------------------
-# exact matrix helpers (tuples of tuples, immutable)
-# ---------------------------------------------------------------------------
 
 def mat(rows: Iterable[Iterable]) -> Matrix:
     return tuple(tuple(ExactScalar.coerce(x) if not isinstance(x, ExactScalar) else x
                        for x in row) for row in rows)
 
 
-def mzero(n: int = 4) -> Matrix:
-    return tuple((ZERO,) * n for _ in range(n))
-
-
-def mident(n: int = 4) -> Matrix:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
-def madd(x: Matrix, y: Matrix) -> Matrix:
-    return tuple(tuple(a + b for a, b in zip(rx, ry)) for rx, ry in zip(x, y))
-
-
-def mneg(x: Matrix) -> Matrix:
-    return tuple(tuple(-a for a in row) for row in x)
-
-
-def mscale(x: Matrix, s: ExactScalar) -> Matrix:
-    if not s:
-        return mzero(len(x))
-    return tuple(tuple(s * a for a in row) for row in x)
-
-
-def mmul(x: Matrix, y: Matrix) -> Matrix:
-    n = len(x)
-    out = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        xrow = x[i]
-        orow = out[i]
-        for k in range(n):
-            s = xrow[k]
-            if not s:
-                continue  # basis matrices are sparse; skipping zeros matters
-            yrow = y[k]
-            for j in range(n):
-                t = yrow[j]
-                if t:
-                    orow[j] = orow[j] + s * t
-    return tuple(tuple(row) for row in out)
-
-
-def mconj(x: Matrix) -> Matrix:
-    return tuple(tuple(a.conjugate() for a in row) for row in x)
-
-
-def mtrans(x: Matrix) -> Matrix:
-    return tuple(tuple(x[j][i] for j in range(len(x))) for i in range(len(x)))
-
-
-def mdagger(x: Matrix) -> Matrix:
-    return mconj(mtrans(x))
-
-
-def meq(x: Matrix, y: Matrix) -> bool:
-    return all(a == b for rx, ry in zip(x, y) for a, b in zip(rx, ry))
-
-
-def mis_zero(x: Matrix) -> bool:
-    return all(not a for row in x for a in row)
-
-
-# ---------------------------------------------------------------------------
-# GeneralOp
-# ---------------------------------------------------------------------------
-
 class GeneralOp:
-    """phi -> A phi + B conj(phi) on C^4, with exact entries."""
+    """phi -> A phi + B conj(phi) on C^4, stored as R = (P + sqrt2*Q)/d.
 
-    __slots__ = ("A", "B")
+    _pq stacks P and Q into one (2, 8, 8) array. _bound bounds its absolute
+    entries; it is tightened to the exact maximum before an operation is
+    refused.
+    """
+
+    __slots__ = ("_pq", "_d", "_bound", "_ab")
 
     def __init__(self, A: Matrix | None = None, B: Matrix | None = None):
-        self.A = A if A is not None else mzero()
-        self.B = B if B is not None else mzero()
+        zero = [[0] * 4] * 4
+        parts = [y for m in (A, B) for row in (zero if m is None else m)
+                 for x in map(ExactScalar.coerce, row)
+                 for y in (x.a, x.b, x.c, x.d)]
+        d = math.lcm(*(y.denominator for y in parts))
+        # axes: A or B, re or im, rational or sqrt2 part, row, column
+        (ar, ai), (br, bi) = np.array(
+            [y.numerator * (d // y.denominator) for y in parts],
+            dtype=np.int64).reshape(2, 4, 4, 2, 2).transpose(0, 3, 4, 1, 2)
+        self._set(np.block([[ar + br, bi - ai], [ai + bi, ar - br]]), d, 0)
+        if self._magnitude() > _LIMIT:
+            raise OverflowError("operator entries exceed the int64 range")
+
+    def _set(self, pq: np.ndarray, d: int, bound: int) -> None:
+        """Store (pq, d) in normal form, gcd(P, Q, d) = 1."""
+        if d != 1:
+            g = math.gcd(d, int(np.gcd.reduce(pq, axis=None)))
+            if g != 1:
+                pq, d, bound = pq // g, d // g, bound // g
+        self._pq, self._d, self._bound = pq, d, bound
+        self._ab = None
+
+    def _magnitude(self) -> int:
+        """Tighten _bound to the largest absolute entry and return it."""
+        self._bound = int(np.abs(self._pq).max())
+        return self._bound
 
     # constructors
     @classmethod
@@ -114,85 +90,133 @@ class GeneralOp:
 
     @classmethod
     def identity(cls) -> "GeneralOp":
-        return cls(mident(), None)
+        return _integer(np.eye(8, dtype=np.int64))
 
     @classmethod
     def zero(cls) -> "GeneralOp":
-        return cls(None, None)
+        return _integer(np.zeros((8, 8), dtype=np.int64))
 
     @classmethod
     def imaginary_unit(cls) -> "GeneralOp":
         """The operator i, i.e. phi -> i phi."""
-        return cls(mscale(mident(), I_UNIT), None)
+        return _integer(np.kron([[0, -1], [1, 0]], np.eye(4, dtype=np.int64)))
 
     @classmethod
     def conjugation(cls) -> "GeneralOp":
         """The antilinear involution phi -> conj(phi)."""
-        return cls(None, mident())
+        return _integer(np.kron([[1, 0], [0, -1]], np.eye(4, dtype=np.int64)))
 
-    # composition: (X Y)(phi) = X(Y(phi))
+    # composition: (X Y)(phi) = X(Y(phi)), the product of realifications
     def __matmul__(self, other: "GeneralOp") -> "GeneralOp":
-        A = madd(mmul(self.A, other.A), mmul(self.B, mconj(other.B)))
-        B = madd(mmul(self.A, other.B), mmul(self.B, mconj(other.A)))
-        return GeneralOp(A, B)
+        # an entry of P1 P2 + 2 Q1 Q2 sums 8 terms of at most 3 b1 b2 each
+        bound = _checked(lambda b1, b2: 24 * b1 * b2, self, other)
+        # all four products P1 P2, P1 Q2, Q1 P2, Q1 Q2 in one call
+        x = self._pq[:, None] @ other._pq[None, :]
+        pq = x[0]
+        pq[0] += 2 * x[1, 1]
+        pq[1] += x[1, 0]
+        return _new(pq, self._d * other._d, bound)
+
+    def _combine(self, other: "GeneralOp", sign: int) -> "GeneralOp":
+        # self + sign * other over the common denominator
+        g = math.gcd(self._d, other._d)
+        k1, k2 = other._d // g, self._d // g
+        bound = _checked(lambda b1, b2: b1 * k1 + b2 * k2, self, other)
+        x = self._pq * k1 if k1 != 1 else self._pq
+        y = other._pq * k2 if k2 != 1 else other._pq
+        return _new(x + y if sign > 0 else x - y, self._d * k1, bound)
 
     def __add__(self, other: "GeneralOp") -> "GeneralOp":
-        return GeneralOp(madd(self.A, other.A), madd(self.B, other.B))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "GeneralOp") -> "GeneralOp":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "GeneralOp":
-        return GeneralOp(mneg(self.A), mneg(self.B))
+        return _new(-self._pq, self._d, self._bound)
 
     def scaled(self, r) -> "GeneralOp":
         """Scale by a real field element. The algebra is real: multiplying
         by i must be written as composition with GeneralOp.imaginary_unit()."""
-        r = ExactScalar.coerce(r) if not isinstance(r, ExactScalar) else r
+        r = ExactScalar.coerce(r)
         if not r.is_real:
             raise ValueError("scalars are restricted to the reals; "
                              "compose with the operator i instead")
-        return GeneralOp(mscale(self.A, r), mscale(self.B, r))
+        # r = (alpha + beta*sqrt2) / den with integers alpha, beta
+        den = math.lcm(r.a.denominator, r.b.denominator)
+        alpha = r.a.numerator * (den // r.a.denominator)
+        beta = r.b.numerator * (den // r.b.denominator)
+        bound = _checked(lambda b: b * (abs(alpha) + 2 * abs(beta)), self)
+        p, q = self._pq
+        pq = np.stack((alpha * p + 2 * beta * q, beta * p + alpha * q))
+        return _new(pq, self._d * den, bound)
 
     def adjoint(self) -> "GeneralOp":
         """Adjoint with respect to <X^+ phi, psi> = <X psi, phi> on the
-        antilinear part: A -> A^dagger, B -> B^T."""
-        return GeneralOp(mdagger(self.A), mtrans(self.B))
+        antilinear part: A -> A^dagger, B -> B^T, i.e. the transpose of
+        the realification."""
+        return _new(self._pq.transpose(0, 2, 1), self._d, self._bound)
+
+    def parts(self) -> Tuple["GeneralOp", "GeneralOp"]:
+        """The linear part phi -> A phi and the antilinear part
+        phi -> B conj(phi), i.e. (X - i X i) / 2 and (X + i X i) / 2."""
+        i_op = GeneralOp.imaginary_unit()
+        turned = i_op @ self @ i_op
+        return (self - turned).scaled(HALF), (self + turned).scaled(HALF)
+
+    # the (A, B) view
+    @property
+    def A(self) -> Matrix:
+        return self._views()[0]
+
+    @property
+    def B(self) -> Matrix:
+        return self._views()[1]
+
+    def _views(self) -> Tuple[Matrix, Matrix]:
+        if self._ab is None:
+            rat, sur = self._components()
+            self._ab = tuple(
+                tuple(tuple(ExactScalar(rat[k], sur[k], rat[k + 16], sur[k + 16])
+                            for k in range(base + 4 * i, base + 4 * i + 4))
+                      for i in range(4))
+                for base in (0, 32))
+        return self._ab
+
+    def _components(self):
+        """Ar, Ai, Br, Bi row-major: rational and sqrt2 parts, 64 each."""
+        m = self._pq
+        r11, r12, r21, r22 = m[:, :4, :4], m[:, :4, 4:], m[:, 4:, :4], m[:, 4:, 4:]
+        halves = np.concatenate((r11 + r22, r21 - r12, r11 - r22, r21 + r12),
+                                axis=1)
+        return [_fractions(c, 2 * self._d) for c in halves.reshape(2, 64).tolist()]
 
     def apply(self, phi: Spinor) -> Spinor:
-        out = []
-        for i in range(4):
-            acc = ZERO
-            for j in range(4):
-                aij = self.A[i][j]
-                if aij:
-                    acc = acc + aij * phi[j]
-                bij = self.B[i][j]
-                if bij:
-                    acc = acc + bij * phi[j].conjugate()
-            out.append(acc)
-        return tuple(out)
+        A, B = self._views()
+        conj = tuple(x.conjugate() for x in phi)
+        return tuple(_dot(arow, phi) + _dot(brow, conj)
+                     for arow, brow in zip(A, B))
 
     # predicates
     @property
     def is_linear(self) -> bool:
-        return mis_zero(self.B)
+        return self.parts()[1].is_zero
 
     @property
     def is_antilinear(self) -> bool:
-        return mis_zero(self.A)
+        return self.parts()[0].is_zero
 
     @property
     def is_zero(self) -> bool:
-        return mis_zero(self.A) and mis_zero(self.B)
+        return not self._pq.any()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GeneralOp):
             return NotImplemented
-        return meq(self.A, other.A) and meq(self.B, other.B)
+        return self._d == other._d and self._pq.tobytes() == other._pq.tobytes()
 
     def __hash__(self) -> int:
-        return hash((self.A, self.B))
+        return hash((self._d, self._pq.tobytes()))
 
     def __repr__(self) -> str:
         kind = ("zero" if self.is_zero
@@ -201,45 +225,61 @@ class GeneralOp:
                 else "mixed")
         return f"<GeneralOp {kind}>"
 
-    # realification: C^4 = R^8 with phi = u + iv |-> (u; v)
     def realify(self) -> Matrix:
-        """8x8 real matrix (entries in Q(sqrt2)) reproducing the action on R^8.
+        """The 8x8 real matrix R, entries in Q(sqrt2), acting on (u; v).
 
         Injective multiplicative homomorphism:
-        realify(X @ Y) == mmul(realify(X), realify(Y)).
+        realify(X @ Y) is the matrix product of realify(X) and realify(Y).
         """
-        ar, ai = _re_im(self.A)
-        br, bi = _re_im(self.B)
-        top = [row_l + row_r for row_l, row_r in zip(madd(ar, br), madd(mneg(ai), bi))]
-        bot = [row_l + row_r for row_l, row_r in zip(madd(ai, bi), madd(ar, mneg(br)))]
-        return tuple(tuple(row) for row in top + bot)
+        rat, sur = (_fractions(c, self._d)
+                    for c in self._pq.reshape(2, 64).tolist())
+        return tuple(tuple(ExactScalar(rat[k], sur[k])
+                           for k in range(8 * i, 8 * i + 8)) for i in range(8))
 
     def vectorize(self) -> Tuple[ExactScalar, ...]:
         """64 real components: row-major A real parts, A imaginary parts,
         then B likewise. Fixed order so rank computations are reproducible."""
-        comps = []
-        for part in (self.A, self.B):
-            for pick in (_re, _im):
-                for row in part:
-                    comps.extend(pick(x) for x in row)
-        return tuple(comps)
+        rat, sur = self._components()
+        return tuple(ExactScalar(a, b) if a or b else ZERO
+                     for a, b in zip(rat, sur))
+
+
+def _new(pq: np.ndarray, d: int, bound: int) -> GeneralOp:
+    op = GeneralOp.__new__(GeneralOp)
+    op._set(pq, d, bound)
+    return op
+
+
+def _integer(p: np.ndarray) -> GeneralOp:
+    """The operator with R = p, an integer matrix with entries 0 and +-1."""
+    return _new(np.stack((p, np.zeros_like(p))), 1, 1)
+
+
+def _checked(bound_of, *ops: GeneralOp) -> int:
+    """The entry bound that bound_of gives for a result of ops: from their
+    stored bounds or, if that is too large, from their exact magnitudes.
+    OverflowError if even those could wrap int64."""
+    bound = bound_of(*(op._bound for op in ops))
+    if bound > _LIMIT:
+        bound = bound_of(*(op._magnitude() for op in ops))
+        if bound > _LIMIT:
+            raise OverflowError("operator result would exceed the int64 range")
+    return bound
+
+
+def _dot(row, v) -> ExactScalar:
+    return sum((a * x for a, x in zip(row, v) if a), ZERO)
+
+
+def _fractions(ints: list, den: int) -> list:
+    # values repeat (mostly 0 and +-1): build each Fraction once
+    memo = {}
+    return [memo[x] if x in memo else memo.setdefault(x, Fraction(x, den))
+            for x in ints]
 
 
 def _is_matrix(x) -> bool:
     return isinstance(x, tuple) and x and isinstance(x[0], tuple)
-
-
-def _re(x: ExactScalar) -> ExactScalar:
-    return ExactScalar(x.a, x.b)
-
-
-def _im(x: ExactScalar) -> ExactScalar:
-    return ExactScalar(x.c, x.d)
-
-
-def _re_im(m: Matrix):
-    return (tuple(tuple(_re(x) for x in row) for row in m),
-            tuple(tuple(_im(x) for x in row) for row in m))
 
 
 def compose(*ops: GeneralOp) -> GeneralOp:
@@ -255,7 +295,3 @@ def commutator(x: GeneralOp, y: GeneralOp) -> GeneralOp:
 
 def anticommutator(x: GeneralOp, y: GeneralOp) -> GeneralOp:
     return x @ y + y @ x
-
-
-def scale_int(x: GeneralOp, num: int, den: int = 1) -> GeneralOp:
-    return x.scaled(ExactScalar(Fraction(num, den)))

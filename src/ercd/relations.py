@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebras import (OrtSet, extended_gammas, pair_op, pd_gammas,
                        pgi_lorentz6, so8_generators)
 from .operators import GeneralOp, anticommutator, commutator, compose
-from .scalars import ExactScalar, I_UNIT, MINUS_ONE, ONE
+from .scalars import HALF
 from .spans import span_of
 
 MetricSignature = Tuple[int, ...]
@@ -279,36 +279,10 @@ def composition_closure_check(ortset: OrtSet) -> StructureReport:
     return rep
 
 
-_UNITS: Tuple[Tuple[str, ExactScalar], ...] = (
-    ("1", ONE), ("-1", MINUS_ONE), ("i", I_UNIT), ("-i", -I_UNIT))
-
-
-def _scalar_multiple(op: GeneralOp, s: ExactScalar) -> GeneralOp:
-    # raw entrywise scaling; the 'i' cases arise from composing with the
-    # operator i on the left, which scales A and B identically
-    return GeneralOp(tuple(tuple(s * x for x in row) for row in op.A),
-                     tuple(tuple(s * x for x in row) for row in op.B))
-
-
-_MATCH_CACHE: Dict[int, Dict[GeneralOp, Tuple[str, str]]] = {}
-
-
-def _unit_multiples_map(ortset: OrtSet) -> Dict[GeneralOp, Tuple[str, str]]:
-    key = id(ortset)
-    cached = _MATCH_CACHE.get(key)
-    if cached is None:
-        cached = {}
-        for lbl, basis_op in ortset:
-            for unit_name, unit in _UNITS:
-                cached[_scalar_multiple(basis_op, unit)] = (unit_name, lbl)
-        _MATCH_CACHE[key] = cached
-    return cached
-
-
 def match_to_basis(ortset: OrtSet, op: GeneralOp
                    ) -> Optional[Tuple[str, str]]:
     """Identify op as (unit, label) with op = unit * ort, unit in {1,-1,i,-i}."""
-    return _unit_multiples_map(ortset).get(op)
+    return ortset.unit_multiples.get(op)
 
 
 def squares_and_pairing_check(ortset: OrtSet) -> StructureReport:
@@ -364,7 +338,7 @@ def commutator_table(ortset: OrtSet) -> List[Tuple[str, str, str]]:
             if hit is not None:
                 rows.append((li, lj, f"{hit[0]}*{hit[1]}"))
                 continue
-            half = _scalar_multiple(comm, ExactScalar.rational(1, 2))
+            half = comm.scaled(HALF)
             hit = match_to_basis(ortset, half)
             rows.append((li, lj, f"2*{hit[0]}*{hit[1]}" if hit else "mixed"))
     return rows

@@ -20,14 +20,17 @@ class ExactSpan:
 
     With track=True each reduced row remembers its expansion in the
     originally inserted vectors, so members can be expressed exactly in
-    the generators. Tracking rows are ragged: entries past their length
-    are zero (they can only reference earlier insertions).
+    the generators, and each inserted vector that did not enlarge the
+    span leaves in relations the combination of insertions that vanishes.
+    Tracking rows are ragged: entries past their length are zero (they
+    can only reference earlier insertions).
     """
 
     def __init__(self, track: bool = False):
         self.rows: List[Tuple[int, Vector]] = []  # (pivot index, normalized row)
         self.track = track
         self.coeffs: List[Tuple[ExactScalar, ...]] = []
+        self.relations: List[List[ExactScalar]] = []
         self._n_inserted = 0
 
     @property
@@ -61,6 +64,8 @@ class ExactSpan:
         self._n_inserted += 1
         pivot = next((j for j, x in enumerate(v) if x), None)
         if pivot is None:
+            if self.track:
+                self.relations.append(coeff)
             return False
         inv = v[pivot].inverse()
         self.rows.append((pivot, tuple(x * inv for x in v)))
@@ -107,10 +112,6 @@ def spans_equal(ops1: Sequence[GeneralOp], ops2: Sequence[GeneralOp]) -> bool:
     return all(sp1.contains(op.vectorize()) for op in ops2)
 
 
-def span_contains(ops: Sequence[GeneralOp], candidate: GeneralOp) -> bool:
-    return span_of(ops).contains(candidate.vectorize())
-
-
 # ---------------------------------------------------------------------------
 # elementary basis of the full 64-dimensional operator space
 # ---------------------------------------------------------------------------
@@ -135,38 +136,16 @@ def elementary_basis() -> List[GeneralOp]:
 def centralizer_kernel(x: GeneralOp) -> List[GeneralOp]:
     """Exact basis of {Q : Q X = X Q} inside the full operator space.
 
-    Kernel of the real-linear map Q -> X Q - Q X: eliminate the images of
-    the elementary basis while carrying coefficient bookkeeping; an image
-    that reduces to zero exposes a kernel combination.
+    Kernel of the real-linear map Q -> X Q - Q X: the tracked elimination
+    of the images of the elementary basis exposes each kernel combination
+    as a relation among the images.
     """
     basis = elementary_basis()
-    n = len(basis)
-    rows: List[Tuple[int, List[ExactScalar]]] = []
-    book: List[List[ExactScalar]] = []
-    kernel: List[List[ExactScalar]] = []
-    for i, q in enumerate(basis):
-        v = list((x @ q - q @ x).vectorize())
-        coeff = [ZERO] * n
-        coeff[i] = ONE
-        for (p, row), crow in zip(rows, book):
-            f = v[p]
-            if f:
-                for j in range(len(v)):
-                    if row[j]:
-                        v[j] = v[j] - f * row[j]
-                v[p] = ZERO
-                for j in range(n):
-                    if crow[j]:
-                        coeff[j] = coeff[j] - f * crow[j]
-        pivot = next((j for j, val in enumerate(v) if val), None)
-        if pivot is None:
-            kernel.append(coeff)
-        else:
-            inv = v[pivot].inverse()
-            rows.append((pivot, [val * inv for val in v]))
-            book.append([val * inv for val in coeff])
+    sp = ExactSpan(track=True)
+    for q in basis:
+        sp.add((x @ q - q @ x).vectorize())
     out = []
-    for coeff in kernel:
+    for coeff in sp.relations:
         acc = GeneralOp.zero()
         for lam, q in zip(coeff, basis):
             if lam:

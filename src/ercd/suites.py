@@ -31,7 +31,7 @@ from .relations import (check_anticommutation, check_so8, check_so15,
                         squares_and_pairing_check,
                         _expected_explicit_forms)
 from .reporting import CLAIM_REGISTRY, Claim, Ledger, SuiteConfig, SUITE_NAMES
-from .scalars import ExactScalar, HALF, I_UNIT, ONE
+from .scalars import ExactScalar, HALF, I_UNIT, ONE, ZERO
 from .spans import (centralizer_kernel, span_of, span_rank, spans_equal,
                     structure_constants)
 from .symbols import (MomentumSymbol, check_equation_symmetry,
@@ -60,11 +60,11 @@ def corrupted_pd_gammas(target: str, row: int, col: int) -> OrtSet:
     base = pd_gammas()
     items = []
     prov = []
+    bump = [[0] * 4 for _ in range(4)]
+    bump[row][col] = 1
     for lbl, op in base:
         if lbl == target:
-            rows = [list(r) for r in op.A]
-            rows[row][col] = rows[row][col] + ONE
-            op = GeneralOp(tuple(tuple(r) for r in rows), op.B)
+            op = op + GeneralOp.linear(bump)
         items.append((lbl, op))
         prov.append((lbl, base.provenance_of(lbl)))
     return OrtSet("pd_gammas(corrupted)", tuple(items), tuple(prov))
@@ -93,13 +93,11 @@ def _suite_cd(ledger: Ledger, config: SuiteConfig) -> None:
     _claim(ledger, "cd.adjoint-pattern", ok, detail="; ".join(detail), t0=t0)
 
     t0 = time.perf_counter()
-    s1, s2, s3 = algebras.pauli_matrices()
-    from .operators import meq, mmul, mident, mscale
-    ok = (meq(mmul(s1, s1), mident(2)) and meq(mmul(s2, s2), mident(2))
-          and meq(mmul(s3, s3), mident(2))
-          and meq(mmul(s1, s2), mscale(s3, I_UNIT))
-          and meq(mmul(s2, s3), mscale(s1, I_UNIT))
-          and meq(mmul(s3, s1), mscale(s2, I_UNIT)))
+    s1, s2, s3 = _pauli_ops()
+    i_op = GeneralOp.imaginary_unit()
+    ok = (s1 @ s1 == ident and s2 @ s2 == ident and s3 @ s3 == ident
+          and s1 @ s2 == i_op @ s3 and s2 @ s3 == i_op @ s1
+          and s3 @ s1 == i_op @ s2)
     _claim(ledger, "cd.pauli-matrices", ok, t0=t0)
 
     t0 = time.perf_counter()
@@ -163,24 +161,24 @@ def _suite_cd(ledger: Ledger, config: SuiteConfig) -> None:
            detail="; ".join(failures), t0=t0)
 
 
+def _pauli_ops():
+    # each 2x2 Pauli matrix s acts as diag(s, s), a faithful embedding
+    return [GeneralOp(tuple(r + (ZERO, ZERO) for r in s)
+                      + tuple((ZERO, ZERO) + r for r in s), None)
+            for s in algebras.pauli_matrices()]
+
+
 def _rebuild_blocks() -> Dict[str, GeneralOp]:
-    from .operators import mat
-    from .scalars import ZERO
-    s1, s2, s3 = algebras.pauli_matrices()
-    out = {"g0": GeneralOp.linear(mat([[1, 0, 0, 0], [0, 1, 0, 0],
-                                       [0, 0, -1, 0], [0, 0, 0, -1]]))}
-    for lbl, sk in (("g1", s1), ("g2", s2), ("g3", s3)):
-        rows = []
-        for i in range(2):
-            rows.append((ZERO, ZERO, sk[i][0], sk[i][1]))
-        for i in range(2):
-            rows.append((-sk[i][0], -sk[i][1], ZERO, ZERO))
-        out[lbl] = GeneralOp(tuple(rows), None)
+    # gk = [[0, s_k], [-s_k, 0]] = [[0, I], [-I, 0]] diag(s_k, s_k)
+    turn = GeneralOp.linear([[0, 0, 1, 0], [0, 0, 0, 1],
+                             [-1, 0, 0, 0], [0, -1, 0, 0]])
+    out = {f"g{k}": turn @ s for k, s in enumerate(_pauli_ops(), 1)}
+    out["g0"] = GeneralOp.linear([[1, 0, 0, 0], [0, 1, 0, 0],
+                                  [0, 0, -1, 0], [0, 0, 0, -1]])
     return out
 
 
 def _explicit_gamma4() -> GeneralOp:
-    from .scalars import ZERO
     mi = -I_UNIT
     z = ZERO
     return GeneralOp(((z, z, mi, z), (z, z, z, mi),
@@ -270,7 +268,6 @@ def _suite_percd(ledger: Ledger, config: SuiteConfig) -> None:
     ext = extended_gammas()
 
     t0 = time.perf_counter()
-    from .scalars import ZERO
     # g1 g3 = diag blocks of [[0,1],[-1,0]] (real rotation blocks)
     expected_b = ((ZERO, ONE, ZERO, ZERO), (-ONE, ZERO, ZERO, ZERO),
                   (ZERO, ZERO, ZERO, ONE), (ZERO, ZERO, -ONE, ZERO))

@@ -23,8 +23,7 @@ import numpy as np
 
 from .algebras import pd_gammas, so15_generators
 from .duals import Dual, gconj, gsqrt, value
-from .operators import GeneralOp, mconj, mis_zero, mmul, mneg
-from .scalars import ExactScalar
+from .operators import GeneralOp
 
 Triple = Tuple[float, float, float]
 
@@ -141,8 +140,8 @@ class MomentumSymbol:
         a = to_complex_matrix(op.A)
         b = to_complex_matrix(op.B)
         return cls(lambda q: (a, b), mass, label or "const",
-                   has_linear=not mis_zero(op.A),
-                   has_antilinear=not mis_zero(op.B),
+                   has_linear=not op.is_antilinear,
+                   has_antilinear=not op.is_linear,
                    parity="even")
 
     @classmethod
@@ -324,7 +323,7 @@ class EquationOperator:
     """Hamiltonian symbol H(q) of an evolution operator d_0 + iH.
 
     exact_terms decomposes H(q) = sum_t f_t(q) M_t with exact constant
-    matrices M_t and scalar profiles f_t of definite parity (+1 even /
+    linear operators M_t and scalar profiles f_t of definite parity (+1 even /
     -1 odd); that decomposition powers the zero-tolerance symmetry check
     for constant candidate operators.
     """
@@ -332,7 +331,7 @@ class EquationOperator:
     name: str
     mass: float
     symbol: MomentumSymbol
-    exact_terms: Tuple[Tuple[tuple, int, str], ...]
+    exact_terms: Tuple[Tuple[GeneralOp, int, str], ...]
 
     def hamiltonian(self, q) -> np.ndarray:
         a, _ = self.symbol.value_at(q)
@@ -344,20 +343,18 @@ class EquationOperator:
         op is a symmetry of d_0 + iH iff op composed with iH equals iH
         composed with op under the flip law. Expanding per exact term:
         the linear part must commute with each M_t, and the antilinear
-        part must satisfy -sigma_t * B conj(M_t) = M_t B.
+        part N must satisfy -sigma_t * N M_t = M_t N.
         """
         failures = []
+        lin, anti = op.parts()
         for (m_t, parity, profile) in self.exact_terms:
-            if not mis_zero(op.A):
-                lhs = mmul(op.A, m_t)
-                rhs = mmul(m_t, op.A)
-                if lhs != rhs:
-                    failures.append(f"linear part fails on {profile} term")
-            if not mis_zero(op.B):
-                lhs = mneg(mmul(op.B, mconj(m_t))) if parity > 0 else \
-                    mmul(op.B, mconj(m_t))
-                rhs = mmul(m_t, op.B)
-                if lhs != rhs:
+            if not lin.is_zero and lin @ m_t != m_t @ lin:
+                failures.append(f"linear part fails on {profile} term")
+            if not anti.is_zero:
+                lhs = anti @ m_t
+                if parity > 0:
+                    lhs = -lhs
+                if lhs != m_t @ anti:
                     failures.append(f"antilinear part fails on {profile} term")
         return (not failures), failures
 
@@ -383,8 +380,8 @@ def fw_hamiltonian(mass: float) -> EquationOperator:
 
     sym = MomentumSymbol.linear_matrix(fn_a, mass, "H_fw")
     sym.parity = "even"
-    g0_exact = pd_gammas().get("g0").A
-    return EquationOperator("fw", mass, sym, ((g0_exact, +1, "omega"),))
+    return EquationOperator("fw", mass, sym,
+                            ((pd_gammas().get("g0"), +1, "omega"),))
 
 
 def dirac_hamiltonian(mass: float) -> EquationOperator:
@@ -406,9 +403,9 @@ def dirac_hamiltonian(mass: float) -> EquationOperator:
     sym = MomentumSymbol.linear_matrix(fn_a, mass, "H_d")
     g = pd_gammas()
     g0 = g.get("g0")
-    terms = [(( g0 @ g.get(f"g{k}")).A, -1, f"q{k}") for k in (1, 2, 3)]
+    terms = [(g0 @ g.get(f"g{k}"), -1, f"q{k}") for k in (1, 2, 3)]
     if mass:
-        terms.append((g0.scaled(ExactScalar.coerce(1)).A, +1, "mass"))
+        terms.append((g0, +1, "mass"))
     return EquationOperator("dirac", mass, sym, tuple(terms))
 
 

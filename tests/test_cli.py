@@ -104,6 +104,32 @@ def test_cli_bad_tolerance_exits_2(capsys):
     assert main(["verify", "--suite", "cd", "--tol", "nonsense"]) == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--samples", "0"],
+    ["--samples", "-5"],
+    ["--tol", "momentum=nan"],
+    ["--tol", "momentum=inf"],
+    ["--tol", "closure=-1"],
+    ["--tol", "symmetry=0"],
+    ["--mass", "nan"],
+    ["--mass", "inf"],
+    ["--mass", "-1"],
+])
+def test_cli_bad_numbers_exit_2_before_any_suite(flags, capsys, monkeypatch):
+    import ercd.cli
+    ran = []
+    monkeypatch.setattr(ercd.cli, "run_suite", lambda config: ran.append(config))
+    assert main(["verify", "--suite", "cd"] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ercd: error:") and err.count("\n") == 1
+    assert not ran
+
+
+def test_cli_zero_mass_is_valid(capsys):
+    assert main(["verify", "--suite", "cd", "--mass", "0", "--samples", "1",
+                 "--tol", "closure=1e-3"]) == 0
+
+
 def test_cli_bad_fault_spec_exits_2(capsys):
     assert main(["verify", "--suite", "cd", "--inject-fault", "g9,0,0"]) == 2
 

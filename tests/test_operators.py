@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from ercd.algebras import a32, cd16, ercd64, extended_gammas, pd_gammas
+from ercd.algebras import (a32, bosonic_rep, cd16, ercd64, extended_gammas,
+                           pd_gammas)
 from ercd.operators import (GeneralOp, anticommutator, commutator, compose,
-                            mmul)
-from ercd.scalars import ExactScalar, I_UNIT
+                            mat)
+from ercd.scalars import HALF, ExactScalar, I_UNIT, ZERO
 from ercd.spans import (centralizer_dimension, centralizer_kernel,
                         span_rank, spans_equal, structure_constants)
 
@@ -28,6 +29,37 @@ def _random_op(rng):
 
 def _random_spinor(rng):
     return tuple(_random_scalar(rng) for _ in range(4))
+
+
+def _random_fraction(rng):
+    # non-dyadic denominators exercise the gcd normalisation of d
+    return Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5, 7, 9)))
+
+
+def _random_nondyadic_op(rng):
+    def grid():
+        return tuple(tuple(ExactScalar(*(_random_fraction(rng) for _ in range(4)))
+                           for _ in range(4)) for _ in range(4))
+    return GeneralOp(grid(), grid())
+
+
+def _exact_operators():
+    """The 76 exact operators: ercd64, the bosonic set, W and W^-1."""
+    breve, w, w_inv = bosonic_rep()
+    return ercd64().ops() + breve.ops() + [w, w_inv]
+
+
+def _matmul(x, y):
+    # plain product of tuple matrices over Q(i, sqrt2)
+    n = len(x)
+    return tuple(tuple(sum((x[i][k] * y[k][j] for k in range(n)
+                            if x[i][k] and y[k][j]), ZERO)
+                       for j in range(n)) for i in range(n))
+
+
+def _identity(n):
+    return tuple(tuple(ExactScalar(int(i == j)) for j in range(n))
+                 for i in range(n))
 
 
 def test_compose_examples():
@@ -100,23 +132,21 @@ def test_commutator_and_anticommutator_examples():
 
 
 def test_realify_identity_and_complex_structure():
-    from ercd.operators import mident, meq
     r = GeneralOp.identity().realify()
-    assert meq(r, mident(8))
+    assert r == _identity(8)
     ri = GeneralOp.imaginary_unit().realify()
-    sq = mmul(ri, ri)
-    minus = tuple(tuple(-x for x in row) for row in mident(8))
-    assert meq(sq, minus)
+    sq = _matmul(ri, ri)
+    minus = tuple(tuple(-x for x in row) for row in _identity(8))
+    assert sq == minus
 
 
 def test_realify_is_multiplicative_via_action_oracle():
     # action-level oracle: both sides applied to random spinors agree,
     # and the realified matrices multiply accordingly
-    from ercd.operators import meq
     rng = random.Random(13)
     for _ in range(100):
         x, y = _random_op(rng), _random_op(rng)
-        assert meq((x @ y).realify(), mmul(x.realify(), y.realify()))
+        assert (x @ y).realify() == _matmul(x.realify(), y.realify())
 
 
 def test_realify_injective_on_basis():
@@ -172,3 +202,78 @@ def test_every_basis_op_squares_to_plus_minus_identity():
     for lbl, op in ercd64():
         sq = op @ op
         assert sq == ident or sq == -ident, lbl
+
+
+# ---------------------------------------------------------------------------
+# cross-checks of the integer model against the (A, B) views
+# ---------------------------------------------------------------------------
+
+def test_compose_agrees_with_action_on_exact_and_nondyadic_ops():
+    # the spinor action (computed from the (A, B) views) is an oracle that
+    # shares nothing with the integer product
+    rng = random.Random(17)
+    exact = _exact_operators()
+    assert len(exact) == 76
+    randoms = [_random_nondyadic_op(rng) for _ in range(6)]
+    for x in exact + randoms:
+        for y in rng.sample(exact, 3) + rng.sample(randoms, 1):
+            phi = _random_spinor(rng)
+            assert (x @ y).apply(phi) == x.apply(y.apply(phi))
+            assert (y @ x).apply(phi) == y.apply(x.apply(phi))
+
+
+def test_adjoint_matches_the_dagger_transpose_rule_on_views():
+    rng = random.Random(19)
+    for op in _exact_operators() + [_random_nondyadic_op(rng)
+                                    for _ in range(10)]:
+        adj = op.adjoint()
+        assert adj.A == tuple(tuple(op.A[j][i].conjugate() for j in range(4))
+                              for i in range(4))
+        assert adj.B == tuple(tuple(op.B[j][i] for j in range(4))
+                              for i in range(4))
+
+
+def test_views_round_trip_and_equal_ops_hash_equal():
+    rng = random.Random(23)
+    for op in _exact_operators() + [_random_nondyadic_op(rng)
+                                    for _ in range(10)]:
+        again = GeneralOp(op.A, op.B)
+        assert again == op and hash(again) == hash(op)
+        # the same value reached through different denominators
+        other = (op.scaled(ExactScalar(0, 1)) + op).scaled(HALF) \
+            - op.scaled(ExactScalar(0, Fraction(1, 2)))
+        assert other == op.scaled(HALF) and hash(other) == hash(op.scaled(HALF))
+        assert op.scaled(Fraction(1, 3)).scaled(3) == op
+        assert sum(op.parts(), GeneralOp.zero()) == op
+
+
+def test_linear_and_antilinear_parts():
+    g = pd_gammas()
+    c = GeneralOp.conjugation()
+    mixed = g.get("g1") + g.get("g2") @ c
+    assert mixed.parts() == (g.get("g1"), g.get("g2") @ c)
+    assert not mixed.is_linear and not mixed.is_antilinear
+    assert g.get("g1").is_linear and (g.get("g1") @ c).is_antilinear
+
+
+def test_huge_entries_raise_overflow_instead_of_wrapping():
+    big = GeneralOp.linear(mat([[2 ** 40, 0, 0, 0], [0, 1, 0, 0],
+                                [0, 0, 1, 0], [0, 0, 0, 1]]))
+    with pytest.raises(OverflowError):
+        big @ big
+    with pytest.raises(OverflowError):
+        big.scaled(2 ** 30)
+    with pytest.raises(OverflowError):
+        GeneralOp.linear(mat([[2 ** 70, 0, 0, 0]] + [[0] * 4] * 3))
+
+
+def test_long_products_of_small_ops_do_not_overflow():
+    # entry bounds grow with each product; the guard must tighten them to
+    # the true magnitudes instead of refusing a product that fits
+    ops = ercd64().ops()
+    prod = GeneralOp.identity()
+    for k in range(200):
+        prod = prod @ ops[(7 * k) % 64]
+    ident = GeneralOp.identity()
+    sq = prod @ prod
+    assert sq == ident or sq == -ident

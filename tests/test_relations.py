@@ -1,7 +1,7 @@
 import pytest
 
-from ercd.algebras import (a32, bosonic_so8_generators, breve_spin, cd16,
-                           ercd64, extended_gammas, pd_gammas, pgi8,
+from ercd.algebras import (OrtSet, a32, bosonic_so8_generators, breve_spin,
+                           cd16, ercd64, extended_gammas, pd_gammas, pgi8,
                            pgi_lorentz6, percd29, so15_generators,
                            so8_generators)
 from ercd.operators import GeneralOp, commutator
@@ -211,3 +211,27 @@ def test_match_to_basis():
     i_scaled = GeneralOp.imaginary_unit() @ op
     assert match_to_basis(basis, i_scaled) == ("i", "alpha_03")
     assert match_to_basis(basis, op) == ("1", "alpha_03")
+
+
+def test_match_maps_belong_to_their_ort_set():
+    # a clean and a corrupted set look up the same products in maps of
+    # their own, never in a map cached for another set
+    from ercd.suites import corrupted_pd_gammas
+    clean = pd_gammas()
+    bad = corrupted_pd_gammas("g2", 0, 1)
+    g2, bad_g2 = clean.get("g2"), bad.get("g2")
+    assert match_to_basis(clean, g2) == ("1", "g2")
+    assert match_to_basis(bad, g2) is None
+    assert match_to_basis(bad, bad_g2) == ("1", "g2")
+    assert match_to_basis(clean, bad_g2) is None
+    assert clean.unit_multiples is not bad.unit_multiples
+    # sets built and dropped in turn, so that a new set may take the id of
+    # the one before, each answer from their own map
+    variants = [clean.elements, bad.elements]
+    for k in range(8):
+        probe = OrtSet("probe", variants[k % 2])
+        own, other = (dict(variants[k % 2])["g2"],
+                      dict(variants[1 - k % 2])["g2"])
+        assert match_to_basis(probe, own) == ("1", "g2")
+        assert match_to_basis(probe, other) is None
+        del probe
