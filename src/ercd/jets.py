@@ -1,0 +1,98 @@
+"""Degree-1 forward-mode jets (dual numbers over numpy arrays) for the
+q-derivatives of momentum symbols (Griewank & Walther, Evaluating
+Derivatives, SIAM 2008).
+
+A Jet holds a value array ``val`` and its gradient ``grad`` of shape
+(3, *val.shape), where grad[a] is d val / d q_a. Jets take part in numpy
+arithmetic through ``__array_ufunc__``: + - * / sqrt conj and @ work
+between jets, arrays and scalars with the usual broadcasting, so a symbol
+written for plain momentum arrays evaluates unchanged on a jet. Plain
+operands are constants. Only degree 1 is kept: a jet's gradient is a plain
+array, and jets are never nested.
+
+Momenta arrive as signed batches, N momenta and their reflections, with
+the sign axis first. ``Jet.of_momenta`` differentiates with respect to the
+momenta of the +q half: that half is seeded with e_a and the -q half with
+-e_a. Every entry of a jet is then a function of the same q, so flipping
+the sign axis (the reflected momentum of the flip law) is a pure index
+flip, and the chain rule through q -> -q is already in the seed.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+class Jet(np.lib.mixins.NDArrayOperatorsMixin):
+    __slots__ = ("val", "grad")
+
+    def __init__(self, val, grad):
+        self.val = val
+        self.grad = grad
+
+    @classmethod
+    def of_momenta(cls, q):
+        """Seed the components (q1, q2, q3) of a signed batch, each an
+        array with the sign axis first: jet a has gradient +e_a on the +q
+        half and -e_a on the -q half."""
+        jets = []
+        for a, qa in enumerate(q):
+            grad = np.zeros((3,) + qa.shape)
+            grad[a, 0] = 1.0
+            grad[a, 1] = -1.0
+            jets.append(cls(qa, grad))
+        return tuple(jets)
+
+    @property
+    def shape(self):
+        return self.val.shape
+
+    def __getitem__(self, idx) -> "Jet":
+        idx = idx if isinstance(idx, tuple) else (idx,)
+        return Jet(self.val[idx], self.grad[(slice(None),) + idx])
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method != "__call__" or kwargs or ufunc not in _RULES:
+            return NotImplemented
+        vals = [x.val if isinstance(x, Jet) else x for x in inputs]
+        grads = [x.grad if isinstance(x, Jet) else None for x in inputs]
+        val = ufunc(*vals)
+        grad = _RULES[ufunc](val, vals, grads)
+        return Jet(val, np.broadcast_to(grad, (3,) + val.shape))
+
+
+def _sum(*terms):
+    present = [t for t in terms if t is not None]
+    return sum(present[1:], present[0])
+
+
+def _times(g, factor):
+    return None if g is None else g * factor
+
+
+def _product(val, vals, grads):
+    (x, y), (gx, gy) = vals, grads
+    return _sum(_times(gx, y), _times(gy, x))
+
+
+def _quotient(val, vals, grads):
+    (x, y), (gx, gy) = vals, grads
+    return _sum(_times(gx, 1.0 / y), _times(gy, -val / y))
+
+
+def _matmul(val, vals, grads):
+    (x, y), (gx, gy) = vals, grads
+    return _sum(None if gx is None else gx @ y, None if gy is None else x @ gy)
+
+
+_RULES = {
+    np.add: lambda val, vals, grads: _sum(*grads),
+    np.subtract: lambda val, vals, grads: _sum(grads[0],
+                                               _times(grads[1], -1.0)),
+    np.negative: lambda val, vals, grads: -grads[0],
+    np.conjugate: lambda val, vals, grads: np.conj(grads[0]),
+    np.multiply: _product,
+    np.true_divide: _quotient,
+    np.sqrt: lambda val, vals, grads: grads[0] * (0.5 / val),
+    np.matmul: _matmul,
+}

@@ -60,6 +60,9 @@ class Claim:
     residual: float = 0.0
     runtime_s: float = 0.0
     detail: str = ""
+    # the tolerance a sampled residual was judged against; 0.0 marks an
+    # exact (zero-tolerance) claim. Not part of the canonical body.
+    tolerance: float = 0.0
 
     @property
     def failed(self) -> bool:
@@ -202,7 +205,7 @@ class Ledger:
         width = max(len(c.claim_id) for c in self.claims) if self.claims else 10
         for c in self.claims:
             status = c.status.upper()
-            if c.residual == 0.0:
+            if c.residual == 0.0 and c.tolerance == 0.0:
                 res = "mismatch" if c.status == "fail" else "exact"
             else:
                 res = f"{c.residual:.2e}"

@@ -1,12 +1,22 @@
 """Momentum-symbol calculus for translation-invariant operators.
 
-A symbol maps a momentum triple q to a pair of 4x4 matrices (A(q), B(q))
-acting as phi -> A(q) phi + B(q) conj(phi(-q))-style antilinear channel.
-Composition follows the momentum-flip law: antilinear parts see the
-reflected momentum,
+A symbol maps momentum q to a pair of 4x4 matrices (A(q), B(q)), the
+operator phi -> A(q) phi + B(q) conj(phi(-q)) with a linear and an
+antilinear part. Symbols are evaluated on signed batches: an array Q of
+shape (2, N, 3) holding N momenta and their reflections, Q[1] = -Q[0]
+(``signed_batch``). A symbol returns (A, B), each of shape (2, N, 4, 4).
 
-    (X Y)(q) = (Ax(q) Ay(q) + Bx(q) conj(By(-q)),
-                Ax(q) By(q) + Bx(q) conj(Ay(-q))).
+Composition follows the momentum-flip law: antilinear parts see the
+reflected momentum. On a signed batch the reflected factor is a flip of
+the sign axis, not a second evaluation, and ``flip_product`` is the one
+place the product is formed:
+
+    A = Ax @ Ay + Bx @ conj(By[::-1]),
+    B = Ax @ By + Bx @ conj(Ay[::-1]).
+
+q-derivatives come from degree-1 array jets (``jets.Jet``) seeded with
++e_a on the +q half and -e_a on the -q half, so the flip stays an index
+flip under differentiation too.
 
 Fourier convention: phi(x) = (2 pi)^(-3/2) Int d^3q e^{i q.x} phitilde(q),
 so d/dx_n has symbol i q_n and conjugation sends phitilde(q) to
@@ -22,80 +32,14 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebras import pd_gammas, so15_generators
-from .duals import Dual, gconj, gsqrt, value
+from .jets import Jet
 from .operators import GeneralOp
 
 Triple = Tuple[float, float, float]
 
-
-# ---------------------------------------------------------------------------
-# generic 4x4 matrix helpers (complex fast path, object/Dual slow path)
-# ---------------------------------------------------------------------------
-
-def _is_plain(x: np.ndarray) -> bool:
-    return x.dtype != object
-
-
-def gmat_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if _is_plain(x) and _is_plain(y):
-        return x @ y
-    out = np.empty((4, 4), dtype=object)
-    for i in range(4):
-        for j in range(4):
-            acc = 0.0
-            for k in range(4):
-                xv = x[i, k]
-                if isinstance(xv, complex) and xv == 0:
-                    continue
-                yv = y[k, j]
-                if isinstance(yv, complex) and yv == 0:
-                    continue
-                acc = acc + xv * yv
-            out[i, j] = acc
-    return out
-
-
-def gmat_add(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if _is_plain(x) and _is_plain(y):
-        return x + y
-    out = np.empty((4, 4), dtype=object)
-    for i in range(4):
-        for j in range(4):
-            out[i, j] = x[i, j] + y[i, j]
-    return out
-
-
-def gmat_scale(s, x: np.ndarray) -> np.ndarray:
-    if _is_plain(x) and not isinstance(s, Dual):
-        return s * x
-    out = np.empty((4, 4), dtype=object)
-    for i in range(4):
-        for j in range(4):
-            out[i, j] = s * x[i, j]
-    return out
-
-
-def gmat_conj(x: np.ndarray) -> np.ndarray:
-    if _is_plain(x):
-        return np.conj(x)
-    out = np.empty((4, 4), dtype=object)
-    for i in range(4):
-        for j in range(4):
-            out[i, j] = gconj(x[i, j])
-    return out
-
-
-def gmat_value(x: np.ndarray) -> np.ndarray:
-    if _is_plain(x):
-        return x
-    out = np.empty((4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            out[i, j] = value(x[i, j])
-    return out
-
-
 _ZERO4 = np.zeros((4, 4), dtype=complex)
+# d/dq of the -q half is minus the derivative taken at -q
+_HALF_SIGN = np.array([1.0, -1.0]).reshape(2, 1, 1, 1)
 
 
 def to_complex_matrix(m) -> np.ndarray:
@@ -103,8 +47,24 @@ def to_complex_matrix(m) -> np.ndarray:
     return np.array([[x.to_complex() for x in row] for row in m], dtype=complex)
 
 
-def _negq(q):
-    return tuple(-c for c in q)
+def signed_batch(points) -> np.ndarray:
+    """The signed batch (2, N, 3) of one momentum triple or a sequence of
+    them: the points, then their reflections."""
+    p = np.asarray(points, dtype=float).reshape(-1, 3)
+    return np.stack([p, -p])
+
+
+def flip_product(x, y):
+    """Flip-law product of two evaluated symbols (A, B) on a signed batch."""
+    ax, bx = x
+    ay, by = y
+    return (ax @ ay + bx @ np.conj(by[::-1]),
+            ax @ by + bx @ np.conj(ay[::-1]))
+
+
+def _components(q):
+    """Momentum components of a signed batch, each shaped (2, N, 1, 1)."""
+    return tuple(q[..., a, None, None] for a in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -112,82 +72,55 @@ def _negq(q):
 # ---------------------------------------------------------------------------
 
 class MomentumSymbol:
-    """q -> (A(q), B(q)); evaluators accept float or Dual momentum entries.
+    """q -> (A(q), B(q)) over signed batches.
 
-    parity is optional declared evenness/oddness in q ("even" / "odd");
-    when the right factor of a flip composition declares it, the
-    reflected-momentum evaluation is folded instead of recomputed.
+    fn maps the momentum components (q1, q2, q3), each of shape
+    (2, N, 1, 1) as plain arrays or jets, to the pair (A, B); a part that
+    does not depend on q may be a single 4x4 matrix.
     """
 
-    __slots__ = ("fn", "mass", "label", "has_linear", "has_antilinear",
-                 "parity")
+    __slots__ = ("fn", "mass", "label")
 
-    def __init__(self, fn: Callable, mass: float, label: str = "",
-                 has_linear: bool = True, has_antilinear: bool = True,
-                 parity: Optional[str] = None):
+    def __init__(self, fn: Callable, mass: float, label: str = ""):
         self.fn = fn
         self.mass = mass
         self.label = label
-        self.has_linear = has_linear
-        self.has_antilinear = has_antilinear
-        self.parity = parity
 
-    def __call__(self, q):
-        return self.fn(q)
+    def __call__(self, q) -> Tuple[np.ndarray, np.ndarray]:
+        """(A, B) on the signed batch q of shape (2, N, 3)."""
+        shape = q.shape[:-1] + (4, 4)
+        return tuple(np.broadcast_to(p, shape)
+                     for p in self._eval(_components(q)))
+
+    def _eval(self, comps):
+        """(A, B) on batch components; a part that does not depend on q
+        stays a single matrix of shape (1, 1, 4, 4), which broadcasts and
+        is its own sign flip."""
+        return tuple(p if len(p.shape) == 4 else np.reshape(p, (1, 1, 4, 4))
+                     for p in self.fn(comps))
 
     @classmethod
     def constant(cls, op: GeneralOp, mass: float, label: str = "") -> "MomentumSymbol":
         a = to_complex_matrix(op.A)
         b = to_complex_matrix(op.B)
-        return cls(lambda q: (a, b), mass, label or "const",
-                   has_linear=not op.is_antilinear,
-                   has_antilinear=not op.is_linear,
-                   parity="even")
+        return cls(lambda q: (a, b), mass, label or "const")
 
     @classmethod
     def linear_matrix(cls, fn_a: Callable, mass: float, label: str = ""
                       ) -> "MomentumSymbol":
-        return cls(lambda q: (fn_a(q), _ZERO4), mass, label,
-                   has_linear=True, has_antilinear=False)
+        return cls(lambda q: (fn_a(q), _ZERO4), mass, label)
 
     @classmethod
     def antilinear_matrix(cls, fn_b: Callable, mass: float, label: str = ""
                           ) -> "MomentumSymbol":
-        return cls(lambda q: (_ZERO4, fn_b(q)), mass, label,
-                   has_linear=False, has_antilinear=True)
+        return cls(lambda q: (_ZERO4, fn_b(q)), mass, label)
 
     def compose(self, other: "MomentumSymbol") -> "MomentumSymbol":
         """Operator product under the momentum-flip law."""
         x, y = self, other
-
-        def fn(q):
-            ax, bx = x(q)
-            ay, by = y(q)
-            if x.has_antilinear:
-                if y.parity == "even":
-                    aym, bym = ay, by
-                elif y.parity == "odd":
-                    aym, bym = gmat_scale(-1.0, ay), gmat_scale(-1.0, by)
-                else:
-                    aym, bym = y(_negq(q))
-                a = gmat_add(gmat_mul(ax, ay), gmat_mul(bx, gmat_conj(bym)))
-                b = gmat_add(gmat_mul(ax, by), gmat_mul(bx, gmat_conj(aym)))
-            else:
-                a = gmat_mul(ax, ay)
-                b = gmat_mul(ax, by)
-            return a, b
-
-        if x.parity and y.parity:
-            parity = "even" if x.parity == y.parity else "odd"
-        else:
-            parity = None
         return MomentumSymbol(
-            fn, self.mass, f"({x.label})({y.label})",
-            has_linear=(x.has_linear and y.has_linear)
-                       or (x.has_antilinear and y.has_antilinear),
-            has_antilinear=(x.has_linear and y.has_antilinear)
-                           or (x.has_antilinear and y.has_linear),
-            parity=parity)
+            lambda q: flip_product(x._eval(q), y._eval(q)), self.mass,
+            f"({x.label})({y.label})")
 
     def __matmul__(self, other: "MomentumSymbol") -> "MomentumSymbol":
         return self.compose(other)
@@ -196,76 +129,45 @@ class MomentumSymbol:
         x, y = self, other
 
         def fn(q):
-            ax, bx = x(q)
-            ay, by = y(q)
-            return gmat_add(ax, ay), gmat_add(bx, by)
+            ax, bx = x._eval(q)
+            ay, by = y._eval(q)
+            return ax + ay, bx + by
 
-        return MomentumSymbol(fn, self.mass, f"{x.label}+{y.label}",
-                              has_linear=x.has_linear or y.has_linear,
-                              has_antilinear=x.has_antilinear or y.has_antilinear,
-                              parity=x.parity if x.parity == y.parity else None)
+        return MomentumSymbol(fn, self.mass, f"{x.label}+{y.label}")
 
     def __sub__(self, other: "MomentumSymbol") -> "MomentumSymbol":
         return self + other.scaled(-1.0)
 
-    def scaled(self, r: float) -> "MomentumSymbol":
-        """Real scaling (the algebra over the symbols stays real)."""
+    def scaled(self, r: complex) -> "MomentumSymbol":
+        """Left composition with the scalar r (r = i is the operator i):
+        scales both parts by r."""
         x = self
 
         def fn(q):
-            a, b = x(q)
-            return gmat_scale(r, a), gmat_scale(r, b)
+            a, b = x._eval(q)
+            return r * a, r * b
 
-        return MomentumSymbol(fn, self.mass, f"{r}*{x.label}",
-                              has_linear=x.has_linear,
-                              has_antilinear=x.has_antilinear,
-                              parity=x.parity)
-
-    def times_i(self) -> "MomentumSymbol":
-        """Left composition with the operator i: scales both parts by i."""
-        x = self
-
-        def fn(q):
-            a, b = x(q)
-            return gmat_scale(1j, a), gmat_scale(1j, b)
-
-        return MomentumSymbol(fn, self.mass, f"i*{x.label}",
-                              has_linear=x.has_linear,
-                              has_antilinear=x.has_antilinear,
-                              parity=x.parity)
+        return MomentumSymbol(fn, self.mass, f"{r}*{x.label}")
 
     def value_at(self, q) -> Tuple[np.ndarray, np.ndarray]:
-        a, b = self(q)
-        return gmat_value(a), gmat_value(b)
+        """(A(q), B(q)) at one momentum triple."""
+        a, b = self(signed_batch(q))
+        return np.array(a[0, 0]), np.array(b[0, 0])
 
     def deriv(self, a: int) -> "MomentumSymbol":
-        """d/dq_a of both matrix parts, as a new symbol (dual forward mode).
-
-        Nested derivatives work: seeding stacks another dual layer."""
-        from .duals import grad_component, seed
+        """d/dq_a of both matrix parts, as a new symbol (one seeded jet
+        pass). Jets are degree 1, so a derivative is not differentiated
+        again."""
         base = self
 
         def fn(q):
-            qd = seed(q)
-            am, bm = base(qd)
-            return _extract_grad(am, a), _extract_grad(bm, a)
+            if isinstance(q[0], Jet):
+                raise ValueError("derivatives of degree > 1 are not "
+                                 "supported (jets are degree 1)")
+            return tuple(p.grad[a] * _HALF_SIGN if isinstance(p, Jet)
+                         else _ZERO4 for p in base._eval(Jet.of_momenta(q)))
 
-        return MomentumSymbol(fn, self.mass, f"d{a}({self.label})",
-                              has_linear=base.has_linear,
-                              has_antilinear=base.has_antilinear)
-
-
-def _extract_grad(m: np.ndarray, a: int) -> np.ndarray:
-    from .duals import grad_component
-    out = np.empty((4, 4), dtype=object)
-    flat = np.asarray(m, dtype=object)
-    for i in range(4):
-        for j in range(4):
-            out[i, j] = grad_component(flat[i, j], a)
-    try:
-        return np.asarray(out, dtype=complex)
-    except (TypeError, ValueError):
-        return out
+        return MomentumSymbol(fn, self.mass, f"d{a}({self.label})")
 
 
 def symbol_norm(pair) -> float:
@@ -274,15 +176,25 @@ def symbol_norm(pair) -> float:
                float(np.max(np.abs(np.asarray(b, dtype=complex)))))
 
 
-def symbol_difference_norm(x: MomentumSymbol, y: MomentumSymbol, q) -> float:
-    ax, bx = x.value_at(q)
-    ay, by = y.value_at(q)
-    return max(float(np.max(np.abs(ax - ay))), float(np.max(np.abs(bx - by))))
+def batch_norm(x: MomentumSymbol, q) -> float:
+    """Largest entry modulus of x over the +q half of the signed batch q."""
+    a, b = x(q)
+    return symbol_norm((a[0], b[0]))
 
 
 def max_residual(x: MomentumSymbol, y: MomentumSymbol,
                  samples: Sequence[Triple]) -> float:
-    return max(symbol_difference_norm(x, y, q) for q in samples)
+    return batch_norm(x - y, signed_batch(samples))
+
+
+def central_difference(x: MomentumSymbol, a: int, points, h: float = 1e-5
+                       ) -> Tuple[np.ndarray, np.ndarray]:
+    """d/dq_a of (A, B) at points by central differences with step h: the
+    independent cross-check of the jets."""
+    step = h * np.eye(3)[a]
+    (ap, bp), (am, bm) = (x(signed_batch(np.asarray(points) + s * step))
+                          for s in (1.0, -1.0))
+    return (ap[0] - am[0]) / (2.0 * h), (bp[0] - bm[0]) / (2.0 * h)
 
 
 def commutator_symbol(x: MomentumSymbol, y: MomentumSymbol) -> MomentumSymbol:
@@ -323,9 +235,9 @@ class EquationOperator:
     """Hamiltonian symbol H(q) of an evolution operator d_0 + iH.
 
     exact_terms decomposes H(q) = sum_t f_t(q) M_t with exact constant
-    linear operators M_t and scalar profiles f_t of definite parity (+1 even /
-    -1 odd); that decomposition powers the zero-tolerance symmetry check
-    for constant candidate operators.
+    linear operators M_t and scalar profiles f_t, each even (sigma_t = +1)
+    or odd (sigma_t = -1) in q; that decomposition powers the
+    zero-tolerance symmetry check for constant candidate operators.
     """
 
     name: str
@@ -347,12 +259,12 @@ class EquationOperator:
         """
         failures = []
         lin, anti = op.parts()
-        for (m_t, parity, profile) in self.exact_terms:
+        for (m_t, sigma, profile) in self.exact_terms:
             if not lin.is_zero and lin @ m_t != m_t @ lin:
                 failures.append(f"linear part fails on {profile} term")
             if not anti.is_zero:
                 lhs = anti @ m_t
-                if parity > 0:
+                if sigma > 0:
                     lhs = -lhs
                 if lhs != m_t @ anti:
                     failures.append(f"antilinear part fails on {profile} term")
@@ -365,7 +277,7 @@ def _gamma_complex():
 
 
 def omega(q, mass: float):
-    return gsqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + mass * mass)
+    return np.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + mass * mass)
 
 
 def fw_hamiltonian(mass: float) -> EquationOperator:
@@ -375,11 +287,8 @@ def fw_hamiltonian(mass: float) -> EquationOperator:
     gc = _gamma_complex()
     g0 = gc[0]
 
-    def fn_a(q):
-        return gmat_scale(omega(q, mass), g0)
-
-    sym = MomentumSymbol.linear_matrix(fn_a, mass, "H_fw")
-    sym.parity = "even"
+    sym = MomentumSymbol.linear_matrix(lambda q: omega(q, mass) * g0, mass,
+                                       "H_fw")
     return EquationOperator("fw", mass, sym,
                             ((pd_gammas().get("g0"), +1, "omega"),))
 
@@ -393,11 +302,9 @@ def dirac_hamiltonian(mass: float) -> EquationOperator:
     beta = gc[0]
 
     def fn_a(q):
-        acc = gmat_scale(q[0], alpha[0])
-        acc = gmat_add(acc, gmat_scale(q[1], alpha[1]))
-        acc = gmat_add(acc, gmat_scale(q[2], alpha[2]))
+        acc = q[0] * alpha[0] + q[1] * alpha[1] + q[2] * alpha[2]
         if mass:
-            acc = gmat_add(acc, gmat_scale(mass, beta))
+            acc = acc + mass * beta
         return acc
 
     sym = MomentumSymbol.linear_matrix(fn_a, mass, "H_d")
@@ -421,15 +328,14 @@ def fw_transform(mass: float, sign: int = +1) -> MomentumSymbol:
         raise ValueError("the basis-change symbol needs m > 0 "
                          "(denominator degenerates at q = 0 otherwise)")
     gc = _gamma_complex()
+    ident = np.eye(4, dtype=complex)
 
     def fn_a(q):
         w = omega(q, mass)
-        norm = gsqrt((w + mass) * w * 2.0)
-        acc = gmat_scale(-sign * q[0], gc[1])
-        acc = gmat_add(acc, gmat_scale(-sign * q[1], gc[2]))
-        acc = gmat_add(acc, gmat_scale(-sign * q[2], gc[3]))
-        acc = gmat_add(acc, gmat_scale(w + mass, np.eye(4, dtype=complex)))
-        return gmat_scale(1.0 / norm, acc)
+        norm = np.sqrt((w + mass) * w * 2.0)
+        acc = ((-sign * q[0]) * gc[1] + (-sign * q[1]) * gc[2]
+               + (-sign * q[2]) * gc[3] + (w + mass) * ident)
+        return (1.0 / norm) * acc
 
     return MomentumSymbol.linear_matrix(fn_a, mass, f"V{'+' if sign > 0 else '-'}")
 
@@ -460,15 +366,12 @@ def pd_spin(mass: float) -> List[MomentumSymbol]:
         def fn_a(q):
             w = omega(q, mass)
             k, l = (j + 1) % 3, (j + 2) % 3
-            gxq = gmat_add(gmat_scale(q[l], gc[k + 1]),
-                           gmat_scale(-q[k], gc[l + 1]))
+            gxq = q[l] * gc[k + 1] + (-q[k]) * gc[l + 1]
             q2 = q[0] * q[0] + q[1] * q[1] + q[2] * q[2]
-            sdotq = gmat_add(gmat_add(gmat_scale(q[0], sv[0]),
-                                      gmat_scale(q[1], sv[1])),
-                             gmat_scale(q[2], sv[2]))
-            acc = gmat_add(sv[j], gmat_scale(-1.0 / (2.0 * w), gxq))
-            third = gmat_add(gmat_scale(-q2, sv[j]), gmat_scale(q[j], sdotq))
-            return gmat_add(acc, gmat_scale(1.0 / (w * (w + mass)), third))
+            sdotq = q[0] * sv[0] + q[1] * sv[1] + q[2] * sv[2]
+            acc = sv[j] + (-1.0 / (2.0 * w)) * gxq
+            third = (-q2) * sv[j] + q[j] * sdotq
+            return acc + (1.0 / (w * (w + mass))) * third
 
         return MomentumSymbol.linear_matrix(fn_a, mass, f"s{j + 1}_pd")
 
@@ -489,27 +392,24 @@ def tilde_gammas(mass: float) -> List[Tuple[str, MomentumSymbol]]:
     ident = np.eye(4, dtype=complex)
 
     def gamma_dot_q(q):
-        return gmat_add(gmat_add(gmat_scale(q[0], gc[1]),
-                                 gmat_scale(q[1], gc[2])),
-                        gmat_scale(q[2], gc[3]))
+        return q[0] * gc[1] + q[1] * gc[2] + q[2] * gc[3]
 
     def make_vector(k):
         def fn_a(q):
             w = omega(q, mass)
-            core = gmat_add(gmat_scale(mass, ident), gamma_dot_q(q))
-            first = gmat_scale(1.0 / w, gmat_mul(gc[k + 1], core))
-            second = gmat_scale(q[k] / (w * (w + mass)),
-                                gmat_add(gamma_dot_q(q),
-                                         gmat_scale(w + mass, ident)))
-            return gmat_add(first, second)
+            core = mass * ident + gamma_dot_q(q)
+            first = (1.0 / w) * (gc[k + 1] @ core)
+            second = (q[k] / (w * (w + mass))) * (gamma_dot_q(q)
+                                                  + (w + mass) * ident)
+            return first + second
 
         return MomentumSymbol.linear_matrix(fn_a, mass, f"tg{k + 1}")
 
     def make_scaled(base, label):
         def fn_a(q):
             w = omega(q, mass)
-            core = gmat_add(gmat_scale(mass, ident), gamma_dot_q(q))
-            return gmat_scale(1.0 / w, gmat_mul(base, core))
+            core = mass * ident + gamma_dot_q(q)
+            return (1.0 / w) * (base @ core)
 
         return MomentumSymbol.linear_matrix(fn_a, mass, label)
 
@@ -520,12 +420,10 @@ def tilde_gammas(mass: float) -> List[Tuple[str, MomentumSymbol]]:
         c = w + mass
         g12 = gc[1] @ gc[2]
         g23 = gc[2] @ gc[3]
-        acc = gmat_scale(2.0 * mass * c + 2.0 * q[1] * q[1], ident)
-        acc = gmat_add(acc, gmat_scale(-2.0 * q[0] * q[1], g12))
-        acc = gmat_add(acc, gmat_scale(2.0 * q[1] * q[2], g23))
-        acc = gmat_add(acc, gmat_scale(-2.0 * c * q[0], gc[1]))
-        acc = gmat_add(acc, gmat_scale(-2.0 * c * q[2], gc[3]))
-        return gmat_scale(1.0 / (2.0 * w * c), acc)
+        acc = ((2.0 * mass * c + 2.0 * q[1] * q[1]) * ident
+               + (-2.0 * q[0] * q[1]) * g12 + (2.0 * q[1] * q[2]) * g23
+               + (-2.0 * c * q[0]) * gc[1] + (-2.0 * c * q[2]) * gc[3])
+        return (1.0 / (2.0 * w * c)) * acc
 
     tg1, tg2, tg3 = (make_vector(k) for k in range(3))
     tg4 = make_scaled(gc[4], "tg4")
@@ -533,9 +431,9 @@ def tilde_gammas(mass: float) -> List[Tuple[str, MomentumSymbol]]:
     t_c = MomentumSymbol.antilinear_matrix(tc_fn, mass, "tC")
     tg5 = tg1 @ tg3 @ t_c
     tg5.label = "tg5"
-    tg6 = tg5.times_i()
+    tg6 = tg5.scaled(1j)
     tg6.label = "tg6"
-    tg7 = tg0.times_i()
+    tg7 = tg0.scaled(1j)
     tg7.label = "tg7"
     return [("tg1", tg1), ("tg2", tg2), ("tg3", tg3), ("tg4", tg4),
             ("tg5", tg5), ("tg6", tg6), ("tg7", tg7),
@@ -558,22 +456,23 @@ class SymmetryReport:
 
 def check_equation_symmetry(x, eq: EquationOperator,
                             samples: Optional[Sequence[Triple]] = None,
-                            tol: float = 1e-12,
+                            tol: Optional[float] = None,
                             label: str = "") -> SymmetryReport:
     """Is x a symmetry of the evolution operator d_0 + iH?
 
     Constant exact operators ride the zero-tolerance structural path;
     momentum-dependent symbols are checked by sampling the flip-law
-    commutator with iH.
+    commutator with iH, judged against tol, which the caller must give.
     """
     if isinstance(x, GeneralOp):
         ok, failures = eq.is_exact_symmetry(x)
         return SymmetryReport(label or "constant", eq.name, ok, True,
                               0.0 if ok else float("inf"),
                               "; ".join(failures))
+    if tol is None:
+        raise ValueError("a sampled symmetry check needs a tolerance")
     if samples is None:
         samples = sample_momenta(100, radius=10.0)
-    i_h = eq.symbol.times_i()
-    comm = commutator_symbol(x, i_h)
-    worst = max(symbol_norm(comm.value_at(q)) for q in samples)
+    comm = commutator_symbol(x, eq.symbol.scaled(1j))
+    worst = batch_norm(comm, signed_batch(samples))
     return SymmetryReport(label or x.label, eq.name, worst < tol, False, worst)

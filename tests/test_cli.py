@@ -1,11 +1,14 @@
+import contextlib
 import csv
 import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ercd.suites
 from ercd.cli import main
-from ercd.reporting import CLAIM_REGISTRY, SuiteConfig
+from ercd.reporting import CLAIM_REGISTRY, Claim, Ledger, SuiteConfig
 from ercd.suites import dump_tables, run_suite
 
 
@@ -75,6 +78,62 @@ def test_csv_render_shape():
     assert len(rows) == 4  # header + three claims
 
 
+def test_text_ledger_prints_exact_only_for_zero_tolerance_claims():
+    ledger = Ledger(SuiteConfig(suites=("fw",)))
+    ledger.add(Claim("fw.wave-operator", CLAIM_REGISTRY["fw.wave-operator"],
+                     "pass", 0.0, tolerance=1e-12))
+    ledger.add(Claim("fw.negative-control",
+                     CLAIM_REGISTRY["fw.negative-control"], "pass", 0.0))
+    sampled, exact = ledger.to_text().splitlines()[:2]
+    assert "residual=0.00e+00" in sampled
+    assert "residual=exact" in exact
+    # the tolerance stays out of the canonical body
+    assert all("tolerance" not in c for c in ledger.to_dict()["claims"])
+
+
+# ---------------------------------------------------------------------------
+# zero mass
+# ---------------------------------------------------------------------------
+
+def test_a32_suite_runs_at_the_configured_mass(monkeypatch):
+    real = ercd.suites.fw_hamiltonian
+    seen = []
+    monkeypatch.setattr(ercd.suites, "fw_hamiltonian",
+                        lambda m: seen.append(m) or real(m))
+    ledger = run_suite(SuiteConfig(suites=("a32",), mass=0.0))
+    assert ledger.passed
+    assert seen == [0.0]
+
+
+def _json_run(capsys, *argv):
+    rc = main(["verify", *argv, "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    return rc, payload, {c["id"]: c for c in payload["claims"]}
+
+
+def test_fw_at_zero_mass_marks_the_nonlocal_claims_out_of_scope(capsys):
+    rc, payload, claims = _json_run(capsys, "--suite", "fw", "--mass", "0")
+    assert rc == 0 and payload["config"]["mass"] == 0.0
+    skipped = [k for k, c in claims.items() if c["status"] == "out-of-scope"]
+    assert skipped == ["fw.transform-inverse", "fw.conjugation-identity",
+                       "fw.nonlocal-spin", "fw.nonlocal-rotations",
+                       "fw.nonlocal-generators"]
+    assert all("m > 0" in claims[k]["detail"] for k in skipped)
+    assert all(c["status"] == "pass" for k, c in claims.items()
+               if k not in skipped)
+
+
+def test_poincare_at_zero_mass_runs_at_zero_mass(capsys):
+    rc, payload, claims = _json_run(capsys, "--suite", "poincare",
+                                    "--mass", "0")
+    assert rc == 0 and payload["config"]["mass"] == 0.0
+    algebra = claims.pop("poincare.generator-algebra")
+    assert algebra["status"] == "out-of-scope" and "m > 0" in algebra["detail"]
+    assert all(c["status"] == "pass" for c in claims.values())
+    # p.p = -m^2 = 0, not the -1 of a silently substituted m = 1
+    assert "0.000000 (q-independent)" in claims["poincare.casimirs"]["detail"]
+
+
 # ---------------------------------------------------------------------------
 # command line entry
 # ---------------------------------------------------------------------------
@@ -128,6 +187,28 @@ def test_cli_bad_numbers_exit_2_before_any_suite(flags, capsys, monkeypatch):
 def test_cli_zero_mass_is_valid(capsys):
     assert main(["verify", "--suite", "cd", "--mass", "0", "--samples", "1",
                  "--tol", "closure=1e-3"]) == 0
+
+
+_NUMBER_TEXT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(min_value=-3, max_value=300).map(str),
+    st.text(max_size=5))
+
+
+@settings(max_examples=15, deadline=None)
+@given(mass=_NUMBER_TEXT, samples=_NUMBER_TEXT, tol=_NUMBER_TEXT)
+def test_cli_numbers_exit_0_1_or_2_without_traceback(mass, samples, tol):
+    argv = ["verify", "--suite", "cd", f"--mass={mass}",
+            f"--samples={samples}", f"--tol=momentum={tol}"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejects a malformed value
+            rc = exc.code
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_cli_bad_fault_spec_exits_2(capsys):

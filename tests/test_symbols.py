@@ -7,8 +7,9 @@ from ercd.symbols import (MomentumSymbol, anticommutator_symbol,
                           check_equation_symmetry, commutator_symbol,
                           dirac_hamiltonian, fw_hamiltonian, fw_transform,
                           max_residual, omega, pd_spin, sample_momenta,
-                          spin_matrices_complex, symbol_norm, tilde_gammas,
-                          to_complex_matrix)
+                          signed_batch, spin_matrices_complex, symbol_norm,
+                          tilde_gammas, to_complex_matrix)
+from ercd.xops import build_poincare_generators
 
 M = 1.0
 TOL = 1e-12
@@ -153,35 +154,73 @@ def test_conjugation_preserves_anticommutators():
             assert float(np.max(np.abs(vb))) < TOL
 
 
+def _random_matrices(rng, scale, shape=()):
+    shape = shape + (4, 4)
+    return scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
 def test_flip_composition_is_associative():
     rng = np.random.default_rng(3)
 
     def random_symbol():
-        # O(1) entries over the sample ball so triple products stay O(1)
-        c0 = 0.3 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        c1 = 0.03 * (rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4)))
-        d0 = 0.3 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        # O(1) entries over the sample ball so triple products stay O(1);
+        # both parts have even and odd pieces, so the flip matters
+        c0, d0 = _random_matrices(rng, 0.3), _random_matrices(rng, 0.3)
+        c1 = _random_matrices(rng, 0.03, (3,))
+        d1 = _random_matrices(rng, 0.03, (3,))
 
         def fn(q):
+            # q holds the batch components, each of shape (2, N, 1, 1)
             a = c0 + sum(q[k] * c1[k] for k in range(3))
-            return a, d0 * (1.0 + 0.01 * q[0] * q[0])
+            b = d0 * (1.0 + 0.01 * q[0] * q[0]) \
+                + sum(q[k] * d1[k] for k in range(3))
+            return a, b
 
         return MomentumSymbol(fn, M, "rand")
 
+    q = signed_batch(SAMPLES[:15])
     for _ in range(6):
         x, y, z = random_symbol(), random_symbol(), random_symbol()
-        lhs = (x @ y) @ z
-        rhs = x @ (y @ z)
-        assert max_residual(lhs, rhs, SAMPLES[:15]) < 1e-12
+        assert np.max(np.abs(np.array(x(q)[1][1]))) > 0.1  # odd B part
+        lhs = ((x @ y) @ z)(q)
+        rhs = (x @ (y @ z))(q)
+        for part in (0, 1):
+            assert np.max(np.abs(lhs[part] - rhs[part])) < 1e-12
 
 
 def test_constant_embedding_is_a_homomorphism():
+    # the flip product of constant symbols against the exact GeneralOp
+    # product, at both halves of the batch, on linear and antilinear ops
     ext = extended_gammas()
-    for la, lb in (("g1", "g5"), ("g5", "g6"), ("g7", "g5"), ("g2", "g3")):
-        xa, xb = ext.get(la), ext.get(lb)
-        lhs = _const(xa) @ _const(xb)
-        rhs = _const(xa @ xb)
-        assert max_residual(lhs, rhs, SAMPLES[:10]) < TOL
+    ops = [op for _, op in ext] + [GeneralOp.conjugation(),
+                                   GeneralOp.imaginary_unit()]
+    q = signed_batch(SAMPLES[:10])
+    for xa in ops:
+        for xb in ops:
+            lhs = (_const(xa) @ _const(xb))(q)
+            rhs = _const(xa @ xb)(q)
+            for part in (0, 1):
+                assert np.max(np.abs(lhs[part] - rhs[part])) < TOL
+
+
+def test_batch_matches_value_at_loop():
+    # a signed batch evaluation, sliced, against one-point evaluations at
+    # q (the +q half) and at -q (the -q half)
+    vp, vm = fw_transform(M, +1), fw_transform(M, -1)
+    symbols = [sym for _, sym in tilde_gammas(M)] + [
+        sym for _, g in build_poincare_generators(M)
+        for sym in g.coeffs.values()] + [vp @ fw_hamiltonian(M).symbol @ vm]
+    points = SAMPLES[:6]
+    q = signed_batch(points)
+    for sym in symbols:
+        batch = sym(q)
+        for i, p in enumerate(points):
+            for half, point in ((0, p), (1, tuple(-c for c in p))):
+                one = sym.value_at(point)
+                for part in (0, 1):
+                    assert batch[part].shape == (2, len(points), 4, 4)
+                    assert np.max(np.abs(batch[part][half, i] - one[part])) \
+                        < 1e-13, (sym.label, i, half, part)
 
 
 def test_omega_is_even():
@@ -223,5 +262,10 @@ def test_momentum_symbol_symmetry_check_numeric_path():
     # conjugated constant symmetry stays a symmetry of the local equation
     hd = dirac_hamiltonian(M)
     sym = vp @ _const(extended_gammas().get("g7")) @ vm
-    rep = check_equation_symmetry(sym, hd, samples=SAMPLES[:25])
+    rep = check_equation_symmetry(sym, hd, samples=SAMPLES[:25], tol=TOL)
     assert not rep.exact and rep.is_symmetry
+    # a sampled check is judged against the caller's tolerance only
+    assert not check_equation_symmetry(sym, hd, samples=SAMPLES[:25],
+                                       tol=rep.max_residual / 2).is_symmetry
+    with pytest.raises(ValueError):
+        check_equation_symmetry(sym, hd, samples=SAMPLES[:25])

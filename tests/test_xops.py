@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ercd.duals import DerivativeEngine, Dual, gsqrt, seed
-from ercd.symbols import MomentumSymbol, sample_momenta
+from ercd.jets import Jet
+from ercd.symbols import (MomentumSymbol, central_difference, omega,
+                          sample_momenta, signed_batch, tilde_gammas)
 from ercd.xops import (XOp, build_poincare_generators, casimir_report,
                        evolution_commutator_residual, poincare_closure_check,
                        position_op, xop_commutator, xop_compose,
@@ -13,46 +14,76 @@ SAMPLES = sample_momenta(20, seed=11, radius=5.0)
 
 
 # ---------------------------------------------------------------------------
-# dual numbers
+# jets
 # ---------------------------------------------------------------------------
 
+def _momentum_jets(q):
+    """Jets of the components of the signed batch of one point q."""
+    return Jet.of_momenta(tuple(signed_batch(q)[..., a] for a in range(3)))
+
+
 def test_dual_arithmetic_against_hand_derivatives():
-    x = Dual(3.0, (1.0, 0.0, 0.0))
+    x = _momentum_jets((3.0, 0.0, 0.0))[0]
     y = x * x + 2.0 * x + 1.0
-    assert y.val == 16.0 and y.grad[0] == 8.0
+    assert y.val[0, 0] == 16.0 and y.grad[0, 0, 0] == 8.0
+    # the -q half holds (-3)^2 - 6 + 1 = 4, differentiated through q -> -q
+    assert y.val[1, 0] == 4.0 and y.grad[0, 1, 0] == 4.0
     z = 1.0 / x
-    assert abs(z.grad[0] + 1.0 / 9.0) < 1e-15
-    s = gsqrt(x)
-    assert abs(s.grad[0] - 0.5 / np.sqrt(3.0)) < 1e-15
+    assert abs(z.grad[0, 0, 0] + 1.0 / 9.0) < 1e-15
+    s = np.sqrt(x + 6.0)
+    assert abs(s.grad[0, 0, 0] - 0.5 / 3.0) < 1e-15
+    assert abs(s.grad[0, 1, 0] + 0.5 / np.sqrt(3.0)) < 1e-15
+    c = np.conj((1.0 + 2.0j) * x)
+    assert c.val[0, 0] == 3.0 - 6.0j and c.grad[0, 0, 0] == 1.0 - 2.0j
+    m = np.array([[1.0, 2.0], [3.0, 4.0]])
+    p = (x[..., None, None] * m) @ m
+    assert np.array_equal(p.grad[0, 0, 0], m @ m)
+    assert not p.grad[1:].any()
 
 
 def test_dual_gradient_of_omega():
-    q = seed((1.0, 2.0, -2.0))
-    w = gsqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + M * M)
+    q = (1.0, 2.0, -2.0)
+    w = omega(_momentum_jets(q), M)
     wv = float(np.sqrt(1 + 4 + 4 + 1))
-    assert abs(w.val - wv) < 1e-15
-    for a, qa in enumerate((1.0, 2.0, -2.0)):
-        assert abs(w.grad[a] - qa / wv) < 1e-14
+    assert np.all(np.abs(w.val - wv) < 1e-15)
+    for a, qa in enumerate(q):
+        # omega is even, so d/dq_a omega(-q) = d/dq_a omega(q) = q_a / omega
+        assert np.all(np.abs(w.grad[a] - qa / wv) < 1e-14)
+
+
+def _jet_symbols():
+    yield from ((f"{name}[{multi}]", sym)
+                for name, g in build_poincare_generators(M)
+                for multi, sym in g.coeffs.items())
+    yield from tilde_gammas(M)
 
 
 def test_dual_mode_matches_finite_differences():
-    gens = build_poincare_generators(M)
-    dual = DerivativeEngine("dual")
-    fd = DerivativeEngine("fd", h=1e-5)
-    q = (0.7, -1.3, 2.1)
-    for name, g in gens:
-        for multi, sym in g.coeffs.items():
-            for part in (0, 1):
-                gd = dual.gradient(lambda qq, s=sym, p=part: s(qq)[p], q)
-                gf = fd.gradient(lambda qq, s=sym, p=part: s.value_at(qq)[p], q)
-                for a in range(3):
-                    assert np.max(np.abs(np.asarray(gd[a], dtype=complex)
-                                         - gf[a])) < 1e-7, (name, multi)
+    points = [(0.7, -1.3, 2.1), (-2.0, 0.4, 1.1)]
+    q = signed_batch(points)
+    neg = [tuple(-c for c in p) for p in points]
+    count = 0
+    for label, sym in _jet_symbols():
+        for a in range(3):
+            jet = sym.deriv(a)(q)
+            for half, pts in ((0, points), (1, neg)):
+                fd = central_difference(sym, a, pts, h=1e-5)
+                for part in (0, 1):
+                    assert np.max(np.abs(jet[part][half] - fd[part])) < 1e-7, \
+                        (label, a, half, part)
+        count += 1
+    assert count == 19 + 9  # every generator coefficient and tilde symbol
 
 
-def test_unknown_derivative_mode_rejected():
+def test_degree_above_one_rejected():
+    x2 = xop_compose(position_op(0, M), position_op(1, M))
+    assert x2.degree() == 2
     with pytest.raises(ValueError):
-        DerivativeEngine("magic").gradient(lambda q: np.eye(4), (1.0, 0, 0))
+        xop_compose(position_op(2, M), x2)
+    # jets are degree 1: a derivative symbol is not differentiated again
+    p1 = dict(build_poincare_generators(M))["p0"].coeffs[(0, 0, 0)]
+    with pytest.raises(ValueError):
+        p1.deriv(0).deriv(1)(signed_batch(SAMPLES[:2]))
 
 
 # ---------------------------------------------------------------------------
@@ -178,3 +209,15 @@ def test_casimir_report():
 def test_casimir_scales_with_mass():
     rep = casimir_report(2.0)
     assert abs(rep.momentum_square_value + 4.0) < 1e-11
+
+
+def test_reports_are_judged_against_the_given_tolerance():
+    cas = casimir_report(M)
+    assert cas.passed
+    assert not casimir_report(M, tol=cas.momentum_square_spread / 2).passed
+    fit = poincare_closure_check(M, n_samples=20, seed=42,
+                                 compare_oracle=False)
+    assert fit.passed
+    assert not poincare_closure_check(M, n_samples=20, seed=42,
+                                      tol=fit.max_residual / 2,
+                                      compare_oracle=False).passed
