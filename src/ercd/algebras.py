@@ -3,6 +3,9 @@
 Each element carries a label and a provenance string giving its defining
 composition, so tables and reports can be diffed against the standard
 form of the algebra by eye.
+
+Every rotation family comes from ``rotation_family``, which needs only a
+commutator, so it also serves the nonlocal generators evaluated as arrays.
 """
 
 from __future__ import annotations
@@ -10,14 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from .operators import GeneralOp, commutator, compose, mat
 from .scalars import ExactScalar, HALF, I_UNIT, INV_SQRT2, ONE, ZERO
 
 Pair = Tuple[int, int]
 
-QUARTER = ExactScalar(Fraction(1, 4))
 MINUS_HALF = ExactScalar(Fraction(-1, 2))
 
 
@@ -138,10 +140,8 @@ def extended_gammas() -> OrtSet:
     g6 = compose(i_op, g5)
     g7 = compose(i_op, g.get("g0"))
     return _ortset("extended_gammas", [
-        ("g1", g.get("g1"), "offblock(sigma1)"),
-        ("g2", g.get("g2"), "offblock(sigma2)"),
-        ("g3", g.get("g3"), "offblock(sigma3)"),
-        ("g4", g.get("g4"), "g0 g1 g2 g3"),
+        *((lbl, g.get(lbl), g.provenance_of(lbl))
+          for lbl in ("g1", "g2", "g3", "g4")),
         ("g5", g5, "g1 g3 C"),
         ("g6", g6, "i g1 g3 C"),
         ("g7", g7, "i g0"),
@@ -152,39 +152,54 @@ def extended_gammas() -> OrtSet:
 # rotation-generator families
 # ---------------------------------------------------------------------------
 
+def rotation_family(halves: Sequence, base: int = 0,
+                    comm: Callable = commutator) -> Dict[Pair, object]:
+    """The rotation family of generators g_base, g_base+1, ..., given their
+    halves h_a = g_a / 2: s^{ab} = [h_a, h_b] = [g_a, g_b] / 4 for a < b,
+    and s^{a,top} = h_a in the extra slot top = base + len(halves).
+
+    Only comm is used, so the same function serves exact operators and
+    evaluated symbol arrays with their flip-law commutator."""
+    n = len(halves)
+    table = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            table[(base + i, base + j)] = comm(halves[i], halves[j])
+    for i in range(n):
+        table[(base + i, base + n)] = halves[i]
+    return table
+
+
 @lru_cache(maxsize=None)
 def so15_generators(gammas: "OrtSet | None" = None) -> Dict[Pair, GeneralOp]:
     """s^{mn} over indices 0..5: quarter-commutators of g0..g4, with the
     fifth index slot holding s^{m,5} = g_m / 2."""
     g = gammas if gammas is not None else pd_gammas()
-    gs = [g.get(f"g{k}") for k in range(5)]
-    table: Dict[Pair, GeneralOp] = {}
-    for m in range(5):
-        for n in range(m + 1, 5):
-            table[(m, n)] = commutator(gs[m], gs[n]).scaled(QUARTER)
-    for m in range(5):
-        table[(m, 5)] = gs[m].scaled(HALF)
-    return table
+    return rotation_family([g.get(f"g{k}").scaled(HALF) for k in range(5)])
 
 
 def pair_op(table: Dict[Pair, GeneralOp], a: int, b: int) -> GeneralOp:
-    """Antisymmetric lookup: s^{ba} = -s^{ab}, s^{aa} = 0."""
-    if a == b:
-        return GeneralOp.zero()
+    """Antisymmetric lookup: s^{ba} = -s^{ab} (a != b)."""
     if (a, b) in table:
         return table[(a, b)]
     return -table[(b, a)]
 
 
+def _doubled_family(name: str, table: Dict[Pair, GeneralOp],
+                    top: int) -> OrtSet:
+    """The orts {I, alpha^{ab} = 2 s^{ab}} over the sorted family; the
+    extra slot alpha^{a,top} = g_a is labelled by its generator."""
+    items = [("I", GeneralOp.identity(), "identity")]
+    for (a, b), s in sorted(table.items()):
+        items.append((f"alpha_{a}{b}", s.scaled(2),
+                      f"2*s_{a}{b}" if b < top else f"g{a}"))
+    return _ortset(name, items)
+
+
 @lru_cache(maxsize=None)
 def cd16() -> OrtSet:
     """The 16 orts {I, alpha^{mn} = 2 s^{mn}} of the Dirac-matrix algebra."""
-    table = so15_generators()
-    items = [("I", GeneralOp.identity(), "identity")]
-    for (m, n), s in sorted(table.items()):
-        items.append((f"alpha_{m}{n}", s.scaled(2),
-                      f"2*s_{m}{n}" if n < 5 else f"g{m}"))
-    return _ortset("cd16", items)
+    return _doubled_family("cd16", so15_generators(), 5)
 
 
 @lru_cache(maxsize=None)
@@ -208,37 +223,22 @@ def so8_generators() -> Dict[Pair, GeneralOp]:
     """s^{AB} over 1..8 built from the seven extended generators;
     the eighth slot holds s^{A,8} = g_A / 2."""
     g = extended_gammas()
-    gs = {k: g.get(f"g{k}") for k in range(1, 8)}
-    table: Dict[Pair, GeneralOp] = {}
-    for a in range(1, 8):
-        for b in range(a + 1, 8):
-            table[(a, b)] = commutator(gs[a], gs[b]).scaled(QUARTER)
-    for a in range(1, 8):
-        table[(a, 8)] = gs[a].scaled(HALF)
-    return table
+    return rotation_family([g.get(f"g{k}").scaled(HALF) for k in range(1, 8)],
+                           1)
 
 
 @lru_cache(maxsize=None)
 def percd29() -> OrtSet:
     """The 29 orts {alpha^{AB} = 2 s^{AB}, I} of the proper subalgebra."""
-    table = so8_generators()
-    items = [("I", GeneralOp.identity(), "identity")]
-    for (a, b), s in sorted(table.items()):
-        items.append((f"alpha_{a}{b}", s.scaled(2),
-                      f"2*s_{a}{b}" if b < 8 else f"g{a}"))
-    return _ortset("percd29", items)
+    return _doubled_family("percd29", so8_generators(), 8)
 
 
 @lru_cache(maxsize=None)
 def so6() -> OrtSet:
     """The 16 orts {I, alpha^{AB}} over indices 1..6: the pure matrix
     symmetries of the diagonalized (even-odd split) wave equation."""
-    table = so8_generators()
-    items = [("I", GeneralOp.identity(), "identity")]
-    for a in range(1, 7):
-        for b in range(a + 1, 7):
-            items.append((f"alpha_{a}{b}", table[(a, b)].scaled(2), f"2*s_{a}{b}"))
-    return _ortset("so6", items)
+    return _doubled_family("so6", {pair: s for pair, s in
+                                   so8_generators().items() if pair[1] < 7}, 8)
 
 
 @lru_cache(maxsize=None)
@@ -292,18 +292,14 @@ def pgi_lorentz6() -> Dict[Pair, GeneralOp]:
     """The six-generator Lorentz realization living inside pgi8:
     s01 = (i/2) g2 C, s02 = -(1/2) g2 C, s03 = -(i/2) g4,
     s23 = (i/2) g2 g4 C, s31 = -(1/2) g2 g4 C, s12 = -(i/2)."""
-    g = pd_gammas()
-    i_op = GeneralOp.imaginary_unit()
-    c_op = GeneralOp.conjugation()
-    g2c = g.get("g2") @ c_op
-    g24c = compose(g.get("g2"), g.get("g4"), c_op)
+    p = pgi8()
     return {
-        (0, 1): (i_op @ g2c).scaled(HALF),
-        (0, 2): g2c.scaled(MINUS_HALF),
-        (0, 3): (i_op @ g.get("g4")).scaled(MINUS_HALF),
-        (2, 3): (i_op @ g24c).scaled(HALF),
-        (3, 1): g24c.scaled(MINUS_HALF),
-        (1, 2): i_op.scaled(MINUS_HALF),
+        (0, 1): p.get("ig2C").scaled(HALF),
+        (0, 2): p.get("g2C").scaled(MINUS_HALF),
+        (0, 3): p.get("ig4").scaled(MINUS_HALF),
+        (2, 3): p.get("ig2g4C").scaled(HALF),
+        (3, 1): p.get("g2g4C").scaled(MINUS_HALF),
+        (1, 2): p.get("i").scaled(MINUS_HALF),
     }
 
 
@@ -315,8 +311,9 @@ def pgi_lorentz6() -> Dict[Pair, GeneralOp]:
 def bosonic_rep() -> Tuple[OrtSet, GeneralOp, GeneralOp]:
     """Explicit bosonic-form generators plus the basis change W, W^-1.
 
-    Returns (ort set with bg1..bg7, bg0, bi, bC; W; W_inv). Construction
-    fails loudly if any W-conjugation identity fails exactly.
+    Returns (ort set with bg1..bg7, bg0, bi, bC; W; W_inv). The
+    W-conjugation identities are claims of the bosonic suite, not checked
+    here.
     """
     r = INV_SQRT2  # 1/sqrt2
     i = I_UNIT
@@ -352,23 +349,9 @@ def bosonic_rep() -> Tuple[OrtSet, GeneralOp, GeneralOp]:
                       mat([[z, z, z, z], [z, z, -one, -one],
                            [z, i * sqrt2, z, z], [z, z, z, z]])).scaled(r)
 
-    ident = GeneralOp.identity()
-    if not (w @ w_inv == ident and w_inv @ w == ident):
-        raise AssertionError("basis-change operator is not invertible as printed")
-
-    ext = extended_gammas()
-    fundamental = {f"bg{k}": ext.get(f"g{k}") for k in range(1, 8)}
-    fundamental["bg0"] = pd_gammas().get("g0")
-    fundamental["bi"] = GeneralOp.imaginary_unit()
-    fundamental["bC"] = GeneralOp.conjugation()
     explicit = {"bg1": bg1, "bg2": bg2, "bg3": bg3, "bg4": bg4, "bg5": bg5,
                 "bg6": bg6, "bg7": bg7, "bg0": bg0, "bi": bi, "bC": bC}
-    for lbl, x in fundamental.items():
-        if compose(w, x, w_inv) != explicit[lbl]:
-            raise AssertionError(f"W-conjugation identity failed for {lbl}")
-
-    items = [(lbl, explicit[lbl], f"W {lbl[1:]} W^-1") for lbl in
-             ("bg1", "bg2", "bg3", "bg4", "bg5", "bg6", "bg7", "bg0", "bi", "bC")]
+    items = [(lbl, op, f"W {lbl[1:]} W^-1") for lbl, op in explicit.items()]
     return _ortset("bosonic", items), w, w_inv
 
 
@@ -376,14 +359,8 @@ def bosonic_rep() -> Tuple[OrtSet, GeneralOp, GeneralOp]:
 def bosonic_so8_generators() -> Dict[Pair, GeneralOp]:
     """The rotation family rebuilt from the bosonic-form generators."""
     breve, _, _ = bosonic_rep()
-    gs = {k: breve.get(f"bg{k}") for k in range(1, 8)}
-    table: Dict[Pair, GeneralOp] = {}
-    for a in range(1, 8):
-        for b in range(a + 1, 8):
-            table[(a, b)] = commutator(gs[a], gs[b]).scaled(QUARTER)
-    for a in range(1, 8):
-        table[(a, 8)] = gs[a].scaled(HALF)
-    return table
+    return rotation_family(
+        [breve.get(f"bg{k}").scaled(HALF) for k in range(1, 8)], 1)
 
 
 @lru_cache(maxsize=None)

@@ -3,13 +3,15 @@ commutation tables, Hermiticity classification, explicit-form identities,
 Casimir evaluation and Lie closure.
 
 Every check in this module is exact: a nonzero deviation is a hard
-failure, never a tolerance question.
+failure, never a tolerance question. The one metric-contraction rule,
+``rotation_defects``, needs only +, - and a commutator: the fw suite reads
+its defects on evaluated symbol arrays as float residuals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebras import (OrtSet, extended_gammas, pair_op, pd_gammas,
                        pgi_lorentz6, so8_generators)
@@ -77,19 +79,29 @@ def check_anticommutation(gens, metric: MetricSignature,
     return rep
 
 
-def _rotation_rhs(table: Dict[Pair, GeneralOp], metric: MetricSignature,
-                  base: int, m: int, n: int, r: int, s: int) -> GeneralOp:
-    # [s^{mn}, s^{rs}] = -g^{mr} s^{ns} - g^{rn} s^{sm} - g^{ns} s^{mr} - g^{sm} s^{rn}
-    out = GeneralOp.zero()
-    if m == r:
-        out = out + pair_op(table, n, s).scaled(-metric[m - base])
-    if r == n:
-        out = out + pair_op(table, s, m).scaled(-metric[r - base])
-    if n == s:
-        out = out + pair_op(table, m, r).scaled(-metric[n - base])
-    if s == m:
-        out = out + pair_op(table, r, n).scaled(-metric[s - base])
-    return out
+def rotation_defects(table: Dict[Pair, object], metric: MetricSignature,
+                     index_base: int = 0, comm: Callable = commutator
+                     ) -> Iterator[Tuple[Pair, Pair, object]]:
+    """((m, n), (r, s), [s^{mn}, s^{rs}] - rhs) for every pair of pairs of
+    the family, with the metric-contraction rule
+
+        [s^{mn}, s^{rs}] = -g^{mr} s^{ns} - g^{rn} s^{sm}
+                           - g^{ns} s^{mr} - g^{sm} s^{rn}.
+
+    Terms s^{aa} vanish and are skipped, so no zero element is needed."""
+    pairs = sorted(table)
+    for (m, n) in pairs:
+        for (r, s) in pairs:
+            defect = comm(table[(m, n)], table[(r, s)])
+            for i, j, k, l in ((m, r, n, s), (r, n, s, m),
+                               (n, s, m, r), (s, m, r, n)):
+                if i == j and k != l:
+                    term = pair_op(table, k, l)
+                    if metric[i - index_base] > 0:
+                        defect = defect + term
+                    else:
+                        defect = defect - term
+            yield (m, n), (r, s), defect
 
 
 def check_rotation_table(table: Dict[Pair, GeneralOp], metric: MetricSignature,
@@ -100,15 +112,11 @@ def check_rotation_table(table: Dict[Pair, GeneralOp], metric: MetricSignature,
     of the commutation relations; the (+,-,...,-) signature gives the
     pseudo-rotation form.
     """
-    pairs = sorted(table.keys())
     rep = StructureReport(set_name, "commutation-table")
-    for (m, n) in pairs:
-        for (r, s) in pairs:
-            rep.checks_total += 1
-            lhs = commutator(table[(m, n)], table[(r, s)])
-            rhs = _rotation_rhs(table, metric, index_base, m, n, r, s)
-            if lhs != rhs:
-                rep.failures.append(f"[s{m}{n}, s{r}{s}] mismatch")
+    for (m, n), (r, s), defect in rotation_defects(table, metric, index_base):
+        rep.checks_total += 1
+        if not defect.is_zero:
+            rep.failures.append(f"[s{m}{n}, s{r}{s}] mismatch")
     return rep
 
 
@@ -192,49 +200,51 @@ def _expected_explicit_forms() -> List[Tuple[Pair, GeneralOp, str]]:
     ]
 
 
-def verify_explicit_forms() -> StructureReport:
-    """Check each tabulated extra-ort expression against 2*s^{AB} exactly."""
+_REVERSED_ORDER = (" (computed value is the negative: the tabulated sign"
+                   " matches the reversed product order)")
+
+
+def verify_explicit_forms(columns: Sequence[int] = (5, 6, 7, 8),
+                          hint: str = _REVERSED_ORDER) -> StructureReport:
+    """Check each tabulated extra-ort expression alpha^{AB}, B in columns,
+    against 2*s^{AB} exactly. A row whose computed value is the negative of
+    the tabulated one carries hint; {flipped} in it stands for the
+    tabulated text with its sign flipped."""
     table = so8_generators()
     rep = StructureReport("percd29", "explicit-forms")
     for (a, b), expected, text in _expected_explicit_forms():
+        if b not in columns:
+            continue
         rep.checks_total += 1
         computed = table[(a, b)].scaled(2)
         if computed != expected:
-            hint = ""
-            if computed == -expected:
-                hint = (" (computed value is the negative: the tabulated sign"
-                        " matches the reversed product order)")
-            rep.failures.append(f"alpha_{a}{b} != {text}{hint}")
+            flipped = "+" + text[1:] if text[0] == "-" else "-" + text
+            note = hint.format(flipped=flipped) if computed == -expected else ""
+            rep.failures.append(f"alpha_{a}{b} != {text}{note}")
     rep.payload["identities"] = rep.checks_total
     return rep
 
 
 def gamma_product_identities() -> StructureReport:
-    """prod(g0..g4) = -I, prod(g1..g7) = I, g5 g6 = i, g7 = -prod(g1..g6)."""
+    """prod(g0..g4) = -I, prod(g1..g7) = I, g5 g6 = i, g7 = -prod(g1..g6).
+
+    payload maps each identity, by name, to whether it holds."""
     g = pd_gammas()
     ext = extended_gammas()
-    rep = StructureReport("gammas", "product-identities")
     ident = GeneralOp.identity()
-
-    p5 = compose(*(g.get(f"g{k}") for k in range(5)))
-    rep.checks_total += 1
-    if p5 != -ident:
-        rep.failures.append("g0 g1 g2 g3 g4 != -I")
-
-    p7 = compose(*(ext.get(f"g{k}") for k in range(1, 8)))
-    rep.checks_total += 1
-    if p7 != ident:
-        rep.failures.append("g1..g7 product != I")
-
-    rep.checks_total += 1
-    if ext.get("g5") @ ext.get("g6") != GeneralOp.imaginary_unit():
-        rep.failures.append("g5 g6 != i")
-
-    p6 = compose(*(ext.get(f"g{k}") for k in range(1, 7)))
-    rep.checks_total += 1
-    if -p6 != ext.get("g7"):
-        rep.failures.append("g7 != -(g1..g6 product)")
-    return rep
+    seven = [ext.get(f"g{k}") for k in range(1, 8)]
+    holds = {
+        "g0 g1 g2 g3 g4 = -I":
+            compose(*(g.get(f"g{k}") for k in range(5))) == -ident,
+        "g1..g7 product = I": compose(*seven) == ident,
+        "g5 g6 = i": seven[4] @ seven[5] == GeneralOp.imaginary_unit(),
+        "g7 = -(g1..g6 product)": -compose(*seven[:6]) == seven[6],
+    }
+    return StructureReport(
+        "gammas", "product-identities", checks_total=len(holds),
+        failures=[name.replace(" = ", " != ") for name, ok in holds.items()
+                  if not ok],
+        payload=holds)
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +280,11 @@ def closure_check(ortset: OrtSet) -> StructureReport:
 def composition_closure_check(ortset: OrtSet) -> StructureReport:
     """Every pairwise product must be +-1 or +-i times a basis element
     (the defining feature of an ort basis)."""
-    rep = StructureReport(ortset.name, "composition-closure")
-    for li, xi in ortset:
-        for lj, xj in ortset:
-            rep.checks_total += 1
-            if match_to_basis(ortset, xi @ xj) is None:
-                rep.failures.append(f"{li} * {lj} not proportional to an ort")
-    return rep
+    rows = multiplication_table(ortset)
+    return StructureReport(
+        ortset.name, "composition-closure", checks_total=len(rows),
+        failures=[f"{li} * {lj} not proportional to an ort"
+                  for li, lj, unit, _ in rows if unit == "?"])
 
 
 def match_to_basis(ortset: OrtSet, op: GeneralOp

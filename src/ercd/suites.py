@@ -20,16 +20,16 @@ from . import algebras
 from .algebras import (OrtSet, a32, bosonic_rep, bosonic_so8_generators,
                        breve_spin, breve_spin_from_compositions, cd16, ercd64,
                        extended_gammas, pair_op, pd_gammas, pgi8,
-                       pgi_lorentz6, percd29, so15_generators, so6,
-                       so8_generators)
-from .operators import GeneralOp, anticommutator, commutator, compose
+                       pgi_lorentz6, percd29, rotation_family,
+                       so15_generators, so6, so8_generators)
+from .operators import GeneralOp, commutator, compose
 from .relations import (check_anticommutation, check_so8, check_so15,
                         classify_hermiticity, closure_check,
                         composition_closure_check,
                         gamma_product_identities, multiplication_table,
                         commutator_table, pgi_orientation_check,
-                        squares_and_pairing_check,
-                        _expected_explicit_forms)
+                        rotation_defects, squares_and_pairing_check,
+                        verify_explicit_forms, COMPACT8)
 from .reporting import CLAIM_REGISTRY, Claim, Ledger, SuiteConfig, SUITE_NAMES
 from .scalars import ExactScalar, HALF, I_UNIT, ONE, ZERO
 from .spans import (centralizer_kernel, span_of, span_rank, spans_equal,
@@ -56,6 +56,15 @@ def _claim(ledger: Ledger, claim_id: str, ok: bool, residual: float = 0.0,
     ledger.add(Claim(claim_id, CLAIM_REGISTRY[claim_id],
                      "pass" if ok else "fail", residual,
                      time.perf_counter() - t0 if t0 else 0.0, detail, tol))
+
+
+def _report_claim(ledger: Ledger, claim_id: str, rep, t0: float,
+                  counted: str = "pairs", shown: int = 6) -> None:
+    """Record an exact structure report: its first failures, else the
+    number of checks it made."""
+    _claim(ledger, claim_id, rep.passed, t0=t0,
+           detail="; ".join(rep.failures[:shown])
+           or f"{rep.checks_total} {counted}")
 
 
 def _out_of_scope(ledger: Ledger, claim_id: str, reason: str) -> None:
@@ -126,10 +135,8 @@ def _suite_cd(ledger: Ledger, config: SuiteConfig) -> None:
     _claim(ledger, "cd.gamma4", ok, t0=t0)
 
     t0 = time.perf_counter()
-    rep = check_anticommutation(gammas, (1, -1, -1, -1, -1), 2)
-    _claim(ledger, "cd.anticommutation-5", rep.passed,
-           detail="; ".join(rep.failures[:6]) or f"{rep.checks_total} pairs",
-           t0=t0)
+    _report_claim(ledger, "cd.anticommutation-5",
+                  check_anticommutation(gammas, (1, -1, -1, -1, -1), 2), t0)
 
     table = so15_generators(gammas if config.inject_fault is not None else None)
 
@@ -153,10 +160,7 @@ def _suite_cd(ledger: Ledger, config: SuiteConfig) -> None:
            detail="; ".join(failures), t0=t0)
 
     t0 = time.perf_counter()
-    rep = check_so15(table)
-    _claim(ledger, "cd.so15-table", rep.passed,
-           detail="; ".join(rep.failures[:6]) or f"{rep.checks_total} pairs",
-           t0=t0)
+    _report_claim(ledger, "cd.so15-table", check_so15(table), t0)
 
     t0 = time.perf_counter()
     failures = []
@@ -254,15 +258,12 @@ def _suite_ercd(ledger: Ledger, config: SuiteConfig) -> None:
                   f"/neither={len(neither)}", t0=t0)
 
     t0 = time.perf_counter()
-    rep = squares_and_pairing_check(basis)
-    _claim(ledger, "ercd.ort-properties", rep.passed,
-           detail="; ".join(rep.failures[:4]) or f"{rep.checks_total} checks",
-           t0=t0)
+    _report_claim(ledger, "ercd.ort-properties",
+                  squares_and_pairing_check(basis), t0, "checks", 4)
 
     t0 = time.perf_counter()
     anti_ops = [basis.get(lbl) for lbl in anti]
-    s_table = so8_generators()
-    rot = [op for (a, b), op in sorted(s_table.items())]
+    rot = [op for _, op in sorted(so8_generators().items())]
     ok = spans_equal(anti_ops, rot) and span_rank(rot) == 28
     _claim(ledger, "ercd.antihermitian-span", ok,
            detail="28-dimensional span match", t0=t0)
@@ -290,14 +291,11 @@ def _suite_percd(ledger: Ledger, config: SuiteConfig) -> None:
            detail="two antilinear generators as composed", t0=t0)
 
     t0 = time.perf_counter()
-    rep = check_anticommutation(ext, (-1,) * 7, 2)
-    _claim(ledger, "percd.anticommutation-7", rep.passed,
-           detail="; ".join(rep.failures[:6]) or f"{rep.checks_total} pairs",
-           t0=t0)
+    _report_claim(ledger, "percd.anticommutation-7",
+                  check_anticommutation(ext, (-1,) * 7, 2), t0)
 
     t0 = time.perf_counter()
     basis = percd29()
-    table = so8_generators()
     ok = len(basis) == 29
     for a in range(1, 8):
         if basis.get(f"alpha_{a}8") != ext.get(f"g{a}"):
@@ -307,34 +305,24 @@ def _suite_percd(ledger: Ledger, config: SuiteConfig) -> None:
     _claim(ledger, "percd.basis-29", ok, detail=f"count=29, rank={rank}", t0=t0)
 
     t0 = time.perf_counter()
-    rep = check_so8(table)
+    rep = check_so8(so8_generators())
     closure = closure_check(basis)
     _claim(ledger, "percd.so8-table", rep.passed and closure.passed,
            detail=f"{rep.checks_total} pairs, closure {closure.checks_total}",
            t0=t0)
 
     t0 = time.perf_counter()
-    prods = gamma_product_identities()
-    five_ok = not any("g0 g1" in f for f in prods.failures)
-    _claim(ledger, "percd.five-product", five_ok, t0=t0)
+    holds = gamma_product_identities().payload
+    _claim(ledger, "percd.five-product", holds["g0 g1 g2 g3 g4 = -I"], t0=t0)
 
     t0 = time.perf_counter()
-    seven_ok = not any(("g1..g7" in f) or ("g5 g6" in f) or ("-(g1..g6" in f)
-                       for f in prods.failures)
+    seven_ok = all(holds[name] for name in (
+        "g1..g7 product = I", "g5 g6 = i", "g7 = -(g1..g6 product)"))
     _claim(ledger, "percd.seven-product", seven_ok, t0=t0)
 
     t0 = time.perf_counter()
-    rows = [(pair, exp, text) for pair, exp, text in _expected_explicit_forms()
-            if pair[1] in (7, 8)]
-    failures = []
-    for (a, b), expected, text in rows:
-        computed = table[(a, b)].scaled(2)
-        if computed != expected:
-            corrected = "+i g2 g4 C" if (a, b) == (5, 7) else "-g2 g4 C"
-            failures.append(f"alpha_{a}{b} != {text} "
-                            f"(defining commutator gives {corrected})")
-    _claim(ledger, "percd.explicit-forms-extra", not failures,
-           detail="; ".join(failures) or f"{len(rows)} identities", t0=t0)
+    rep = verify_explicit_forms((7, 8), " (defining commutator gives {flipped})")
+    _report_claim(ledger, "percd.explicit-forms-extra", rep, t0, "identities")
 
 
 # ---------------------------------------------------------------------------
@@ -376,15 +364,8 @@ def _suite_so6(ledger: Ledger, config: SuiteConfig) -> None:
            t0=t0)
 
     t0 = time.perf_counter()
-    table = so8_generators()
-    rows = [(pair, exp, text) for pair, exp, text in _expected_explicit_forms()
-            if pair[1] in (5, 6)]
-    failures = []
-    for (a, b), expected, text in rows:
-        if table[(a, b)].scaled(2) != expected:
-            failures.append(f"alpha_{a}{b} != {text}")
-    _claim(ledger, "so6.explicit-forms", not failures,
-           detail="; ".join(failures) or f"{len(rows)} identities", t0=t0)
+    _report_claim(ledger, "so6.explicit-forms",
+                  verify_explicit_forms((5, 6), hint=""), t0, "identities")
 
 
 # ---------------------------------------------------------------------------
@@ -445,18 +426,20 @@ def _suite_fw(ledger: Ledger, config: SuiteConfig) -> None:
     fw = fw_hamiltonian(m)
     hd = dirac_hamiltonian(m)
 
-    t0 = time.perf_counter()
-    h0 = fw.hamiltonian((0.0, 0.0, 0.0))
-    worst = max(_light_cone_residual(fw, samples[:40], m),
-                float(np.max(np.abs(
-                    h0 - m * to_complex_matrix(pd_gammas().get("g0").A)))))
-    _claim(ledger, "fw.wave-operator", worst < tol, residual=worst, t0=t0,
-           tol=tol)
+    near = samples[:40]
 
     t0 = time.perf_counter()
-    worst = _light_cone_residual(hd, samples[:40], m)
-    _claim(ledger, "fw.local-hamiltonian", worst < tol, residual=worst, t0=t0,
-           tol=tol)
+    h0 = fw.hamiltonian((0.0, 0.0, 0.0))
+    worst = max(_light_cone_residual(fw, near, m),
+                float(np.max(np.abs(
+                    h0 - m * to_complex_matrix(pd_gammas().get("g0").A)))))
+    _claim(ledger, "fw.wave-operator", worst < tol, residual=worst,
+           detail=f"{len(near)} points and q = 0", t0=t0, tol=tol)
+
+    t0 = time.perf_counter()
+    worst = _light_cone_residual(hd, near, m)
+    _claim(ledger, "fw.local-hamiltonian", worst < tol, residual=worst,
+           detail=f"{len(near)} points", t0=t0, tol=tol)
 
     if m > 0:
         _fw_nonlocal(ledger, m, fw, hd, samples, tol)
@@ -478,19 +461,20 @@ def _fw_nonlocal(ledger: Ledger, m: float, fw, hd, samples, tol: float
                  ) -> None:
     """The claims on the basis change and the nonlocal operators (m > 0)."""
     ident = MomentumSymbol.constant(GeneralOp.identity(), m, "I")
+    used = f"{len(samples)} points"
     vp = fw_transform(m, +1)
     vm = fw_transform(m, -1)
 
     t0 = time.perf_counter()
     worst = max(max_residual(vp @ vm, ident, samples),
                 max_residual(vm @ vp, ident, samples))
-    _claim(ledger, "fw.transform-inverse", worst < tol, residual=worst, t0=t0,
-           tol=tol)
+    _claim(ledger, "fw.transform-inverse", worst < tol, residual=worst,
+           detail=used, t0=t0, tol=tol)
 
     t0 = time.perf_counter()
     worst = max_residual(vp @ fw.symbol @ vm, hd.symbol, samples)
     _claim(ledger, "fw.conjugation-identity", worst < tol, residual=worst,
-           t0=t0, tol=tol)
+           detail=used, t0=t0, tol=tol)
 
     t0 = time.perf_counter()
     spins = pd_spin(m)
@@ -504,25 +488,26 @@ def _fw_nonlocal(ledger: Ledger, m: float, fw, hd, samples, tol: float
         worst = max(worst, batch_norm(s @ hd.symbol - hd.symbol @ s, q))
         a0, _ = s.value_at((0.0, 0.0, 0.0))
         worst = max(worst, float(np.max(np.abs(a0 - sv[j]))))
-    _claim(ledger, "fw.nonlocal-spin", worst < tol, residual=worst, t0=t0,
-           tol=tol)
+    _claim(ledger, "fw.nonlocal-spin", worst < tol, residual=worst,
+           detail=used, t0=t0, tol=tol)
 
     # flip-law algebra on the nonlocal generators, evaluated once over the
     # check points as (part, sign, point, 4, 4) arrays
     t0 = time.perf_counter()
     tgs = dict(tilde_gammas(m))
-    check = signed_batch(samples[:4])
+    few, near = samples[:4], samples[:40]
+    check = signed_batch(few)
     vals = {lbl: np.stack(sym(check)) for lbl, sym in tgs.items()}
-    worst = _tilde_rotation_residual(vals)
-    _claim(ledger, "fw.nonlocal-rotations", worst < tol, residual=worst, t0=t0,
-           tol=tol)
+    gens = [vals[f"tg{k}"] for k in range(1, 8)]
+    worst = flip_rotation_residual(gens)
+    _claim(ledger, "fw.nonlocal-rotations", worst < tol, residual=worst,
+           detail=f"{len(few)} points", t0=t0, tol=tol)
 
     t0 = time.perf_counter()
     worst = 0.0
-    labels = [f"tg{k}" for k in range(1, 8)]
     for a in range(7):
         for b in range(a, 7):
-            x, y = vals[labels[a]], vals[labels[b]]
+            x, y = gens[a], gens[b]
             acom = _product(x, y) + _product(y, x)
             target = -2.0 * np.eye(4) if a == b else 0.0
             worst = max(worst, float(np.max(np.abs(acom[0, 0] - target))),
@@ -535,11 +520,12 @@ def _fw_nonlocal(ledger: Ledger, m: float, fw, hd, samples, tol: float
     fundamentals["tC"] = MomentumSymbol.constant(GeneralOp.conjugation(), m)
     for lbl, sym in tgs.items():
         conj = vp @ fundamentals[lbl] @ vm
-        worst = max(worst, max_residual(sym, conj, samples[:40]))
+        worst = max(worst, max_residual(sym, conj, near))
     _claim(ledger, "fw.nonlocal-generators", worst < tol, residual=worst,
            detail="closed forms match the conjugation oracle; the "
-                  "conjugation-image operator uses its expanded form",
-           t0=t0, tol=tol)
+                  "conjugation-image operator uses its expanded form; "
+                  f"anticommutators on {len(few)} points, conjugation on "
+                  f"{len(near)} points", t0=t0, tol=tol)
 
 
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -547,46 +533,17 @@ def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.stack(flip_product(x, y))
 
 
-def _tilde_rotation_residual(vals) -> float:
-    """The rotation algebra of s_ab = [tg_a, tg_b] / 4 and s_a8 = tg_a / 2,
-    on the +q half of evaluated values."""
-    labels = [f"tg{k}" for k in range(1, 8)]
+def _flip_commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return _product(x, y) - _product(y, x)
 
-    def comm(x, y):
-        return _product(x, y) - _product(y, x)
 
-    s_tab = {}
-    for a in range(1, 8):
-        for b in range(a + 1, 8):
-            s_tab[(a, b)] = 0.25 * comm(vals[labels[a - 1]],
-                                        vals[labels[b - 1]])
-    for a in range(1, 8):
-        s_tab[(a, 8)] = 0.5 * vals[labels[a - 1]]
-    zero = np.zeros_like(vals[labels[0]])
-
-    def s_pair(a, b):
-        if a == b:
-            return zero
-        if (a, b) in s_tab:
-            return s_tab[(a, b)]
-        return -s_tab[(b, a)]
-
-    worst = 0.0
-    pairs = sorted(s_tab.keys())
-    for (a, b) in pairs:
-        for (c, d) in pairs:
-            lhs = comm(s_pair(a, b), s_pair(c, d))
-            rhs = zero
-            if a == c:
-                rhs = rhs + s_pair(b, d)
-            if c == b:
-                rhs = rhs + s_pair(d, a)
-            if b == d:
-                rhs = rhs + s_pair(a, c)
-            if d == a:
-                rhs = rhs + s_pair(c, b)
-            worst = max(worst, float(np.max(np.abs(lhs[:, 0] - rhs[:, 0]))))
-    return worst
+def flip_rotation_residual(values) -> float:
+    """The largest +q-half entry of the so(8) defects of the rotation
+    family of seven generators, each evaluated as a (part, sign, point,
+    4, 4) array."""
+    table = rotation_family([0.5 * v for v in values], 1, _flip_commutator)
+    return max(float(np.max(np.abs(defect[:, 0]))) for _, _, defect in
+               rotation_defects(table, COMPACT8, 1, _flip_commutator))
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +597,8 @@ def _suite_poincare(ledger: Ledger, config: SuiteConfig) -> None:
     trans = dict(translation_generators(m))
     momenta = [xop_from_symbol(trans[f"p{n + 1}"].coeffs[ZERO_MULTI], m)
                for n in range(3)]
-    q = signed_batch(samples[:5])
+    few = samples[:5]
+    q = signed_batch(few)
     for n in range(3):
         for mm in range(3):
             comm = xop_commutator(momenta[n], position_op(mm, m))
@@ -654,9 +612,9 @@ def _suite_poincare(ledger: Ledger, config: SuiteConfig) -> None:
     for n in range(3):
         for mm in range(3):
             comm = xop_commutator(momenta[n], momenta[mm])
-            worst = max(worst, xop_max_norm(comm, samples[:5]))
+            worst = max(worst, xop_max_norm(comm, few))
     _claim(ledger, "poincare.canonical-pairs", worst < mom_tol,
-           residual=worst, t0=t0, tol=mom_tol)
+           residual=worst, detail=f"{len(few)} points", t0=t0, tol=mom_tol)
 
     if m > 0:
         t0 = time.perf_counter()
@@ -664,7 +622,8 @@ def _suite_poincare(ledger: Ledger, config: SuiteConfig) -> None:
         for name, g in build_poincare_generators(m):
             worst_sym = max(worst_sym,
                             evolution_commutator_residual(g, m, samples))
-        closure = poincare_closure_check(m, n_samples=max(config.samples, 200),
+        n_fit = max(config.samples, 200)
+        closure = poincare_closure_check(m, n_samples=n_fit,
                                          seed=config.seed, tol=closure_tol)
         ok = worst_sym < sym_tol and closure.passed \
             and bool(closure.oracle_verified)
@@ -672,8 +631,9 @@ def _suite_poincare(ledger: Ledger, config: SuiteConfig) -> None:
                residual=max(worst_sym, closure.max_residual),
                detail=f"symmetry<{worst_sym:.1e}, closure fit<"
                       f"{closure.max_residual:.1e}, oracle dev<"
-                      f"{closure.oracle_comparison:.1e} (verified)", t0=t0,
-               tol=min(sym_tol, closure_tol))
+                      f"{closure.oracle_comparison:.1e} (verified); "
+                      f"symmetry on {len(samples)} points, closure fit on "
+                      f"{n_fit} points", t0=t0, tol=min(sym_tol, closure_tol))
     else:
         _out_of_scope(ledger, "poincare.generator-algebra",
                       "needs m > 0: the boost generators are singular at "
@@ -692,11 +652,12 @@ def _suite_poincare(ledger: Ledger, config: SuiteConfig) -> None:
            detail="su(2) closure exact; all three invariances exact", t0=t0)
 
     t0 = time.perf_counter()
-    cas = casimir_report(m, n_samples=50, seed=config.seed, tol=mom_tol)
+    n_cas = 50
+    cas = casimir_report(m, n_samples=n_cas, seed=config.seed, tol=mom_tol)
     _claim(ledger, "poincare.casimirs", cas.passed,
            residual=cas.momentum_square_spread,
-           detail=f"p.p = {cas.momentum_square_value.real:+.6f} (q-independent), "
-                  "spin square = -2 diag(1,1,1,0) exact",
+           detail=f"p.p = {cas.momentum_square_value.real:+.6f} (q-independent) "
+                  f"on {n_cas} points, spin square = -2 diag(1,1,1,0) exact",
            t0=t0, tol=mom_tol)
     ledger.flags.append(cas.sign_flag)
 

@@ -114,7 +114,7 @@ def test_criterion_5_explicit_forms_and_products():
 
 
 def test_criterion_6_bosonic_representation():
-    breve, w, w_inv = bosonic_rep()  # construction verifies every identity
+    breve, w, w_inv = bosonic_rep()  # the identities are checked here
     ident = GeneralOp.identity()
     ig0 = extended_gammas().get("g7")
     ok = (w @ w_inv == ident and w_inv @ w == ident

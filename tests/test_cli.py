@@ -132,6 +132,45 @@ def test_poincare_at_zero_mass_runs_at_zero_mass(capsys):
     assert all(c["status"] == "pass" for c in claims.values())
     # p.p = -m^2 = 0, not the -1 of a silently substituted m = 1
     assert "0.000000 (q-independent)" in claims["poincare.casimirs"]["detail"]
+    # each sampled claim names the points it used
+    assert claims["poincare.canonical-pairs"]["detail"] == "5 points"
+    assert "on 50 points" in claims["poincare.casimirs"]["detail"]
+
+
+def test_sampled_claims_name_the_points_they_used(capsys):
+    # --samples 1 is echoed, but fw floors its sample set at 100 points and
+    # some checks use only the first 4 or 40 of them
+    rc, payload, claims = _json_run(capsys, "--suite", "fw", "--samples", "1")
+    assert rc == 0 and payload["config"]["samples"] == 1
+    details = {k: c["detail"] for k, c in claims.items()}
+    assert details["fw.wave-operator"] == "40 points and q = 0"
+    assert details["fw.local-hamiltonian"] == "40 points"
+    for k in ("fw.transform-inverse", "fw.conjugation-identity",
+              "fw.nonlocal-spin"):
+        assert details[k] == "100 points"
+    assert details["fw.nonlocal-rotations"] == "4 points"
+    assert details["fw.nonlocal-generators"].endswith(
+        "anticommutators on 4 points, conjugation on 40 points")
+
+
+def test_product_claims_read_the_named_identities(monkeypatch):
+    real = ercd.suites.gamma_product_identities
+
+    def one_broken():
+        rep = real()
+        rep.payload["g5 g6 = i"] = False
+        return rep
+
+    monkeypatch.setattr(ercd.suites, "gamma_product_identities", one_broken)
+    ledger = run_suite(SuiteConfig(suites=("percd",)))
+    status = {c.claim_id: c.status for c in ledger.claims}
+    assert status["percd.five-product"] == "pass"
+    assert status["percd.seven-product"] == "fail"
+    extra = next(c for c in ledger.claims
+                 if c.claim_id == "percd.explicit-forms-extra")
+    assert extra.detail == (
+        "alpha_57 != -i g2 g4 C (defining commutator gives +i g2 g4 C); "
+        "alpha_67 != g2 g4 C (defining commutator gives -g2 g4 C)")
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 
-from ercd.algebras import (OrtSet, a32, bosonic_so8_generators, breve_spin,
-                           cd16, ercd64, extended_gammas, pd_gammas, pgi8,
-                           pgi_lorentz6, percd29, so15_generators,
-                           so8_generators)
+from ercd.algebras import (OrtSet, a32, bosonic_rep, bosonic_so8_generators,
+                           breve_spin, cd16, ercd64, extended_gammas,
+                           pd_gammas, pgi8, pgi_lorentz6, percd29,
+                           rotation_family, so15_generators, so8_generators)
 from ercd.operators import GeneralOp, commutator
 from ercd.relations import (SO13_METRIC, casimir_spin_squared,
                             check_anticommutation, check_rotation_table,
@@ -13,8 +14,10 @@ from ercd.relations import (SO13_METRIC, casimir_spin_squared,
                             match_to_basis, multiplication_table,
                             pgi_orientation_check, squares_and_pairing_check,
                             verify_explicit_forms)
-from ercd.scalars import ExactScalar, ZERO
+from ercd.scalars import ExactScalar, HALF, ZERO
 from ercd.spans import structure_constants
+from ercd.suites import flip_rotation_residual
+from ercd.symbols import MomentumSymbol, sample_momenta, signed_batch
 
 
 def test_anticommutation_five_generators():
@@ -115,6 +118,13 @@ def test_explicit_forms_report():
     assert any("alpha_57" in f for f in rep.failures)
     assert any("alpha_67" in f for f in rep.failures)
     assert all("reversed product order" in f for f in rep.failures)
+    # a column subset checks only its rows; the hint gets the flipped text
+    extra = verify_explicit_forms((7, 8), " (gives {flipped})")
+    assert extra.checks_total == 7
+    assert extra.failures == ["alpha_57 != -i g2 g4 C (gives +i g2 g4 C)",
+                              "alpha_67 != g2 g4 C (gives -g2 g4 C)"]
+    fifth_sixth = verify_explicit_forms((5, 6), hint="")
+    assert fifth_sixth.passed and fifth_sixth.checks_total == 9
 
 
 def test_explicit_forms_passing_rows():
@@ -142,7 +152,47 @@ def test_computed_seventh_index_forms():
 
 
 def test_gamma_products():
-    assert gamma_product_identities().passed
+    rep = gamma_product_identities()
+    assert rep.passed and rep.checks_total == 4
+    assert rep.payload == {"g0 g1 g2 g3 g4 = -I": True,
+                           "g1..g7 product = I": True, "g5 g6 = i": True,
+                           "g7 = -(g1..g6 product)": True}
+
+
+def test_rotation_family_is_the_quarter_commutator_formula():
+    g, ext = pd_gammas(), extended_gammas()
+    breve, _, _ = bosonic_rep()
+    quarter = ExactScalar.rational(1, 4)
+    families = [
+        ([g.get(f"g{k}") for k in range(5)], 0, so15_generators()),
+        ([ext.get(f"g{k}") for k in range(1, 8)], 1, so8_generators()),
+        ([breve.get(f"bg{k}") for k in range(1, 8)], 1,
+         bosonic_so8_generators()),
+    ]
+    for gens, base, table in families:
+        n = len(gens)
+        expected = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                expected[(base + i, base + j)] = \
+                    commutator(gens[i], gens[j]).scaled(quarter)
+            expected[(base + i, base + n)] = gens[i].scaled(HALF)
+        assert table == expected
+        assert rotation_family([x.scaled(HALF) for x in gens], base) == expected
+
+
+def test_rotation_rule_on_flip_arrays_agrees_with_the_exact_table():
+    # constant symbols of the seven generators, evaluated once on a batch,
+    # go through the same family constructor and rule as the exact table
+    ext = extended_gammas()
+    q = signed_batch(sample_momenta(3, seed=5))
+    values = [np.stack(MomentumSymbol.constant(ext.get(f"g{k}"), 1.0)(q))
+              for k in range(1, 8)]
+    assert check_so8(so8_generators()).passed
+    assert flip_rotation_residual(values) <= 1e-15
+    values[2] = values[2].copy()
+    values[2][0, 0, 1, 0, 1] += 1e-2
+    assert flip_rotation_residual(values) > 1e-3
 
 
 def test_casimir_spin_squared():
