@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -236,12 +236,28 @@ class GeneralOp:
         return tuple(tuple(ExactScalar(rat[k], sur[k])
                            for k in range(8 * i, 8 * i + 8)) for i in range(8))
 
-    def vectorize(self) -> Tuple[ExactScalar, ...]:
-        """64 real components: row-major A real parts, A imaginary parts,
-        then B likewise. Fixed order so rank computations are reproducible."""
-        rat, sur = self._components()
-        return tuple(ExactScalar(a, b) if a or b else ZERO
-                     for a, b in zip(rat, sur))
+
+def gram(xs: Sequence[GeneralOp], ys: Sequence[GeneralOp]
+         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The exact Gram block <R_x, R_y> = tr(R_x^T R_y) of two operator
+    lists, as arrays (rat, sur, den) of shape (len(xs), len(ys)): entry
+    (a, b) is (rat + sqrt2*sur) / den. rat and sur are int64, den holds
+    Python ints. OverflowError if an int64 entry could wrap."""
+    # an entry of P P' + 2 Q Q' sums 64 terms of at most 3 b b' each
+    bx = max((x._bound for x in xs), default=0)
+    by = max((y._bound for y in ys), default=0)
+    if 192 * bx * by > _LIMIT:
+        bx = max(x._magnitude() for x in xs)
+        by = max(y._magnitude() for y in ys)
+        if 192 * bx * by > _LIMIT:
+            raise OverflowError("Gram entries would exceed the int64 range")
+    x = np.array([op._pq for op in xs], dtype=np.int64).reshape(len(xs), 2, 64)
+    y = np.array([op._pq for op in ys], dtype=np.int64).reshape(len(ys), 2, 64)
+    # all four products P P', P Q', Q P', Q Q' in one call
+    g = np.einsum("aik,bjk->ijab", x, y)
+    den = np.multiply.outer(np.array([op._d for op in xs], dtype=object),
+                            np.array([op._d for op in ys], dtype=object))
+    return g[0, 0] + 2 * g[1, 1], g[0, 1] + g[1, 0], den
 
 
 def _new(pq: np.ndarray, d: int, bound: int) -> GeneralOp:

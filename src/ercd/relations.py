@@ -17,7 +17,7 @@ from .algebras import (OrtSet, extended_gammas, pair_op, pd_gammas,
                        pgi_lorentz6, so8_generators)
 from .operators import GeneralOp, anticommutator, commutator, compose
 from .scalars import HALF
-from .spans import span_of
+from .spans import OrthogonalBasis
 
 MetricSignature = Tuple[int, ...]
 Pair = Tuple[int, int]
@@ -69,14 +69,30 @@ def check_anticommutation(gens, metric: MetricSignature,
         raise ValueError("generator count does not match metric length")
     name = gens.name if isinstance(gens, OrtSet) else "generators"
     rep = StructureReport(name, "anticommutation")
-    ident = GeneralOp.identity()
-    for a, (la, ga) in enumerate(items):
-        for b, (lb, gb) in enumerate(items):
-            rep.checks_total += 1
-            expect = ident.scaled(scale * metric[a]) if a == b else GeneralOp.zero()
-            if anticommutator(ga, gb) != expect:
-                rep.failures.append(f"{{{la},{lb}}} != {scale * metric[a] if a == b else 0}*I")
+    labels = [lbl for lbl, _ in items]
+    for a, b, defect in anticommutation_defects(
+            [op for _, op in items], metric,
+            GeneralOp.identity().scaled(scale)):
+        rep.checks_total += 1
+        if not defect.is_zero:
+            rep.failures.append(f"{{{labels[a]},{labels[b]}}} != "
+                                f"{scale * metric[a] if a == b else 0}*I")
     return rep
+
+
+def anticommutation_defects(gens: Sequence, metric: MetricSignature, unit,
+                            anticomm: Callable = anticommutator
+                            ) -> Iterator[Tuple[int, int, object]]:
+    """(a, b, {g_a, g_b} - metric[a] delta_ab unit) for every ordered pair,
+    with metric entries +-1 and unit the diagonal target (2I for the
+    Clifford relations). Only + and - touch unit, so the rule serves exact
+    operators and evaluated symbol arrays alike."""
+    for a, ga in enumerate(gens):
+        for b, gb in enumerate(gens):
+            defect = anticomm(ga, gb)
+            if a == b:
+                defect = defect - unit if metric[a] > 0 else defect + unit
+            yield a, b, defect
 
 
 def rotation_defects(table: Dict[Pair, object], metric: MetricSignature,
@@ -267,13 +283,14 @@ def closure_check(ortset: OrtSet) -> StructureReport:
     rep = StructureReport(ortset.name, "lie-closure")
     ops = ortset.ops()
     labels = ortset.labels()
-    sp = span_of(ops)
+    basis = OrthogonalBasis(ops)
+    # one row of commutators at a time keeps the peak memory flat
     for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            rep.checks_total += 1
-            comm = commutator(ops[i], ops[j])
-            if not sp.contains(comm.vectorize()):
-                rep.failures.append(f"[{labels[i]}, {labels[j]}] outside span")
+        later = range(i + 1, len(ops))
+        coords = basis.coordinates([commutator(ops[i], ops[j]) for j in later])
+        rep.checks_total += len(later)
+        rep.failures += [f"[{labels[i]}, {labels[j]}] outside span"
+                         for j, c in zip(later, coords) if c is None]
     return rep
 
 

@@ -1,159 +1,100 @@
 """Exact real-linear algebra over the 64-dimensional operator space.
 
-Operators vectorize to 64 real components with entries in Q(sqrt2)
-(see GeneralOp.vectorize); ranks, span memberships, kernels and
-expansion coefficients are computed by exact Gaussian elimination.
+The one rule is the trace form <R, S> = tr(R^T S) of the realifications
+(operators.gram), exact in Q(sqrt2). Orts square to +-I and commute or
+anticommute pairwise, so any two distinct orts are orthogonal under it,
+and so are the rotation generators built from them. Over an orthogonal
+basis R_k the coordinates of X are c_k = <R_k, X> / <R_k, R_k>; X lies in
+the span exactly when sum_k c_k R_k == X, which is checked exactly
+(a projection alone proves nothing). A basis that is not orthogonal is
+refused. Ranks, span equality, Lie closure, centralizers and structure
+constants all read coordinates.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from fractions import Fraction
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .operators import GeneralOp
-from .scalars import ExactScalar, I_UNIT, ONE, ZERO
+import numpy as np
 
-Vector = Tuple[ExactScalar, ...]
+from .algebras import ercd64
+from .operators import GeneralOp, commutator, gram
+from .scalars import ExactScalar
+
+Coordinates = Dict[int, ExactScalar]
 
 
-class ExactSpan:
-    """Incrementally row-reduced basis of a real subspace, exact arithmetic.
+def _scalar(rat, sur, den) -> ExactScalar:
+    return ExactScalar(Fraction(int(rat), den), Fraction(int(sur), den))
 
-    With track=True each reduced row remembers its expansion in the
-    originally inserted vectors, so members can be expressed exactly in
-    the generators, and each inserted vector that did not enlarge the
-    span leaves in relations the combination of insertions that vanishes.
-    Tracking rows are ragged: entries past their length are zero (they
-    can only reference earlier insertions).
+
+class OrthogonalBasis:
+    """Operators that are mutually orthogonal under the trace form.
+
+    ValueError names the first pair that is not. Zero members are allowed
+    (they are orthogonal to everything) and do not count towards the rank.
     """
 
-    def __init__(self, track: bool = False):
-        self.rows: List[Tuple[int, Vector]] = []  # (pivot index, normalized row)
-        self.track = track
-        self.coeffs: List[Tuple[ExactScalar, ...]] = []
-        self.relations: List[List[ExactScalar]] = []
-        self._n_inserted = 0
+    def __init__(self, ops: Sequence[GeneralOp]):
+        self.ops = list(ops)
+        rat, sur, den = gram(self.ops, self.ops)
+        off = np.argwhere(np.triu((rat != 0) | (sur != 0), 1))
+        if len(off):
+            a, b = off[0].tolist()
+            raise ValueError(f"operators {a} and {b} are not orthogonal "
+                             "under the trace form")
+        self.norms = [_scalar(rat[k, k], sur[k, k], den[k, k])
+                      for k in range(len(self.ops))]
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return sum(1 for n in self.norms if n)
 
-    def _reduce(self, vec: Vector, coeff: Optional[List[ExactScalar]] = None):
-        v = list(vec)
-        used: List[Tuple[int, ExactScalar]] = []
-        for idx, (p, row) in enumerate(self.rows):
-            f = v[p]
-            if f:
-                for j in range(len(v)):
-                    if row[j]:
-                        v[j] = v[j] - f * row[j]
-                v[p] = ZERO  # exact
-                used.append((idx, f))
-                if coeff is not None:
-                    for j, c in enumerate(self.coeffs[idx]):
-                        if c:
-                            coeff[j] = coeff[j] - f * c
-        return v, used
-
-    def add(self, vec: Vector) -> bool:
-        """Insert a vector; returns True if it enlarged the span."""
-        coeff: Optional[List[ExactScalar]] = None
-        if self.track:
-            coeff = [ZERO] * (self._n_inserted + 1)
-            coeff[self._n_inserted] = ONE
-        v, _ = self._reduce(vec, coeff)
-        self._n_inserted += 1
-        pivot = next((j for j, x in enumerate(v) if x), None)
-        if pivot is None:
-            if self.track:
-                self.relations.append(coeff)
-            return False
-        inv = v[pivot].inverse()
-        self.rows.append((pivot, tuple(x * inv for x in v)))
-        if self.track:
-            self.coeffs.append(tuple(x * inv for x in coeff))
-        return True
-
-    def contains(self, vec: Vector) -> bool:
-        v, _ = self._reduce(vec)
-        return all(not x for x in v)
-
-    def express(self, vec: Vector) -> Optional[List[ExactScalar]]:
-        """Coefficients of vec over the inserted vectors, or None if outside."""
-        if not self.track:
-            raise ValueError("span was built without coefficient tracking")
-        v, used = self._reduce(vec)
-        if any(v):
-            return None
-        out = [ZERO] * self._n_inserted
-        for idx, f in used:
-            for j, c in enumerate(self.coeffs[idx]):
-                if c:
-                    out[j] = out[j] + f * c
+    def coordinates(self, ops: Sequence[GeneralOp]
+                    ) -> List[Optional[Coordinates]]:
+        """For each op its nonzero coordinates {k: c_k}, or None if it lies
+        outside the span."""
+        rat, sur, den = gram(self.ops, ops)
+        out: List[Optional[Coordinates]] = [{} for _ in ops]
+        for k, j in np.argwhere((rat != 0) | (sur != 0)).tolist():
+            out[j][k] = _scalar(rat[k, j], sur[k, j], den[k, j]) / self.norms[k]
+        for j, (op, coords) in enumerate(zip(ops, out)):
+            total = sum((self.ops[k].scaled(c) for k, c in coords.items()),
+                        GeneralOp.zero())
+            if total != op:
+                out[j] = None
         return out
 
-
-def span_of(ops: Iterable[GeneralOp], track: bool = False) -> ExactSpan:
-    sp = ExactSpan(track=track)
-    for op in ops:
-        sp.add(op.vectorize())
-    return sp
+    def contains(self, ops: Sequence[GeneralOp]) -> bool:
+        return all(c is not None for c in self.coordinates(ops))
 
 
-def span_rank(ops: Iterable[GeneralOp]) -> int:
-    """Rank over the reals of the vectorized operators (exact)."""
-    return span_of(ops).rank
+def span_rank(ops: Sequence[GeneralOp]) -> int:
+    """Rank over the reals of mutually orthogonal operators: the number of
+    nonzero ones."""
+    return OrthogonalBasis(ops).rank
 
 
 def spans_equal(ops1: Sequence[GeneralOp], ops2: Sequence[GeneralOp]) -> bool:
-    sp1 = span_of(ops1)
-    sp2 = span_of(ops2)
-    if sp1.rank != sp2.rank:
-        return False
-    return all(sp1.contains(op.vectorize()) for op in ops2)
-
-
-# ---------------------------------------------------------------------------
-# elementary basis of the full 64-dimensional operator space
-# ---------------------------------------------------------------------------
-
-def elementary_basis() -> List[GeneralOp]:
-    """E_ij and i*E_ij in the linear slot, then the same antilinear.
-
-    64 elements; spans every GeneralOp with real coefficients.
-    """
-    basis = []
-    for anti in (False, True):
-        for scalar in (ONE, I_UNIT):
-            for i in range(4):
-                for j in range(4):
-                    rows = [[ZERO] * 4 for _ in range(4)]
-                    rows[i][j] = scalar
-                    m = tuple(tuple(r) for r in rows)
-                    basis.append(GeneralOp(None, m) if anti else GeneralOp(m, None))
-    return basis
+    basis1, basis2 = OrthogonalBasis(ops1), OrthogonalBasis(ops2)
+    return basis1.rank == basis2.rank and basis1.contains(basis2.ops)
 
 
 def centralizer_kernel(x: GeneralOp) -> List[GeneralOp]:
-    """Exact basis of {Q : Q X = X Q} inside the full operator space.
+    """The ercd64 orts that commute with x, a basis of {Q : Q X = X Q}.
 
-    Kernel of the real-linear map Q -> X Q - Q X: the tracked elimination
-    of the images of the elementary basis exposes each kernel combination
-    as a relation among the images.
+    ercd64 is an orthogonal basis of the whole space, so the kernel of
+    Q -> [x, Q] is spanned by the orts with a zero image provided the
+    nonzero images are independent: they are checked to be mutually
+    orthogonal. ValueError if either condition fails.
     """
-    basis = elementary_basis()
-    sp = ExactSpan(track=True)
-    for q in basis:
-        sp.add((x @ q - q @ x).vectorize())
-    out = []
-    for coeff in sp.relations:
-        acc = GeneralOp.zero()
-        for lam, q in zip(coeff, basis):
-            if lam:
-                if not lam.is_real:
-                    raise AssertionError("kernel coefficients must be real")
-                acc = acc + q.scaled(lam)
-        out.append(acc)
-    return out
+    orts = OrthogonalBasis(ercd64().ops())
+    if len(orts.ops) != 64 or orts.rank != 64:
+        raise ValueError("ercd64 is not a basis of the operator space")
+    images = [commutator(x, o) for o in orts.ops]
+    OrthogonalBasis(images)
+    return [o for o, image in zip(orts.ops, images) if image.is_zero]
 
 
 def centralizer_dimension(x: GeneralOp) -> int:
@@ -161,35 +102,27 @@ def centralizer_dimension(x: GeneralOp) -> int:
     return len(centralizer_kernel(x))
 
 
-# ---------------------------------------------------------------------------
-# exact structure constants
-# ---------------------------------------------------------------------------
-
 def structure_constants(generators: Sequence[GeneralOp]
                         ) -> Dict[Tuple[int, int, int], ExactScalar]:
     """c^k_{ij} with [g_i, g_j] = sum_k c^k_{ij} g_k, exact; sparse dict.
 
-    Linearly dependent generator sets are rejected: a degenerate basis
-    would make the expansion ambiguous, so no least-squares fallback.
+    The generators must be nonzero and mutually orthogonal, which makes the
+    expansion unique; anything else is rejected with ValueError.
     """
-    gens = list(generators)
-    sp = ExactSpan(track=True)
-    for g in gens:
-        sp.add(g.vectorize())
-    if sp.rank != len(gens):
-        raise ValueError("generator set is linearly dependent; "
+    basis = OrthogonalBasis(generators)
+    gens = basis.ops
+    if basis.rank != len(gens):
+        raise ValueError("generator set contains a zero operator; "
                          "structure constants would not be unique")
     table: Dict[Tuple[int, int, int], ExactScalar] = {}
+    # one row of commutators at a time keeps the peak memory flat
     for i, gi in enumerate(gens):
-        for j, gj in enumerate(gens):
-            if i == j:
-                continue
-            comm = gi @ gj - gj @ gi
-            lam = sp.express(comm.vectorize())
-            if lam is None:
+        others = [j for j in range(len(gens)) if j != i]
+        comms = [commutator(gi, gens[j]) for j in others]
+        for j, coords in zip(others, basis.coordinates(comms)):
+            if coords is None:
                 raise ValueError(
                     f"commutator of generators {i},{j} lies outside the span")
-            for k, c in enumerate(lam):
-                if c:
-                    table[(i, j, k)] = c
+            for k, c in coords.items():
+                table[(i, j, k)] = c
     return table

@@ -45,6 +45,14 @@ def test_full_run_covers_every_claim_once():
     assert failing == ["percd.explicit-forms-extra"]
 
 
+def test_ledger_refuses_a_repeated_claim_id():
+    ledger = Ledger(SuiteConfig())
+    claim = Claim("pgi.set-8", CLAIM_REGISTRY["pgi.set-8"], "pass")
+    ledger.add(claim)
+    with pytest.raises(ValueError, match="duplicate claim id pgi.set-8"):
+        ledger.add(claim)
+
+
 def test_fault_injection_detected():
     config = SuiteConfig(suites=("cd",), inject_fault=("g2", 0, 1))
     ledger = run_suite(config)
@@ -53,6 +61,10 @@ def test_fault_injection_detected():
     assert any("anticommutation" in c.claim_id for c in failed)
     anti = next(c for c in failed if c.claim_id == "cd.anticommutation-5")
     assert "g2" in anti.detail  # violated pair identified
+    # the fifth slot is built from the corrupted g2 and so differs from
+    # half of the rebuilt block form
+    orts = next(c for c in failed if c.claim_id == "cd.generating-orts")
+    assert orts.detail == "s25"
 
 
 def test_json_reports_are_byte_identical(tmp_path):

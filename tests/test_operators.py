@@ -6,7 +6,7 @@ import pytest
 from ercd.algebras import (a32, bosonic_rep, cd16, ercd64, extended_gammas,
                            pd_gammas)
 from ercd.operators import (GeneralOp, anticommutator, commutator, compose,
-                            mat)
+                            gram, mat)
 from ercd.scalars import HALF, ExactScalar, I_UNIT, ZERO
 from ercd.spans import (centralizer_dimension, centralizer_kernel,
                         span_rank, spans_equal, structure_constants)
@@ -172,9 +172,27 @@ def test_realify_reproduces_the_action_on_the_real_model():
         assert mapped == expect
 
 
+def test_gram_is_the_trace_form_of_the_realifications():
+    rng = random.Random(31)
+    w = bosonic_rep()[1]  # sqrt2-valued
+    xs = [_random_nondyadic_op(rng) for _ in range(3)] + [w]
+    ys = [_random_op(rng), w, GeneralOp.zero()]
+    rat, sur, den = gram(xs, ys)
+    assert rat.shape == sur.shape == den.shape == (4, 3)
+    for a, x in enumerate(xs):
+        for b, y in enumerate(ys):
+            rx, ry = x.realify(), y.realify()
+            trace = sum((rx[i][j] * ry[i][j] for i in range(8)
+                         for j in range(8)), ZERO)
+            d = den[a, b]
+            assert trace == ExactScalar(Fraction(int(rat[a, b]), d),
+                                        Fraction(int(sur[a, b]), d))
+
+
 def test_span_rank_examples():
     ident = GeneralOp.identity()
-    assert span_rank([ident, ident]) == 1
+    with pytest.raises(ValueError, match="operators 0 and 1 are not orthogonal"):
+        span_rank([ident, ident])
     assert span_rank(a32().ops()) == 32
     assert span_rank(cd16().ops()) == 16
 
@@ -265,6 +283,8 @@ def test_huge_entries_raise_overflow_instead_of_wrapping():
         big.scaled(2 ** 30)
     with pytest.raises(OverflowError):
         GeneralOp.linear(mat([[2 ** 70, 0, 0, 0]] + [[0] * 4] * 3))
+    with pytest.raises(OverflowError):
+        gram([big], [big])
 
 
 def test_long_products_of_small_ops_do_not_overflow():
@@ -277,3 +297,5 @@ def test_long_products_of_small_ops_do_not_overflow():
     ident = GeneralOp.identity()
     sq = prod @ prod
     assert sq == ident or sq == -ident
+    rat, sur, den = gram([prod], [prod])
+    assert Fraction(int(rat[0, 0]), den[0, 0]) == 8 and sur[0, 0] == 0

@@ -16,7 +16,7 @@ from ercd.relations import (SO13_METRIC, casimir_spin_squared,
                             verify_explicit_forms)
 from ercd.scalars import ExactScalar, HALF, ZERO
 from ercd.spans import structure_constants
-from ercd.suites import flip_rotation_residual
+from ercd.suites import flip_anticommutation_residual, flip_rotation_residual
 from ercd.symbols import MomentumSymbol, sample_momenta, signed_batch
 
 
@@ -193,6 +193,19 @@ def test_rotation_rule_on_flip_arrays_agrees_with_the_exact_table():
     values[2] = values[2].copy()
     values[2][0, 0, 1, 0, 1] += 1e-2
     assert flip_rotation_residual(values) > 1e-3
+
+
+def test_anticommutation_rule_on_flip_arrays_agrees_with_the_exact_check():
+    # the exact check and the fw check on evaluated arrays share one rule
+    ext = extended_gammas()
+    q = signed_batch(sample_momenta(3, seed=5))
+    values = [np.stack(MomentumSymbol.constant(ext.get(f"g{k}"), 1.0)(q))
+              for k in range(1, 8)]
+    assert check_anticommutation(ext, (-1,) * 7, 2).passed
+    assert flip_anticommutation_residual(values) <= 1e-15
+    values[4] = values[4].copy()
+    values[4][1, 0, 2, 3, 0] += 1e-2  # antilinear part of g5
+    assert flip_anticommutation_residual(values) > 1e-3
 
 
 def test_casimir_spin_squared():
