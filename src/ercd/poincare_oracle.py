@@ -7,16 +7,22 @@ of momentum as first-order differential operators:
     j_ln: f -> q_n df/dq_l - q_l df/dq_n,
     j_0k: f -> w df/dq_k + (q_k / 2w) f,        w = sqrt(q^2 + m^2).
 
-Their commutators are computed symbolically (sympy), the expansion
-coefficients over the ten generators are recovered by an exact linear
-solve at rational sample points, and each expansion is then verified as
-a symbolic identity. Matrix/spin parts cannot change the structure
-constants of a representation, so the fitted constants of the full
-generators must match this table; any deviation is a genuine finding.
+Their commutators are computed symbolically (sympy). The expansion
+coefficients over the ten generators are read at eight sample points with
+m = 1 where q^2 + 1 is a perfect square, so w is an integer and every slot
+value lies in Q(i). The real and imaginary parts of the slots give the
+same 64 x 10 rational design matrix for every pair, and one Fraction
+Gauss-Jordan elimination of it, augmented with all 45 commutators, yields
+every expansion; a missing pivot or a commutator outside the span raises
+ValueError. Each expansion is then proved as a symbolic identity in
+general q and m. Matrix/spin parts cannot change the structure constants
+of a representation, so the fitted constants of the full generators must
+match this table; any deviation is a genuine finding.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
@@ -66,41 +72,68 @@ def _commutator(f: DiffOp, g: DiffOp) -> DiffOp:
     return out_c, sp.cancel(sp.together(zero))
 
 
+# m = 1 and q^2 + 1 a perfect square: w is an integer, so every slot value
+# of every generator and commutator lies in Q(i)
 _SAMPLE_POINTS = (
-    (1, 2, 3), (2, -1, 1), (-3, 1, 2), (1, 1, -2), (2, 3, -1), (-1, -2, 2),
+    (1, 1, 1), (2, 2, 4), (1, 3, 5), (1, -1, 1),
+    (4, -2, 2), (-3, 5, 1), (1, 1, -1), (2, -4, 2),
 )
 
-
-def _slot_values(op: DiffOp, pt) -> List[sp.Expr]:
-    subs = {**{_Q[a]: sp.Integer(pt[a]) for a in range(3)}, _M: sp.Integer(1)}
-    vals = []
-    for b in range(3):
-        vals.append(op[0].get(b, sp.Integer(0)).subs(subs))
-    vals.append(op[1].subs(subs))
-    return vals
+Gaussian = Tuple[Fraction, Fraction]  # (re, im) of an element of Q(i)
 
 
-def _solve_expansion(gens: List[DiffOp], target: DiffOp
-                     ) -> List[sp.Rational]:
-    lams = sp.symbols(f"lam0:{len(gens)}")
-    equations = []
-    for pt in _SAMPLE_POINTS:
-        tvals = _slot_values(target, pt)
-        gvals = [_slot_values(g, pt) for g in gens]
-        for slot in range(4):
-            eq = sum(lams[k] * gvals[k][slot] for k in range(len(gens)))
-            equations.append(sp.Eq(eq, tvals[slot]))
-    sol = sp.linsolve(equations, lams)
-    if not sol:
+def _gaussian(value: sp.Expr) -> Gaussian:
+    re, im = value.as_real_imag()
+    if not (re.is_Rational and im.is_Rational):
+        raise ValueError(f"slot value {value} is not in Q(i)")
+    return Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q))
+
+
+def _slot_values(op: DiffOp, pt) -> List[Gaussian]:
+    point = {**{_Q[a]: sp.Integer(pt[a]) for a in range(3)},
+             _M: sp.Integer(1)}
+    slots = [op[0].get(b, sp.Integer(0)) for b in range(3)] + [op[1]]
+    return [_gaussian(expr.xreplace(point)) for expr in slots]
+
+
+def _real_rows(ops: List[DiffOp]) -> List[List[Fraction]]:
+    """One column per op; the real and imaginary parts of its four slots
+    at every sample point are the rows."""
+    columns = []
+    for op in ops:
+        column: List[Fraction] = []
+        for pt in _SAMPLE_POINTS:
+            for re, im in _slot_values(op, pt):
+                column += [re, im]
+        columns.append(column)
+    return [list(row) for row in zip(*columns)]
+
+
+def _solve_expansions(gens: List[DiffOp], targets: List[DiffOp]
+                      ) -> List[List[Fraction]]:
+    """Real rational lam with sum_k lam_k gens_k = target at every sample
+    point, for each target: one Gauss-Jordan elimination of
+    [gens | targets]. ValueError if the points leave a generator without
+    a pivot, or a target outside the span of the generators."""
+    n = len(gens)
+    rows = _real_rows(gens + targets)
+    for col in range(n):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col]),
+                     None)
+        if pivot is None:
+            raise ValueError("the sample points do not determine the "
+                             "expansion")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = 1 / rows[col][col]
+        rows[col] = [x * inv for x in rows[col]]
+        for r, row in enumerate(rows):
+            if r != col and row[col]:
+                f = row[col]
+                rows[r] = [x - f * y if y else x
+                           for x, y in zip(row, rows[col])]
+    if any(any(row[n:]) for row in rows[n:]):
         raise ValueError("scalar-realization commutator does not close")
-    values = list(sol)[0]
-    out = []
-    for v in values:
-        v = sp.nsimplify(sp.simplify(v))
-        if not v.is_rational:
-            raise ValueError(f"non-rational structure constant {v}")
-        out.append(sp.Rational(v))
-    return out
+    return [list(lam) for lam in zip(*(row[n:] for row in rows[:n]))]
 
 
 def _verify_expansion(gens: List[DiffOp], target: DiffOp,
@@ -122,13 +155,14 @@ def oracle_structure_table() -> Tuple[Dict[Tuple[str, str], Tuple[float, ...]],
     expansion re-verified as a symbolic identity. Returns (table, verified).
     """
     gens = _scalar_generators()
+    pairs = [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))]
+    comms = [_commutator(gens[i], gens[j]) for i, j in pairs]
     table: Dict[Tuple[str, str], Tuple[float, ...]] = {}
     verified = True
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            comm = _commutator(gens[i], gens[j])
-            lam = _solve_expansion(gens, comm)
-            if not _verify_expansion(gens, comm, lam):
-                verified = False
-            table[(NAMES[i], NAMES[j])] = tuple(float(v) for v in lam)
+    for (i, j), comm, lam in zip(pairs, comms,
+                                 _solve_expansions(gens, comms)):
+        exact = [sp.Rational(c.numerator, c.denominator) for c in lam]
+        if not _verify_expansion(gens, comm, exact):
+            verified = False
+        table[(NAMES[i], NAMES[j])] = tuple(float(c) for c in lam)
     return table, verified

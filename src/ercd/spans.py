@@ -115,14 +115,16 @@ def structure_constants(generators: Sequence[GeneralOp]
         raise ValueError("generator set contains a zero operator; "
                          "structure constants would not be unique")
     table: Dict[Tuple[int, int, int], ExactScalar] = {}
-    # one row of commutators at a time keeps the peak memory flat
-    for i, gi in enumerate(gens):
-        others = [j for j in range(len(gens)) if j != i]
-        comms = [commutator(gi, gens[j]) for j in others]
-        for j, coords in zip(others, basis.coordinates(comms)):
+    # one row of commutators at a time keeps the peak memory flat; the
+    # pairs i < j fix the table, since c^k_{ji} = -c^k_{ij}
+    for i, gi in enumerate(gens[:-1]):
+        later = range(i + 1, len(gens))
+        comms = [commutator(gi, gens[j]) for j in later]
+        for j, coords in zip(later, basis.coordinates(comms)):
             if coords is None:
                 raise ValueError(
                     f"commutator of generators {i},{j} lies outside the span")
             for k, c in coords.items():
                 table[(i, j, k)] = c
+                table[(j, i, k)] = -c
     return table
