@@ -1,6 +1,7 @@
 """Degree-1 forward-mode jets (dual numbers over numpy arrays) for the
 q-derivatives of momentum symbols (Griewank & Walther, Evaluating
-Derivatives, SIAM 2008).
+Derivatives, SIAM 2008). Their one user, ``MomentumSymbol.jet``, hands
+back values and gradients as plain arrays.
 
 A Jet holds a value array ``val`` and its gradient ``grad`` of shape
 (3, *val.shape), where grad[a] is d val / d q_a. Jets take part in numpy

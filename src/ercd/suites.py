@@ -39,10 +39,10 @@ from .symbols import (MomentumSymbol, batch_norm, check_equation_symmetry,
                       fw_transform, max_residual, pd_spin, sample_momenta,
                       signed_batch, spin_matrices_complex, tilde_gammas,
                       to_complex_matrix)
-from .xops import (ZERO_MULTI, build_poincare_generators, casimir_report,
+from .xops import (XOp, ZERO_MULTI, build_poincare_generators,
+                   casimir_report, commutator as xop_commutator, evaluate,
                    evolution_commutator_residual, poincare_closure_check,
-                   position_op, translation_generators, xop_commutator,
-                   xop_from_symbol, xop_max_norm)
+                   position_op, translation_generators)
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +119,9 @@ def _suite_cd(ledger: Ledger, config: SuiteConfig) -> None:
 
     t0 = time.perf_counter()
     # rebuild the block forms from the Pauli matrices and compare
-    rebuilt = _rebuild_blocks()
+    forms = _rebuilt_forms()
     failures = [lbl for lbl in ("g0", "g1", "g2", "g3")
-                if gammas.get(lbl) != rebuilt[lbl]]
+                if gammas.get(lbl) != forms[lbl]]
     _claim(ledger, "cd.gamma-blocks", not failures,
            detail="; ".join(f"{lbl} differs from its block form"
                             for lbl in failures), t0=t0)
@@ -130,8 +130,7 @@ def _suite_cd(ledger: Ledger, config: SuiteConfig) -> None:
     g4 = gammas.get("g4")
     prod = compose(gammas.get("g0"), gammas.get("g1"),
                    gammas.get("g2"), gammas.get("g3"))
-    exp4 = _explicit_gamma4()
-    ok = (g4 == prod) and (g4 == exp4) and (g4 @ g4 == -ident)
+    ok = (g4 == prod) and (g4 == forms["g4"]) and (g4 @ g4 == -ident)
     _claim(ledger, "cd.gamma4", ok, t0=t0)
 
     t0 = time.perf_counter()
@@ -142,20 +141,20 @@ def _suite_cd(ledger: Ledger, config: SuiteConfig) -> None:
 
     t0 = time.perf_counter()
     basis = cd16()
-    ok = len(basis) == 16 and span_rank(basis.ops()) == 16
-    for m in range(5):
-        if basis.get(f"alpha_{m}5") != gammas.get(f"g{m}"):
-            ok = False
-    _claim(ledger, "cd.basis-16", ok, detail="count=16, rank=16", t0=t0)
+    rank = span_rank(basis.ops())
+    failures = [f"alpha_{m}5 != g{m}" for m in range(5)
+                if basis.get(f"alpha_{m}5") != gammas.get(f"g{m}")]
+    if len(basis) != 16 or rank != 16:
+        failures.insert(0, f"count={len(basis)}, rank={rank}")
+    _claim(ledger, "cd.basis-16", not failures,
+           detail="; ".join(failures) or "count=16, rank=16", t0=t0)
 
+    # the table against quarter-commutators of the independently built forms
     t0 = time.perf_counter()
-    failures = []
-    for m in range(5):
-        for n in range(m + 1, 5):
-            direct = commutator(gammas.get(f"g{m}"), gammas.get(f"g{n}")) \
-                .scaled(ExactScalar.rational(1, 4))
-            if direct != table[(m, n)]:
-                failures.append(f"s{m}{n}")
+    quarter = ExactScalar.rational(1, 4)
+    failures = [f"s{m}{n}" for m in range(5) for n in range(m + 1, 5)
+                if table[(m, n)] != commutator(forms[f"g{m}"],
+                                               forms[f"g{n}"]).scaled(quarter)]
     _claim(ledger, "cd.quarter-commutators", not failures,
            detail="; ".join(failures), t0=t0)
 
@@ -164,7 +163,6 @@ def _suite_cd(ledger: Ledger, config: SuiteConfig) -> None:
 
     t0 = time.perf_counter()
     # the fifth slot against half of the independently built forms
-    forms = dict(rebuilt, g4=exp4)
     failures = [f"s{m}5" for m in range(5)
                 if table[(m, 5)] != forms[f"g{m}"].scaled(HALF)]
     _claim(ledger, "cd.generating-orts", not failures,
@@ -178,21 +176,21 @@ def _pauli_ops():
             for s in algebras.pauli_matrices()]
 
 
-def _rebuild_blocks() -> Dict[str, GeneralOp]:
+def _rebuilt_forms() -> Dict[str, GeneralOp]:
+    """g0..g6 built apart from the algebra constructors: the block forms
+    from the Pauli matrices, g4 written out, g5 = g1 g3 C and g6 = i g5."""
     # gk = [[0, s_k], [-s_k, 0]] = [[0, I], [-I, 0]] diag(s_k, s_k)
     turn = GeneralOp.linear([[0, 0, 1, 0], [0, 0, 0, 1],
                              [-1, 0, 0, 0], [0, -1, 0, 0]])
     out = {f"g{k}": turn @ s for k, s in enumerate(_pauli_ops(), 1)}
     out["g0"] = GeneralOp.linear([[1, 0, 0, 0], [0, 1, 0, 0],
                                   [0, 0, -1, 0], [0, 0, 0, -1]])
+    mi, z = -I_UNIT, ZERO
+    out["g4"] = GeneralOp(((z, z, mi, z), (z, z, z, mi),
+                           (mi, z, z, z), (z, mi, z, z)), None)
+    out["g5"] = compose(out["g1"], out["g3"], GeneralOp.conjugation())
+    out["g6"] = GeneralOp.imaginary_unit() @ out["g5"]
     return out
-
-
-def _explicit_gamma4() -> GeneralOp:
-    mi = -I_UNIT
-    z = ZERO
-    return GeneralOp(((z, z, mi, z), (z, z, z, mi),
-                      (mi, z, z, z), (z, mi, z, z)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +336,12 @@ def _suite_so6(ledger: Ledger, config: SuiteConfig) -> None:
     _claim(ledger, "so6.basis-16", ok,
            detail="rank=16, nested in the 29- and 64-ort spans", t0=t0)
 
+    # the orts against half-commutators of independently built g1..g6
     t0 = time.perf_counter()
-    failures = []
-    for a in range(1, 7):
-        for b in range(a + 1, 7):
-            direct = commutator(ext.get(f"g{a}"), ext.get(f"g{b}")) \
-                .scaled(HALF)
-            if direct != basis.get(f"alpha_{a}{b}"):
-                failures.append(f"alpha_{a}{b}")
+    forms = _rebuilt_forms()
+    failures = [f"alpha_{a}{b}" for a in range(1, 7) for b in range(a + 1, 7)
+                if basis.get(f"alpha_{a}{b}")
+                != commutator(forms[f"g{a}"], forms[f"g{b}"]).scaled(HALF)]
     _claim(ledger, "so6.quarter-commutators", not failures,
            detail="; ".join(failures), t0=t0)
 
@@ -456,7 +452,7 @@ def _suite_fw(ledger: Ledger, config: SuiteConfig) -> None:
 def _fw_nonlocal(ledger: Ledger, m: float, fw, hd, samples, tol: float
                  ) -> None:
     """The claims on the basis change and the nonlocal operators (m > 0)."""
-    ident = MomentumSymbol.constant(GeneralOp.identity(), m, "I")
+    ident = MomentumSymbol.constant(GeneralOp.identity(), "I")
     used = f"{len(samples)} points"
     vp = fw_transform(m, +1)
     vm = fw_transform(m, -1)
@@ -478,7 +474,7 @@ def _fw_nonlocal(ledger: Ledger, m: float, fw, hd, samples, tol: float
     q = signed_batch(samples)
     worst = 0.0
     for j, s in enumerate(spins):
-        const = MomentumSymbol.linear_matrix(lambda q, jj=j: sv[jj], m)
+        const = MomentumSymbol.linear_matrix(lambda q, jj=j: sv[jj])
         conj = vp @ const @ vm
         worst = max(worst, max_residual(s, conj, samples))
         worst = max(worst, batch_norm(s @ hd.symbol - hd.symbol @ s, q))
@@ -503,10 +499,10 @@ def _fw_nonlocal(ledger: Ledger, m: float, fw, hd, samples, tol: float
     worst = flip_anticommutation_residual(gens)
     # V-conjugation comparison for all nine nonlocal operators
     ext = extended_gammas()
-    fundamentals = {f"tg{k}": MomentumSymbol.constant(ext.get(f"g{k}"), m)
+    fundamentals = {f"tg{k}": MomentumSymbol.constant(ext.get(f"g{k}"))
                     for k in range(1, 8)}
-    fundamentals["tg0"] = MomentumSymbol.constant(pd_gammas().get("g0"), m)
-    fundamentals["tC"] = MomentumSymbol.constant(GeneralOp.conjugation(), m)
+    fundamentals["tg0"] = MomentumSymbol.constant(pd_gammas().get("g0"))
+    fundamentals["tC"] = MomentumSymbol.constant(GeneralOp.conjugation())
     for lbl, sym in tgs.items():
         conj = vp @ fundamentals[lbl] @ vm
         worst = max(worst, max_residual(sym, conj, near))
@@ -597,25 +593,18 @@ def _suite_poincare(ledger: Ledger, config: SuiteConfig) -> None:
 
     t0 = time.perf_counter()
     worst = 0.0
-    trans = dict(translation_generators(m))
-    momenta = [xop_from_symbol(trans[f"p{n + 1}"].coeffs[ZERO_MULTI], m)
-               for n in range(3)]
     few = samples[:5]
     q = signed_batch(few)
+    momenta = [evaluate(g, q) for name, g in translation_generators(m)
+               if name != "p0"]
+    ident = MomentumSymbol.constant(GeneralOp.identity(), "I")
+    unit = evaluate(XOp({ZERO_MULTI: ident}, m), q)
     for n in range(3):
         for mm in range(3):
-            comm = xop_commutator(momenta[n], position_op(mm, m))
-            target = 1.0 if n == mm else 0.0
-            for key, sym in comm.coeffs.items():
-                a, b = sym(q)
-                expect = target * np.eye(4) if key == ZERO_MULTI else 0.0
-                worst = max(worst, float(np.max(np.abs(a[0] - expect))),
-                            float(np.max(np.abs(b[0]))))
-    # momenta commute
-    for n in range(3):
-        for mm in range(3):
-            comm = xop_commutator(momenta[n], momenta[mm])
-            worst = max(worst, xop_max_norm(comm, few))
+            # [p_n, x_m] = delta_nm and [p_n, p_m] = 0
+            comm = xop_commutator(momenta[n], evaluate(position_op(mm, m), q))
+            worst = max(worst, (comm - unit if n == mm else comm).max_norm(),
+                        xop_commutator(momenta[n], momenta[mm]).max_norm())
     _claim(ledger, "poincare.canonical-pairs", worst < mom_tol,
            residual=worst, detail=f"{len(few)} points", t0=t0, tol=mom_tol)
 

@@ -14,9 +14,9 @@ place the product is formed:
     A = Ax @ Ay + Bx @ conj(By[::-1]),
     B = Ax @ By + Bx @ conj(Ay[::-1]).
 
-q-derivatives come from degree-1 array jets (``jets.Jet``) seeded with
-+e_a on the +q half and -e_a on the -q half, so the flip stays an index
-flip under differentiation too.
+``MomentumSymbol.jet`` gives values and first q-derivatives from one pass
+on degree-1 array jets (``jets.Jet``) seeded with +e_a on the +q half and
+-e_a on the -q half, so the flip stays an index flip under differentiation.
 
 Fourier convention: phi(x) = (2 pi)^(-3/2) Int d^3q e^{i q.x} phitilde(q),
 so d/dx_n has symbol i q_n and conjugation sends phitilde(q) to
@@ -79,11 +79,10 @@ class MomentumSymbol:
     does not depend on q may be a single 4x4 matrix.
     """
 
-    __slots__ = ("fn", "mass", "label")
+    __slots__ = ("fn", "label")
 
-    def __init__(self, fn: Callable, mass: float, label: str = ""):
+    def __init__(self, fn: Callable, label: str = ""):
         self.fn = fn
-        self.mass = mass
         self.label = label
 
     def __call__(self, q) -> Tuple[np.ndarray, np.ndarray]:
@@ -100,26 +99,25 @@ class MomentumSymbol:
                      for p in self.fn(comps))
 
     @classmethod
-    def constant(cls, op: GeneralOp, mass: float, label: str = "") -> "MomentumSymbol":
+    def constant(cls, op: GeneralOp, label: str = "") -> "MomentumSymbol":
         a = to_complex_matrix(op.A)
         b = to_complex_matrix(op.B)
-        return cls(lambda q: (a, b), mass, label or "const")
+        return cls(lambda q: (a, b), label or "const")
 
     @classmethod
-    def linear_matrix(cls, fn_a: Callable, mass: float, label: str = ""
-                      ) -> "MomentumSymbol":
-        return cls(lambda q: (fn_a(q), _ZERO4), mass, label)
+    def linear_matrix(cls, fn_a: Callable, label: str = "") -> "MomentumSymbol":
+        return cls(lambda q: (fn_a(q), _ZERO4), label)
 
     @classmethod
-    def antilinear_matrix(cls, fn_b: Callable, mass: float, label: str = ""
+    def antilinear_matrix(cls, fn_b: Callable, label: str = ""
                           ) -> "MomentumSymbol":
-        return cls(lambda q: (_ZERO4, fn_b(q)), mass, label)
+        return cls(lambda q: (_ZERO4, fn_b(q)), label)
 
     def compose(self, other: "MomentumSymbol") -> "MomentumSymbol":
         """Operator product under the momentum-flip law."""
         x, y = self, other
         return MomentumSymbol(
-            lambda q: flip_product(x._eval(q), y._eval(q)), self.mass,
+            lambda q: flip_product(x._eval(q), y._eval(q)),
             f"({x.label})({y.label})")
 
     def __matmul__(self, other: "MomentumSymbol") -> "MomentumSymbol":
@@ -133,7 +131,7 @@ class MomentumSymbol:
             ay, by = y._eval(q)
             return ax + ay, bx + by
 
-        return MomentumSymbol(fn, self.mass, f"{x.label}+{y.label}")
+        return MomentumSymbol(fn, f"{x.label}+{y.label}")
 
     def __sub__(self, other: "MomentumSymbol") -> "MomentumSymbol":
         return self + other.scaled(-1.0)
@@ -147,27 +145,24 @@ class MomentumSymbol:
             a, b = x._eval(q)
             return r * a, r * b
 
-        return MomentumSymbol(fn, self.mass, f"{r}*{x.label}")
+        return MomentumSymbol(fn, f"{r}*{x.label}")
 
     def value_at(self, q) -> Tuple[np.ndarray, np.ndarray]:
         """(A(q), B(q)) at one momentum triple."""
         a, b = self(signed_batch(q))
         return np.array(a[0, 0]), np.array(b[0, 0])
 
-    def deriv(self, a: int) -> "MomentumSymbol":
-        """d/dq_a of both matrix parts, as a new symbol (one seeded jet
-        pass). Jets are degree 1, so a derivative is not differentiated
-        again."""
-        base = self
-
-        def fn(q):
-            if isinstance(q[0], Jet):
-                raise ValueError("derivatives of degree > 1 are not "
-                                 "supported (jets are degree 1)")
-            return tuple(p.grad[a] * _HALF_SIGN if isinstance(p, Jet)
-                         else _ZERO4 for p in base._eval(Jet.of_momenta(q)))
-
-        return MomentumSymbol(fn, self.mass, f"d{a}({self.label})")
+    def jet(self, q) -> Tuple[Tuple[np.ndarray, np.ndarray],
+                              Tuple[np.ndarray, np.ndarray]]:
+        """Values and q-derivatives on the signed batch q from one seeded
+        jet pass: ((A, B), (dA, dB)), where dA[a] = dA/dq_a on both halves.
+        A part that does not depend on q keeps the shape (1, 1, 4, 4) and
+        has a zero derivative."""
+        parts = self._eval(Jet.of_momenta(_components(q)))
+        return (tuple(p.val if isinstance(p, Jet) else p for p in parts),
+                tuple(p.grad * _HALF_SIGN if isinstance(p, Jet)
+                      else np.zeros((3,) + p.shape, dtype=complex)
+                      for p in parts))
 
 
 def symbol_norm(pair) -> float:
@@ -287,8 +282,7 @@ def fw_hamiltonian(mass: float) -> EquationOperator:
     gc = _gamma_complex()
     g0 = gc[0]
 
-    sym = MomentumSymbol.linear_matrix(lambda q: omega(q, mass) * g0, mass,
-                                       "H_fw")
+    sym = MomentumSymbol.linear_matrix(lambda q: omega(q, mass) * g0, "H_fw")
     return EquationOperator("fw", mass, sym,
                             ((pd_gammas().get("g0"), +1, "omega"),))
 
@@ -307,7 +301,7 @@ def dirac_hamiltonian(mass: float) -> EquationOperator:
             acc = acc + mass * beta
         return acc
 
-    sym = MomentumSymbol.linear_matrix(fn_a, mass, "H_d")
+    sym = MomentumSymbol.linear_matrix(fn_a, "H_d")
     g = pd_gammas()
     g0 = g.get("g0")
     terms = [(g0 @ g.get(f"g{k}"), -1, f"q{k}") for k in (1, 2, 3)]
@@ -337,7 +331,7 @@ def fw_transform(mass: float, sign: int = +1) -> MomentumSymbol:
                + (-sign * q[2]) * gc[3] + (w + mass) * ident)
         return (1.0 / norm) * acc
 
-    return MomentumSymbol.linear_matrix(fn_a, mass, f"V{'+' if sign > 0 else '-'}")
+    return MomentumSymbol.linear_matrix(fn_a, f"V{'+' if sign > 0 else '-'}")
 
 
 def spin_matrices_complex() -> List[np.ndarray]:
@@ -373,7 +367,7 @@ def pd_spin(mass: float) -> List[MomentumSymbol]:
             third = (-q2) * sv[j] + q[j] * sdotq
             return acc + (1.0 / (w * (w + mass))) * third
 
-        return MomentumSymbol.linear_matrix(fn_a, mass, f"s{j + 1}_pd")
+        return MomentumSymbol.linear_matrix(fn_a, f"s{j + 1}_pd")
 
     return [make(j) for j in range(3)]
 
@@ -403,7 +397,7 @@ def tilde_gammas(mass: float) -> List[Tuple[str, MomentumSymbol]]:
                                                   + (w + mass) * ident)
             return first + second
 
-        return MomentumSymbol.linear_matrix(fn_a, mass, f"tg{k + 1}")
+        return MomentumSymbol.linear_matrix(fn_a, f"tg{k + 1}")
 
     def make_scaled(base, label):
         def fn_a(q):
@@ -411,7 +405,7 @@ def tilde_gammas(mass: float) -> List[Tuple[str, MomentumSymbol]]:
             core = mass * ident + gamma_dot_q(q)
             return (1.0 / w) * (base @ core)
 
-        return MomentumSymbol.linear_matrix(fn_a, mass, label)
+        return MomentumSymbol.linear_matrix(fn_a, label)
 
     def tc_fn(q):
         # expansion of V+(q) conj(V-(-q)): scalar, g1 q1 + g3 q3, and the
@@ -428,7 +422,7 @@ def tilde_gammas(mass: float) -> List[Tuple[str, MomentumSymbol]]:
     tg1, tg2, tg3 = (make_vector(k) for k in range(3))
     tg4 = make_scaled(gc[4], "tg4")
     tg0 = make_scaled(gc[0], "tg0")
-    t_c = MomentumSymbol.antilinear_matrix(tc_fn, mass, "tC")
+    t_c = MomentumSymbol.antilinear_matrix(tc_fn, "tC")
     tg5 = tg1 @ tg3 @ t_c
     tg5.label = "tg5"
     tg6 = tg5.scaled(1j)

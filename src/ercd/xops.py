@@ -3,36 +3,42 @@ coefficients, and the ten translation/rotation/boost generators built
 from them.
 
 Normal form keeps all position factors on the left: a term x^alpha S(q)
-means "apply the matrix symbol, then multiply by positions", with
-x_b acting as i d/dq_b in momentum space. Products use the reordering
-rule
+means "apply the matrix symbol, then multiply by positions", with x_b
+acting as i d/dq_b in momentum space. An ``XOp`` holds the symbol
+coefficients; ``evaluate`` runs each once on a signed batch as a jet pair
+(``MomentumSymbol.jet``), and the algebra works on those ``XValues``.
+Products use the reordering rule
 
     S x_b T = x_b (S T) - i (dS/dq_b) T,
 
 which holds for antilinear coefficients too (positions are real and
-commute with conjugation), and the coefficient products S T are flip-law
-products of symbols (``symbols.flip_product``). The right factor of a
-product has degree <= 1, so only first derivatives of the left
-coefficients are needed; those come from degree-1 jets. The time
-coordinate never mixes with the q-calculus; an optional x0 coefficient is
-tracked separately and only enters the evolution-operator symmetry check.
+commute with conjugation): S T is a flip-law product of the values and
+dS/dq_b comes from the left coefficient's jet. The right factor has
+degree <= 1, and a coefficient formed by the algebra carries no
+derivative, so it never stands left of a position. The time coordinate
+never mixes with the q-calculus; an optional x0 coefficient is tracked
+separately and only enters the evolution-operator symmetry check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .algebras import breve_spin, pd_gammas
 from .operators import GeneralOp
-from .symbols import (MomentumSymbol, batch_norm, omega, sample_momenta,
-                      signed_batch, to_complex_matrix)
+from .symbols import (MomentumSymbol, flip_product, omega, sample_momenta,
+                      signed_batch, symbol_norm, to_complex_matrix)
 
 Multi = Tuple[int, int, int]
 ZERO_MULTI: Multi = (0, 0, 0)
 _E = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+Pair = Tuple[np.ndarray, np.ndarray]
+# values (A, B) and derivatives (dA, dB), or None when formed by the algebra
+Coeff = Tuple[Pair, Optional[Pair]]
 
 
 def _madd_multi(a: Multi, b: Multi) -> Multi:
@@ -46,79 +52,97 @@ class XOp:
     coeffs: Dict[Multi, MomentumSymbol]
     mass: float
     t_coeff: Optional[MomentumSymbol] = None
-    name: str = ""
-
-    def degree(self) -> int:
-        return max((sum(k) for k in self.coeffs), default=0)
-
-    def __add__(self, other: "XOp") -> "XOp":
-        if self.mass != other.mass:
-            raise ValueError("mass mismatch between operators")
-        out = dict(self.coeffs)
-        for k, sym in other.coeffs.items():
-            out[k] = out[k] + sym if k in out else sym
-        t = self.t_coeff
-        if other.t_coeff is not None:
-            t = other.t_coeff if t is None else t + other.t_coeff
-        return XOp(out, self.mass, t, f"{self.name}+{other.name}")
-
-    def __neg__(self) -> "XOp":
-        return XOp({k: s.scaled(-1.0) for k, s in self.coeffs.items()},
-                   self.mass,
-                   None if self.t_coeff is None else self.t_coeff.scaled(-1.0),
-                   f"-{self.name}")
-
-    def __sub__(self, other: "XOp") -> "XOp":
-        return self + (-other)
-
-    def evaluate(self, q) -> Dict[Multi, Tuple[np.ndarray, np.ndarray]]:
-        """Coefficient values at one momentum triple."""
-        return {k: sym.value_at(q) for k, sym in self.coeffs.items()}
-
-
-def xop_from_symbol(sym: MomentumSymbol, mass: float, name: str = "") -> XOp:
-    return XOp({ZERO_MULTI: sym}, mass, None, name or sym.label)
 
 
 def position_op(a: int, mass: float) -> XOp:
     """The canonical position operator x_a ~ i d/dq_a (unit coefficient)."""
-    ident = MomentumSymbol.constant(GeneralOp.identity(), mass, "I")
-    return XOp({_E[a]: ident}, mass, None, f"x{a + 1}")
+    return XOp({_E[a]: MomentumSymbol.constant(GeneralOp.identity(), "I")},
+               mass)
 
 
-def xop_compose(x: XOp, y: XOp) -> XOp:
-    """Product in normal form: x^alpha S times x^beta T is
-    x^(alpha+beta) (S T), plus -i x^alpha (dS/dq_b) T when beta = e_b."""
+@dataclass
+class XValues:
+    """The spatial coefficients of an operator on one signed batch.
+
+    A value part has shape (2, N, 4, 4), or (1, 1, 4, 4) when constant; a
+    derivative part has a leading axis of 3 (d/dq_a).
+    """
+
+    terms: Dict[Multi, Coeff]
+    mass: float
+
+    def degree(self) -> int:
+        return max((sum(k) for k in self.terms), default=0)
+
+    def __add__(self, other: "XValues") -> "XValues":
+        return _combine(self, other, 1.0)
+
+    def __sub__(self, other: "XValues") -> "XValues":
+        return _combine(self, other, -1.0)
+
+    def max_norm(self) -> float:
+        """Largest coefficient entry modulus over the +q half."""
+        return max((_norm(v) for v, _ in self.terms.values()), default=0.0)
+
+
+def _norm(pair: Pair) -> float:
+    return symbol_norm((pair[0][0], pair[1][0]))
+
+
+def _mass(x: XValues, y: XValues) -> float:
     if x.mass != y.mass:
         raise ValueError("mass mismatch between operators")
-    if x.t_coeff is not None or y.t_coeff is not None:
-        raise ValueError("time terms do not enter products; compose the "
-                         "spatial parts and handle x0 in the symmetry check")
+    return x.mass
+
+
+def _acc(out: Dict[Multi, Pair], key: Multi, pair: Pair, r=1.0) -> None:
+    """out[key] += r pair."""
+    a, b = r * pair[0], r * pair[1]
+    if key in out:
+        a, b = out[key][0] + a, out[key][1] + b
+    out[key] = (a, b)
+
+
+def _combine(x: XValues, y: XValues, r: float) -> XValues:
+    """x + r y; the sum carries no derivatives."""
+    mass = _mass(x, y)
+    out = {k: v for k, (v, _) in x.terms.items()}
+    for k, (v, _) in y.terms.items():
+        _acc(out, k, v, r)
+    return XValues({k: (v, None) for k, v in out.items()}, mass)
+
+
+def evaluate(x: XOp, q) -> XValues:
+    """The spatial coefficients of x on the signed batch q, each
+    evaluated once with its derivatives; the time coefficient is left
+    out."""
+    return XValues({k: sym.jet(q) for k, sym in x.coeffs.items()}, x.mass)
+
+
+def compose(x: XValues, y: XValues) -> XValues:
+    """Product in normal form: x^alpha S times x^beta T is
+    x^(alpha+beta) (S T), plus -i x^alpha (dS/dq_b) T when beta = e_b.
+    The product carries no derivatives."""
+    mass = _mass(x, y)
     if y.degree() > 1:
         raise ValueError("the right factor of a product must have "
                          "degree <= 1")
-    out: Dict[Multi, MomentumSymbol] = {}
-
-    def acc(key: Multi, sym: MomentumSymbol) -> None:
-        out[key] = out[key] + sym if key in out else sym
-
-    for alpha, s in x.coeffs.items():
-        for beta, t in y.coeffs.items():
-            acc(_madd_multi(alpha, beta), s @ t)
-            if beta != ZERO_MULTI:
-                acc(alpha, s.deriv(beta.index(1)).scaled(-1j) @ t)
-    return XOp(out, x.mass, None, f"({x.name})({y.name})")
-
-
-def xop_commutator(x: XOp, y: XOp) -> XOp:
-    return xop_compose(x, y) - xop_compose(y, x)
+    out: Dict[Multi, Pair] = {}
+    for alpha, (s, ds) in x.terms.items():
+        for beta, (t, _) in y.terms.items():
+            _acc(out, _madd_multi(alpha, beta), flip_product(s, t))
+            if beta == ZERO_MULTI:
+                continue
+            if ds is None:
+                raise ValueError("a coefficient formed by a product has no "
+                                 "derivative (jets are degree 1)")
+            b = beta.index(1)
+            _acc(out, alpha, flip_product((-1j * ds[0][b], -1j * ds[1][b]), t))
+    return XValues({k: (v, None) for k, v in out.items()}, mass)
 
 
-def xop_max_norm(x: XOp, points) -> float:
-    """Largest coefficient entry modulus over one momentum triple or a
-    sequence of them."""
-    q = signed_batch(points)
-    return max((batch_norm(sym, q) for sym in x.coeffs.values()), default=0.0)
+def commutator(x: XValues, y: XValues) -> XValues:
+    return compose(x, y) - compose(y, x)
 
 
 # ---------------------------------------------------------------------------
@@ -140,12 +164,12 @@ def translation_generators(mass: float) -> List[Tuple[str, XOp]]:
     gc0 = _g0_complex()
     ident4 = np.eye(4, dtype=complex)
     p0 = MomentumSymbol.linear_matrix(lambda q: (-1j * omega(q, mass)) * gc0,
-                                      mass, "p0")
-    gens = [("p0", xop_from_symbol(p0, mass, "p0"))]
+                                      "p0")
+    gens = [("p0", XOp({ZERO_MULTI: p0}, mass))]
     for n in range(3):
         pn = MomentumSymbol.linear_matrix(lambda q, n=n: (1j * q[n]) * ident4,
-                                          mass, f"p{n + 1}")
-        gens.append((f"p{n + 1}", xop_from_symbol(pn, mass, f"p{n + 1}")))
+                                          f"p{n + 1}")
+        gens.append((f"p{n + 1}", XOp({ZERO_MULTI: pn}, mass)))
     return gens
 
 
@@ -173,22 +197,19 @@ def build_poincare_generators(mass: float) -> List[Tuple[str, XOp]]:
     ig0_spin = [(ig0 @ to_complex_matrix(op.A), ig0 @ to_complex_matrix(op.B))
                 for op in spin]
 
-    def scalar_sym(fn, label):
-        return MomentumSymbol.linear_matrix(fn, mass, label)
-
     gens = translation_generators(mass)
 
     # rotations: j_ln = -x^l (i q_n) + x^n (i q_l) + spin_ln
     for (l, n) in ((2, 3), (3, 1), (1, 2)):
         coeffs: Dict[Multi, MomentumSymbol] = {
-            _E[l - 1]: scalar_sym(lambda q, n=n: (-1j * q[n - 1]) * ident4,
-                                  f"-iq{n}"),
-            _E[n - 1]: scalar_sym(lambda q, l=l: (1j * q[l - 1]) * ident4,
-                                  f"iq{l}"),
-            ZERO_MULTI: MomentumSymbol.constant(spin[_SPIN_SLOT[(l, n)]], mass,
+            _E[l - 1]: MomentumSymbol.linear_matrix(
+                lambda q, n=n: (-1j * q[n - 1]) * ident4, f"-iq{n}"),
+            _E[n - 1]: MomentumSymbol.linear_matrix(
+                lambda q, l=l: (1j * q[l - 1]) * ident4, f"iq{l}"),
+            ZERO_MULTI: MomentumSymbol.constant(spin[_SPIN_SLOT[(l, n)]],
                                                 f"s{l}{n}"),
         }
-        gens.append((f"j{l}{n}", XOp(coeffs, mass, None, f"j{l}{n}")))
+        gens.append((f"j{l}{n}", XOp(coeffs, mass)))
 
     # boosts: x-coefficient -i g0 omega; constant part
     # i g0 (i q_k / (2 omega))  +  i g0 (spin x iq)_k / (omega + m);
@@ -208,11 +229,13 @@ def build_poincare_generators(mass: float) -> List[Tuple[str, XOp]]:
                 b_acc = b_acc + (c * q[m_idx]) * s_b
             return a_acc, b_acc
 
-        x_sym = scalar_sym(lambda q: (-1j * omega(q, mass)) * gc0, "-ig0w")
-        const_sym = MomentumSymbol(boost_const, mass, f"j0{k + 1}c")
-        t_sym = scalar_sym(lambda q, _k=k: (1j * q[_k]) * ident4, f"iq{k + 1}")
+        x_sym = MomentumSymbol.linear_matrix(
+            lambda q: (-1j * omega(q, mass)) * gc0, "-ig0w")
+        const_sym = MomentumSymbol(boost_const, f"j0{k + 1}c")
+        t_sym = MomentumSymbol.linear_matrix(
+            lambda q, _k=k: (1j * q[_k]) * ident4, f"iq{k + 1}")
         coeffs = {_E[k]: x_sym, ZERO_MULTI: const_sym}
-        gens.append((f"j0{k + 1}", XOp(coeffs, mass, t_sym, f"j0{k + 1}")))
+        gens.append((f"j0{k + 1}", XOp(coeffs, mass, t_sym)))
 
     return gens
 
@@ -229,13 +252,13 @@ def evolution_commutator_residual(gen: XOp, mass: float,
     [iH, G_spatial] plus the x0 coefficient surfacing through d_0."""
     gc0 = _g0_complex()
     i_h = MomentumSymbol.linear_matrix(
-        lambda q: (1j * omega(q, mass)) * gc0, mass, "iH")
-    i_h_xop = xop_from_symbol(i_h, mass, "iH")
-    spatial = XOp(gen.coeffs, mass, None, gen.name)
-    comm = xop_commutator(i_h_xop, spatial)
+        lambda q: (1j * omega(q, mass)) * gc0, "iH")
+    q = signed_batch(samples)
+    comm = commutator(evaluate(XOp({ZERO_MULTI: i_h}, mass), q),
+                      evaluate(gen, q))
     if gen.t_coeff is not None:
-        comm = comm + xop_from_symbol(gen.t_coeff, mass, "t-part")
-    return xop_max_norm(comm, samples)
+        comm = comm + XValues({ZERO_MULTI: gen.t_coeff.jet(q)}, mass)
+    return comm.max_norm()
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +280,6 @@ class PoincareClosureReport:
     tol: float
     oracle_comparison: Optional[float] = None
     oracle_verified: Optional[bool] = None
-    notes: List[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -280,29 +302,30 @@ def poincare_closure_check(mass: float, n_samples: int = 200, seed: int = 42,
     the fit residual and compare the fitted structure constants against
     the scalar-realization symbolic oracle.
 
-    Generators and commutators are evaluated once on one signed batch.
-    The design matrix holds, per generator, its coefficients at every key
-    x^alpha the generators use, both matrix parts and every sample point
-    (the +q half), as real rows; it is the same for every pair. A
-    commutator coefficient at a key no generator uses cannot be fitted
-    and counts in full towards the residual.
+    The ten generators are evaluated once on one signed batch, and all 45
+    commutators are formed from those values. The design matrix holds,
+    per generator, its coefficients at every key x^alpha the generators
+    use, both matrix parts and every sample point (the +q half), as real
+    rows; it is the same for every pair. A commutator coefficient at a key
+    no generator uses cannot be fitted and counts in full towards the
+    residual.
     """
     gens = build_poincare_generators(mass)
     names = [n for n, _ in gens]
-    xops = [XOp(g.coeffs, mass, None, g.name) for _, g in gens]
     q = signed_batch(sample_momenta(n_samples, seed=seed, radius=5.0))
-    keys: List[Multi] = sorted({k for x in xops for k in x.coeffs})
+    values = [evaluate(g, q) for _, g in gens]
+    keys: List[Multi] = sorted({k for v in values for k in v.terms})
 
-    def slots(x: XOp) -> np.ndarray:
+    def slots(x: XValues) -> np.ndarray:
         """Coefficients at keys, shape (keys, parts, N, 4, 4)."""
         out = np.zeros((len(keys), 2, q.shape[1], 4, 4), dtype=complex)
-        for k, sym in x.coeffs.items():
+        for k, ((a, b), _) in x.terms.items():
             if k in keys:
-                a, b = sym(q)
-                out[keys.index(k)] = a[0], b[0]
+                out[keys.index(k), 0] = a[0]
+                out[keys.index(k), 1] = b[0]
         return out
 
-    design = _real_rows(np.stack([slots(x).ravel() for x in xops], axis=1))
+    design = _real_rows(np.stack([slots(v).ravel() for v in values], axis=1))
     # one Householder QR serves every pair; one step of iterative
     # refinement removes the rounding of Q^T rhs, a sum over tens of
     # thousands of rows, which would otherwise dominate the residual
@@ -314,12 +337,15 @@ def poincare_closure_check(mass: float, n_samples: int = 200, seed: int = 42,
 
     results: List[ClosureResult] = []
     worst = 0.0
-    for i in range(len(xops)):
-        for j in range(i + 1, len(xops)):
-            comm = xop_commutator(xops[i], xops[j])
+    for i in range(len(names)):
+        # each generator's jets go once its last pair is formed: held
+        # together to the end they would set the fit's peak memory
+        x = values.pop(0)
+        for j, y in enumerate(values, i + 1):
+            comm = commutator(x, y)
             rhs = _real_rows(slots(comm).ravel())
             coef = fit(rhs)
-            unfit = [batch_norm(sym, q) for k, sym in comm.coeffs.items()
+            unfit = [_norm(v) for k, (v, _) in comm.terms.items()
                      if k not in keys]
             resid = max([float(np.max(np.abs(design @ coef - rhs)))] + unfit)
             worst = max(worst, resid)
@@ -336,9 +362,6 @@ def poincare_closure_check(mass: float, n_samples: int = 200, seed: int = 42,
                 res.constants - np.array(expected, dtype=float)))))
         report.oracle_comparison = dev
         report.oracle_verified = verified
-        if dev >= tol:
-            report.notes.append(
-                "fitted constants deviate from the scalar-realization oracle")
     return report
 
 
@@ -369,28 +392,20 @@ def casimir_report(mass: float, n_samples: int = 50, seed: int = 42,
     invariant (expected -2 diag(1,1,1,0)). The sampled parts are judged
     against tol."""
     from .relations import casimir_spin_squared
-    from .scalars import ExactScalar
 
-    gens = dict(translation_generators(mass))
-    p0 = gens["p0"].coeffs[ZERO_MULTI]
-    pp = p0 @ p0
-    for n in (1, 2, 3):
-        pn = gens[f"p{n}"].coeffs[ZERO_MULTI]
-        pp = pp - pn @ pn
-    a, _ = pp(signed_batch(sample_momenta(n_samples, seed=seed, radius=5.0)))
+    q = signed_batch(sample_momenta(n_samples, seed=seed, radius=5.0))
+    p = [g.coeffs[ZERO_MULTI](q) for _, g in translation_generators(mass)]
+    a = flip_product(p[0], p[0])[0]
+    for pn in p[1:]:
+        a = a - flip_product(pn, pn)[0]
     acc = a[0]
     values = acc[:, 0, 0]
     deviation = float(np.max(np.abs(acc - values[:, None, None] * np.eye(4))))
     spread = float(np.max(np.abs(values - values[0])))
 
     spin_sq = casimir_spin_squared(breve_spin())
-    minus_two = ExactScalar(-2)
-    zero = ExactScalar(0)
-    expected = GeneralOp.linear((
-        (minus_two, zero, zero, zero),
-        (zero, minus_two, zero, zero),
-        (zero, zero, minus_two, zero),
-        (zero, zero, zero, zero)))
+    expected = GeneralOp.linear([[-2, 0, 0, 0], [0, -2, 0, 0],
+                                 [0, 0, -2, 0], [0, 0, 0, 0]])
     return CasimirReport(
         mass,
         complex(values[0]),

@@ -149,7 +149,7 @@ def test_criterion_8_transform_identities():
     m = 1.0
     samples = sample_momenta(100, seed=42, radius=10.0)
     vp, vm = fw_transform(m, +1), fw_transform(m, -1)
-    ident = MomentumSymbol.constant(GeneralOp.identity(), m)
+    ident = MomentumSymbol.constant(GeneralOp.identity())
     fw, hd = fw_hamiltonian(m), dirac_hamiltonian(m)
 
     worst_inverse = max(max_residual(vp @ vm, ident, samples),
@@ -162,7 +162,7 @@ def test_criterion_8_transform_identities():
         comm = s @ hd.symbol - hd.symbol @ s
         worst_spin = max(worst_spin,
                          max(symbol_norm(comm.value_at(q)) for q in samples))
-        conj = vp @ MomentumSymbol.linear_matrix(lambda q, jj=j: sv[jj], m) @ vm
+        conj = vp @ MomentumSymbol.linear_matrix(lambda q, jj=j: sv[jj]) @ vm
         worst_spin = max(worst_spin, max_residual(s, conj, samples))
 
     tgs = dict(tilde_gammas(m))
@@ -178,10 +178,10 @@ def test_criterion_8_transform_identities():
                                   float(np.max(np.abs(va - target))),
                                   float(np.max(np.abs(vb))))
     ext = extended_gammas()
-    fundamentals = {f"tg{k}": MomentumSymbol.constant(ext.get(f"g{k}"), m)
+    fundamentals = {f"tg{k}": MomentumSymbol.constant(ext.get(f"g{k}"))
                     for k in range(1, 8)}
-    fundamentals["tg0"] = MomentumSymbol.constant(pd_gammas().get("g0"), m)
-    fundamentals["tC"] = MomentumSymbol.constant(GeneralOp.conjugation(), m)
+    fundamentals["tg0"] = MomentumSymbol.constant(pd_gammas().get("g0"))
+    fundamentals["tC"] = MomentumSymbol.constant(GeneralOp.conjugation())
     for lbl, sym in tgs.items():
         conj = vp @ fundamentals[lbl] @ vm
         worst_tilde = max(worst_tilde, max_residual(sym, conj, samples[:30]))

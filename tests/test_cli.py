@@ -67,6 +67,48 @@ def test_fault_injection_detected():
     assert orts.detail == "s25"
 
 
+def _claims(config):
+    return {c.claim_id: c for c in run_suite(config).claims}
+
+
+def test_quarter_commutators_detect_an_injected_fault():
+    clean = _claims(SuiteConfig(suites=("cd",)))["cd.quarter-commutators"]
+    assert clean.status == "pass" and clean.detail == ""
+    # the table follows the corrupted g2; the rebuilt forms do not
+    faulty = _claims(SuiteConfig(suites=("cd",), inject_fault=("g2", 0, 1)))
+    quarter = faulty["cd.quarter-commutators"]
+    assert quarter.failed and quarter.detail == "s12; s23; s24"
+
+
+def test_basis_16_names_the_failing_slot():
+    clean = _claims(SuiteConfig(suites=("cd",)))["cd.basis-16"]
+    assert clean.status == "pass" and clean.detail == "count=16, rank=16"
+    faulty = _claims(SuiteConfig(suites=("cd",), inject_fault=("g2", 0, 1)))
+    basis = faulty["cd.basis-16"]
+    assert basis.failed and basis.detail == "alpha_25 != g2"
+
+
+def test_so6_quarter_commutators_read_the_independent_forms(monkeypatch):
+    from ercd.algebras import OrtSet, extended_gammas, rotation_family
+    from ercd.operators import GeneralOp
+    from ercd.scalars import HALF
+
+    clean = _claims(SuiteConfig(suites=("so6",)))["so6.quarter-commutators"]
+    assert clean.status == "pass" and clean.detail == ""
+    # an so6 table built from a corrupted g2
+    bad_g2 = ercd.suites.corrupted_pd_gammas("g2", 0, 1).get("g2")
+    gens = [bad_g2 if lbl == "g2" else op
+            for lbl, op in extended_gammas()][:6]
+    table = rotation_family([g.scaled(HALF) for g in gens], 1)
+    bad = OrtSet("so6", (("I", GeneralOp.identity()),) + tuple(
+        (f"alpha_{a}{b}", s.scaled(2)) for (a, b), s in sorted(table.items())
+        if b < 7))
+    monkeypatch.setattr(ercd.suites, "so6", lambda: bad)
+    quarter = _claims(SuiteConfig(suites=("so6",)))["so6.quarter-commutators"]
+    assert quarter.failed
+    assert quarter.detail == "alpha_12; alpha_23; alpha_24; alpha_25; alpha_26"
+
+
 def test_json_reports_are_byte_identical(tmp_path):
     config = SuiteConfig(suites=("cd",), fmt="json")
     a = run_suite(config).to_json()

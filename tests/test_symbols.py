@@ -17,7 +17,7 @@ SAMPLES = sample_momenta(100, seed=42, radius=10.0)
 
 
 def _const(op, label=""):
-    return MomentumSymbol.constant(op, M, label)
+    return MomentumSymbol.constant(op, label)
 
 
 IDENT = _const(GeneralOp.identity(), "I")
@@ -104,7 +104,7 @@ def test_nonlocal_spin_equals_conjugated_spin():
     vp, vm = fw_transform(M, +1), fw_transform(M, -1)
     sv = spin_matrices_complex()
     for j, s in enumerate(pd_spin(M)):
-        conj = vp @ MomentumSymbol.linear_matrix(lambda q, jj=j: sv[jj], M) @ vm
+        conj = vp @ MomentumSymbol.linear_matrix(lambda q, jj=j: sv[jj]) @ vm
         assert max_residual(s, conj, SAMPLES) < TOL
 
 
@@ -176,7 +176,7 @@ def test_flip_composition_is_associative():
                 + sum(q[k] * d1[k] for k in range(3))
             return a, b
 
-        return MomentumSymbol(fn, M, "rand")
+        return MomentumSymbol(fn, "rand")
 
     q = signed_batch(SAMPLES[:15])
     for _ in range(6):

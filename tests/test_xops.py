@@ -4,10 +4,11 @@ import pytest
 from ercd.jets import Jet
 from ercd.symbols import (MomentumSymbol, central_difference, omega,
                           sample_momenta, signed_batch, tilde_gammas)
-from ercd.xops import (XOp, build_poincare_generators, casimir_report,
+from ercd import xops
+from ercd.xops import (XOp, XValues, build_poincare_generators,
+                       casimir_report, commutator, compose, evaluate,
                        evolution_commutator_residual, poincare_closure_check,
-                       position_op, xop_commutator, xop_compose,
-                       xop_from_symbol, xop_max_norm)
+                       position_op)
 
 M = 1.0
 SAMPLES = sample_momenta(20, seed=11, radius=5.0)
@@ -64,26 +65,71 @@ def test_dual_mode_matches_finite_differences():
     neg = [tuple(-c for c in p) for p in points]
     count = 0
     for label, sym in _jet_symbols():
+        vals, grads = sym.jet(q)
+        plain = sym(q)
         for a in range(3):
-            jet = sym.deriv(a)(q)
             for half, pts in ((0, points), (1, neg)):
                 fd = central_difference(sym, a, pts, h=1e-5)
                 for part in (0, 1):
-                    assert np.max(np.abs(jet[part][half] - fd[part])) < 1e-7, \
+                    jet = np.broadcast_to(grads[part][a], plain[part].shape)
+                    assert np.max(np.abs(jet[half] - fd[part])) < 1e-7, \
                         (label, a, half, part)
+        for part in (0, 1):
+            # the jet pass yields the plain values too, bit for bit
+            assert np.array_equal(np.broadcast_to(vals[part],
+                                                  plain[part].shape),
+                                  plain[part]), label
         count += 1
     assert count == 19 + 9  # every generator coefficient and tilde symbol
 
 
+def test_constant_has_zero_derivative():
+    spin = dict(build_poincare_generators(M))["j12"].coeffs[(0, 0, 0)]
+    (a, b), (da, db) = spin.jet(signed_batch(SAMPLES[:3]))
+    assert a.shape == b.shape == (1, 1, 4, 4)
+    assert not da.any() and not db.any()
+
+
+def _values(x):
+    return evaluate(x, signed_batch(SAMPLES[:5]))
+
+
 def test_degree_above_one_rejected():
-    x2 = xop_compose(position_op(0, M), position_op(1, M))
+    x2 = compose(_values(position_op(0, M)), _values(position_op(1, M)))
     assert x2.degree() == 2
-    with pytest.raises(ValueError):
-        xop_compose(position_op(2, M), x2)
-    # jets are degree 1: a derivative symbol is not differentiated again
-    p1 = dict(build_poincare_generators(M))["p0"].coeffs[(0, 0, 0)]
-    with pytest.raises(ValueError):
-        p1.deriv(0).deriv(1)(signed_batch(SAMPLES[:2]))
+    with pytest.raises(ValueError, match="degree <= 1"):
+        compose(_values(position_op(2, M)), x2)
+
+
+def test_product_left_of_a_position_rejected():
+    # a product carries no derivative: jets are degree 1, so a q-dependent
+    # product is never differentiated
+    pp = compose(_values(_p_n(0)), _values(_p_n(1)))
+    assert compose(_values(_p_n(2)), pp).degree() == 0
+    with pytest.raises(ValueError, match="no derivative"):
+        compose(pp, _values(position_op(0, M)))
+
+
+def test_closure_check_evaluates_each_coefficient_once(monkeypatch):
+    calls = {}
+
+    def counted(sym, key):
+        def fn(q):
+            calls[key] = calls.get(key, 0) + 1
+            return sym.fn(q)
+        return MomentumSymbol(fn, sym.label)
+
+    def generators(mass):
+        gens = build_poincare_generators(mass)
+        return [(name, XOp({k: counted(sym, (name, k))
+                            for k, sym in g.coeffs.items()},
+                           g.mass, g.t_coeff)) for name, g in gens]
+
+    monkeypatch.setattr(xops, "build_poincare_generators", generators)
+    rep = poincare_closure_check(M, n_samples=20, seed=42,
+                                 compare_oracle=False)
+    assert rep.passed and len(rep.results) == 45
+    assert len(calls) == 19 and set(calls.values()) == {1}
 
 
 # ---------------------------------------------------------------------------
@@ -93,71 +139,73 @@ def test_degree_above_one_rejected():
 def _p_n(n):
     ident = np.eye(4, dtype=complex)
     sym = MomentumSymbol.linear_matrix(
-        lambda q, nn=n: 1j * q[nn] * ident, M, f"p{n + 1}")
-    return xop_from_symbol(sym, M, f"p{n + 1}")
+        lambda q, nn=n: 1j * q[nn] * ident, f"p{n + 1}")
+    return XOp({(0, 0, 0): sym}, M)
 
 
 def test_canonical_pairs():
     for n in range(3):
         for m in range(3):
-            comm = xop_commutator(_p_n(n), position_op(m, M))
-            for q in SAMPLES[:5]:
-                vals = comm.evaluate(q)
-                for key, (va, vb) in vals.items():
-                    expect = (1.0 if n == m else 0.0) * np.eye(4) \
-                        if key == (0, 0, 0) else np.zeros((4, 4))
-                    assert np.max(np.abs(va - expect)) < 1e-13
-                    assert np.max(np.abs(vb)) < 1e-13
+            comm = commutator(_values(_p_n(n)), _values(position_op(m, M)))
+            for key, ((va, vb), _) in comm.terms.items():
+                expect = (1.0 if n == m else 0.0) * np.eye(4) \
+                    if key == (0, 0, 0) else np.zeros((4, 4))
+                assert np.max(np.abs(va[0] - expect)) < 1e-13
+                assert np.max(np.abs(vb[0])) < 1e-13
 
 
 def test_momenta_commute():
-    comm = xop_commutator(_p_n(0), _p_n(2))
-    assert all(xop_max_norm(comm, q) < 1e-13 for q in SAMPLES[:5])
+    assert commutator(_values(_p_n(0)), _values(_p_n(2))).max_norm() < 1e-13
 
 
 def test_positions_commute():
-    comm = xop_commutator(position_op(0, M), position_op(1, M))
-    assert all(xop_max_norm(comm, q) < 1e-13 for q in SAMPLES[:5])
+    comm = commutator(_values(position_op(0, M)), _values(position_op(1, M)))
+    assert comm.max_norm() < 1e-13
 
 
 def test_orbital_rotation_commutators():
     # [x_l p_n - x_n p_l, p_k] = delta_nk p_l - delta_lk p_n
     def orbital(l, n):
-        return (xop_compose(position_op(l, M), _p_n(n))
-                - xop_compose(position_op(n, M), _p_n(l)))
+        return (compose(_values(position_op(l, M)), _values(_p_n(n)))
+                - compose(_values(position_op(n, M)), _values(_p_n(l))))
 
     for l, n, k in ((0, 1, 1), (0, 1, 0), (1, 2, 0), (2, 0, 2)):
-        lhs = xop_commutator(orbital(l, n), _p_n(k))
-        rhs = XOp({}, M)
+        lhs = commutator(orbital(l, n), _values(_p_n(k)))
+        rhs = XValues({}, M)
         if n == k:
-            rhs = rhs + _p_n(l)
+            rhs = rhs + _values(_p_n(l))
         if l == k:
-            rhs = rhs - _p_n(n)
-        diff = lhs - rhs if rhs.coeffs else lhs
-        for q in SAMPLES[:5]:
-            assert xop_max_norm(diff, q) < 1e-12
+            rhs = rhs - _values(_p_n(n))
+        assert (lhs - rhs).max_norm() < 1e-12
 
 
 def test_mass_mismatch_rejected():
-    with pytest.raises(ValueError):
-        xop_compose(position_op(0, 1.0), position_op(0, 2.0))
+    q = signed_batch(SAMPLES[:2])
+    x1, x2 = evaluate(position_op(0, 1.0), q), evaluate(position_op(0, 2.0), q)
+    with pytest.raises(ValueError, match="mass mismatch"):
+        compose(x1, x2)
+    with pytest.raises(ValueError, match="mass mismatch"):
+        x1 - x2
 
 
 def test_normal_form_reordering_consistency():
-    # compose X Y and Y X and subtract: matches the direct commutator
-    gens = dict(build_poincare_generators(M))
-    x = XOp(gens["j12"].coeffs, M, None, "j12")
-    y = XOp(gens["j01"].coeffs, M, None, "j01")
-    direct = xop_commutator(x, y)
-    indirect = xop_compose(x, y) - xop_compose(y, x)
-    for q in SAMPLES[:5]:
-        dv = direct.evaluate(q)
-        iv = indirect.evaluate(q)
-        for key in set(dv) | set(iv):
-            da, db = dv.get(key, (0.0, 0.0))
-            ia, ib = iv.get(key, (0.0, 0.0))
-            assert np.max(np.abs(np.asarray(da) - np.asarray(ia))) < 1e-12
-            assert np.max(np.abs(np.asarray(db) - np.asarray(ib))) < 1e-12
+    # S x_b - x_b S = -i dS/dq_b for every generator coefficient S, the
+    # derivative taken by central differences
+    points = SAMPLES[:5]
+    q = signed_batch(points)
+    for label, sym in _jet_symbols():
+        s = XValues({(0, 0, 0): sym.jet(q)}, M)
+        for b in range(3):
+            x_b = evaluate(position_op(b, M), q)
+            lhs = compose(s, x_b) - compose(x_b, s)
+            (va, vb), _ = lhs.terms[(0, 0, 0)]
+            fd = central_difference(sym, b, points, h=1e-5)
+            assert np.max(np.abs(va[0] + 1j * fd[0])) < 1e-7, (label, b)
+            assert np.max(np.abs(vb[0] + 1j * fd[1])) < 1e-7, (label, b)
+            # the position terms cancel
+            assert max(np.max(np.abs(v[0])) for key, (pair, _) in
+                       lhs.terms.items() if key != (0, 0, 0)
+                       for v in pair) < 1e-12, (label, b)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +226,7 @@ def test_all_generators_commute_with_evolution_operator():
 def test_boost_without_time_term_fails_symmetry():
     # dropping the x0 bookkeeping must break the boost invariance
     gens = dict(build_poincare_generators(M))
-    bare = XOp(gens["j01"].coeffs, M, None, "j01-bare")
+    bare = XOp(gens["j01"].coeffs, M)
     residual = evolution_commutator_residual(bare, M, SAMPLES)
     assert residual > 1e-3
 
