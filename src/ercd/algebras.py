@@ -4,8 +4,9 @@ Each element carries a label and a provenance string giving its defining
 composition, so tables and reports can be diffed against the standard
 form of the algebra by eye.
 
-Every rotation family comes from ``rotation_family``, which needs only a
-commutator, so it also serves the nonlocal generators evaluated as arrays.
+Every rotation family comes from ``rotation_family``, which uses only the
+commutator x @ y - y @ x, so it also serves the nonlocal generators
+evaluated on a batch (``symbols.SymbolValues``).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .operators import GeneralOp, commutator, compose, mat
 from .scalars import ExactScalar, HALF, I_UNIT, INV_SQRT2, ONE, ZERO
@@ -152,19 +153,18 @@ def extended_gammas() -> OrtSet:
 # rotation-generator families
 # ---------------------------------------------------------------------------
 
-def rotation_family(halves: Sequence, base: int = 0,
-                    comm: Callable = commutator) -> Dict[Pair, object]:
+def rotation_family(halves: Sequence, base: int = 0) -> Dict[Pair, object]:
     """The rotation family of generators g_base, g_base+1, ..., given their
     halves h_a = g_a / 2: s^{ab} = [h_a, h_b] = [g_a, g_b] / 4 for a < b,
     and s^{a,top} = h_a in the extra slot top = base + len(halves).
 
-    Only comm is used, so the same function serves exact operators and
-    evaluated symbol arrays with their flip-law commutator."""
+    The halves may be exact operators or evaluated symbols; their @ is
+    the exact or the flip-law product."""
     n = len(halves)
     table = {}
     for i in range(n):
         for j in range(i + 1, n):
-            table[(base + i, base + j)] = comm(halves[i], halves[j])
+            table[(base + i, base + j)] = commutator(halves[i], halves[j])
     for i in range(n):
         table[(base + i, base + n)] = halves[i]
     return table

@@ -305,9 +305,11 @@ def compose(*ops: GeneralOp) -> GeneralOp:
     return out
 
 
-def commutator(x: GeneralOp, y: GeneralOp) -> GeneralOp:
+def commutator(x, y):
+    """x @ y - y @ x, for exact operators and evaluated symbols alike."""
     return x @ y - y @ x
 
 
-def anticommutator(x: GeneralOp, y: GeneralOp) -> GeneralOp:
+def anticommutator(x, y):
+    """x @ y + y @ x, for exact operators and evaluated symbols alike."""
     return x @ y + y @ x

@@ -3,15 +3,17 @@ commutation tables, Hermiticity classification, explicit-form identities,
 Casimir evaluation and Lie closure.
 
 Every check in this module is exact: a nonzero deviation is a hard
-failure, never a tolerance question. The one metric-contraction rule,
-``rotation_defects``, needs only +, - and a commutator: the fw suite reads
-its defects on evaluated symbol arrays as float residuals.
+failure, never a tolerance question. The two defect rules,
+``rotation_defects`` and ``anticommutation_defects``, use only @, + and -,
+so they serve exact operators and evaluated symbols
+(``symbols.SymbolValues``) alike: the fw suite reads their defects on the
+nonlocal generators as float residuals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebras import (OrtSet, extended_gammas, pair_op, pd_gammas,
                        pgi_lorentz6, so8_generators)
@@ -80,23 +82,21 @@ def check_anticommutation(gens, metric: MetricSignature,
     return rep
 
 
-def anticommutation_defects(gens: Sequence, metric: MetricSignature, unit,
-                            anticomm: Callable = anticommutator
+def anticommutation_defects(gens: Sequence, metric: MetricSignature, unit
                             ) -> Iterator[Tuple[int, int, object]]:
     """(a, b, {g_a, g_b} - metric[a] delta_ab unit) for every ordered pair,
     with metric entries +-1 and unit the diagonal target (2I for the
-    Clifford relations). Only + and - touch unit, so the rule serves exact
-    operators and evaluated symbol arrays alike."""
+    Clifford relations), of the same type as the generators."""
     for a, ga in enumerate(gens):
         for b, gb in enumerate(gens):
-            defect = anticomm(ga, gb)
+            defect = anticommutator(ga, gb)
             if a == b:
                 defect = defect - unit if metric[a] > 0 else defect + unit
             yield a, b, defect
 
 
 def rotation_defects(table: Dict[Pair, object], metric: MetricSignature,
-                     index_base: int = 0, comm: Callable = commutator
+                     index_base: int = 0
                      ) -> Iterator[Tuple[Pair, Pair, object]]:
     """((m, n), (r, s), [s^{mn}, s^{rs}] - rhs) for every pair of pairs of
     the family, with the metric-contraction rule
@@ -108,7 +108,7 @@ def rotation_defects(table: Dict[Pair, object], metric: MetricSignature,
     pairs = sorted(table)
     for (m, n) in pairs:
         for (r, s) in pairs:
-            defect = comm(table[(m, n)], table[(r, s)])
+            defect = commutator(table[(m, n)], table[(r, s)])
             for i, j, k, l in ((m, r, n, s), (r, n, s, m),
                                (n, s, m, r), (s, m, r, n)):
                 if i == j and k != l:

@@ -31,14 +31,13 @@ from .relations import (anticommutation_defects, check_anticommutation,
                         rotation_defects, squares_and_pairing_check,
                         verify_explicit_forms, COMPACT8)
 from .reporting import CLAIM_REGISTRY, Claim, Ledger, SuiteConfig, SUITE_NAMES
-from .scalars import ExactScalar, HALF, I_UNIT, ONE, ZERO
+from .scalars import ExactScalar, HALF, I_UNIT, ZERO
 from .spans import (OrthogonalBasis, centralizer_kernel, span_rank,
                     spans_equal, structure_constants)
-from .symbols import (MomentumSymbol, batch_norm, check_equation_symmetry,
-                      dirac_hamiltonian, flip_product, fw_hamiltonian,
-                      fw_transform, max_residual, pd_spin, sample_momenta,
-                      signed_batch, spin_matrices_complex, tilde_gammas,
-                      to_complex_matrix)
+from .symbols import (MomentumSymbol, SymbolValues, check_equation_symmetry,
+                      dirac_hamiltonian, fw_hamiltonian, fw_transform, pd_spin,
+                      sample_momenta, signed_batch, spin_matrices_complex,
+                      tilde_gammas, to_complex_matrix)
 from .xops import (XOp, ZERO_MULTI, build_poincare_generators,
                    casimir_report, commutator as xop_commutator, evaluate,
                    evolution_commutator_residual, poincare_closure_check,
@@ -207,10 +206,13 @@ def _suite_pgi(ledger: Ledger, config: SuiteConfig) -> None:
 
     t0 = time.perf_counter()
     sextet = pgi_lorentz6()
-    i_op = GeneralOp.imaginary_unit()
-    expected_s12 = i_op.scaled(ExactScalar.rational(-1, 2))
-    g4 = pd_gammas().get("g4")
-    expected_s03 = (i_op @ g4).scaled(ExactScalar.rational(-1, 2))
+    # s12 = -(i/2) I and s03 = -(i/2) g4, written out
+    h, z = ExactScalar.rational(-1, 2), ZERO
+    ih = h * I_UNIT
+    expected_s12 = GeneralOp.linear([[ih, z, z, z], [z, ih, z, z],
+                                     [z, z, ih, z], [z, z, z, ih]])
+    expected_s03 = GeneralOp.linear([[z, z, h, z], [z, z, z, h],
+                                     [h, z, z, z], [z, h, z, z]])
     ok = sextet[(1, 2)] == expected_s12 and sextet[(0, 3)] == expected_s03
     orient = pgi_orientation_check()
     ok = ok and orient.passed
@@ -234,12 +236,19 @@ def _suite_ercd(ledger: Ledger, config: SuiteConfig) -> None:
     basis = ercd64()
 
     t0 = time.perf_counter()
-    i_op = GeneralOp.imaginary_unit()
-    c_op = GeneralOp.conjugation()
-    ok = len(basis) == 64
-    ok = ok and basis.get("i.alpha_01") == i_op @ basis.get("alpha_01")
-    ok = ok and basis.get("C.alpha_01") == c_op @ basis.get("alpha_01")
-    ok = ok and basis.get("iC.I") == i_op @ c_op
+    # alpha_01 = g0 g1 and its images under i, C and iC, written out
+    i, z = I_UNIT, ZERO
+    x01 = [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
+    written = {
+        "alpha_01": GeneralOp.linear(x01),
+        "i.alpha_01": GeneralOp.linear([[z, z, z, i], [z, z, i, z],
+                                        [z, i, z, z], [i, z, z, z]]),
+        "C.alpha_01": GeneralOp.antilinear(x01),
+        "iC.I": GeneralOp.antilinear([[i, z, z, z], [z, i, z, z],
+                                      [z, z, i, z], [z, z, z, i]]),
+    }
+    ok = len(basis) == 64 and all(basis.get(lbl) == op
+                                  for lbl, op in written.items())
     _claim(ledger, "ercd.basis-64", ok, detail="count=64", t0=t0)
 
     t0 = time.perf_counter()
@@ -273,16 +282,19 @@ def _suite_percd(ledger: Ledger, config: SuiteConfig) -> None:
     ext = extended_gammas()
 
     t0 = time.perf_counter()
-    # g1 g3 = diag blocks of [[0,1],[-1,0]] (real rotation blocks)
-    expected_b = ((ZERO, ONE, ZERO, ZERO), (-ONE, ZERO, ZERO, ZERO),
-                  (ZERO, ZERO, ZERO, ONE), (ZERO, ZERO, -ONE, ZERO))
-    g5 = ext.get("g5")
-    ok = g5.is_antilinear and g5.B == expected_b
-    g6 = ext.get("g6")
-    ok = ok and g6 == GeneralOp.imaginary_unit() @ g5
-    ok = ok and ext.get("g7") == GeneralOp.imaginary_unit() @ pd_gammas().get("g0")
-    for k in range(1, 5):
-        ok = ok and ext.get(f"g{k}").is_linear
+    # g5 = g1 g3 C, g6 = i g5 and g7 = i g0 written out: g1 g3 holds the
+    # real rotation blocks [[0,1],[-1,0]]
+    i, z = I_UNIT, ZERO
+    written = {
+        "g5": GeneralOp.antilinear([[0, 1, 0, 0], [-1, 0, 0, 0],
+                                    [0, 0, 0, 1], [0, 0, -1, 0]]),
+        "g6": GeneralOp.antilinear([[z, i, z, z], [-i, z, z, z],
+                                    [z, z, z, i], [z, z, -i, z]]),
+        "g7": GeneralOp.linear([[i, z, z, z], [z, i, z, z],
+                                [z, z, -i, z], [z, z, z, -i]]),
+    }
+    ok = all(ext.get(lbl) == op for lbl, op in written.items())
+    ok = ok and all(ext.get(f"g{k}").is_linear for k in range(1, 5))
     _claim(ledger, "percd.seven-generators", ok,
            detail="two antilinear generators as composed", t0=t0)
 
@@ -451,61 +463,62 @@ def _suite_fw(ledger: Ledger, config: SuiteConfig) -> None:
 
 def _fw_nonlocal(ledger: Ledger, m: float, fw, hd, samples, tol: float
                  ) -> None:
-    """The claims on the basis change and the nonlocal operators (m > 0)."""
-    ident = MomentumSymbol.constant(GeneralOp.identity(), "I")
+    """The claims on the basis change and the nonlocal operators (m > 0).
+    Each symbol is evaluated once per batch, and the claims compose the
+    values."""
     used = f"{len(samples)} points"
-    vp = fw_transform(m, +1)
-    vm = fw_transform(m, -1)
+    q = signed_batch(samples)
+    vp, vm = fw_transform(m, +1)(q), fw_transform(m, -1)(q)
+    h_d = hd.symbol(q)
 
     t0 = time.perf_counter()
-    worst = max(max_residual(vp @ vm, ident, samples),
-                max_residual(vm @ vp, ident, samples))
+    ident = MomentumSymbol.constant(GeneralOp.identity())(q)
+    worst = max((vp @ vm - ident).norm(), (vm @ vp - ident).norm())
     _claim(ledger, "fw.transform-inverse", worst < tol, residual=worst,
            detail=used, t0=t0, tol=tol)
 
     t0 = time.perf_counter()
-    worst = max_residual(vp @ fw.symbol @ vm, hd.symbol, samples)
+    worst = (vp @ fw.symbol(q) @ vm - h_d).norm()
     _claim(ledger, "fw.conjugation-identity", worst < tol, residual=worst,
            detail=used, t0=t0, tol=tol)
 
     t0 = time.perf_counter()
-    spins = pd_spin(m)
     sv = spin_matrices_complex()
-    q = signed_batch(samples)
     worst = 0.0
-    for j, s in enumerate(spins):
-        const = MomentumSymbol.linear_matrix(lambda q, jj=j: sv[jj])
-        conj = vp @ const @ vm
-        worst = max(worst, max_residual(s, conj, samples))
-        worst = max(worst, batch_norm(s @ hd.symbol - hd.symbol @ s, q))
+    for j, s in enumerate(pd_spin(m)):
+        spin = s(q)
+        conj = vp @ SymbolValues(sv[j], np.zeros((4, 4), dtype=complex)) @ vm
+        worst = max(worst, (spin - conj).norm(),
+                    commutator(spin, h_d).norm())
         a0, _ = s.value_at((0.0, 0.0, 0.0))
         worst = max(worst, float(np.max(np.abs(a0 - sv[j]))))
     _claim(ledger, "fw.nonlocal-spin", worst < tol, residual=worst,
            detail=used, t0=t0, tol=tol)
 
     # flip-law algebra on the nonlocal generators, evaluated once over the
-    # check points as (part, sign, point, 4, 4) arrays
+    # check points
     t0 = time.perf_counter()
     tgs = dict(tilde_gammas(m))
     few, near = samples[:4], samples[:40]
     check = signed_batch(few)
-    vals = {lbl: np.stack(sym(check)) for lbl, sym in tgs.items()}
-    gens = [vals[f"tg{k}"] for k in range(1, 8)]
+    gens = [tgs[f"tg{k}"](check) for k in range(1, 8)]
     worst = flip_rotation_residual(gens)
     _claim(ledger, "fw.nonlocal-rotations", worst < tol, residual=worst,
            detail=f"{len(few)} points", t0=t0, tol=tol)
 
     t0 = time.perf_counter()
     worst = flip_anticommutation_residual(gens)
-    # V-conjugation comparison for all nine nonlocal operators
+    # V-conjugation comparison for all nine nonlocal operators, on the
+    # 40-point batch
+    q = signed_batch(near)
+    vp, vm = fw_transform(m, +1)(q), fw_transform(m, -1)(q)
     ext = extended_gammas()
-    fundamentals = {f"tg{k}": MomentumSymbol.constant(ext.get(f"g{k}"))
-                    for k in range(1, 8)}
-    fundamentals["tg0"] = MomentumSymbol.constant(pd_gammas().get("g0"))
-    fundamentals["tC"] = MomentumSymbol.constant(GeneralOp.conjugation())
+    fundamentals = {f"tg{k}": ext.get(f"g{k}") for k in range(1, 8)}
+    fundamentals["tg0"] = pd_gammas().get("g0")
+    fundamentals["tC"] = GeneralOp.conjugation()
     for lbl, sym in tgs.items():
-        conj = vp @ fundamentals[lbl] @ vm
-        worst = max(worst, max_residual(sym, conj, near))
+        conj = vp @ MomentumSymbol.constant(fundamentals[lbl])(q) @ vm
+        worst = max(worst, (sym(q) - conj).norm())
     _claim(ledger, "fw.nonlocal-generators", worst < tol, residual=worst,
            detail="closed forms match the conjugation oracle; the "
                   "conjugation-image operator uses its expanded form; "
@@ -513,36 +526,20 @@ def _fw_nonlocal(ledger: Ledger, m: float, fw, hd, samples, tol: float
                   f"{len(near)} points", t0=t0, tol=tol)
 
 
-def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Flip-law product of two (part, sign, point, 4, 4) value arrays."""
-    return np.stack(flip_product(x, y))
-
-
-def _flip_commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return _product(x, y) - _product(y, x)
-
-
-def _flip_anticommutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return _product(x, y) + _product(y, x)
-
-
 def flip_anticommutation_residual(values) -> float:
     """The largest +q-half entry of the defects {g_a, g_b} + 2 delta_ab I
-    of generators evaluated as (part, sign, point, 4, 4) arrays."""
-    # 2I on the linear part, broadcast over sign and point
-    unit = np.stack((2.0 * np.eye(4), np.zeros((4, 4))))[:, None, None]
-    return max(float(np.max(np.abs(defect[:, 0]))) for _, _, defect in
-               anticommutation_defects(values, (-1,) * len(values), unit,
-                                       _flip_anticommutator))
+    of generators evaluated on one signed batch."""
+    unit = SymbolValues(2.0 * np.eye(4), np.zeros((4, 4)))
+    return max(defect.norm() for _, _, defect in
+               anticommutation_defects(values, (-1,) * len(values), unit))
 
 
 def flip_rotation_residual(values) -> float:
     """The largest +q-half entry of the so(8) defects of the rotation
-    family of seven generators, each evaluated as a (part, sign, point,
-    4, 4) array."""
-    table = rotation_family([0.5 * v for v in values], 1, _flip_commutator)
-    return max(float(np.max(np.abs(defect[:, 0]))) for _, _, defect in
-               rotation_defects(table, COMPACT8, 1, _flip_commutator))
+    family of seven generators evaluated on one signed batch."""
+    table = rotation_family([0.5 * v for v in values], 1)
+    return max(defect.norm() for _, _, defect in
+               rotation_defects(table, COMPACT8, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -610,10 +607,8 @@ def _suite_poincare(ledger: Ledger, config: SuiteConfig) -> None:
 
     if m > 0:
         t0 = time.perf_counter()
-        worst_sym = 0.0
-        for name, g in build_poincare_generators(m):
-            worst_sym = max(worst_sym,
-                            evolution_commutator_residual(g, m, samples))
+        worst_sym = evolution_commutator_residual(
+            [g for _, g in build_poincare_generators(m)], m, samples)
         n_fit = max(config.samples, 200)
         closure = poincare_closure_check(m, n_samples=n_fit,
                                          seed=config.seed, tol=closure_tol)

@@ -4,15 +4,20 @@ A symbol maps momentum q to a pair of 4x4 matrices (A(q), B(q)), the
 operator phi -> A(q) phi + B(q) conj(phi(-q)) with a linear and an
 antilinear part. Symbols are evaluated on signed batches: an array Q of
 shape (2, N, 3) holding N momenta and their reflections, Q[1] = -Q[0]
-(``signed_batch``). A symbol returns (A, B), each of shape (2, N, 4, 4).
+(``signed_batch``). A ``MomentumSymbol`` only evaluates: on a batch it
+gives a ``SymbolValues``, the parts A and B, each of shape (2, N, 4, 4) or
+(1, 1, 4, 4) when constant. All algebra works on those values.
 
 Composition follows the momentum-flip law: antilinear parts see the
 reflected momentum. On a signed batch the reflected factor is a flip of
-the sign axis, not a second evaluation, and ``flip_product`` is the one
-place the product is formed:
+the sign axis, not a second evaluation, and ``SymbolValues.__matmul__``
+is the one place the product is formed:
 
     A = Ax @ Ay + Bx @ conj(By[::-1]),
     B = Ax @ By + Bx @ conj(Ay[::-1]).
+
+Sums, differences and scalar multiples act on both parts, so the
+commutators of ``operators`` serve evaluated values unchanged.
 
 ``MomentumSymbol.jet`` gives values and first q-derivatives from one pass
 on degree-1 array jets (``jets.Jet``) seeded with +e_a on the +q half and
@@ -33,7 +38,7 @@ import numpy as np
 
 from .algebras import pd_gammas, so15_generators
 from .jets import Jet
-from .operators import GeneralOp
+from .operators import GeneralOp, commutator
 
 Triple = Tuple[float, float, float]
 
@@ -54,12 +59,47 @@ def signed_batch(points) -> np.ndarray:
     return np.stack([p, -p])
 
 
-def flip_product(x, y):
-    """Flip-law product of two evaluated symbols (A, B) on a signed batch."""
-    ax, bx = x
-    ay, by = y
-    return (ax @ ay + bx @ np.conj(by[::-1]),
-            ax @ by + bx @ np.conj(ay[::-1]))
+class SymbolValues:
+    """A symbol evaluated on a signed batch: the linear part a and the
+    antilinear part b, each of shape (2, N, 4, 4), or (1, 1, 4, 4) for a
+    part that does not depend on q, which broadcasts and is its own sign
+    flip; a 4x4 part is taken as such a constant.
+
+    ``@`` is the flip-law product; +, - and unary - act on both parts, and
+    r * v is left composition with the scalar r (r = 1j is the operator i).
+    """
+
+    __slots__ = ("a", "b")
+    __array_ufunc__ = None  # numpy scalars defer to __rmul__
+
+    def __init__(self, a, b):
+        self.a, self.b = (p if len(p.shape) == 4
+                          else np.reshape(p, (1, 1, 4, 4)) for p in (a, b))
+
+    def __iter__(self):
+        return iter((self.a, self.b))
+
+    def __matmul__(self, other: "SymbolValues") -> "SymbolValues":
+        return SymbolValues(
+            self.a @ other.a + self.b @ np.conj(other.b[::-1]),
+            self.a @ other.b + self.b @ np.conj(other.a[::-1]))
+
+    def __add__(self, other: "SymbolValues") -> "SymbolValues":
+        return SymbolValues(self.a + other.a, self.b + other.b)
+
+    def __sub__(self, other: "SymbolValues") -> "SymbolValues":
+        return SymbolValues(self.a - other.a, self.b - other.b)
+
+    def __neg__(self) -> "SymbolValues":
+        return SymbolValues(-self.a, -self.b)
+
+    def __rmul__(self, r) -> "SymbolValues":
+        return SymbolValues(r * self.a, r * self.b)
+
+    def norm(self) -> float:
+        """Largest entry modulus over the +q half."""
+        return max(float(np.max(np.abs(self.a[0]))),
+                   float(np.max(np.abs(self.b[0]))))
 
 
 def _components(q):
@@ -85,18 +125,12 @@ class MomentumSymbol:
         self.fn = fn
         self.label = label
 
-    def __call__(self, q) -> Tuple[np.ndarray, np.ndarray]:
-        """(A, B) on the signed batch q of shape (2, N, 3)."""
-        shape = q.shape[:-1] + (4, 4)
-        return tuple(np.broadcast_to(p, shape)
-                     for p in self._eval(_components(q)))
+    def __call__(self, q) -> SymbolValues:
+        """The values on the signed batch q of shape (2, N, 3)."""
+        return self._eval(_components(q))
 
-    def _eval(self, comps):
-        """(A, B) on batch components; a part that does not depend on q
-        stays a single matrix of shape (1, 1, 4, 4), which broadcasts and
-        is its own sign flip."""
-        return tuple(p if len(p.shape) == 4 else np.reshape(p, (1, 1, 4, 4))
-                     for p in self.fn(comps))
+    def _eval(self, comps) -> SymbolValues:
+        return SymbolValues(*self.fn(comps))
 
     @classmethod
     def constant(cls, op: GeneralOp, label: str = "") -> "MomentumSymbol":
@@ -113,73 +147,22 @@ class MomentumSymbol:
                           ) -> "MomentumSymbol":
         return cls(lambda q: (_ZERO4, fn_b(q)), label)
 
-    def compose(self, other: "MomentumSymbol") -> "MomentumSymbol":
-        """Operator product under the momentum-flip law."""
-        x, y = self, other
-        return MomentumSymbol(
-            lambda q: flip_product(x._eval(q), y._eval(q)),
-            f"({x.label})({y.label})")
-
-    def __matmul__(self, other: "MomentumSymbol") -> "MomentumSymbol":
-        return self.compose(other)
-
-    def __add__(self, other: "MomentumSymbol") -> "MomentumSymbol":
-        x, y = self, other
-
-        def fn(q):
-            ax, bx = x._eval(q)
-            ay, by = y._eval(q)
-            return ax + ay, bx + by
-
-        return MomentumSymbol(fn, f"{x.label}+{y.label}")
-
-    def __sub__(self, other: "MomentumSymbol") -> "MomentumSymbol":
-        return self + other.scaled(-1.0)
-
-    def scaled(self, r: complex) -> "MomentumSymbol":
-        """Left composition with the scalar r (r = i is the operator i):
-        scales both parts by r."""
-        x = self
-
-        def fn(q):
-            a, b = x._eval(q)
-            return r * a, r * b
-
-        return MomentumSymbol(fn, f"{r}*{x.label}")
-
     def value_at(self, q) -> Tuple[np.ndarray, np.ndarray]:
         """(A(q), B(q)) at one momentum triple."""
         a, b = self(signed_batch(q))
         return np.array(a[0, 0]), np.array(b[0, 0])
 
-    def jet(self, q) -> Tuple[Tuple[np.ndarray, np.ndarray],
-                              Tuple[np.ndarray, np.ndarray]]:
+    def jet(self, q) -> Tuple[SymbolValues, Tuple[SymbolValues, ...]]:
         """Values and q-derivatives on the signed batch q from one seeded
-        jet pass: ((A, B), (dA, dB)), where dA[a] = dA/dq_a on both halves.
+        jet pass: (v, (d1, d2, d3)), where da = dv/dq_a on both halves.
         A part that does not depend on q keeps the shape (1, 1, 4, 4) and
         has a zero derivative."""
-        parts = self._eval(Jet.of_momenta(_components(q)))
-        return (tuple(p.val if isinstance(p, Jet) else p for p in parts),
-                tuple(p.grad * _HALF_SIGN if isinstance(p, Jet)
-                      else np.zeros((3,) + p.shape, dtype=complex)
-                      for p in parts))
-
-
-def symbol_norm(pair) -> float:
-    a, b = pair
-    return max(float(np.max(np.abs(np.asarray(a, dtype=complex)))),
-               float(np.max(np.abs(np.asarray(b, dtype=complex)))))
-
-
-def batch_norm(x: MomentumSymbol, q) -> float:
-    """Largest entry modulus of x over the +q half of the signed batch q."""
-    a, b = x(q)
-    return symbol_norm((a[0], b[0]))
-
-
-def max_residual(x: MomentumSymbol, y: MomentumSymbol,
-                 samples: Sequence[Triple]) -> float:
-    return batch_norm(x - y, signed_batch(samples))
+        parts = tuple(self._eval(Jet.of_momenta(_components(q))))
+        grads = [p.grad * _HALF_SIGN if isinstance(p, Jet)
+                 else np.zeros((3,) + p.shape, dtype=complex) for p in parts]
+        return (SymbolValues(*(p.val if isinstance(p, Jet) else p
+                               for p in parts)),
+                tuple(SymbolValues(da, db) for da, db in zip(*grads)))
 
 
 def central_difference(x: MomentumSymbol, a: int, points, h: float = 1e-5
@@ -190,14 +173,6 @@ def central_difference(x: MomentumSymbol, a: int, points, h: float = 1e-5
     (ap, bp), (am, bm) = (x(signed_batch(np.asarray(points) + s * step))
                           for s in (1.0, -1.0))
     return (ap[0] - am[0]) / (2.0 * h), (bp[0] - bm[0]) / (2.0 * h)
-
-
-def commutator_symbol(x: MomentumSymbol, y: MomentumSymbol) -> MomentumSymbol:
-    return x @ y - y @ x
-
-
-def anticommutator_symbol(x: MomentumSymbol, y: MomentumSymbol) -> MomentumSymbol:
-    return (x @ y) + (y @ x)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +353,8 @@ def tilde_gammas(mass: float) -> List[Tuple[str, MomentumSymbol]]:
 
     The matrix generators get closed forms; the conjugation image gets
     the expanded V+ conj(V-(-q)) closed form; the composite generators
-    (5, 6, 7) are built by flip-law composition exactly as defined.
+    (5, 6, 7) compose their evaluated factors inside their own evaluation,
+    exactly as defined: tg5 = tg1 tg3 tC, tg6 = i tg5, tg7 = i tg0.
     """
     if mass <= 0:
         raise ValueError("nonlocal generators need m > 0")
@@ -423,12 +399,10 @@ def tilde_gammas(mass: float) -> List[Tuple[str, MomentumSymbol]]:
     tg4 = make_scaled(gc[4], "tg4")
     tg0 = make_scaled(gc[0], "tg0")
     t_c = MomentumSymbol.antilinear_matrix(tc_fn, "tC")
-    tg5 = tg1 @ tg3 @ t_c
-    tg5.label = "tg5"
-    tg6 = tg5.scaled(1j)
-    tg6.label = "tg6"
-    tg7 = tg0.scaled(1j)
-    tg7.label = "tg7"
+    tg5 = MomentumSymbol(
+        lambda q: tg1._eval(q) @ tg3._eval(q) @ t_c._eval(q), "tg5")
+    tg6 = MomentumSymbol(lambda q: 1j * tg5._eval(q), "tg6")
+    tg7 = MomentumSymbol(lambda q: 1j * tg0._eval(q), "tg7")
     return [("tg1", tg1), ("tg2", tg2), ("tg3", tg3), ("tg4", tg4),
             ("tg5", tg5), ("tg6", tg6), ("tg7", tg7),
             ("tg0", tg0), ("tC", t_c)]
@@ -456,7 +430,8 @@ def check_equation_symmetry(x, eq: EquationOperator,
 
     Constant exact operators ride the zero-tolerance structural path;
     momentum-dependent symbols are checked by sampling the flip-law
-    commutator with iH, judged against tol, which the caller must give.
+    commutator with iH at samples, judged against tol; the caller must
+    give both.
     """
     if isinstance(x, GeneralOp):
         ok, failures = eq.is_exact_symmetry(x)
@@ -466,7 +441,7 @@ def check_equation_symmetry(x, eq: EquationOperator,
     if tol is None:
         raise ValueError("a sampled symmetry check needs a tolerance")
     if samples is None:
-        samples = sample_momenta(100, radius=10.0)
-    comm = commutator_symbol(x, eq.symbol.scaled(1j))
-    worst = batch_norm(comm, signed_batch(samples))
+        raise ValueError("a sampled symmetry check needs sample momenta")
+    q = signed_batch(samples)
+    worst = commutator(x(q), 1j * eq.symbol(q)).norm()
     return SymmetryReport(label or x.label, eq.name, worst < tol, False, worst)

@@ -5,17 +5,18 @@ from them.
 Normal form keeps all position factors on the left: a term x^alpha S(q)
 means "apply the matrix symbol, then multiply by positions", with x_b
 acting as i d/dq_b in momentum space. An ``XOp`` holds the symbol
-coefficients; ``evaluate`` runs each once on a signed batch as a jet pair
-(``MomentumSymbol.jet``), and the algebra works on those ``XValues``.
-Products use the reordering rule
+coefficients; ``evaluate`` runs each once on a signed batch
+(``MomentumSymbol.jet``), and the algebra works on the resulting
+``XValues``: per key a ``SymbolValues`` and its q-derivatives. Products
+use the reordering rule
 
     S x_b T = x_b (S T) - i (dS/dq_b) T,
 
 which holds for antilinear coefficients too (positions are real and
-commute with conjugation): S T is a flip-law product of the values and
-dS/dq_b comes from the left coefficient's jet. The right factor has
-degree <= 1, and a coefficient formed by the algebra carries no
-derivative, so it never stands left of a position. The time coordinate
+commute with conjugation): S T is the flip-law product ``S @ T`` of the
+values and dS/dq_b comes from the left coefficient's jet. The right
+factor has degree <= 1, and a coefficient formed by the algebra carries
+no derivative, so it never stands left of a position. The time coordinate
 never mixes with the q-calculus; an optional x0 coefficient is tracked
 separately and only enters the evolution-operator symmetry check.
 """
@@ -29,16 +30,15 @@ import numpy as np
 
 from .algebras import breve_spin, pd_gammas
 from .operators import GeneralOp
-from .symbols import (MomentumSymbol, flip_product, omega, sample_momenta,
-                      signed_batch, symbol_norm, to_complex_matrix)
+from .symbols import (MomentumSymbol, SymbolValues, omega, sample_momenta,
+                      signed_batch, to_complex_matrix)
 
 Multi = Tuple[int, int, int]
 ZERO_MULTI: Multi = (0, 0, 0)
 _E = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-Pair = Tuple[np.ndarray, np.ndarray]
-# values (A, B) and derivatives (dA, dB), or None when formed by the algebra
-Coeff = Tuple[Pair, Optional[Pair]]
+# values and their three q-derivatives, or None when formed by the algebra
+Coeff = Tuple[SymbolValues, Optional[Tuple[SymbolValues, ...]]]
 
 
 def _madd_multi(a: Multi, b: Multi) -> Multi:
@@ -62,11 +62,8 @@ def position_op(a: int, mass: float) -> XOp:
 
 @dataclass
 class XValues:
-    """The spatial coefficients of an operator on one signed batch.
-
-    A value part has shape (2, N, 4, 4), or (1, 1, 4, 4) when constant; a
-    derivative part has a leading axis of 3 (d/dq_a).
-    """
+    """The spatial coefficients of an operator on one signed batch, each
+    with its derivatives d/dq_a when it was evaluated by ``evaluate``."""
 
     terms: Dict[Multi, Coeff]
     mass: float
@@ -75,18 +72,18 @@ class XValues:
         return max((sum(k) for k in self.terms), default=0)
 
     def __add__(self, other: "XValues") -> "XValues":
-        return _combine(self, other, 1.0)
+        return _collect(_mass(self, other),
+                        ((k, v) for x in (self, other)
+                         for k, (v, _) in x.terms.items()))
 
     def __sub__(self, other: "XValues") -> "XValues":
-        return _combine(self, other, -1.0)
+        return self + XValues({k: (-v, None)
+                               for k, (v, _) in other.terms.items()},
+                              other.mass)
 
     def max_norm(self) -> float:
         """Largest coefficient entry modulus over the +q half."""
-        return max((_norm(v) for v, _ in self.terms.values()), default=0.0)
-
-
-def _norm(pair: Pair) -> float:
-    return symbol_norm((pair[0][0], pair[1][0]))
+        return max((v.norm() for v, _ in self.terms.values()), default=0.0)
 
 
 def _mass(x: XValues, y: XValues) -> float:
@@ -95,20 +92,12 @@ def _mass(x: XValues, y: XValues) -> float:
     return x.mass
 
 
-def _acc(out: Dict[Multi, Pair], key: Multi, pair: Pair, r=1.0) -> None:
-    """out[key] += r pair."""
-    a, b = r * pair[0], r * pair[1]
-    if key in out:
-        a, b = out[key][0] + a, out[key][1] + b
-    out[key] = (a, b)
-
-
-def _combine(x: XValues, y: XValues, r: float) -> XValues:
-    """x + r y; the sum carries no derivatives."""
-    mass = _mass(x, y)
-    out = {k: v for k, (v, _) in x.terms.items()}
-    for k, (v, _) in y.terms.items():
-        _acc(out, k, v, r)
+def _collect(mass: float, pieces) -> XValues:
+    """The sum of the (key, values) pieces per key, in order; a sum
+    carries no derivatives."""
+    out: Dict[Multi, SymbolValues] = {}
+    for key, v in pieces:
+        out[key] = out[key] + v if key in out else v
     return XValues({k: (v, None) for k, v in out.items()}, mass)
 
 
@@ -127,18 +116,19 @@ def compose(x: XValues, y: XValues) -> XValues:
     if y.degree() > 1:
         raise ValueError("the right factor of a product must have "
                          "degree <= 1")
-    out: Dict[Multi, Pair] = {}
-    for alpha, (s, ds) in x.terms.items():
-        for beta, (t, _) in y.terms.items():
-            _acc(out, _madd_multi(alpha, beta), flip_product(s, t))
-            if beta == ZERO_MULTI:
-                continue
-            if ds is None:
-                raise ValueError("a coefficient formed by a product has no "
-                                 "derivative (jets are degree 1)")
-            b = beta.index(1)
-            _acc(out, alpha, flip_product((-1j * ds[0][b], -1j * ds[1][b]), t))
-    return XValues({k: (v, None) for k, v in out.items()}, mass)
+
+    def pieces():
+        for alpha, (s, ds) in x.terms.items():
+            for beta, (t, _) in y.terms.items():
+                yield _madd_multi(alpha, beta), s @ t
+                if beta == ZERO_MULTI:
+                    continue
+                if ds is None:
+                    raise ValueError("a coefficient formed by a product has "
+                                     "no derivative (jets are degree 1)")
+                yield alpha, (-1j * ds[beta.index(1)]) @ t
+
+    return _collect(mass, pieces())
 
 
 def commutator(x: XValues, y: XValues) -> XValues:
@@ -244,21 +234,25 @@ def build_poincare_generators(mass: float) -> List[Tuple[str, XOp]]:
 # evolution-operator symmetry for XOps
 # ---------------------------------------------------------------------------
 
-def evolution_commutator_residual(gen: XOp, mass: float,
+def evolution_commutator_residual(gens: Sequence[XOp], mass: float,
                                   samples: Sequence[Tuple[float, float, float]]
                                   ) -> float:
-    """Max norm of [d_0 + iH, G] over samples, H the diagonalized
-    Hamiltonian. For time-independent spatial parts the commutator is
-    [iH, G_spatial] plus the x0 coefficient surfacing through d_0."""
+    """Max norm of [d_0 + iH, G] over samples and over the generators G in
+    gens, H the diagonalized Hamiltonian, evaluated once for all of them.
+    For time-independent spatial parts the commutator is [iH, G_spatial]
+    plus the x0 coefficient surfacing through d_0."""
     gc0 = _g0_complex()
     i_h = MomentumSymbol.linear_matrix(
         lambda q: (1j * omega(q, mass)) * gc0, "iH")
     q = signed_batch(samples)
-    comm = commutator(evaluate(XOp({ZERO_MULTI: i_h}, mass), q),
-                      evaluate(gen, q))
-    if gen.t_coeff is not None:
-        comm = comm + XValues({ZERO_MULTI: gen.t_coeff.jet(q)}, mass)
-    return comm.max_norm()
+    i_h_values = evaluate(XOp({ZERO_MULTI: i_h}, mass), q)
+    worst = 0.0
+    for gen in gens:
+        comm = commutator(i_h_values, evaluate(gen, q))
+        if gen.t_coeff is not None:
+            comm = comm + XValues({ZERO_MULTI: (gen.t_coeff(q), None)}, mass)
+        worst = max(worst, comm.max_norm())
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +313,10 @@ def poincare_closure_check(mass: float, n_samples: int = 200, seed: int = 42,
     def slots(x: XValues) -> np.ndarray:
         """Coefficients at keys, shape (keys, parts, N, 4, 4)."""
         out = np.zeros((len(keys), 2, q.shape[1], 4, 4), dtype=complex)
-        for k, ((a, b), _) in x.terms.items():
+        for k, (v, _) in x.terms.items():
             if k in keys:
-                out[keys.index(k), 0] = a[0]
-                out[keys.index(k), 1] = b[0]
+                out[keys.index(k), 0] = v.a[0]
+                out[keys.index(k), 1] = v.b[0]
         return out
 
     design = _real_rows(np.stack([slots(v).ravel() for v in values], axis=1))
@@ -345,7 +339,7 @@ def poincare_closure_check(mass: float, n_samples: int = 200, seed: int = 42,
             comm = commutator(x, y)
             rhs = _real_rows(slots(comm).ravel())
             coef = fit(rhs)
-            unfit = [_norm(v) for k, (v, _) in comm.terms.items()
+            unfit = [v.norm() for k, (v, _) in comm.terms.items()
                      if k not in keys]
             resid = max([float(np.max(np.abs(design @ coef - rhs)))] + unfit)
             worst = max(worst, resid)
@@ -395,9 +389,9 @@ def casimir_report(mass: float, n_samples: int = 50, seed: int = 42,
 
     q = signed_batch(sample_momenta(n_samples, seed=seed, radius=5.0))
     p = [g.coeffs[ZERO_MULTI](q) for _, g in translation_generators(mass)]
-    a = flip_product(p[0], p[0])[0]
+    a = (p[0] @ p[0]).a
     for pn in p[1:]:
-        a = a - flip_product(pn, pn)[0]
+        a = a - (pn @ pn).a
     acc = a[0]
     values = acc[:, 0, 0]
     deviation = float(np.max(np.abs(acc - values[:, None, None] * np.eye(4))))

@@ -18,18 +18,18 @@ from ercd.algebras import (a32, bosonic_rep, bosonic_so8_generators,
                            breve_spin, breve_spin_from_compositions,
                            ercd64, extended_gammas, pd_gammas, pgi8,
                            percd29, so15_generators, so8_generators)
-from ercd.operators import GeneralOp, commutator, compose
+from ercd.operators import GeneralOp, anticommutator, commutator, compose
 from ercd.relations import (casimir_spin_squared, check_anticommutation,
                             check_so15, check_so8, classify_hermiticity,
                             gamma_product_identities, verify_explicit_forms)
 from ercd.scalars import ExactScalar, ZERO
 from ercd.spans import (centralizer_kernel, span_rank, spans_equal)
 from ercd.suites import corrupted_pd_gammas
-from ercd.symbols import (MomentumSymbol, anticommutator_symbol,
+from ercd.symbols import (MomentumSymbol, SymbolValues,
                           check_equation_symmetry, dirac_hamiltonian,
-                          fw_hamiltonian, fw_transform, max_residual,
-                          pd_spin, sample_momenta, spin_matrices_complex,
-                          symbol_norm, tilde_gammas)
+                          fw_hamiltonian, fw_transform, pd_spin,
+                          sample_momenta, signed_batch, spin_matrices_complex,
+                          tilde_gammas)
 from ercd.xops import (build_poincare_generators, casimir_report,
                        evolution_commutator_residual, poincare_closure_check)
 
@@ -148,43 +148,44 @@ def test_criterion_7_spin_triplet():
 def test_criterion_8_transform_identities():
     m = 1.0
     samples = sample_momenta(100, seed=42, radius=10.0)
-    vp, vm = fw_transform(m, +1), fw_transform(m, -1)
-    ident = MomentumSymbol.constant(GeneralOp.identity())
+    q = signed_batch(samples)
+    vp, vm = fw_transform(m, +1)(q), fw_transform(m, -1)(q)
+    ident = MomentumSymbol.constant(GeneralOp.identity())(q)
     fw, hd = fw_hamiltonian(m), dirac_hamiltonian(m)
+    h_d = hd.symbol(q)
 
-    worst_inverse = max(max_residual(vp @ vm, ident, samples),
-                        max_residual(vm @ vp, ident, samples))
-    worst_conj = max_residual(vp @ fw.symbol @ vm, hd.symbol, samples)
+    worst_inverse = max((vp @ vm - ident).norm(), (vm @ vp - ident).norm())
+    worst_conj = (vp @ fw.symbol(q) @ vm - h_d).norm()
 
     sv = spin_matrices_complex()
     worst_spin = 0.0
     for j, s in enumerate(pd_spin(m)):
-        comm = s @ hd.symbol - hd.symbol @ s
-        worst_spin = max(worst_spin,
-                         max(symbol_norm(comm.value_at(q)) for q in samples))
-        conj = vp @ MomentumSymbol.linear_matrix(lambda q, jj=j: sv[jj]) @ vm
-        worst_spin = max(worst_spin, max_residual(s, conj, samples))
+        spin = s(q)
+        conj = vp @ SymbolValues(sv[j], np.zeros((4, 4), dtype=complex)) @ vm
+        worst_spin = max(worst_spin, commutator(spin, h_d).norm(),
+                         (spin - conj).norm())
 
     tgs = dict(tilde_gammas(m))
-    labels = [f"tg{k}" for k in range(1, 8)]
+    few = signed_batch(samples[:10])
+    values = [tgs[f"tg{k}"](few) for k in range(1, 8)]
     worst_tilde = 0.0
-    for q in samples[:10]:
-        for a in range(7):
-            for b in range(a, 7):
-                ac = anticommutator_symbol(tgs[labels[a]], tgs[labels[b]])
-                va, vb = ac.value_at(q)
-                target = -2.0 * np.eye(4) if a == b else 0.0
-                worst_tilde = max(worst_tilde,
-                                  float(np.max(np.abs(va - target))),
-                                  float(np.max(np.abs(vb))))
+    for a in range(7):
+        for b in range(a, 7):
+            ac = anticommutator(values[a], values[b])
+            target = -2.0 * np.eye(4) if a == b else 0.0
+            worst_tilde = max(worst_tilde,
+                              float(np.max(np.abs(ac.a[0] - target))),
+                              float(np.max(np.abs(ac.b[0]))))
     ext = extended_gammas()
     fundamentals = {f"tg{k}": MomentumSymbol.constant(ext.get(f"g{k}"))
                     for k in range(1, 8)}
     fundamentals["tg0"] = MomentumSymbol.constant(pd_gammas().get("g0"))
     fundamentals["tC"] = MomentumSymbol.constant(GeneralOp.conjugation())
+    near = signed_batch(samples[:30])
+    vp, vm = fw_transform(m, +1)(near), fw_transform(m, -1)(near)
     for lbl, sym in tgs.items():
-        conj = vp @ fundamentals[lbl] @ vm
-        worst_tilde = max(worst_tilde, max_residual(sym, conj, samples[:30]))
+        conj = vp @ fundamentals[lbl](near) @ vm
+        worst_tilde = max(worst_tilde, (sym(near) - conj).norm())
 
     worst = max(worst_inverse, worst_conj, worst_spin, worst_tilde)
     ok = worst < MOMENTUM_TOL
@@ -212,9 +213,8 @@ def test_criterion_10_generator_suite():
     t0 = time.perf_counter()
     m = 1.0
     samples = sample_momenta(30, seed=42, radius=5.0)
-    worst_sym = 0.0
-    for name, g in build_poincare_generators(m):
-        worst_sym = max(worst_sym, evolution_commutator_residual(g, m, samples))
+    worst_sym = evolution_commutator_residual(
+        [g for _, g in build_poincare_generators(m)], m, samples)
     closure = poincare_closure_check(m, n_samples=200, seed=42)
     cas = casimir_report(m)
     elapsed = time.perf_counter() - t0

@@ -109,6 +109,64 @@ def test_so6_quarter_commutators_read_the_independent_forms(monkeypatch):
     assert quarter.detail == "alpha_12; alpha_23; alpha_24; alpha_25; alpha_26"
 
 
+def _replaced(ortset, ops):
+    """ortset with the elements that ops maps by label replaced."""
+    from ercd.algebras import OrtSet
+    return OrtSet(ortset.name, tuple((lbl, ops.get(lbl, op))
+                                     for lbl, op in ortset))
+
+
+def test_seven_generators_read_the_written_forms(monkeypatch):
+    from ercd.algebras import extended_gammas
+    from ercd.operators import GeneralOp
+
+    clean = _claims(SuiteConfig(suites=("percd",)))["percd.seven-generators"]
+    assert clean.status == "pass"
+    # g7 = i g0 built from a corrupted g0, which the suite also reads
+    gammas = ercd.suites.corrupted_pd_gammas("g0", 0, 0)
+    bad = _replaced(extended_gammas(), {
+        "g7": GeneralOp.imaginary_unit() @ gammas.get("g0")})
+    monkeypatch.setattr(ercd.suites, "pd_gammas", lambda: gammas)
+    monkeypatch.setattr(ercd.suites, "extended_gammas", lambda: bad)
+    claim = _claims(SuiteConfig(suites=("percd",)))["percd.seven-generators"]
+    assert claim.failed
+    assert claim.detail == "two antilinear generators as composed"
+
+
+def test_lorentz_sextet_reads_the_written_forms(monkeypatch):
+    from ercd.algebras import pgi_lorentz6
+    from ercd.operators import GeneralOp
+    from ercd.scalars import ExactScalar
+
+    clean = _claims(SuiteConfig(suites=("pgi",)))["pgi.lorentz-sextet"]
+    assert clean.status == "pass"
+    # s03 = -(i/2) g4 built from a corrupted g4, which the suite also reads
+    gammas = ercd.suites.corrupted_pd_gammas("g4", 0, 2)
+    bad = dict(pgi_lorentz6())
+    bad[(0, 3)] = (GeneralOp.imaginary_unit() @ gammas.get("g4")).scaled(
+        ExactScalar.rational(-1, 2))
+    monkeypatch.setattr(ercd.suites, "pd_gammas", lambda: gammas)
+    monkeypatch.setattr(ercd.suites, "pgi_lorentz6", lambda: bad)
+    claim = _claims(SuiteConfig(suites=("pgi",)))["pgi.lorentz-sextet"]
+    assert claim.failed
+
+
+def test_basis_64_reads_the_written_forms(monkeypatch):
+    from ercd.algebras import ercd64
+
+    clean = _claims(SuiteConfig(suites=("ercd",)))["ercd.basis-64"]
+    assert clean.status == "pass" and clean.detail == "count=64"
+    # alpha_01 negated and its i and C images with it: still
+    # i.alpha_01 = i alpha_01 and C.alpha_01 = C alpha_01, but no longer
+    # the written g0 g1 and its images
+    basis = ercd64()
+    bad = _replaced(basis, {lbl: -basis.get(lbl) for lbl in
+                            ("alpha_01", "i.alpha_01", "C.alpha_01")})
+    monkeypatch.setattr(ercd.suites, "ercd64", lambda: bad)
+    claim = _claims(SuiteConfig(suites=("ercd",)))["ercd.basis-64"]
+    assert claim.failed
+
+
 def test_json_reports_are_byte_identical(tmp_path):
     config = SuiteConfig(suites=("cd",), fmt="json")
     a = run_suite(config).to_json()

@@ -17,7 +17,8 @@ from ercd.relations import (SO13_METRIC, casimir_spin_squared,
 from ercd.scalars import ExactScalar, HALF, ZERO
 from ercd.spans import structure_constants
 from ercd.suites import flip_anticommutation_residual, flip_rotation_residual
-from ercd.symbols import MomentumSymbol, sample_momenta, signed_batch
+from ercd.symbols import (MomentumSymbol, SymbolValues, sample_momenta,
+                          signed_batch)
 
 
 def test_anticommutation_five_generators():
@@ -186,12 +187,11 @@ def test_rotation_rule_on_flip_arrays_agrees_with_the_exact_table():
     # go through the same family constructor and rule as the exact table
     ext = extended_gammas()
     q = signed_batch(sample_momenta(3, seed=5))
-    values = [np.stack(MomentumSymbol.constant(ext.get(f"g{k}"))(q))
+    values = [MomentumSymbol.constant(ext.get(f"g{k}"))(q)
               for k in range(1, 8)]
     assert check_so8(so8_generators()).passed
     assert flip_rotation_residual(values) <= 1e-15
-    values[2] = values[2].copy()
-    values[2][0, 0, 1, 0, 1] += 1e-2
+    values[2] = values[2] + _bump(q, 0, (0, 1, 0, 1))
     assert flip_rotation_residual(values) > 1e-3
 
 
@@ -199,13 +199,20 @@ def test_anticommutation_rule_on_flip_arrays_agrees_with_the_exact_check():
     # the exact check and the fw check on evaluated arrays share one rule
     ext = extended_gammas()
     q = signed_batch(sample_momenta(3, seed=5))
-    values = [np.stack(MomentumSymbol.constant(ext.get(f"g{k}"))(q))
+    values = [MomentumSymbol.constant(ext.get(f"g{k}"))(q)
               for k in range(1, 8)]
     assert check_anticommutation(ext, (-1,) * 7, 2).passed
     assert flip_anticommutation_residual(values) <= 1e-15
-    values[4] = values[4].copy()
-    values[4][1, 0, 2, 3, 0] += 1e-2  # antilinear part of g5
+    values[4] = values[4] + _bump(q, 1, (0, 2, 3, 0))  # antilinear part of g5
     assert flip_anticommutation_residual(values) > 1e-3
+
+
+def _bump(q, part, entry):
+    """Values on the batch q that are zero but for 1e-2 at entry (sign,
+    point, row, column) of the linear (part 0) or antilinear part."""
+    parts = np.zeros((2, 2, q.shape[1], 4, 4))
+    parts[(part,) + entry] = 1e-2
+    return SymbolValues(*parts)
 
 
 def test_casimir_spin_squared():

@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 
 from ercd.algebras import a32, extended_gammas, pd_gammas, pgi8
-from ercd.operators import GeneralOp
-from ercd.symbols import (MomentumSymbol, anticommutator_symbol,
-                          check_equation_symmetry, commutator_symbol,
-                          dirac_hamiltonian, fw_hamiltonian, fw_transform,
-                          max_residual, omega, pd_spin, sample_momenta,
-                          signed_batch, spin_matrices_complex, symbol_norm,
+from ercd.operators import GeneralOp, anticommutator, commutator
+from ercd.symbols import (MomentumSymbol, SymbolValues,
+                          check_equation_symmetry, dirac_hamiltonian,
+                          fw_hamiltonian, fw_transform, omega, pd_spin,
+                          sample_momenta, signed_batch, spin_matrices_complex,
                           tilde_gammas, to_complex_matrix)
 from ercd.xops import build_poincare_generators
 
 M = 1.0
 TOL = 1e-12
 SAMPLES = sample_momenta(100, seed=42, radius=10.0)
+Q = signed_batch(SAMPLES)
 
 
 def _const(op, label=""):
@@ -21,6 +21,11 @@ def _const(op, label=""):
 
 
 IDENT = _const(GeneralOp.identity(), "I")
+
+
+def _transforms(q):
+    """V+ and V- evaluated on the signed batch q."""
+    return fw_transform(M, +1)(q), fw_transform(M, -1)(q)
 
 
 def test_sampling_is_deterministic_and_bounded():
@@ -73,15 +78,15 @@ def test_transform_is_identity_at_rest():
 
 
 def test_transforms_are_mutually_inverse():
-    vp, vm = fw_transform(M, +1), fw_transform(M, -1)
-    assert max_residual(vp @ vm, IDENT, SAMPLES) < TOL
-    assert max_residual(vm @ vp, IDENT, SAMPLES) < TOL
+    vp, vm = _transforms(Q)
+    assert (vp @ vm - IDENT(Q)).norm() < TOL
+    assert (vm @ vp - IDENT(Q)).norm() < TOL
 
 
 def test_hamiltonian_conjugation_identity():
-    vp, vm = fw_transform(M, +1), fw_transform(M, -1)
-    lhs = vp @ fw_hamiltonian(M).symbol @ vm
-    assert max_residual(lhs, dirac_hamiltonian(M).symbol, SAMPLES) < TOL
+    vp, vm = _transforms(Q)
+    lhs = vp @ fw_hamiltonian(M).symbol(Q) @ vm
+    assert (lhs - dirac_hamiltonian(M).symbol(Q)).norm() < TOL
 
 
 def test_nonlocal_spin_at_rest_is_constant_spin():
@@ -92,20 +97,18 @@ def test_nonlocal_spin_at_rest_is_constant_spin():
 
 
 def test_nonlocal_spin_commutes_with_local_hamiltonian():
-    hd = dirac_hamiltonian(M).symbol
-    samples = sample_momenta(200, seed=9, radius=10.0)
+    q = signed_batch(sample_momenta(200, seed=9, radius=10.0))
+    hd = dirac_hamiltonian(M).symbol(q)
     for s in pd_spin(M):
-        comm = commutator_symbol(s, hd)
-        worst = max(symbol_norm(comm.value_at(q)) for q in samples)
-        assert worst < TOL
+        assert commutator(s(q), hd).norm() < TOL
 
 
 def test_nonlocal_spin_equals_conjugated_spin():
-    vp, vm = fw_transform(M, +1), fw_transform(M, -1)
+    vp, vm = _transforms(Q)
     sv = spin_matrices_complex()
     for j, s in enumerate(pd_spin(M)):
-        conj = vp @ MomentumSymbol.linear_matrix(lambda q, jj=j: sv[jj]) @ vm
-        assert max_residual(s, conj, SAMPLES) < TOL
+        conj = vp @ SymbolValues(sv[j], np.zeros((4, 4), dtype=complex)) @ vm
+        assert (s(Q) - conj).norm() < TOL
 
 
 def test_tilde_vector_at_rest():
@@ -116,42 +119,41 @@ def test_tilde_vector_at_rest():
 
 
 def test_tilde_set_satisfies_minus_two_delta():
+    q = signed_batch(SAMPLES[:12])
     tgs = dict(tilde_gammas(M))
-    labels = [f"tg{k}" for k in range(1, 8)]
-    for q in SAMPLES[:12]:
-        for a in range(7):
-            for b in range(a, 7):
-                ac = anticommutator_symbol(tgs[labels[a]], tgs[labels[b]])
-                va, vb = ac.value_at(q)
-                target = -2.0 * np.eye(4) if a == b else 0.0
-                assert float(np.max(np.abs(va - target))) < TOL
-                assert float(np.max(np.abs(vb))) < TOL
+    values = [tgs[f"tg{k}"](q) for k in range(1, 8)]
+    for a in range(7):
+        for b in range(a, 7):
+            ac = anticommutator(values[a], values[b])
+            target = -2.0 * np.eye(4) if a == b else 0.0
+            assert float(np.max(np.abs(ac.a[0] - target))) < TOL
+            assert float(np.max(np.abs(ac.b[0]))) < TOL
 
 
 def test_tilde_operators_match_conjugation():
-    vp, vm = fw_transform(M, +1), fw_transform(M, -1)
+    q = signed_batch(SAMPLES[:40])
+    vp, vm = _transforms(q)
     ext = extended_gammas()
     fundamentals = {f"tg{k}": _const(ext.get(f"g{k}")) for k in range(1, 8)}
     fundamentals["tg0"] = _const(pd_gammas().get("g0"))
     fundamentals["tC"] = _const(GeneralOp.conjugation())
     for lbl, sym in tilde_gammas(M):
-        conj = vp @ fundamentals[lbl] @ vm
-        assert max_residual(sym, conj, SAMPLES[:40]) < TOL, lbl
+        conj = vp @ fundamentals[lbl](q) @ vm
+        assert (sym(q) - conj).norm() < TOL, lbl
 
 
 def test_conjugation_preserves_anticommutators():
-    vp, vm = fw_transform(M, +1), fw_transform(M, -1)
+    q = signed_batch(SAMPLES[:10])
+    vp, vm = _transforms(q)
     ext = extended_gammas()
     pairs = [("g1", "g2"), ("g5", "g6"), ("g4", "g7"), ("g5", "g5")]
     for la, lb in pairs:
-        xa = vp @ _const(ext.get(la)) @ vm
-        xb = vp @ _const(ext.get(lb)) @ vm
-        ac = anticommutator_symbol(xa, xb)
+        xa = vp @ _const(ext.get(la))(q) @ vm
+        xb = vp @ _const(ext.get(lb))(q) @ vm
+        ac = anticommutator(xa, xb)
         target = -2.0 * np.eye(4) if la == lb else 0.0
-        for q in SAMPLES[:10]:
-            va, vb = ac.value_at(q)
-            assert float(np.max(np.abs(va - target))) < TOL
-            assert float(np.max(np.abs(vb))) < TOL
+        assert float(np.max(np.abs(ac.a[0] - target))) < TOL
+        assert float(np.max(np.abs(ac.b[0]))) < TOL
 
 
 def _random_matrices(rng, scale, shape=()):
@@ -180,12 +182,11 @@ def test_flip_composition_is_associative():
 
     q = signed_batch(SAMPLES[:15])
     for _ in range(6):
-        x, y, z = random_symbol(), random_symbol(), random_symbol()
-        assert np.max(np.abs(np.array(x(q)[1][1]))) > 0.1  # odd B part
-        lhs = ((x @ y) @ z)(q)
-        rhs = (x @ (y @ z))(q)
-        for part in (0, 1):
-            assert np.max(np.abs(lhs[part] - rhs[part])) < 1e-12
+        x, y, z = random_symbol()(q), random_symbol()(q), random_symbol()(q)
+        assert np.max(np.abs(x.b[1])) > 0.1  # odd B part
+        # both halves of the batch
+        for part in (x @ y) @ z - x @ (y @ z):
+            assert np.max(np.abs(part)) < 1e-12
 
 
 def test_constant_embedding_is_a_homomorphism():
@@ -197,30 +198,34 @@ def test_constant_embedding_is_a_homomorphism():
     q = signed_batch(SAMPLES[:10])
     for xa in ops:
         for xb in ops:
-            lhs = (_const(xa) @ _const(xb))(q)
-            rhs = _const(xa @ xb)(q)
-            for part in (0, 1):
-                assert np.max(np.abs(lhs[part] - rhs[part])) < TOL
+            diff = _const(xa)(q) @ _const(xb)(q) - _const(xa @ xb)(q)
+            for part in diff:
+                assert np.max(np.abs(part)) < TOL
 
 
 def test_batch_matches_value_at_loop():
     # a signed batch evaluation, sliced, against one-point evaluations at
-    # q (the +q half) and at -q (the -q half)
+    # q (the +q half) and at -q (the -q half); a constant part keeps the
+    # shape (1, 1, 4, 4) and broadcasts over the batch
     vp, vm = fw_transform(M, +1), fw_transform(M, -1)
-    symbols = [sym for _, sym in tilde_gammas(M)] + [
+    h = fw_hamiltonian(M).symbol
+    evaluations = [sym for _, sym in tilde_gammas(M)] + [
         sym for _, g in build_poincare_generators(M)
-        for sym in g.coeffs.values()] + [vp @ fw_hamiltonian(M).symbol @ vm]
+        for sym in g.coeffs.values()] + [lambda q: vp(q) @ h(q) @ vm(q)]
     points = SAMPLES[:6]
     q = signed_batch(points)
-    for sym in symbols:
-        batch = sym(q)
+    for k, evaluation in enumerate(evaluations):
+        batch = tuple(evaluation(q))
         for i, p in enumerate(points):
             for half, point in ((0, p), (1, tuple(-c for c in p))):
-                one = sym.value_at(point)
+                one = tuple(evaluation(signed_batch(point)))
                 for part in (0, 1):
-                    assert batch[part].shape == (2, len(points), 4, 4)
-                    assert np.max(np.abs(batch[part][half, i] - one[part])) \
-                        < 1e-13, (sym.label, i, half, part)
+                    assert batch[part].shape in ((1, 1, 4, 4),
+                                                 (2, len(points), 4, 4))
+                    full = np.broadcast_to(batch[part],
+                                           (2, len(points), 4, 4))
+                    assert np.max(np.abs(full[half, i] - one[part][0, 0])) \
+                        < 1e-13, (k, i, half, part)
 
 
 def test_omega_is_even():
@@ -261,11 +266,16 @@ def test_momentum_symbol_symmetry_check_numeric_path():
     vp, vm = fw_transform(M, +1), fw_transform(M, -1)
     # conjugated constant symmetry stays a symmetry of the local equation
     hd = dirac_hamiltonian(M)
-    sym = vp @ _const(extended_gammas().get("g7")) @ vm
+    g7 = _const(extended_gammas().get("g7"))
+    sym = MomentumSymbol(lambda q: vp._eval(q) @ g7._eval(q) @ vm._eval(q),
+                         "V+ g7 V-")
     rep = check_equation_symmetry(sym, hd, samples=SAMPLES[:25], tol=TOL)
     assert not rep.exact and rep.is_symmetry
     # a sampled check is judged against the caller's tolerance only
     assert not check_equation_symmetry(sym, hd, samples=SAMPLES[:25],
                                        tol=rep.max_residual / 2).is_symmetry
-    with pytest.raises(ValueError):
+    # and it needs both the tolerance and the sample momenta
+    with pytest.raises(ValueError, match="tolerance"):
         check_equation_symmetry(sym, hd, samples=SAMPLES[:25])
+    with pytest.raises(ValueError, match="sample momenta"):
+        check_equation_symmetry(sym, hd, tol=TOL)

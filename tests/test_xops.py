@@ -64,30 +64,30 @@ def test_dual_mode_matches_finite_differences():
     q = signed_batch(points)
     neg = [tuple(-c for c in p) for p in points]
     count = 0
+    full = (2, len(points), 4, 4)
     for label, sym in _jet_symbols():
         vals, grads = sym.jet(q)
-        plain = sym(q)
+        plain = tuple(sym(q))
         for a in range(3):
             for half, pts in ((0, points), (1, neg)):
                 fd = central_difference(sym, a, pts, h=1e-5)
-                for part in (0, 1):
-                    jet = np.broadcast_to(grads[part][a], plain[part].shape)
+                for part, grad in enumerate(grads[a]):
+                    jet = np.broadcast_to(grad, full)
                     assert np.max(np.abs(jet[half] - fd[part])) < 1e-7, \
                         (label, a, half, part)
-        for part in (0, 1):
+        for part, val in enumerate(vals):
             # the jet pass yields the plain values too, bit for bit
-            assert np.array_equal(np.broadcast_to(vals[part],
-                                                  plain[part].shape),
-                                  plain[part]), label
+            assert np.array_equal(val, plain[part]), label
         count += 1
     assert count == 19 + 9  # every generator coefficient and tilde symbol
 
 
 def test_constant_has_zero_derivative():
     spin = dict(build_poincare_generators(M))["j12"].coeffs[(0, 0, 0)]
-    (a, b), (da, db) = spin.jet(signed_batch(SAMPLES[:3]))
+    (a, b), grads = spin.jet(signed_batch(SAMPLES[:3]))
     assert a.shape == b.shape == (1, 1, 4, 4)
-    assert not da.any() and not db.any()
+    assert len(grads) == 3
+    assert not any(part.any() for grad in grads for part in grad)
 
 
 def _values(x):
@@ -219,15 +219,30 @@ def test_generators_require_positive_mass():
 
 def test_all_generators_commute_with_evolution_operator():
     for name, g in build_poincare_generators(M):
-        residual = evolution_commutator_residual(g, M, SAMPLES)
+        residual = evolution_commutator_residual([g], M, SAMPLES)
         assert residual < 1e-10, (name, residual)
+
+
+def test_evolution_check_evaluates_the_hamiltonian_once(monkeypatch):
+    labels = []
+    jet = MomentumSymbol.jet
+
+    def counted(sym, q):
+        labels.append(sym.label)
+        return jet(sym, q)
+
+    monkeypatch.setattr(MomentumSymbol, "jet", counted)
+    gens = [g for _, g in build_poincare_generators(M)]
+    assert evolution_commutator_residual(gens, M, SAMPLES) < 1e-10
+    # iH once, and each of the 19 generator coefficients once
+    assert labels.count("iH") == 1 and len(labels) == 1 + 19
 
 
 def test_boost_without_time_term_fails_symmetry():
     # dropping the x0 bookkeeping must break the boost invariance
     gens = dict(build_poincare_generators(M))
     bare = XOp(gens["j01"].coeffs, M)
-    residual = evolution_commutator_residual(bare, M, SAMPLES)
+    residual = evolution_commutator_residual([bare], M, SAMPLES)
     assert residual > 1e-3
 
 
