@@ -35,10 +35,10 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--mass", type=float, default=1.0,
                         help="mass parameter for momentum-space suites")
     verify.add_argument("--samples", type=int, default=200,
-                        help="seeded momentum sample count: fw uses at "
-                             "least 100 points and the poincare closure fit "
-                             "at least 200; the other sampled checks use "
-                             "fixed counts, named in each claim's detail")
+                        help="seeded momentum sample count: poincare uses "
+                             "exactly this many points for every sampled "
+                             "check; fw uses at least 100 and fixed counts "
+                             "for some checks, named in each claim's detail")
     verify.add_argument("--seed", type=int, default=42)
     verify.add_argument("--tol", action="append", default=[],
                         metavar="KEY=VALUE",
@@ -72,17 +72,21 @@ def _parse_tolerances(pairs: List[str]):
             raise ValueError(f"unknown tolerance key {key!r}")
         tol = float(value)
         if not (math.isfinite(tol) and tol > 0):
-            raise ValueError(f"tolerance {key} must be finite and positive, "
+            raise ValueError(f"--tol {key} must be finite and positive, "
                              f"got {value}")
         out.append((key, tol))
     return tuple(out)
 
 
-def _check_run_numbers(mass: float, samples: int) -> None:
-    if not (math.isfinite(mass) and mass >= 0):
-        raise ValueError(f"--mass must be finite and nonnegative, got {mass}")
+def _check_run_numbers(mass: float, samples: int, seed: int) -> None:
+    # the suites use m^2 (the Casimir p.p = -m^2), so it must be finite too
+    if not (mass >= 0 and math.isfinite(mass * mass)):
+        raise ValueError("--mass must be nonnegative with a finite square, "
+                         f"got {mass}")
     if samples < 1:
         raise ValueError(f"--samples must be at least 1, got {samples}")
+    if seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {seed}")
 
 
 def _parse_fault(spec: Optional[str]):
@@ -133,7 +137,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             _emit(content, _resolve_out(args.out))
             return 0
 
-        _check_run_numbers(args.mass, args.samples)
+        _check_run_numbers(args.mass, args.samples, args.seed)
         config = SuiteConfig(
             suites=tuple(args.suite) if args.suite else ("all",),
             mass=args.mass,

@@ -22,7 +22,7 @@ SUITE_NAMES = ("cd", "ercd", "percd", "so6", "a32", "pgi", "bosonic",
 DEFAULT_TOLERANCES: Dict[str, float] = {
     "momentum": 1e-12,    # sampled momentum-space identities
     "symmetry": 1e-10,    # generator/evolution commutators
-    "closure": 1e-8,      # least-squares span fit
+    "closure": 1e-8,      # generator commutators minus oracle expansions
 }
 
 

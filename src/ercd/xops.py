@@ -19,6 +19,10 @@ factor has degree <= 1, and a coefficient formed by the algebra carries
 no derivative, so it never stands left of a position. The time coordinate
 never mixes with the q-calculus; an optional x0 coefficient is tracked
 separately and only enters the evolution-operator symmetry check.
+
+The Lie closure of the ten generators is checked on their evaluated
+values against the exact structure constants of the symbolic oracle
+(``poincare_oracle``): each commutator minus its expansion must vanish.
 """
 
 from __future__ import annotations
@@ -30,8 +34,7 @@ import numpy as np
 
 from .algebras import breve_spin, pd_gammas
 from .operators import GeneralOp
-from .symbols import (MomentumSymbol, SymbolValues, omega, sample_momenta,
-                      signed_batch, to_complex_matrix)
+from .symbols import MomentumSymbol, SymbolValues, omega, to_complex_matrix
 
 Multi = Tuple[int, int, int]
 ZERO_MULTI: Multi = (0, 0, 0)
@@ -234,21 +237,22 @@ def build_poincare_generators(mass: float) -> List[Tuple[str, XOp]]:
 # evolution-operator symmetry for XOps
 # ---------------------------------------------------------------------------
 
-def evolution_commutator_residual(gens: Sequence[XOp], mass: float,
-                                  samples: Sequence[Tuple[float, float, float]]
-                                  ) -> float:
-    """Max norm of [d_0 + iH, G] over samples and over the generators G in
-    gens, H the diagonalized Hamiltonian, evaluated once for all of them.
-    For time-independent spatial parts the commutator is [iH, G_spatial]
-    plus the x0 coefficient surfacing through d_0."""
+def evolution_commutator_residual(gens: Sequence[XOp],
+                                  values: Sequence[XValues],
+                                  q: np.ndarray) -> float:
+    """Max norm of [d_0 + iH, G] over the signed batch q and over the
+    generators G in gens, whose spatial coefficients on q are values, H the
+    diagonalized Hamiltonian, evaluated once for all of them. For
+    time-independent spatial parts the commutator is [iH, G_spatial] plus
+    the x0 coefficient surfacing through d_0."""
+    mass = gens[0].mass
     gc0 = _g0_complex()
     i_h = MomentumSymbol.linear_matrix(
         lambda q: (1j * omega(q, mass)) * gc0, "iH")
-    q = signed_batch(samples)
     i_h_values = evaluate(XOp({ZERO_MULTI: i_h}, mass), q)
     worst = 0.0
-    for gen in gens:
-        comm = commutator(i_h_values, evaluate(gen, q))
+    for gen, value in zip(gens, values, strict=True):
+        comm = commutator(i_h_values, value)
         if gen.t_coeff is not None:
             comm = comm + XValues({ZERO_MULTI: (gen.t_coeff(q), None)}, mass)
         worst = max(worst, comm.max_norm())
@@ -256,14 +260,13 @@ def evolution_commutator_residual(gens: Sequence[XOp], mass: float,
 
 
 # ---------------------------------------------------------------------------
-# closure fitting
+# closure against the oracle constants
 # ---------------------------------------------------------------------------
 
 @dataclass
 class ClosureResult:
     pair: Tuple[str, str]
     residual: float
-    constants: np.ndarray  # real coefficients over the generator list
 
 
 @dataclass
@@ -272,91 +275,40 @@ class PoincareClosureReport:
     results: List[ClosureResult]
     max_residual: float
     tol: float
-    oracle_comparison: Optional[float] = None
-    oracle_verified: Optional[bool] = None
+    oracle_verified: bool
 
     @property
     def passed(self) -> bool:
-        oracle_ok = (self.oracle_comparison is None
-                     or self.oracle_comparison < self.tol)
-        return self.max_residual < self.tol and oracle_ok
+        return self.max_residual < self.tol and self.oracle_verified
 
 
-def _real_rows(c: np.ndarray) -> np.ndarray:
-    """Stack real and imaginary parts along the first axis."""
-    return np.concatenate([c.real, c.imag])
+def poincare_closure_check(names: Sequence[str], values: Sequence[XValues],
+                           tol: float = 1e-8) -> PoincareClosureReport:
+    """Check [g_i, g_j] = sum_k c_k g_k for every pair i < j of the ten
+    generators, evaluated once on one signed batch (``evaluate``), with
+    the exact structure constants c_k of the symbolic oracle. The residual
+    of a pair is the largest coefficient entry of the difference over the
+    +q half; a commutator coefficient at a key no generator uses counts in
+    full. The check passes when every residual is below tol and the oracle
+    proved each of its expansions."""
+    from .poincare_oracle import NAMES, oracle_structure_table
 
-
-def poincare_closure_check(mass: float, n_samples: int = 200, seed: int = 42,
-                           tol: float = 1e-8,
-                           compare_oracle: bool = True
-                           ) -> PoincareClosureReport:
-    """Fit every pairwise commutator of the ten generators into their real
-    span by least squares over seeded sample points; certify closure by
-    the fit residual and compare the fitted structure constants against
-    the scalar-realization symbolic oracle.
-
-    The ten generators are evaluated once on one signed batch, and all 45
-    commutators are formed from those values. The design matrix holds,
-    per generator, its coefficients at every key x^alpha the generators
-    use, both matrix parts and every sample point (the +q half), as real
-    rows; it is the same for every pair. A commutator coefficient at a key
-    no generator uses cannot be fitted and counts in full towards the
-    residual.
-    """
-    gens = build_poincare_generators(mass)
-    names = [n for n, _ in gens]
-    q = signed_batch(sample_momenta(n_samples, seed=seed, radius=5.0))
-    values = [evaluate(g, q) for _, g in gens]
-    keys: List[Multi] = sorted({k for v in values for k in v.terms})
-
-    def slots(x: XValues) -> np.ndarray:
-        """Coefficients at keys, shape (keys, parts, N, 4, 4)."""
-        out = np.zeros((len(keys), 2, q.shape[1], 4, 4), dtype=complex)
-        for k, (v, _) in x.terms.items():
-            if k in keys:
-                out[keys.index(k), 0] = v.a[0]
-                out[keys.index(k), 1] = v.b[0]
-        return out
-
-    design = _real_rows(np.stack([slots(v).ravel() for v in values], axis=1))
-    # one Householder QR serves every pair; one step of iterative
-    # refinement removes the rounding of Q^T rhs, a sum over tens of
-    # thousands of rows, which would otherwise dominate the residual
-    ortho, tri = np.linalg.qr(design)
-
-    def fit(rhs: np.ndarray) -> np.ndarray:
-        coef = np.linalg.solve(tri, ortho.T @ rhs)
-        return coef + np.linalg.solve(tri, ortho.T @ (rhs - design @ coef))
-
+    if list(names) != NAMES:
+        raise ValueError(f"generators {list(names)} are not the oracle's "
+                         f"{NAMES}")
+    table, verified = oracle_structure_table()
     results: List[ClosureResult] = []
-    worst = 0.0
-    for i in range(len(names)):
-        # each generator's jets go once its last pair is formed: held
-        # together to the end they would set the fit's peak memory
-        x = values.pop(0)
-        for j, y in enumerate(values, i + 1):
-            comm = commutator(x, y)
-            rhs = _real_rows(slots(comm).ravel())
-            coef = fit(rhs)
-            unfit = [v.norm() for k, (v, _) in comm.terms.items()
-                     if k not in keys]
-            resid = max([float(np.max(np.abs(design @ coef - rhs)))] + unfit)
-            worst = max(worst, resid)
-            results.append(ClosureResult((names[i], names[j]), resid, coef))
-
-    report = PoincareClosureReport(names, results, worst, tol)
-    if compare_oracle:
-        from .poincare_oracle import oracle_structure_table
-        table, verified = oracle_structure_table()
-        dev = 0.0
-        for res in results:
-            expected = table[res.pair]
-            dev = max(dev, float(np.max(np.abs(
-                res.constants - np.array(expected, dtype=float)))))
-        report.oracle_comparison = dev
-        report.oracle_verified = verified
-    return report
+    for i, x in enumerate(values):
+        for j in range(i + 1, len(values)):
+            pair = (names[i], names[j])
+            expansion = _collect(x.mass, (
+                (key, c * v) for c, g in zip(table[pair], values) if c
+                for key, (v, _) in g.terms.items()))
+            resid = (commutator(x, values[j]) - expansion).max_norm()
+            results.append(ClosureResult(pair, resid))
+    return PoincareClosureReport(list(names), results,
+                                 max(r.residual for r in results), tol,
+                                 verified)
 
 
 # ---------------------------------------------------------------------------
@@ -379,15 +331,14 @@ class CasimirReport:
                 and self.spin_square_exact)
 
 
-def casimir_report(mass: float, n_samples: int = 50, seed: int = 42,
-                   tol: float = 1e-12) -> CasimirReport:
-    """p^mu p_mu = p0 p0 - sum p_n p_n evaluated over samples (expected
-    -m^2 I, constant in q), and the exact matrix factor of the spin-square
-    invariant (expected -2 diag(1,1,1,0)). The sampled parts are judged
-    against tol."""
+def casimir_report(mass: float, q: np.ndarray, tol: float = 1e-12
+                   ) -> CasimirReport:
+    """p^mu p_mu = p0 p0 - sum p_n p_n evaluated on the signed batch q
+    (expected -m^2 I, constant in q), and the exact matrix factor of the
+    spin-square invariant (expected -2 diag(1,1,1,0)). The sampled parts
+    are judged against tol."""
     from .relations import casimir_spin_squared
 
-    q = signed_batch(sample_momenta(n_samples, seed=seed, radius=5.0))
     p = [g.coeffs[ZERO_MULTI](q) for _, g in translation_generators(mass)]
     a = (p[0] @ p[0]).a
     for pn in p[1:]:

@@ -245,8 +245,20 @@ def test_poincare_at_zero_mass_runs_at_zero_mass(capsys):
     # p.p = -m^2 = 0, not the -1 of a silently substituted m = 1
     assert "0.000000 (q-independent)" in claims["poincare.casimirs"]["detail"]
     # each sampled claim names the points it used
-    assert claims["poincare.canonical-pairs"]["detail"] == "5 points"
-    assert "on 50 points" in claims["poincare.casimirs"]["detail"]
+    assert claims["poincare.canonical-pairs"]["detail"] == "200 points"
+    assert "on 200 points" in claims["poincare.casimirs"]["detail"]
+
+
+def test_poincare_uses_samples_as_given(capsys):
+    rc, payload, claims = _json_run(capsys, "--suite", "poincare",
+                                    "--samples", "3")
+    assert rc == 0 and payload["config"]["samples"] == 3
+    assert all(c["status"] == "pass" for c in claims.values())
+    sampled = ("poincare.canonical-pairs", "poincare.generator-algebra",
+               "poincare.casimirs")
+    for k in sampled:
+        assert "3 points" in claims[k]["detail"], k
+        assert claims[k]["detail"].count("points") == 1, k
 
 
 def test_sampled_claims_name_the_points_they_used(capsys):
@@ -324,6 +336,8 @@ def test_cli_bad_tolerance_exits_2(capsys):
     ["--mass", "nan"],
     ["--mass", "inf"],
     ["--mass", "-1"],
+    ["--mass", "1e160"],
+    ["--seed", "-1"],
 ])
 def test_cli_bad_numbers_exit_2_before_any_suite(flags, capsys, monkeypatch):
     import ercd.cli
@@ -332,6 +346,7 @@ def test_cli_bad_numbers_exit_2_before_any_suite(flags, capsys, monkeypatch):
     assert main(["verify", "--suite", "cd"] + flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("ercd: error:") and err.count("\n") == 1
+    assert flags[0] in err  # the message names the flag
     assert not ran
 
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from ercd import poincare_oracle, suites
 from ercd.jets import Jet
+from ercd.reporting import SuiteConfig
 from ercd.symbols import (MomentumSymbol, central_difference, omega,
                           sample_momenta, signed_batch, tilde_gammas)
-from ercd import xops
 from ercd.xops import (XOp, XValues, build_poincare_generators,
                        casimir_report, commutator, compose, evaluate,
                        evolution_commutator_residual, poincare_closure_check,
@@ -12,6 +13,15 @@ from ercd.xops import (XOp, XValues, build_poincare_generators,
 
 M = 1.0
 SAMPLES = sample_momenta(20, seed=11, radius=5.0)
+CASIMIR_BATCH = signed_batch(sample_momenta(50, seed=42, radius=5.0))
+
+
+def _generator_values(n_samples, seed=42):
+    """Names and values of the ten generators on one seeded signed batch,
+    as the poincare suite evaluates them."""
+    q = signed_batch(sample_momenta(n_samples, seed=seed, radius=5.0))
+    names, gens = zip(*build_poincare_generators(M))
+    return names, [evaluate(g, q) for g in gens]
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +121,15 @@ def test_product_left_of_a_position_rejected():
 
 
 def test_closure_check_evaluates_each_coefficient_once(monkeypatch):
+    # a whole poincare run evaluates the ten generators once for both the
+    # evolution and the closure check, and iH once
     calls = {}
+    labels = []
+    jet = MomentumSymbol.jet
+
+    def counted_jet(sym, q):
+        labels.append(sym.label)
+        return jet(sym, q)
 
     def counted(sym, key):
         def fn(q):
@@ -125,11 +143,12 @@ def test_closure_check_evaluates_each_coefficient_once(monkeypatch):
                             for k, sym in g.coeffs.items()},
                            g.mass, g.t_coeff)) for name, g in gens]
 
-    monkeypatch.setattr(xops, "build_poincare_generators", generators)
-    rep = poincare_closure_check(M, n_samples=20, seed=42,
-                                 compare_oracle=False)
-    assert rep.passed and len(rep.results) == 45
+    monkeypatch.setattr(suites, "build_poincare_generators", generators)
+    monkeypatch.setattr(MomentumSymbol, "jet", counted_jet)
+    ledger = suites.run_suite(SuiteConfig(suites=("poincare",), samples=20))
+    assert ledger.passed
     assert len(calls) == 19 and set(calls.values()) == {1}
+    assert labels.count("iH") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +237,9 @@ def test_generators_require_positive_mass():
 
 
 def test_all_generators_commute_with_evolution_operator():
+    q = signed_batch(SAMPLES)
     for name, g in build_poincare_generators(M):
-        residual = evolution_commutator_residual([g], M, SAMPLES)
+        residual = evolution_commutator_residual([g], [evaluate(g, q)], q)
         assert residual < 1e-10, (name, residual)
 
 
@@ -232,8 +252,10 @@ def test_evolution_check_evaluates_the_hamiltonian_once(monkeypatch):
         return jet(sym, q)
 
     monkeypatch.setattr(MomentumSymbol, "jet", counted)
+    q = signed_batch(SAMPLES)
     gens = [g for _, g in build_poincare_generators(M)]
-    assert evolution_commutator_residual(gens, M, SAMPLES) < 1e-10
+    values = [evaluate(g, q) for g in gens]
+    assert evolution_commutator_residual(gens, values, q) < 1e-10
     # iH once, and each of the 19 generator coefficients once
     assert labels.count("iH") == 1 and len(labels) == 1 + 19
 
@@ -242,26 +264,94 @@ def test_boost_without_time_term_fails_symmetry():
     # dropping the x0 bookkeeping must break the boost invariance
     gens = dict(build_poincare_generators(M))
     bare = XOp(gens["j01"].coeffs, M)
-    residual = evolution_commutator_residual([bare], M, SAMPLES)
+    q = signed_batch(SAMPLES)
+    residual = evolution_commutator_residual([bare], [evaluate(bare, q)], q)
     assert residual > 1e-3
 
 
 def test_closure_fit_and_oracle():
-    rep = poincare_closure_check(M, n_samples=200, seed=42)
+    names, values = _generator_values(200)
+    rep = poincare_closure_check(names, values)
     assert rep.max_residual < 1e-8
     assert rep.oracle_verified
-    assert rep.oracle_comparison < 1e-8
     assert rep.passed
-    # rotation commutator lands on the third rotation with coefficient 1
-    by_pair = {r.pair: r for r in rep.results}
-    c = by_pair[("j23", "j31")].constants
-    j12_idx = rep.names.index("j12")
-    assert abs(c[j12_idx] - 1.0) < 1e-8
-    assert np.max(np.abs(np.delete(c, j12_idx))) < 1e-8
+    assert [r.pair for r in rep.results] == [
+        (a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+
+
+def test_closure_check_needs_the_oracle_generators():
+    names, values = _generator_values(3)
+    with pytest.raises(ValueError, match="oracle"):
+        poincare_closure_check(names[::-1], values[::-1])
+
+
+def test_least_squares_fit_matches_the_oracle_constants():
+    # the replaced path as a cross-check: fit every commutator onto the
+    # real span of the generators' values and compare with the oracle
+    names, values = _generator_values(20)
+    keys = sorted({k for v in values for k in v.terms})
+    zero = np.zeros((1, 1, 4, 4))
+
+    def rows(x):
+        """Real and imaginary parts of the coefficients at keys, both
+        matrix parts, on the +q half."""
+        flat = np.concatenate([
+            np.broadcast_to(part[0], (20, 4, 4)).ravel()
+            for k in keys for part in (x.terms[k][0] if k in x.terms
+                                       else (zero, zero))])
+        return np.concatenate([flat.real, flat.imag])
+
+    design = np.stack([rows(v) for v in values], axis=1)
+    table, verified = poincare_oracle.oracle_structure_table()
+    assert verified
+    for i in range(10):
+        for j in range(i + 1, 10):
+            comm = commutator(values[i], values[j])
+            rhs = rows(comm)
+            coef = np.linalg.lstsq(design, rhs, rcond=None)[0]
+            unfit = [v.norm() for k, (v, _) in comm.terms.items()
+                     if k not in keys]
+            resid = max([float(np.max(np.abs(design @ coef - rhs)))] + unfit)
+            pair = (names[i], names[j])
+            assert resid < 1e-8, pair
+            assert np.max(np.abs(coef - table[pair])) < 1e-8, pair
+            if pair == ("j23", "j31"):
+                # lands on the third rotation with coefficient 1
+                j12 = names.index("j12")
+                assert abs(coef[j12] - 1.0) < 1e-8
+                assert np.max(np.abs(np.delete(coef, j12))) < 1e-8
+
+
+def _changed_constant(table, verified):
+    """The oracle table with the j12 constant of (j23, j31) zeroed."""
+    changed = dict(table)
+    changed[("j23", "j31")] = tuple(
+        0.0 if k == 6 else c for k, c in enumerate(table[("j23", "j31")]))
+    return changed, verified
+
+
+def _unproved(table, verified):
+    return table, False
+
+
+@pytest.mark.parametrize("fake", [_changed_constant, _unproved])
+def test_generator_algebra_fails_against_a_wrong_oracle(fake, monkeypatch):
+    oracle = fake(*poincare_oracle.oracle_structure_table())
+    monkeypatch.setattr(poincare_oracle, "oracle_structure_table",
+                        lambda: oracle)
+    names, values = _generator_values(20)
+    rep = poincare_closure_check(names, values)
+    assert not rep.passed
+    assert (rep.max_residual > 1.0) == (fake is _changed_constant)
+    ledger = suites.run_suite(SuiteConfig(suites=("poincare",), samples=20))
+    status = {c.claim_id: c.status for c in ledger.claims}
+    assert status["poincare.generator-algebra"] == "fail"
+    assert [k for k, v in status.items() if v != "pass"] == [
+        "poincare.generator-algebra"]
 
 
 def test_casimir_report():
-    rep = casimir_report(M)
+    rep = casimir_report(M, CASIMIR_BATCH)
     assert rep.passed
     assert abs(rep.momentum_square_value + M * M) < 1e-12
     assert rep.momentum_square_spread < 1e-12
@@ -270,17 +360,17 @@ def test_casimir_report():
 
 
 def test_casimir_scales_with_mass():
-    rep = casimir_report(2.0)
+    rep = casimir_report(2.0, CASIMIR_BATCH)
     assert abs(rep.momentum_square_value + 4.0) < 1e-11
 
 
 def test_reports_are_judged_against_the_given_tolerance():
-    cas = casimir_report(M)
+    cas = casimir_report(M, CASIMIR_BATCH)
     assert cas.passed
-    assert not casimir_report(M, tol=cas.momentum_square_spread / 2).passed
-    fit = poincare_closure_check(M, n_samples=20, seed=42,
-                                 compare_oracle=False)
-    assert fit.passed
-    assert not poincare_closure_check(M, n_samples=20, seed=42,
-                                      tol=fit.max_residual / 2,
-                                      compare_oracle=False).passed
+    assert not casimir_report(M, CASIMIR_BATCH,
+                              tol=cas.momentum_square_spread / 2).passed
+    names, values = _generator_values(20)
+    closure = poincare_closure_check(names, values)
+    assert closure.passed
+    assert not poincare_closure_check(names, values,
+                                      tol=closure.max_residual / 2).passed
