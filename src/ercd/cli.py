@@ -79,9 +79,10 @@ def _parse_tolerances(pairs: List[str]):
 
 
 def _check_run_numbers(mass: float, samples: int, seed: int) -> None:
-    # the suites use m^2 (the Casimir p.p = -m^2), so it must be finite too
-    if not (mass >= 0 and math.isfinite(mass * mass)):
-        raise ValueError("--mass must be nonnegative with a finite square, "
+    # the largest intermediate of the suites is 2 w (w + m) ~ 4 m^2, formed
+    # by the fw closed forms (and m^2 by the Casimir p.p = -m^2)
+    if not (mass >= 0 and math.isfinite(4.0 * mass * mass)):
+        raise ValueError("--mass must be nonnegative with 4 m^2 finite, "
                          f"got {mass}")
     if samples < 1:
         raise ValueError(f"--samples must be at least 1, got {samples}")

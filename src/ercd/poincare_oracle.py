@@ -1,4 +1,4 @@
-"""Independent symbolic oracle for the generator structure constants.
+"""Independent exact oracle for the generator structure constants.
 
 The spin-free (scalar) reduction of the ten generators acts on functions
 of momentum as first-order differential operators:
@@ -7,17 +7,20 @@ of momentum as first-order differential operators:
     j_ln: f -> q_n df/dq_l - q_l df/dq_n,
     j_0k: f -> w df/dq_k + (q_k / 2w) f,        w = sqrt(q^2 + m^2).
 
-Their commutators are computed symbolically (sympy). The expansion
-coefficients over the ten generators are read at eight sample points with
-m = 1 where q^2 + 1 is a perfect square, so w is an integer and every slot
-value lies in Q(i). The real and imaginary parts of the slots give the
-same 64 x 10 rational design matrix for every pair, and one Fraction
-Gauss-Jordan elimination of it, augmented with all 45 commutators, yields
-every expansion; a missing pivot or a commutator outside the span raises
-ValueError. Each expansion is then proved as a symbolic identity in
-general q and m. Matrix/spin parts cannot change the structure constants
-of a representation, so the fitted constants of the full generators must
-match this table; any deviation is a genuine finding.
+The mass enters only through w, so q1, q2, q3 and w are algebraically
+independent, and every coefficient lies in the Laurent ring
+Q(i)[q1, q2, q3, w, 1/w] with d/dq_a w^k = k q_a w^(k-2). A ring element
+is a dict {(e1, e2, e3, k): (re, im)} of Fraction parts. The commutator
+of two first-order operators is first order with coefficients in the same
+ring, so an identity of coefficients there holds for every q and every
+m > 0: no sample points and no simplification are needed.
+
+Each generator owns one coordinate (slot, monomial, re/im) that no other
+generator uses. The constant c_k of an expansion is read off the
+commutator at the coordinate of g_k; then sum_k c_k g_k is rebuilt and
+must equal the commutator exactly. That equality is the proof and sets
+``verified``. Matrix/spin parts cannot change the structure constants of
+a representation, so the full generators must close with these constants.
 """
 
 from __future__ import annotations
@@ -26,143 +29,119 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
-import sympy as sp
-
 NAMES = ["p0", "p1", "p2", "p3", "j23", "j31", "j12", "j01", "j02", "j03"]
 
-_Q = sp.symbols("q1 q2 q3", real=True)
-_M = sp.Symbol("m", positive=True)
-_W = sp.sqrt(_Q[0] ** 2 + _Q[1] ** 2 + _Q[2] ** 2 + _M ** 2)
+Monomial = Tuple[int, int, int, int]    # powers of q1, q2, q3 and w
+Poly = Dict[Monomial, Tuple[Fraction, Fraction]]  # nonzero (re, im) terms
+DiffOp = Tuple[Poly, Poly, Poly, Poly]  # coeffs of d/dq_1..3, zeroth order
+Coordinate = Tuple[int, Monomial, int]  # (slot, monomial, 0 re / 1 im)
 
-DiffOp = Tuple[Dict[int, sp.Expr], sp.Expr]  # ({a: coeff of d/dq_a}, zeroth)
+_W: Monomial = (0, 0, 0, 1)
+_Q: Tuple[Monomial, ...] = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+
+
+def _add_term(out: Poly, mono: Monomial, re, im) -> None:
+    re0, im0 = out.get(mono, (0, 0))
+    re, im = re0 + re, im0 + im
+    if re or im:
+        out[mono] = (re, im)
+    else:
+        out.pop(mono, None)
+
+
+def _shift(mono: Monomial, a: int, da: int, dw: int) -> Monomial:
+    out = list(mono)
+    out[a] += da
+    out[3] += dw
+    return tuple(out)
+
+
+def _diff(f: Poly, a: int) -> Poly:
+    """d/dq_a: q_a^e -> e q_a^(e-1) and w^k -> k q_a w^(k-2)."""
+    out: Poly = {}
+    for mono, (re, im) in f.items():
+        for k, d in ((mono[a], _shift(mono, a, -1, 0)),
+                     (mono[3], _shift(mono, a, 1, -2))):
+            if k:
+                _add_term(out, d, k * re, k * im)
+    return out
+
+
+def _mul_into(out: Poly, f: Poly, g: Poly, sign: int) -> None:
+    for m, (a, b) in f.items():
+        for n, (c, d) in g.items():
+            _add_term(out, tuple(x + y for x, y in zip(m, n)),
+                      sign * (a * c - b * d), sign * (a * d + b * c))
+
+
+def _op(*terms) -> DiffOp:
+    """A first-order operator from (slot, monomial, re, im) terms."""
+    slots: DiffOp = ({}, {}, {}, {})
+    for slot, mono, re, im in terms:
+        _add_term(slots[slot], mono, re, im)
+    return slots
 
 
 def _scalar_generators() -> List[DiffOp]:
-    i = sp.I
-    gens: List[DiffOp] = [({}, -i * _W)]
-    for n in range(3):
-        gens.append(({}, i * _Q[n]))
-    for (l, n) in ((2, 3), (3, 1), (1, 2)):
-        gens.append(({l - 1: _Q[n - 1], n - 1: -_Q[l - 1]}, sp.Integer(0)))
-    for k in range(3):
-        gens.append(({k: _W}, _Q[k] / (2 * _W)))
-    return gens
+    """The ten scalar generators in the order of NAMES."""
+    half = Fraction(1, 2)
+    return ([_op((3, _W, 0, -1))]
+            + [_op((3, _Q[n], 0, 1)) for n in range(3)]
+            + [_op((l, _Q[n], 1, 0), (n, _Q[l], -1, 0))
+               for l, n in ((1, 2), (2, 0), (0, 1))]
+            + [_op((k, _W, 1, 0), (3, _shift(_Q[k], k, 0, -1), half, 0))
+               for k in range(3)])
 
 
 def _commutator(f: DiffOp, g: DiffOp) -> DiffOp:
-    fc, f0 = f
-    gc, g0 = g
-    out_c: Dict[int, sp.Expr] = {}
-    for b in range(3):
-        expr = sp.Integer(0)
-        for a, fa in fc.items():
-            if b in gc:
-                expr += fa * sp.diff(gc[b], _Q[a])
-        for a, ga in gc.items():
-            if b in fc:
-                expr -= ga * sp.diff(fc[b], _Q[a])
-        expr = sp.cancel(sp.together(expr))
-        if expr != 0:
-            out_c[b] = expr
-    zero = sp.Integer(0)
-    for a, fa in fc.items():
-        zero += fa * sp.diff(g0, _Q[a])
-    for a, ga in gc.items():
-        zero -= ga * sp.diff(f0, _Q[a])
-    return out_c, sp.cancel(sp.together(zero))
+    """[f, g]: slot b is sum_a f_a d_a g_b - g_a d_a f_b (b = 3 the zeroth
+    order)."""
+    out: DiffOp = ({}, {}, {}, {})
+    for b in range(4):
+        for a in range(3):
+            _mul_into(out[b], f[a], _diff(g[b], a), 1)
+            _mul_into(out[b], g[a], _diff(f[b], a), -1)
+    return out
 
 
-# m = 1 and q^2 + 1 a perfect square: w is an integer, so every slot value
-# of every generator and commutator lies in Q(i)
-_SAMPLE_POINTS = (
-    (1, 1, 1), (2, 2, 4), (1, 3, 5), (1, -1, 1),
-    (4, -2, 2), (-3, 5, 1), (1, 1, -1), (2, -4, 2),
-)
-
-Gaussian = Tuple[Fraction, Fraction]  # (re, im) of an element of Q(i)
+def _coordinates(op: DiffOp) -> Dict[Coordinate, Fraction]:
+    return {(slot, mono, part): c[part] for slot, poly in enumerate(op)
+            for mono, c in poly.items() for part in (0, 1) if c[part]}
 
 
-def _gaussian(value: sp.Expr) -> Gaussian:
-    re, im = value.as_real_imag()
-    if not (re.is_Rational and im.is_Rational):
-        raise ValueError(f"slot value {value} is not in Q(i)")
-    return Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q))
-
-
-def _slot_values(op: DiffOp, pt) -> List[Gaussian]:
-    point = {**{_Q[a]: sp.Integer(pt[a]) for a in range(3)},
-             _M: sp.Integer(1)}
-    slots = [op[0].get(b, sp.Integer(0)) for b in range(3)] + [op[1]]
-    return [_gaussian(expr.xreplace(point)) for expr in slots]
-
-
-def _real_rows(ops: List[DiffOp]) -> List[List[Fraction]]:
-    """One column per op; the real and imaginary parts of its four slots
-    at every sample point are the rows."""
-    columns = []
-    for op in ops:
-        column: List[Fraction] = []
-        for pt in _SAMPLE_POINTS:
-            for re, im in _slot_values(op, pt):
-                column += [re, im]
-        columns.append(column)
-    return [list(row) for row in zip(*columns)]
-
-
-def _solve_expansions(gens: List[DiffOp], targets: List[DiffOp]
-                      ) -> List[List[Fraction]]:
-    """Real rational lam with sum_k lam_k gens_k = target at every sample
-    point, for each target: one Gauss-Jordan elimination of
-    [gens | targets]. ValueError if the points leave a generator without
-    a pivot, or a target outside the span of the generators."""
-    n = len(gens)
-    rows = _real_rows(gens + targets)
-    for col in range(n):
-        pivot = next((r for r in range(col, len(rows)) if rows[r][col]),
-                     None)
-        if pivot is None:
-            raise ValueError("the sample points do not determine the "
-                             "expansion")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for r, row in enumerate(rows):
-            if r != col and row[col]:
-                f = row[col]
-                rows[r] = [x - f * y if y else x
-                           for x, y in zip(row, rows[col])]
-    if any(any(row[n:]) for row in rows[n:]):
-        raise ValueError("scalar-realization commutator does not close")
-    return [list(lam) for lam in zip(*(row[n:] for row in rows[:n]))]
-
-
-def _verify_expansion(gens: List[DiffOp], target: DiffOp,
-                      lam: List[sp.Rational]) -> bool:
-    for b in range(3):
-        expr = target[0].get(b, sp.Integer(0))
-        for k, g in enumerate(gens):
-            expr -= lam[k] * g[0].get(b, sp.Integer(0))
-        if sp.simplify(expr) != 0:
-            return False
-    expr = target[1] - sum(lam[k] * gens[k][1] for k in range(len(gens)))
-    return sp.simplify(expr) == 0
+def _owned(coords: List[Dict[Coordinate, Fraction]]) -> List[Coordinate]:
+    """For each generator the first coordinate no other generator uses."""
+    owned = []
+    for k, mine in enumerate(coords):
+        free = set(mine).difference(*(c for j, c in enumerate(coords)
+                                      if j != k))
+        if not free:
+            raise ValueError(f"generator {NAMES[k]} owns no coordinate")
+        owned.append(min(free))
+    return owned
 
 
 @lru_cache(maxsize=1)
 def oracle_structure_table() -> Tuple[Dict[Tuple[str, str], Tuple[float, ...]],
                                       bool]:
-    """Structure constants of all 45 generator pairs, with every
-    expansion re-verified as a symbolic identity. Returns (table, verified).
-    """
+    """Structure constants of all 45 generator pairs, each read off the
+    owned coordinates and proved by exact reconstruction in the ring.
+    Returns (table, verified)."""
     gens = _scalar_generators()
-    pairs = [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))]
-    comms = [_commutator(gens[i], gens[j]) for i, j in pairs]
+    coords = [_coordinates(g) for g in gens]
+    owned = _owned(coords)
     table: Dict[Tuple[str, str], Tuple[float, ...]] = {}
     verified = True
-    for (i, j), comm, lam in zip(pairs, comms,
-                                 _solve_expansions(gens, comms)):
-        exact = [sp.Rational(c.numerator, c.denominator) for c in lam]
-        if not _verify_expansion(gens, comm, exact):
-            verified = False
-        table[(NAMES[i], NAMES[j])] = tuple(float(c) for c in lam)
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            comm = _commutator(gens[i], gens[j])
+            read = _coordinates(comm)
+            lam = [Fraction(read.get(o, 0)) / c[o]
+                   for c, o in zip(coords, owned)]
+            rebuilt = _op(*((slot, mono, c * re, c * im)
+                            for c, g in zip(lam, gens)
+                            for slot, poly in enumerate(g)
+                            for mono, (re, im) in poly.items()))
+            verified = verified and rebuilt == comm
+            table[(NAMES[i], NAMES[j])] = tuple(float(c) for c in lam)
     return table, verified

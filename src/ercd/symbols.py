@@ -32,7 +32,7 @@ identically to the exact layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -355,6 +355,7 @@ def tilde_gammas(mass: float) -> List[Tuple[str, MomentumSymbol]]:
     the expanded V+ conj(V-(-q)) closed form; the composite generators
     (5, 6, 7) compose their evaluated factors inside their own evaluation,
     exactly as defined: tg5 = tg1 tg3 tC, tg6 = i tg5, tg7 = i tg0.
+    ``tilde_values`` evaluates all nine on one batch.
     """
     if mass <= 0:
         raise ValueError("nonlocal generators need m > 0")
@@ -406,6 +407,18 @@ def tilde_gammas(mass: float) -> List[Tuple[str, MomentumSymbol]]:
     return [("tg1", tg1), ("tg2", tg2), ("tg3", tg3), ("tg4", tg4),
             ("tg5", tg5), ("tg6", tg6), ("tg7", tg7),
             ("tg0", tg0), ("tC", t_c)]
+
+
+def tilde_values(mass: float, q) -> Dict[str, SymbolValues]:
+    """The nine operators of ``tilde_gammas`` on the signed batch q, each
+    closed form evaluated once: tg5, tg6 and tg7 compose the values as
+    their symbols do, in the same order, so all nine are bit for bit the
+    symbols' own values."""
+    syms = tilde_gammas(mass)
+    v = {k: s(q) for k, s in syms if k not in ("tg5", "tg6", "tg7")}
+    tg5 = v["tg1"] @ v["tg3"] @ v["tC"]
+    v.update(tg5=tg5, tg6=1j * tg5, tg7=1j * v["tg0"])
+    return {k: v[k] for k, _ in syms}
 
 
 # ---------------------------------------------------------------------------

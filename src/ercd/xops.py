@@ -21,8 +21,9 @@ never mixes with the q-calculus; an optional x0 coefficient is tracked
 separately and only enters the evolution-operator symmetry check.
 
 The Lie closure of the ten generators is checked on their evaluated
-values against the exact structure constants of the symbolic oracle
-(``poincare_oracle``): each commutator minus its expansion must vanish.
+values against the structure constants that ``poincare_oracle`` proves
+exactly in a Laurent ring: each commutator minus its expansion must
+vanish.
 """
 
 from __future__ import annotations
@@ -286,7 +287,7 @@ def poincare_closure_check(names: Sequence[str], values: Sequence[XValues],
                            tol: float = 1e-8) -> PoincareClosureReport:
     """Check [g_i, g_j] = sum_k c_k g_k for every pair i < j of the ten
     generators, evaluated once on one signed batch (``evaluate``), with
-    the exact structure constants c_k of the symbolic oracle. The residual
+    the exact structure constants c_k of the ring oracle. The residual
     of a pair is the largest coefficient entry of the difference over the
     +q half; a commutator coefficient at a key no generator uses counts in
     full. The check passes when every residual is below tol and the oracle

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -337,6 +338,7 @@ def test_cli_bad_tolerance_exits_2(capsys):
     ["--mass", "inf"],
     ["--mass", "-1"],
     ["--mass", "1e160"],
+    ["--mass", "1.3e154"],
     ["--seed", "-1"],
 ])
 def test_cli_bad_numbers_exit_2_before_any_suite(flags, capsys, monkeypatch):
@@ -348,6 +350,27 @@ def test_cli_bad_numbers_exit_2_before_any_suite(flags, capsys, monkeypatch):
     assert err.startswith("ercd: error:") and err.count("\n") == 1
     assert flags[0] in err  # the message names the flag
     assert not ran
+
+
+def test_fw_runs_up_to_the_mass_limit(capsys):
+    # 1.3e154 overflows 2 w (w + m) ~ 4 m^2 and is refused (above); 1e150
+    # runs every closed form without a floating-point warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, _, claims = _json_run(capsys, "--suite", "fw", "--mass", "1e150")
+    assert rc == 0
+    assert all(c["status"] == "pass" for c in claims.values())
+
+
+@pytest.mark.parametrize("mass", ["1e3", "1e6"])
+def test_fw_judges_hamiltonian_residuals_at_the_mass_scale(mass, capsys):
+    # rounding on eigenvalues of size w ~ m exceeds the absolute 1e-12
+    # here; against tol max(1, m) every claim passes, and the residuals
+    # are still the measured ones
+    rc, _, claims = _json_run(capsys, "--suite", "fw", "--mass", mass)
+    assert rc == 0
+    assert all(c["status"] == "pass" for c in claims.values())
+    assert claims["fw.local-hamiltonian"]["residual"] > 1e-12
 
 
 def test_cli_zero_mass_is_valid(capsys):

@@ -1,10 +1,17 @@
 """The byte-identical contract: the canonical JSON report of the seven
 exact suites and the four table dumps of the benchmark, against the golden
-outputs under bench/golden (read through bench/workloads.py)."""
+outputs under bench/golden (read through bench/workloads.py). numpy is the
+only runtime dependency: the same outputs come from a process in which
+sympy cannot be imported."""
 
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
+import ercd
 from ercd.cli import main
 
 _BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
@@ -31,3 +38,46 @@ def test_table_dumps_match_the_golden_digests(capsys):
     outs = [_run(argv, capsys) for argv in workloads.calls("tables", 42)]
     assert len(outs) == len(workloads.TABLE_DUMPS)
     assert workloads.check_tables(outs) == (len(outs), 0)
+
+
+# runs each argv of argv[1] (JSON) with sympy blocked and prints the outputs
+_WITHOUT_SYMPY = """
+import contextlib, io, json, sys
+sys.modules["sympy"] = None  # every import of sympy raises ImportError
+from ercd.cli import main
+outs = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(argv)
+    outs.append({"rc": rc, "stdout": buf.getvalue()})
+print(json.dumps(outs))
+"""
+
+
+def test_verify_all_and_a_dump_run_without_sympy():
+    last = len(workloads.TABLE_DUMPS) - 1
+    argv = [["verify", "--suite", "all", "--format", "json"],
+            workloads.calls("tables", 42)[last]]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ercd.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SYMPY, json.dumps(argv)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    report, table = json.loads(done.stdout)
+    assert workloads.check_tables([table], [last]) == (1, 0)
+
+    # the exact claims byte for byte, the momentum claims in golden order
+    # and passing, and the designed criterion-5 failure as the only one
+    assert report["rc"] == 1
+    claims = [{k: v for k, v in c.items() if k != "runtime_s"}
+              for c in json.loads(report["stdout"])["claims"]]
+    suite = [c["id"].split(".")[0] for c in claims]
+    _, _, exact = workloads.expected_exact()
+    assert [c for c, s in zip(claims, suite)
+            if s in workloads.EXACT_SUITES] == exact
+    momentum = json.loads((_BENCH / "golden" / "momentum.json").read_text())
+    got = [c for c, s in zip(claims, suite) if s in workloads.MOMENTUM_SUITES]
+    assert [c["id"] for c in got] == [c["id"] for c in momentum["claims"]]
+    assert all(c["status"] == "pass" for c in got)

@@ -1,19 +1,19 @@
-"""The exact Poincare oracle against its old symbolic solve and its guards.
+"""The Laurent-ring Poincare oracle against sympy and its guards.
 
-The oracle solves for the structure constants by one rational
-elimination at points where w = sqrt(q^2 + 1) is an integer. Its table is
-pinned to the one the earlier sympy `linsolve` solve at irrational points
-gave, and for a few pairs that solve is replayed here as a cross-check.
+The oracle forms the 45 commutators of the scalar generators in the ring
+Q(i)[q1, q2, q3, w, 1/w] and proves each expansion there. sympy is the
+reference here: the generators are written again as sympy expressions in
+q and m with w = sqrt(q^2 + m^2), their commutators are compared with the
+ring's slot by slot, and the earlier `linsolve` solve at irrational points
+is replayed for a few pairs. The table is pinned to the one that solve
+gave.
 """
 
-import os
-import subprocess
-import sys
+from fractions import Fraction
 
 import pytest
 import sympy as sp
 
-import ercd
 from ercd import poincare_oracle as po
 
 # nonzero constants {(left, right): {k: c}} with [left, right] = sum_k c g_k,
@@ -36,15 +36,49 @@ _IRRATIONAL_POINTS = (
     (1, 2, 3), (2, -1, 1), (-3, 1, 2), (1, 1, -2), (2, 3, -1), (-1, -2, 2),
 )
 
+_Q = sp.symbols("q1 q2 q3", real=True)
+_M = sp.Symbol("m", positive=True)
+_W = sp.sqrt(_Q[0] ** 2 + _Q[1] ** 2 + _Q[2] ** 2 + _M ** 2)
 
-def _pair(left, right):
-    gens = po._scalar_generators()
-    return gens, po._commutator(gens[po.NAMES.index(left)],
-                                gens[po.NAMES.index(right)])
+PAIRS = [(i, j) for i in range(10) for j in range(i + 1, 10)]
 
 
-def _slot(op, slot):
-    return op[1] if slot == 3 else op[0].get(slot, sp.Integer(0))
+def _sympy_generators():
+    """The scalar generators as four sympy slots: the coefficients of
+    d/dq_1..3, then the zeroth order."""
+    zero = sp.Integer(0)
+    gens = [[zero, zero, zero, -sp.I * _W]]
+    gens += [[zero, zero, zero, sp.I * _Q[n]] for n in range(3)]
+    for (l, n) in ((2, 3), (3, 1), (1, 2)):
+        slots = [zero] * 4
+        slots[l - 1], slots[n - 1] = _Q[n - 1], -_Q[l - 1]
+        gens.append(slots)
+    for k in range(3):
+        slots = [zero] * 3 + [_Q[k] / (2 * _W)]
+        slots[k] = _W
+        gens.append(slots)
+    return gens
+
+
+def _sympy_commutator(f, g):
+    return [sp.cancel(sp.together(sum(
+        f[a] * sp.diff(g[b], _Q[a]) - g[a] * sp.diff(f[b], _Q[a])
+        for a in range(3)))) for b in range(4)]
+
+
+def _rational(x):
+    x = Fraction(x)
+    return sp.Rational(x.numerator, x.denominator)
+
+
+def _to_sympy(poly):
+    return sum((_rational(re) + sp.I * _rational(im))
+               * _Q[0] ** e1 * _Q[1] ** e2 * _Q[2] ** e3 * _W ** k
+               for (e1, e2, e3, k), (re, im) in poly.items())
+
+
+def _same(expr, poly):
+    return sp.cancel(sp.together(expr - _to_sympy(poly))) == 0
 
 
 def _linsolve_expansion(gens, target):
@@ -53,11 +87,10 @@ def _linsolve_expansion(gens, target):
     lams = sp.symbols(f"lam0:{len(gens)}")
     equations = []
     for pt in _IRRATIONAL_POINTS:
-        subs = {**{po._Q[a]: pt[a] for a in range(3)}, po._M: 1}
+        subs = {**{_Q[a]: pt[a] for a in range(3)}, _M: 1}
         for slot in range(4):
-            lhs = sum(lam * _slot(g, slot).subs(subs)
-                      for lam, g in zip(lams, gens))
-            equations.append(sp.Eq(lhs, _slot(target, slot).subs(subs)))
+            lhs = sum(lam * g[slot].subs(subs) for lam, g in zip(lams, gens))
+            equations.append(sp.Eq(lhs, target[slot].subs(subs)))
     (solution,) = sp.linsolve(equations, lams)
     return [sp.nsimplify(sp.simplify(v)) for v in solution]
 
@@ -73,65 +106,52 @@ def test_table_equals_the_recorded_linsolve_table():
     assert table == expected
 
 
+def test_ring_commutators_equal_the_sympy_commutators():
+    ring, ref = po._scalar_generators(), _sympy_generators()
+    for g, h in zip(ring, ref):
+        assert all(_same(h[slot], g[slot]) for slot in range(4))
+    for i, j in PAIRS:
+        comm = po._commutator(ring[i], ring[j])
+        expected = _sympy_commutator(ref[i], ref[j])
+        for slot in range(4):
+            assert _same(expected[slot], comm[slot]), (i, j, slot)
+
+
 @pytest.mark.parametrize("pair", [("p0", "j01"), ("j01", "j02"),
                                   ("j23", "j31")])
 def test_constants_match_linsolve_at_irrational_points(pair):
-    gens, comm = _pair(*pair)
-    old = _linsolve_expansion(gens, comm)
+    gens = _sympy_generators()
+    i, j = (po.NAMES.index(name) for name in pair)
+    old = _linsolve_expansion(gens, _sympy_commutator(gens[i], gens[j]))
     assert all(v.is_rational for v in old)
-    (new,) = po._solve_expansions(gens, [comm])
-    assert [sp.Rational(c.numerator, c.denominator) for c in new] == old
-    assert tuple(float(c) for c in new) == po.oracle_structure_table()[0][pair]
+    assert tuple(float(v) for v in old) == po.oracle_structure_table()[0][pair]
 
 
-def test_one_point_does_not_determine_the_expansion(monkeypatch):
-    monkeypatch.setattr(po, "_SAMPLE_POINTS", ((1, 1, 1),))
-    with pytest.raises(ValueError, match="do not determine"):
-        po.oracle_structure_table.__wrapped__()
-
-
-def test_a_point_with_irrational_omega_is_refused(monkeypatch):
-    monkeypatch.setattr(po, "_SAMPLE_POINTS", po._SAMPLE_POINTS + ((1, 2, 3),))
-    with pytest.raises(ValueError, match=r"not in Q\(i\)"):
-        po.oracle_structure_table.__wrapped__()
-
-
-def test_a_target_outside_the_span_does_not_close():
+def test_a_perturbed_generator_fails_the_proof(monkeypatch):
     gens = po._scalar_generators()
-    outside = ({}, po._Q[0] ** 2)
-    with pytest.raises(ValueError, match="does not close"):
-        po._solve_expansions(gens, [outside])
+    zeroth = gens[po.NAMES.index("j01")][3]
+    (mono,) = zeroth
+    zeroth[mono] = (Fraction(1), Fraction(0))  # q1 / w for q1 / (2 w)
+    monkeypatch.setattr(po, "_scalar_generators", lambda: gens)
+    table, verified = po.oracle_structure_table.__wrapped__()
+    assert not verified
+    assert len(table) == len(PAIRS)
 
 
-def test_the_symbolic_proof_can_fail():
-    gens, comm = _pair("j23", "j31")
-    (lam,) = po._solve_expansions(gens, [comm])
-    exact = [sp.Rational(c.numerator, c.denominator) for c in lam]
-    assert po._verify_expansion(gens, comm, exact)
-    for k in range(len(exact)):
-        off = list(exact)
-        off[k] += 1
-        assert not po._verify_expansion(gens, comm, off)
+def test_a_target_outside_the_span_does_not_close(monkeypatch):
+    # with p3 = i q3^2 no generator owns the q3 coordinate that [p0, j03]
+    # reads (it is i q3), so the reconstruction misses it
+    gens = po._scalar_generators()
+    gens[3] = po._op((3, (0, 0, 2, 0), 0, 1))
+    monkeypatch.setattr(po, "_scalar_generators", lambda: gens)
+    table, verified = po.oracle_structure_table.__wrapped__()
+    assert not verified
+    assert table[("p0", "j03")] == (0.0,) * 10
 
 
-_IMPORT_PROBE = """
-import contextlib, io, sys
-from ercd.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    for suite in ("cd", "ercd", "percd", "so6", "a32", "pgi", "bosonic",
-                  "fw"):
-        main(["verify", "--suite", suite, "--format", "json"])
-    main(["dump", "--set", "a32", "--kind", "structure-constants"])
-    print("sympy" in sys.modules, file=sys.stderr)
-    main(["verify", "--suite", "poincare", "--format", "json"])
-    print("sympy" in sys.modules, file=sys.stderr)
-"""
-
-
-def test_sympy_is_imported_only_when_poincare_runs():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(ercd.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stderr.split() == ["False", "True"]
+def test_a_generator_without_an_owned_coordinate_is_refused(monkeypatch):
+    gens = po._scalar_generators()
+    gens[9] = gens[8]
+    monkeypatch.setattr(po, "_scalar_generators", lambda: gens)
+    with pytest.raises(ValueError, match="j02 owns no coordinate"):
+        po.oracle_structure_table.__wrapped__()

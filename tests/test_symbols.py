@@ -7,7 +7,8 @@ from ercd.symbols import (MomentumSymbol, SymbolValues,
                           check_equation_symmetry, dirac_hamiltonian,
                           fw_hamiltonian, fw_transform, omega, pd_spin,
                           sample_momenta, signed_batch, spin_matrices_complex,
-                          tilde_gammas, to_complex_matrix)
+                          tilde_gammas, tilde_values, to_complex_matrix)
+from ercd import symbols
 from ercd.xops import build_poincare_generators
 
 M = 1.0
@@ -140,6 +141,27 @@ def test_tilde_operators_match_conjugation():
     for lbl, sym in tilde_gammas(M):
         conj = vp @ fundamentals[lbl](q) @ vm
         assert (sym(q) - conj).norm() < TOL, lbl
+
+
+def test_tilde_values_evaluate_each_closed_form_once(monkeypatch):
+    # the six closed forms (tg1..tg4, tg0, tC) call omega once each; tg5,
+    # tg6 and tg7 compose their values, bit for bit as their symbols do
+    q = signed_batch(SAMPLES[:40])
+    calls = []
+
+    def counted(q, mass):
+        calls.append(mass)
+        return omega(q, mass)
+
+    monkeypatch.setattr(symbols, "omega", counted)
+    values = tilde_values(M, q)
+    assert len(calls) == 6
+    monkeypatch.undo()
+    syms = tilde_gammas(M)
+    assert list(values) == [lbl for lbl, _ in syms]
+    for lbl, sym in syms:
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(values[lbl], sym(q))), lbl
 
 
 def test_conjugation_preserves_anticommutators():
