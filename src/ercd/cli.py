@@ -47,7 +47,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="text")
     verify.add_argument("--out", help="output path (default: stdout)")
     verify.add_argument("--timings", action="store_true",
-                        help="include per-claim runtimes in JSON output")
+                        help="include per-claim runtimes in JSON output: "
+                             "the time since the previous claim, so a "
+                             "suite's claims sum to its run")
     verify.add_argument("--inject-fault", metavar="GAMMA,ROW,COL",
                         help="test only: corrupt one generator matrix entry, "
                              "e.g. g2,0,1")
@@ -65,12 +67,16 @@ def _parse_tolerances(pairs: List[str]):
     out = []
     for pair in pairs:
         if "=" not in pair:
-            raise ValueError(f"bad tolerance override {pair!r}; "
-                             "expected KEY=VALUE")
+            raise ValueError(f"--tol must be KEY=VALUE, got {pair!r}")
         key, value = pair.split("=", 1)
         if key not in ("momentum", "symmetry", "closure"):
-            raise ValueError(f"unknown tolerance key {key!r}")
-        tol = float(value)
+            raise ValueError(f"--tol key must be momentum, symmetry or "
+                             f"closure, got {key!r}")
+        try:
+            tol = float(value)
+        except ValueError:
+            raise ValueError(f"--tol {key} must be a number, "
+                             f"got {value!r}") from None
         if not (math.isfinite(tol) and tol > 0):
             raise ValueError(f"--tol {key} must be finite and positive, "
                              f"got {value}")
@@ -95,12 +101,20 @@ def _parse_fault(spec: Optional[str]):
         return None
     parts = spec.split(",")
     if len(parts) != 3:
-        raise ValueError("fault spec must be GAMMA,ROW,COL (e.g. g2,0,1)")
-    target, row, col = parts[0], int(parts[1]), int(parts[2])
+        raise ValueError("--inject-fault must be GAMMA,ROW,COL (e.g. "
+                         f"g2,0,1), got {spec!r}")
+    target = parts[0]
+    try:
+        row, col = int(parts[1]), int(parts[2])
+    except ValueError:
+        raise ValueError("--inject-fault ROW and COL must be integers, "
+                         f"got {spec!r}") from None
     if target not in ("g0", "g1", "g2", "g3", "g4"):
-        raise ValueError(f"unknown generator {target!r}")
+        raise ValueError("--inject-fault GAMMA must be one of g0..g4, "
+                         f"got {target!r}")
     if not (0 <= row < 4 and 0 <= col < 4):
-        raise ValueError("row/col must be in 0..3")
+        raise ValueError("--inject-fault ROW and COL must be in 0..3, "
+                         f"got {spec!r}")
     return (target, row, col)
 
 

@@ -1,9 +1,13 @@
 """Run configuration, verification ledger and serialization.
 
 A ledger is a list of claims, each tied to one relation of the algebra
-(or marked out-of-scope). Reports are reproducible: two runs with the
-same configuration serialize to byte-identical JSON (wall-clock timings
-are excluded from the canonical body; --timings opts them in).
+(or marked out-of-scope). The ledger times the claims: a claim's runtime
+is the wall time since the previous claim was recorded (or since the
+ledger was created), so it includes any inputs the claim is the first to
+need, and the runtimes of a run add up to its wall time. Reports are
+reproducible: two runs with the same configuration serialize to
+byte-identical JSON (the runtimes are excluded from the canonical body;
+--timings opts them in).
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -47,9 +52,10 @@ class SuiteConfig:
         return DEFAULT_TOLERANCES[key]
 
     def resolved_suites(self) -> Tuple[str, ...]:
+        """The suites to run, in order, each once."""
         if "all" in self.suites:
             return SUITE_NAMES
-        return self.suites
+        return tuple(dict.fromkeys(self.suites))
 
 
 @dataclass
@@ -58,7 +64,7 @@ class Claim:
     anchor: str
     status: str            # pass | fail | out-of-scope
     residual: float = 0.0
-    runtime_s: float = 0.0
+    runtime_s: float = 0.0   # set by Ledger.add: time since the last claim
     detail: str = ""
     # the tolerance a sampled residual was judged against; 0.0 marks an
     # exact (zero-tolerance) claim. Not part of the canonical body.
@@ -128,6 +134,8 @@ class Ledger:
     config: SuiteConfig
     claims: List[Claim] = field(default_factory=list)
     flags: List[str] = field(default_factory=list)
+    _clock: float = field(default_factory=time.perf_counter, init=False,
+                          repr=False)
 
     @property
     def passed(self) -> bool:
@@ -136,6 +144,8 @@ class Ledger:
     def add(self, claim: Claim) -> None:
         if claim.claim_id in {c.claim_id for c in self.claims}:
             raise ValueError(f"duplicate claim id {claim.claim_id}")
+        now = time.perf_counter()
+        claim.runtime_s, self._clock = now - self._clock, now
         self.claims.append(claim)
 
     def summary(self) -> Dict[str, object]:

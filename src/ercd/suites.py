@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import time
 from typing import Callable, Dict
 
 import numpy as np
@@ -49,19 +48,19 @@ from .xops import (XOp, ZERO_MULTI, build_poincare_generators,
 # ---------------------------------------------------------------------------
 
 def _claim(ledger: Ledger, claim_id: str, ok: bool, residual: float = 0.0,
-           detail: str = "", t0: float = 0.0, tol: float = 0.0) -> None:
+           detail: str = "", tol: float = 0.0) -> None:
     """Record a verdict; tol is the tolerance of a sampled claim (0.0 for
-    an exact one)."""
+    an exact one). The ledger times the claim."""
     ledger.add(Claim(claim_id, CLAIM_REGISTRY[claim_id],
-                     "pass" if ok else "fail", residual,
-                     time.perf_counter() - t0 if t0 else 0.0, detail, tol))
+                     "pass" if ok else "fail", residual, detail=detail,
+                     tolerance=tol))
 
 
-def _report_claim(ledger: Ledger, claim_id: str, rep, t0: float,
+def _report_claim(ledger: Ledger, claim_id: str, rep,
                   counted: str = "pairs", shown: int = 6) -> None:
     """Record an exact structure report: its first failures, else the
     number of checks it made."""
-    _claim(ledger, claim_id, rep.passed, t0=t0,
+    _claim(ledger, claim_id, rep.passed,
            detail="; ".join(rep.failures[:shown])
            or f"{rep.checks_total} {counted}")
 
@@ -97,7 +96,6 @@ def _suite_cd(ledger: Ledger, config: SuiteConfig) -> None:
         gammas = pd_gammas()
     ident = GeneralOp.identity()
 
-    t0 = time.perf_counter()
     g0 = gammas.get("g0")
     ok = g0.adjoint() == g0
     detail = []
@@ -106,39 +104,34 @@ def _suite_cd(ledger: Ledger, config: SuiteConfig) -> None:
         if gk.adjoint() != -gk:
             ok = False
             detail.append(f"g{k} adjoint pattern broken")
-    _claim(ledger, "cd.adjoint-pattern", ok, detail="; ".join(detail), t0=t0)
+    _claim(ledger, "cd.adjoint-pattern", ok, detail="; ".join(detail))
 
-    t0 = time.perf_counter()
     s1, s2, s3 = _pauli_ops()
     i_op = GeneralOp.imaginary_unit()
     ok = (s1 @ s1 == ident and s2 @ s2 == ident and s3 @ s3 == ident
           and s1 @ s2 == i_op @ s3 and s2 @ s3 == i_op @ s1
           and s3 @ s1 == i_op @ s2)
-    _claim(ledger, "cd.pauli-matrices", ok, t0=t0)
+    _claim(ledger, "cd.pauli-matrices", ok)
 
-    t0 = time.perf_counter()
     # rebuild the block forms from the Pauli matrices and compare
     forms = _rebuilt_forms()
     failures = [lbl for lbl in ("g0", "g1", "g2", "g3")
                 if gammas.get(lbl) != forms[lbl]]
     _claim(ledger, "cd.gamma-blocks", not failures,
            detail="; ".join(f"{lbl} differs from its block form"
-                            for lbl in failures), t0=t0)
+                            for lbl in failures))
 
-    t0 = time.perf_counter()
     g4 = gammas.get("g4")
     prod = compose(gammas.get("g0"), gammas.get("g1"),
                    gammas.get("g2"), gammas.get("g3"))
     ok = (g4 == prod) and (g4 == forms["g4"]) and (g4 @ g4 == -ident)
-    _claim(ledger, "cd.gamma4", ok, t0=t0)
+    _claim(ledger, "cd.gamma4", ok)
 
-    t0 = time.perf_counter()
     _report_claim(ledger, "cd.anticommutation-5",
-                  check_anticommutation(gammas, (1, -1, -1, -1, -1), 2), t0)
+                  check_anticommutation(gammas, (1, -1, -1, -1, -1), 2))
 
     table = so15_generators(gammas if config.inject_fault is not None else None)
 
-    t0 = time.perf_counter()
     basis = cd16()
     rank = span_rank(basis.ops())
     failures = [f"alpha_{m}5 != g{m}" for m in range(5)
@@ -146,26 +139,23 @@ def _suite_cd(ledger: Ledger, config: SuiteConfig) -> None:
     if len(basis) != 16 or rank != 16:
         failures.insert(0, f"count={len(basis)}, rank={rank}")
     _claim(ledger, "cd.basis-16", not failures,
-           detail="; ".join(failures) or "count=16, rank=16", t0=t0)
+           detail="; ".join(failures) or "count=16, rank=16")
 
     # the table against quarter-commutators of the independently built forms
-    t0 = time.perf_counter()
     quarter = ExactScalar.rational(1, 4)
     failures = [f"s{m}{n}" for m in range(5) for n in range(m + 1, 5)
                 if table[(m, n)] != commutator(forms[f"g{m}"],
                                                forms[f"g{n}"]).scaled(quarter)]
     _claim(ledger, "cd.quarter-commutators", not failures,
-           detail="; ".join(failures), t0=t0)
+           detail="; ".join(failures))
 
-    t0 = time.perf_counter()
-    _report_claim(ledger, "cd.so15-table", check_so15(table), t0)
+    _report_claim(ledger, "cd.so15-table", check_so15(table))
 
-    t0 = time.perf_counter()
     # the fifth slot against half of the independently built forms
     failures = [f"s{m}5" for m in range(5)
                 if table[(m, 5)] != forms[f"g{m}"].scaled(HALF)]
     _claim(ledger, "cd.generating-orts", not failures,
-           detail="; ".join(failures), t0=t0)
+           detail="; ".join(failures))
 
 
 def _pauli_ops():
@@ -197,14 +187,11 @@ def _rebuilt_forms() -> Dict[str, GeneralOp]:
 # ---------------------------------------------------------------------------
 
 def _suite_pgi(ledger: Ledger, config: SuiteConfig) -> None:
-    t0 = time.perf_counter()
     basis = pgi8()
     rep = composition_closure_check(basis)
     ok = len(basis) == 8 and span_rank(basis.ops()) == 8 and rep.passed
-    _claim(ledger, "pgi.set-8", ok, detail="count=8, rank=8, products close",
-           t0=t0)
+    _claim(ledger, "pgi.set-8", ok, detail="count=8, rank=8, products close")
 
-    t0 = time.perf_counter()
     sextet = pgi_lorentz6()
     # s12 = -(i/2) I and s03 = -(i/2) g4, written out
     h, z = ExactScalar.rational(-1, 2), ZERO
@@ -218,14 +205,13 @@ def _suite_pgi(ledger: Ledger, config: SuiteConfig) -> None:
     ok = ok and orient.passed
     _claim(ledger, "pgi.lorentz-sextet", ok,
            detail="closes as so(1,3) in the mirrored orientation "
-                  "(negated set satisfies the (+---) table)", t0=t0)
+                  "(negated set satisfies the (+---) table)")
 
-    t0 = time.perf_counter()
     massless = dirac_hamiltonian(0.0)
     bad = [lbl for lbl, op in basis
            if not check_equation_symmetry(op, massless).is_symmetry]
     _claim(ledger, "pgi.massless-symmetry", not bad,
-           detail="; ".join(bad) or "all 8 exact", t0=t0)
+           detail="; ".join(bad) or "all 8 exact")
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +221,6 @@ def _suite_pgi(ledger: Ledger, config: SuiteConfig) -> None:
 def _suite_ercd(ledger: Ledger, config: SuiteConfig) -> None:
     basis = ercd64()
 
-    t0 = time.perf_counter()
     # alpha_01 = g0 g1 and its images under i, C and iC, written out
     i, z = I_UNIT, ZERO
     x01 = [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]]
@@ -249,29 +234,25 @@ def _suite_ercd(ledger: Ledger, config: SuiteConfig) -> None:
     }
     ok = len(basis) == 64 and all(basis.get(lbl) == op
                                   for lbl, op in written.items())
-    _claim(ledger, "ercd.basis-64", ok, detail="count=64", t0=t0)
+    _claim(ledger, "ercd.basis-64", ok, detail="count=64")
 
-    t0 = time.perf_counter()
     rank = span_rank(basis.ops())
-    _claim(ledger, "ercd.independence", rank == 64, detail=f"rank={rank}", t0=t0)
+    _claim(ledger, "ercd.independence", rank == 64, detail=f"rank={rank}")
 
-    t0 = time.perf_counter()
     herm, anti, neither = classify_hermiticity(basis)
     ok = (len(herm), len(anti), len(neither)) == (36, 28, 0)
     _claim(ledger, "ercd.hermiticity-split", ok,
            detail=f"hermitian={len(herm)}/antihermitian={len(anti)}"
-                  f"/neither={len(neither)}", t0=t0)
+                  f"/neither={len(neither)}")
 
-    t0 = time.perf_counter()
     _report_claim(ledger, "ercd.ort-properties",
-                  squares_and_pairing_check(basis), t0, "checks", 4)
+                  squares_and_pairing_check(basis), "checks", 4)
 
-    t0 = time.perf_counter()
     anti_ops = [basis.get(lbl) for lbl in anti]
     rot = [op for _, op in sorted(so8_generators().items())]
     ok = spans_equal(anti_ops, rot) and span_rank(rot) == 28
     _claim(ledger, "ercd.antihermitian-span", ok,
-           detail="28-dimensional span match", t0=t0)
+           detail="28-dimensional span match")
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +262,6 @@ def _suite_ercd(ledger: Ledger, config: SuiteConfig) -> None:
 def _suite_percd(ledger: Ledger, config: SuiteConfig) -> None:
     ext = extended_gammas()
 
-    t0 = time.perf_counter()
     # g5 = g1 g3 C, g6 = i g5 and g7 = i g0 written out: g1 g3 holds the
     # real rotation blocks [[0,1],[-1,0]]
     i, z = I_UNIT, ZERO
@@ -296,13 +276,11 @@ def _suite_percd(ledger: Ledger, config: SuiteConfig) -> None:
     ok = all(ext.get(lbl) == op for lbl, op in written.items())
     ok = ok and all(ext.get(f"g{k}").is_linear for k in range(1, 5))
     _claim(ledger, "percd.seven-generators", ok,
-           detail="two antilinear generators as composed", t0=t0)
+           detail="two antilinear generators as composed")
 
-    t0 = time.perf_counter()
     _report_claim(ledger, "percd.anticommutation-7",
-                  check_anticommutation(ext, (-1,) * 7, 2), t0)
+                  check_anticommutation(ext, (-1,) * 7, 2))
 
-    t0 = time.perf_counter()
     basis = percd29()
     ok = len(basis) == 29
     for a in range(1, 8):
@@ -310,27 +288,22 @@ def _suite_percd(ledger: Ledger, config: SuiteConfig) -> None:
             ok = False
     rank = span_rank(basis.ops())
     ok = ok and rank == 29
-    _claim(ledger, "percd.basis-29", ok, detail=f"count=29, rank={rank}", t0=t0)
+    _claim(ledger, "percd.basis-29", ok, detail=f"count=29, rank={rank}")
 
-    t0 = time.perf_counter()
     rep = check_so8(so8_generators())
     closure = closure_check(basis)
     _claim(ledger, "percd.so8-table", rep.passed and closure.passed,
-           detail=f"{rep.checks_total} pairs, closure {closure.checks_total}",
-           t0=t0)
+           detail=f"{rep.checks_total} pairs, closure {closure.checks_total}")
 
-    t0 = time.perf_counter()
     holds = gamma_product_identities().payload
-    _claim(ledger, "percd.five-product", holds["g0 g1 g2 g3 g4 = -I"], t0=t0)
+    _claim(ledger, "percd.five-product", holds["g0 g1 g2 g3 g4 = -I"])
 
-    t0 = time.perf_counter()
     seven_ok = all(holds[name] for name in (
         "g1..g7 product = I", "g5 g6 = i", "g7 = -(g1..g6 product)"))
-    _claim(ledger, "percd.seven-product", seven_ok, t0=t0)
+    _claim(ledger, "percd.seven-product", seven_ok)
 
-    t0 = time.perf_counter()
     rep = verify_explicit_forms((7, 8), " (defining commutator gives {flipped})")
-    _report_claim(ledger, "percd.explicit-forms-extra", rep, t0, "identities")
+    _report_claim(ledger, "percd.explicit-forms-extra", rep, "identities")
 
 
 # ---------------------------------------------------------------------------
@@ -341,35 +314,30 @@ def _suite_so6(ledger: Ledger, config: SuiteConfig) -> None:
     basis = so6()
     ext = extended_gammas()
 
-    t0 = time.perf_counter()
     ok = len(basis) == 16 and span_rank(basis.ops()) == 16
     ok = ok and OrthogonalBasis(percd29().ops()).contains(basis.ops())
     ok = ok and OrthogonalBasis(ercd64().ops()).contains(percd29().ops())
     _claim(ledger, "so6.basis-16", ok,
-           detail="rank=16, nested in the 29- and 64-ort spans", t0=t0)
+           detail="rank=16, nested in the 29- and 64-ort spans")
 
     # the orts against half-commutators of independently built g1..g6
-    t0 = time.perf_counter()
     forms = _rebuilt_forms()
     failures = [f"alpha_{a}{b}" for a in range(1, 7) for b in range(a + 1, 7)
                 if basis.get(f"alpha_{a}{b}")
                 != commutator(forms[f"g{a}"], forms[f"g{b}"]).scaled(HALF)]
     _claim(ledger, "so6.quarter-commutators", not failures,
-           detail="; ".join(failures), t0=t0)
+           detail="; ".join(failures))
 
-    t0 = time.perf_counter()
     failures = []
     for a in range(1, 7):
         for b in range(a + 1, 7):
             if basis.get(f"alpha_{a}{b}") != ext.get(f"g{a}") @ ext.get(f"g{b}"):
                 failures.append(f"alpha_{a}{b}")
     _claim(ledger, "so6.generating-six", not failures,
-           detail="every ort is a product of two of the first six generators",
-           t0=t0)
+           detail="every ort is a product of two of the first six generators")
 
-    t0 = time.perf_counter()
     _report_claim(ledger, "so6.explicit-forms",
-                  verify_explicit_forms((5, 6), hint=""), t0, "identities")
+                  verify_explicit_forms((5, 6), hint=""), "identities")
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +345,6 @@ def _suite_so6(ledger: Ledger, config: SuiteConfig) -> None:
 # ---------------------------------------------------------------------------
 
 def _suite_a32(ledger: Ledger, config: SuiteConfig) -> None:
-    t0 = time.perf_counter()
     basis = a32()
     ig0 = extended_gammas().get("g7")
     details = []
@@ -404,8 +371,7 @@ def _suite_a32(ledger: Ledger, config: SuiteConfig) -> None:
         details.append("non-symmetries: " + ", ".join(bad))
     else:
         details.append("all 32 exact invariances")
-    _claim(ledger, "a32.maximal-invariance", ok, detail="; ".join(details),
-           t0=t0)
+    _claim(ledger, "a32.maximal-invariance", ok, detail="; ".join(details))
 
 
 # ---------------------------------------------------------------------------
@@ -435,18 +401,16 @@ def _suite_fw(ledger: Ledger, config: SuiteConfig) -> None:
     # rounding is judged against tol max(1, m)
     h_tol = tol * max(1.0, m)
 
-    t0 = time.perf_counter()
     h0 = fw.hamiltonian((0.0, 0.0, 0.0))
     worst = max(_light_cone_residual(fw, near, m),
                 float(np.max(np.abs(
                     h0 - m * to_complex_matrix(pd_gammas().get("g0").A)))))
     _claim(ledger, "fw.wave-operator", worst < h_tol, residual=worst,
-           detail=f"{len(near)} points and q = 0", t0=t0, tol=h_tol)
+           detail=f"{len(near)} points and q = 0", tol=h_tol)
 
-    t0 = time.perf_counter()
     worst = _light_cone_residual(hd, near, m)
     _claim(ledger, "fw.local-hamiltonian", worst < h_tol, residual=worst,
-           detail=f"{len(near)} points", t0=t0, tol=h_tol)
+           detail=f"{len(near)} points", tol=h_tol)
 
     if m > 0:
         _fw_nonlocal(ledger, m, fw, hd, samples, tol)
@@ -457,11 +421,10 @@ def _suite_fw(ledger: Ledger, config: SuiteConfig) -> None:
             _out_of_scope(ledger, claim_id, "needs m > 0: the basis-change "
                                             "symbol degenerates at q = 0")
 
-    t0 = time.perf_counter()
     g1 = pd_gammas().get("g1")
     rep = check_equation_symmetry(g1, fw)
     _claim(ledger, "fw.negative-control", not rep.is_symmetry,
-           detail="bare space generator correctly rejected", t0=t0)
+           detail="bare space generator correctly rejected")
 
 
 def _fw_nonlocal(ledger: Ledger, m: float, fw, hd, samples, tol: float
@@ -474,19 +437,16 @@ def _fw_nonlocal(ledger: Ledger, m: float, fw, hd, samples, tol: float
     vp, vm = fw_transform(m, +1)(q), fw_transform(m, -1)(q)
     h_d = hd.symbol(q)
 
-    t0 = time.perf_counter()
     ident = MomentumSymbol.constant(GeneralOp.identity())(q)
     worst = max((vp @ vm - ident).norm(), (vm @ vp - ident).norm())
     _claim(ledger, "fw.transform-inverse", worst < tol, residual=worst,
-           detail=used, t0=t0, tol=tol)
+           detail=used, tol=tol)
 
-    t0 = time.perf_counter()
     worst = (vp @ fw.symbol(q) @ vm - h_d).norm()
     h_tol = tol * max(1.0, m)  # as in _suite_fw
     _claim(ledger, "fw.conjugation-identity", worst < h_tol, residual=worst,
-           detail=used, t0=t0, tol=h_tol)
+           detail=used, tol=h_tol)
 
-    t0 = time.perf_counter()
     sv = spin_matrices_complex()
     worst = 0.0
     for j, s in enumerate(pd_spin(m)):
@@ -497,24 +457,23 @@ def _fw_nonlocal(ledger: Ledger, m: float, fw, hd, samples, tol: float
         a0, _ = s.value_at((0.0, 0.0, 0.0))
         worst = max(worst, float(np.max(np.abs(a0 - sv[j]))))
     _claim(ledger, "fw.nonlocal-spin", worst < tol, residual=worst,
-           detail=used, t0=t0, tol=tol)
+           detail=used, tol=tol)
 
     # flip-law algebra on the nonlocal generators, evaluated once over the
     # check points
-    t0 = time.perf_counter()
     few, near = samples[:4], samples[:40]
     tilde = tilde_values(m, signed_batch(few))
     gens = [tilde[f"tg{k}"] for k in range(1, 8)]
     worst = flip_rotation_residual(gens)
     _claim(ledger, "fw.nonlocal-rotations", worst < tol, residual=worst,
-           detail=f"{len(few)} points", t0=t0, tol=tol)
+           detail=f"{len(few)} points", tol=tol)
 
-    t0 = time.perf_counter()
     worst = flip_anticommutation_residual(gens)
     # V-conjugation comparison for all nine nonlocal operators, on the
-    # 40-point batch
+    # 40-point batch: its V+ and V- are the first values of the full batch
     q = signed_batch(near)
-    vp, vm = fw_transform(m, +1)(q), fw_transform(m, -1)(q)
+    vp, vm = (SymbolValues(v.a[:, :len(near)], v.b[:, :len(near)])
+              for v in (vp, vm))
     ext = extended_gammas()
     fundamentals = {f"tg{k}": ext.get(f"g{k}") for k in range(1, 8)}
     fundamentals["tg0"] = pd_gammas().get("g0")
@@ -526,7 +485,7 @@ def _fw_nonlocal(ledger: Ledger, m: float, fw, hd, samples, tol: float
            detail="closed forms match the conjugation oracle; the "
                   "conjugation-image operator uses its expanded form; "
                   f"anticommutators on {len(few)} points, conjugation on "
-                  f"{len(near)} points", t0=t0, tol=tol)
+                  f"{len(near)} points", tol=tol)
 
 
 def flip_anticommutation_residual(values) -> float:
@@ -550,34 +509,27 @@ def flip_rotation_residual(values) -> float:
 # ---------------------------------------------------------------------------
 
 def _suite_bosonic(ledger: Ledger, config: SuiteConfig) -> None:
-    t0 = time.perf_counter()
     breve, w, w_inv = bosonic_rep()
     rep = check_so8(bosonic_so8_generators(), "bosonic")
     _claim(ledger, "bosonic.so8-table", rep.passed,
-           detail=f"{rep.checks_total} pairs", t0=t0)
+           detail=f"{rep.checks_total} pairs")
 
     ext = extended_gammas()
-    t0 = time.perf_counter()
     ok = all(compose(w, ext.get(f"g{k}"), w_inv) == breve.get(f"bg{k}")
              for k in range(1, 8))
-    _claim(ledger, "bosonic.generators", ok, detail="7 conjugation identities",
-           t0=t0)
+    _claim(ledger, "bosonic.generators", ok, detail="7 conjugation identities")
 
-    t0 = time.perf_counter()
     ok = (compose(w, pd_gammas().get("g0"), w_inv) == breve.get("bg0")
           and compose(w, GeneralOp.imaginary_unit(), w_inv) == breve.get("bi")
           and compose(w, GeneralOp.conjugation(), w_inv) == breve.get("bC"))
-    _claim(ledger, "bosonic.extras", ok, detail="3 conjugation identities",
-           t0=t0)
+    _claim(ledger, "bosonic.extras", ok, detail="3 conjugation identities")
 
-    t0 = time.perf_counter()
     ident = GeneralOp.identity()
     ig0 = ext.get("g7")
     ok = (w @ w_inv == ident and w_inv @ w == ident
           and compose(w, ig0, w_inv) == ig0)
     _claim(ledger, "bosonic.basis-change", ok,
-           detail="invertible; fixes the diagonalized Hamiltonian matrix",
-           t0=t0)
+           detail="invertible; fixes the diagonalized Hamiltonian matrix")
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +545,6 @@ def _suite_poincare(ledger: Ledger, config: SuiteConfig) -> None:
                                     radius=5.0))
     points = f"{q.shape[1]} points"
 
-    t0 = time.perf_counter()
     momenta = [evaluate(g, q) for name, g in translation_generators(m)
                if name != "p0"]
     positions = [evaluate(position_op(b, m), q) for b in range(3)]
@@ -607,10 +558,9 @@ def _suite_poincare(ledger: Ledger, config: SuiteConfig) -> None:
             worst = max(worst, (comm - unit if n == mm else comm).max_norm(),
                         xop_commutator(momenta[n], momenta[mm]).max_norm())
     _claim(ledger, "poincare.canonical-pairs", worst < mom_tol,
-           residual=worst, detail=points, t0=t0, tol=mom_tol)
+           residual=worst, detail=points, tol=mom_tol)
 
     if m > 0:
-        t0 = time.perf_counter()
         # the ten generators are evaluated once for both checks
         names, gens = zip(*build_poincare_generators(m))
         values = [evaluate(g, q) for g in gens]
@@ -622,14 +572,13 @@ def _suite_poincare(ledger: Ledger, config: SuiteConfig) -> None:
                residual=max(worst_sym, closure.max_residual),
                detail=f"symmetry<{worst_sym:.1e}, closure<"
                       f"{closure.max_residual:.1e} against the oracle "
-                      f"constants ({proof}); on {points}", t0=t0,
+                      f"constants ({proof}); on {points}",
                tol=min(sym_tol, closure_tol))
     else:
         _out_of_scope(ledger, "poincare.generator-algebra",
                       "needs m > 0: the boost generators are singular at "
                       "q = 0 when m = 0")
 
-    t0 = time.perf_counter()
     spin = breve_spin()
     s1, s2, s3 = spin.ops()
     ok = s3.A[0][0] == -I_UNIT and s3.A[1][1] == I_UNIT
@@ -639,20 +588,18 @@ def _suite_poincare(ledger: Ledger, config: SuiteConfig) -> None:
     ok = ok and all(check_equation_symmetry(op, fw).is_symmetry
                     for op in (s1, s2, s3))
     _claim(ledger, "poincare.spin-triplet", ok,
-           detail="su(2) closure exact; all three invariances exact", t0=t0)
+           detail="su(2) closure exact; all three invariances exact")
 
-    t0 = time.perf_counter()
     cas = casimir_report(m, q, tol=mom_tol)
     _claim(ledger, "poincare.casimirs", cas.passed,
            residual=cas.momentum_square_spread,
            detail=f"p.p = {cas.momentum_square_value.real:+.6f} (q-independent) "
                   f"on {points}, spin square = -2 diag(1,1,1,0) exact",
-           t0=t0, tol=mom_tol)
+           tol=mom_tol)
     ledger.flags.append(cas.sign_flag)
 
-    t0 = time.perf_counter()
     ok = breve_spin_from_compositions() == spin.ops()
-    _claim(ledger, "poincare.spin-compositions", ok, t0=t0)
+    _claim(ledger, "poincare.spin-compositions", ok)
 
 
 # ---------------------------------------------------------------------------
@@ -684,10 +631,8 @@ def run_suite(config: SuiteConfig) -> Ledger:
     for name in suites:
         _SUITES[name](ledger, config)
     if set(suites) == set(SUITE_NAMES):
-        ledger.add(Claim("hilbert-space-setting",
-                         CLAIM_REGISTRY["hilbert-space-setting"],
-                         "out-of-scope", 0.0, 0.0,
-                         "function-analytic setting not modelled"))
+        _out_of_scope(ledger, "hilbert-space-setting",
+                      "function-analytic setting not modelled")
         ledger.validate_coverage()
     return ledger
 

@@ -32,13 +32,13 @@ identically to the exact layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
 from .algebras import pd_gammas, so15_generators
 from .jets import Jet
-from .operators import GeneralOp, commutator
+from .operators import GeneralOp
 
 Triple = Tuple[float, float, float]
 
@@ -435,26 +435,10 @@ class SymmetryReport:
     detail: str = ""
 
 
-def check_equation_symmetry(x, eq: EquationOperator,
-                            samples: Optional[Sequence[Triple]] = None,
-                            tol: Optional[float] = None,
+def check_equation_symmetry(x: GeneralOp, eq: EquationOperator,
                             label: str = "") -> SymmetryReport:
-    """Is x a symmetry of the evolution operator d_0 + iH?
-
-    Constant exact operators ride the zero-tolerance structural path;
-    momentum-dependent symbols are checked by sampling the flip-law
-    commutator with iH at samples, judged against tol; the caller must
-    give both.
-    """
-    if isinstance(x, GeneralOp):
-        ok, failures = eq.is_exact_symmetry(x)
-        return SymmetryReport(label or "constant", eq.name, ok, True,
-                              0.0 if ok else float("inf"),
-                              "; ".join(failures))
-    if tol is None:
-        raise ValueError("a sampled symmetry check needs a tolerance")
-    if samples is None:
-        raise ValueError("a sampled symmetry check needs sample momenta")
-    q = signed_batch(samples)
-    worst = commutator(x(q), 1j * eq.symbol(q)).norm()
-    return SymmetryReport(label or x.label, eq.name, worst < tol, False, worst)
+    """Is the constant operator x a symmetry of the evolution operator
+    d_0 + iH? The check is structural and exact (zero tolerance)."""
+    ok, failures = eq.is_exact_symmetry(x)
+    return SymmetryReport(label or "constant", eq.name, ok, True,
+                          0.0 if ok else float("inf"), "; ".join(failures))

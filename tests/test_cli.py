@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import time
 import warnings
 
 import pytest
@@ -182,6 +183,35 @@ def test_json_timings_opt_in():
     config = SuiteConfig(suites=("cd",), fmt="json", timings=True)
     payload = json.loads(run_suite(config).to_json())
     assert "runtime_s" in payload["claims"][0]
+    # the runtimes are the only addition to the canonical report
+    for claim in payload["claims"]:
+        del claim["runtime_s"]
+    canonical = run_suite(SuiteConfig(suites=("cd",), fmt="json")).to_json()
+    assert payload == json.loads(canonical)
+
+
+def test_the_ledger_charges_setup_to_the_next_claim(monkeypatch):
+    build = ercd.suites.so15_generators
+
+    def slow(*args):
+        time.sleep(0.05)
+        return build(*args)
+
+    monkeypatch.setattr(ercd.suites, "so15_generators", slow)
+    start = time.perf_counter()
+    ledger = run_suite(SuiteConfig(suites=("cd",)))
+    wall = time.perf_counter() - start
+    # the table is built after cd.anticommutation-5 is recorded
+    runtime = {c.claim_id: c.runtime_s for c in ledger.claims}
+    assert runtime["cd.basis-16"] >= 0.05
+    assert sum(runtime.values()) <= wall
+
+
+def test_a_repeated_suite_runs_once(capsys):
+    rc, payload, claims = _json_run(capsys, "--suite", "cd", "--suite", "pgi",
+                                    "--suite", "cd")
+    assert rc == 0 and payload["config"]["suites"] == ["cd", "pgi"]
+    assert [k.split(".")[0] for k in claims] == ["cd"] * 9 + ["pgi"] * 3
 
 
 def test_csv_render_shape():
@@ -262,6 +292,22 @@ def test_poincare_uses_samples_as_given(capsys):
         assert claims[k]["detail"].count("points") == 1, k
 
 
+def test_fw_evaluates_the_basis_change_once_per_sign(monkeypatch):
+    build = ercd.suites.fw_transform
+    batches = []
+
+    def counted(mass, sign=+1):
+        symbol = build(mass, sign)
+        fn = symbol.fn
+        symbol.fn = lambda q: batches.append(q[0].shape[1]) or fn(q)
+        return symbol
+
+    monkeypatch.setattr(ercd.suites, "fw_transform", counted)
+    assert run_suite(SuiteConfig(suites=("fw",))).passed
+    # the 40-point conjugation check reads the first 40 of the 200 values
+    assert batches == [200, 200]
+
+
 def test_sampled_claims_name_the_points_they_used(capsys):
     # --samples 1 is echoed, but fw floors its sample set at 100 points and
     # some checks use only the first 4 or 40 of them
@@ -340,6 +386,13 @@ def test_cli_bad_tolerance_exits_2(capsys):
     ["--mass", "1e160"],
     ["--mass", "1.3e154"],
     ["--seed", "-1"],
+    ["--tol", "momentum=abc"],
+    ["--tol", "nonsense"],
+    ["--tol", "speed=1"],
+    ["--inject-fault", "g2,0,x"],
+    ["--inject-fault", "g9,0,0"],
+    ["--inject-fault", "g2,0,4"],
+    ["--inject-fault", "g2,0"],
 ])
 def test_cli_bad_numbers_exit_2_before_any_suite(flags, capsys, monkeypatch):
     import ercd.cli
