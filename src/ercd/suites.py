@@ -451,7 +451,7 @@ def _fw_nonlocal(ledger: Ledger, m: float, fw, hd, samples, tol: float
     worst = 0.0
     for j, s in enumerate(pd_spin(m)):
         spin = s(q)
-        conj = vp @ SymbolValues(sv[j], np.zeros((4, 4), dtype=complex)) @ vm
+        conj = vp @ SymbolValues(sv[j], None) @ vm
         worst = max(worst, (spin - conj).norm(),
                     commutator(spin, h_d).norm())
         a0, _ = s.value_at((0.0, 0.0, 0.0))
@@ -472,8 +472,7 @@ def _fw_nonlocal(ledger: Ledger, m: float, fw, hd, samples, tol: float
     # V-conjugation comparison for all nine nonlocal operators, on the
     # 40-point batch: its V+ and V- are the first values of the full batch
     q = signed_batch(near)
-    vp, vm = (SymbolValues(v.a[:, :len(near)], v.b[:, :len(near)])
-              for v in (vp, vm))
+    vp, vm = vp.first(len(near)), vm.first(len(near))
     ext = extended_gammas()
     fundamentals = {f"tg{k}": ext.get(f"g{k}") for k in range(1, 8)}
     fundamentals["tg0"] = pd_gammas().get("g0")
@@ -491,7 +490,7 @@ def _fw_nonlocal(ledger: Ledger, m: float, fw, hd, samples, tol: float
 def flip_anticommutation_residual(values) -> float:
     """The largest +q-half entry of the defects {g_a, g_b} + 2 delta_ab I
     of generators evaluated on one signed batch."""
-    unit = SymbolValues(2.0 * np.eye(4), np.zeros((4, 4)))
+    unit = SymbolValues(2.0 * np.eye(4), None)
     return max(defect.norm() for _, _, defect in
                anticommutation_defects(values, (-1,) * len(values), unit))
 

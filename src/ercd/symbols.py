@@ -8,6 +8,12 @@ shape (2, N, 3) holding N momenta and their reflections, Q[1] = -Q[0]
 gives a ``SymbolValues``, the parts A and B, each of shape (2, N, 4, 4) or
 (1, 1, 4, 4) when constant. All algebra works on those values.
 
+A part that is zero by construction is absent: the B of a
+``linear_matrix`` symbol, the A of an ``antilinear_matrix`` one, a part of
+a ``constant`` whose exact matrix is zero, and the derivative of a part
+that does not depend on q. An absent part is never allocated, and no
+float data is scanned to decide it.
+
 Composition follows the momentum-flip law: antilinear parts see the
 reflected momentum. On a signed batch the reflected factor is a flip of
 the sign axis, not a second evaluation, and ``SymbolValues.__matmul__``
@@ -16,8 +22,11 @@ is the one place the product is formed:
     A = Ax @ Ay + Bx @ conj(By[::-1]),
     B = Ax @ By + Bx @ conj(Ay[::-1]).
 
-Sums, differences and scalar multiples act on both parts, so the
-commutators of ``operators`` serve evaluated values unchanged.
+A product with an absent factor is not formed, and a part both of whose
+terms are absent is absent. Sums, differences and scalar multiples act on
+both parts and keep absence, so the commutators of ``operators`` serve
+evaluated values unchanged. Dropping an exactly zero term turns x + 0
+into x, which changes at most the sign of a zero entry.
 
 ``MomentumSymbol.jet`` gives values and first q-derivatives from one pass
 on degree-1 array jets (``jets.Jet``) seeded with +e_a on the +q half and
@@ -42,7 +51,6 @@ from .operators import GeneralOp
 
 Triple = Tuple[float, float, float]
 
-_ZERO4 = np.zeros((4, 4), dtype=complex)
 # d/dq of the -q half is minus the derivative taken at -q
 _HALF_SIGN = np.array([1.0, -1.0]).reshape(2, 1, 1, 1)
 
@@ -63,43 +71,86 @@ class SymbolValues:
     """A symbol evaluated on a signed batch: the linear part a and the
     antilinear part b, each of shape (2, N, 4, 4), or (1, 1, 4, 4) for a
     part that does not depend on q, which broadcasts and is its own sign
-    flip; a 4x4 part is taken as such a constant.
+    flip; a 4x4 part is taken as such a constant, and None marks a part
+    that is zero by construction as absent.
 
-    ``@`` is the flip-law product; +, - and unary - act on both parts, and
-    r * v is left composition with the scalar r (r = 1j is the operator i).
+    ``@`` is the flip-law product, which forms no product with an absent
+    factor; +, - and unary - act on both parts, and r * v is left
+    composition with the scalar r (r = 1j is the operator i). All of them
+    keep absence. ``.a``, ``.b`` and iteration read an absent part as a
+    (1, 1, 4, 4) zero.
     """
 
-    __slots__ = ("a", "b")
+    __slots__ = ("_a", "_b")
     __array_ufunc__ = None  # numpy scalars defer to __rmul__
 
     def __init__(self, a, b):
-        self.a, self.b = (p if len(p.shape) == 4
-                          else np.reshape(p, (1, 1, 4, 4)) for p in (a, b))
+        self._a, self._b = (p if p is None or len(p.shape) == 4
+                            else np.reshape(p, (1, 1, 4, 4)) for p in (a, b))
+
+    @property
+    def a(self) -> np.ndarray:
+        return _dense(self._a)
+
+    @property
+    def b(self) -> np.ndarray:
+        return _dense(self._b)
 
     def __iter__(self):
         return iter((self.a, self.b))
 
     def __matmul__(self, other: "SymbolValues") -> "SymbolValues":
+        xa, xb, ya, yb = self._a, self._b, other._a, other._b
         return SymbolValues(
-            self.a @ other.a + self.b @ np.conj(other.b[::-1]),
-            self.a @ other.b + self.b @ np.conj(other.a[::-1]))
+            _add(_product(xa, ya), _product(xb, yb, flip=True)),
+            _add(_product(xa, yb), _product(xb, ya, flip=True)))
 
     def __add__(self, other: "SymbolValues") -> "SymbolValues":
-        return SymbolValues(self.a + other.a, self.b + other.b)
+        return SymbolValues(_add(self._a, other._a), _add(self._b, other._b))
 
     def __sub__(self, other: "SymbolValues") -> "SymbolValues":
-        return SymbolValues(self.a - other.a, self.b - other.b)
+        return SymbolValues(_sub(self._a, other._a), _sub(self._b, other._b))
 
     def __neg__(self) -> "SymbolValues":
-        return SymbolValues(-self.a, -self.b)
+        return self._map(np.negative)
 
     def __rmul__(self, r) -> "SymbolValues":
-        return SymbolValues(r * self.a, r * self.b)
+        return self._map(lambda p: r * p)
+
+    def first(self, n: int) -> "SymbolValues":
+        """The values on the first n points of the batch."""
+        return self._map(lambda p: p[:, :n])
+
+    def _map(self, f) -> "SymbolValues":
+        return SymbolValues(*(p if p is None else f(p)
+                              for p in (self._a, self._b)))
 
     def norm(self) -> float:
-        """Largest entry modulus over the +q half."""
-        return max(float(np.max(np.abs(self.a[0]))),
-                   float(np.max(np.abs(self.b[0]))))
+        """Largest entry modulus over the +q half; an absent part reads 0."""
+        return max((float(np.max(np.abs(p[0]))) for p in (self._a, self._b)
+                    if p is not None), default=0.0)
+
+
+# the part arithmetic of SymbolValues: None is an absent (zero) part
+
+def _dense(p):
+    return np.zeros((1, 1, 4, 4), dtype=complex) if p is None else p
+
+
+def _product(x, y, flip=False):
+    """x @ y, or x @ conj(y[::-1]) with flip, the reflected factor of the
+    flip law; None when a factor is absent."""
+    if x is None or y is None:
+        return None
+    return x @ (np.conj(y[::-1]) if flip else y)
+
+
+def _add(x, y):
+    return x if y is None else y if x is None else x + y
+
+
+def _sub(x, y):
+    return x if y is None else -y if x is None else x - y
 
 
 def _components(q):
@@ -115,8 +166,10 @@ class MomentumSymbol:
     """q -> (A(q), B(q)) over signed batches.
 
     fn maps the momentum components (q1, q2, q3), each of shape
-    (2, N, 1, 1) as plain arrays or jets, to the pair (A, B); a part that
-    does not depend on q may be a single 4x4 matrix.
+    (2, N, 1, 1) as plain arrays or jets, to the pair (A, B), or to the
+    ``SymbolValues`` of a composite; a part that does not depend on q may
+    be a single 4x4 matrix, and a part that is zero by construction is
+    None.
     """
 
     __slots__ = ("fn", "label")
@@ -130,22 +183,25 @@ class MomentumSymbol:
         return self._eval(_components(q))
 
     def _eval(self, comps) -> SymbolValues:
-        return SymbolValues(*self.fn(comps))
+        v = self.fn(comps)
+        return v if isinstance(v, SymbolValues) else SymbolValues(*v)
 
     @classmethod
     def constant(cls, op: GeneralOp, label: str = "") -> "MomentumSymbol":
-        a = to_complex_matrix(op.A)
-        b = to_complex_matrix(op.B)
+        """The constant symbol of op; a part whose exact matrix is zero is
+        absent."""
+        a, b = (to_complex_matrix(m) if any(x for row in m for x in row)
+                else None for m in (op.A, op.B))
         return cls(lambda q: (a, b), label or "const")
 
     @classmethod
     def linear_matrix(cls, fn_a: Callable, label: str = "") -> "MomentumSymbol":
-        return cls(lambda q: (fn_a(q), _ZERO4), label)
+        return cls(lambda q: (fn_a(q), None), label)
 
     @classmethod
     def antilinear_matrix(cls, fn_b: Callable, label: str = ""
                           ) -> "MomentumSymbol":
-        return cls(lambda q: (_ZERO4, fn_b(q)), label)
+        return cls(lambda q: (None, fn_b(q)), label)
 
     def value_at(self, q) -> Tuple[np.ndarray, np.ndarray]:
         """(A(q), B(q)) at one momentum triple."""
@@ -155,11 +211,12 @@ class MomentumSymbol:
     def jet(self, q) -> Tuple[SymbolValues, Tuple[SymbolValues, ...]]:
         """Values and q-derivatives on the signed batch q from one seeded
         jet pass: (v, (d1, d2, d3)), where da = dv/dq_a on both halves.
-        A part that does not depend on q keeps the shape (1, 1, 4, 4) and
-        has a zero derivative."""
-        parts = tuple(self._eval(Jet.of_momenta(_components(q))))
-        grads = [p.grad * _HALF_SIGN if isinstance(p, Jet)
-                 else np.zeros((3,) + p.shape, dtype=complex) for p in parts]
+        A part that does not depend on q keeps the shape (1, 1, 4, 4), and
+        its derivatives are absent, as are those of an absent part."""
+        v = self._eval(Jet.of_momenta(_components(q)))
+        parts = (v._a, v._b)
+        grads = [p.grad * _HALF_SIGN if isinstance(p, Jet) else (None,) * 3
+                 for p in parts]
         return (SymbolValues(*(p.val if isinstance(p, Jet) else p
                                for p in parts)),
                 tuple(SymbolValues(da, db) for da, db in zip(*grads)))

@@ -284,7 +284,7 @@ class PoincareClosureReport:
 
 
 def poincare_closure_check(names: Sequence[str], values: Sequence[XValues],
-                           tol: float = 1e-8) -> PoincareClosureReport:
+                           tol: float) -> PoincareClosureReport:
     """Check [g_i, g_j] = sum_k c_k g_k for every pair i < j of the ten
     generators, evaluated once on one signed batch (``evaluate``), with
     the exact structure constants c_k of the ring oracle. The residual
@@ -332,8 +332,7 @@ class CasimirReport:
                 and self.spin_square_exact)
 
 
-def casimir_report(mass: float, q: np.ndarray, tol: float = 1e-12
-                   ) -> CasimirReport:
+def casimir_report(mass: float, q: np.ndarray, tol: float) -> CasimirReport:
     """p^mu p_mu = p0 p0 - sum p_n p_n evaluated on the signed batch q
     (expected -m^2 I, constant in q), and the exact matrix factor of the
     spin-square invariant (expected -2 diag(1,1,1,0)). The sampled parts

@@ -22,6 +22,7 @@ from ercd.operators import GeneralOp, anticommutator, commutator, compose
 from ercd.relations import (casimir_spin_squared, check_anticommutation,
                             check_so15, check_so8, classify_hermiticity,
                             gamma_product_identities, verify_explicit_forms)
+from ercd.reporting import DEFAULT_TOLERANCES
 from ercd.scalars import ExactScalar, ZERO
 from ercd.spans import (centralizer_kernel, span_rank, spans_equal)
 from ercd.suites import corrupted_pd_gammas
@@ -216,8 +217,9 @@ def test_criterion_10_generator_suite():
     names, gens = zip(*build_poincare_generators(m))
     values = [evaluate(g, q) for g in gens]
     worst_sym = evolution_commutator_residual(gens, values, q)
-    closure = poincare_closure_check(names, values)
-    cas = casimir_report(m, q)
+    closure = poincare_closure_check(names, values,
+                                     DEFAULT_TOLERANCES["closure"])
+    cas = casimir_report(m, q, DEFAULT_TOLERANCES["momentum"])
     elapsed = time.perf_counter() - t0
     ok = (worst_sym < SYMMETRY_TOL and closure.max_residual < CLOSURE_TOL
           and closure.oracle_verified and cas.passed and elapsed < 30.0)

@@ -1,8 +1,11 @@
 """The byte-identical contract: the canonical JSON report of the seven
 exact suites and the four table dumps of the benchmark, against the golden
-outputs under bench/golden (read through bench/workloads.py). numpy is the
-only runtime dependency: the same outputs come from a process in which
-sympy cannot be imported."""
+outputs under bench/golden (read through bench/workloads.py), and the
+canonical JSON of six momentum-suite runs, against the reports recorded
+under tests/golden (their sampled residuals are floats, so a change of
+host, numpy or BLAS may move their last digits). numpy is the only runtime
+dependency: the same outputs come from a process in which sympy cannot be
+imported."""
 
 import importlib.util
 import json
@@ -11,10 +14,13 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import ercd
 from ercd.cli import main
 
 _BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 _SPEC = importlib.util.spec_from_file_location("bench_workloads",
                                                _BENCH / "workloads.py")
 workloads = importlib.util.module_from_spec(_SPEC)
@@ -38,6 +44,26 @@ def test_table_dumps_match_the_golden_digests(capsys):
     outs = [_run(argv, capsys) for argv in workloads.calls("tables", 42)]
     assert len(outs) == len(workloads.TABLE_DUMPS)
     assert workloads.check_tables(outs) == (len(outs), 0)
+
+
+# recorded report -> verify options; each runs with --format json
+MOMENTUM_RUNS = {
+    "fw": ["--suite", "fw"],
+    "fw-m2.5-s3-n7": ["--suite", "fw", "--mass", "2.5", "--seed", "3",
+                      "--samples", "7"],
+    "fw-m0": ["--suite", "fw", "--mass", "0"],
+    "poincare": ["--suite", "poincare"],
+    "poincare-m0": ["--suite", "poincare", "--mass", "0"],
+    "poincare-m2.5-s7": ["--suite", "poincare", "--mass", "2.5",
+                         "--seed", "7"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MOMENTUM_RUNS))
+def test_momentum_runs_match_the_recorded_reports(name, capsys):
+    out = _run(["verify", *MOMENTUM_RUNS[name], "--format", "json"], capsys)
+    assert out["rc"] == 0
+    assert out["stdout"] == (_GOLDEN / f"{name}.json").read_text()
 
 
 # runs each argv of argv[1] (JSON) with sympy blocked and prints the outputs

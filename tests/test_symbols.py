@@ -292,3 +292,136 @@ def test_momentum_symbol_symmetry_check_numeric_path():
                          "V+ g7 V-")
     q = signed_batch(SAMPLES[:25])
     assert commutator(sym(q), 1j * hd.symbol(q)).norm() < TOL
+
+
+# ---------------------------------------------------------------------------
+# absent parts
+# ---------------------------------------------------------------------------
+
+def _values_with_every_absence(rng, n=3):
+    """Random values over every pattern of absent parts, each present part
+    either constant (1, 1, 4, 4) or batch (2, n, 4, 4) shaped."""
+    shapes = (None, (1, 1), (2, n))
+    return [SymbolValues(*(None if s is None else _random_matrices(rng, 1.0, s)
+                           for s in (sa, sb)))
+            for sa in shapes for sb in shapes]
+
+
+def _dense_product(x, y):
+    """The flip-law product formed on explicit zeros."""
+    return (x.a @ y.a + x.b @ np.conj(y.b[::-1]),
+            x.a @ y.b + x.b @ np.conj(y.a[::-1]))
+
+
+def _assert_matches_dense(v, dense):
+    """A present part equals the dense one bit for bit on both halves; an
+    absent part is zero there (up to the sign of a zero)."""
+    for part, ref in zip((v._a, v._b), dense):
+        if part is None:
+            assert not np.any(ref)
+            continue
+        shape = np.broadcast_shapes(part.shape, ref.shape)
+        assert (np.broadcast_to(part, shape).tobytes()
+                == np.broadcast_to(ref, shape).tobytes())
+
+
+def test_sparse_algebra_matches_the_dense_formula():
+    values = _values_with_every_absence(np.random.default_rng(13))
+    for x in values:
+        assert x.norm() == max(float(np.max(np.abs(x.a[0]))),
+                               float(np.max(np.abs(x.b[0]))))
+        _assert_matches_dense(-x, (-x.a, -x.b))
+        _assert_matches_dense(1j * x, (1j * x.a, 1j * x.b))
+        for y in values:
+            _assert_matches_dense(x @ y, _dense_product(x, y))
+            _assert_matches_dense(x + y, (x.a + y.a, x.b + y.b))
+            _assert_matches_dense(x - y, (x.a - y.a, x.b - y.b))
+            # a part is absent exactly when every term of it is
+            ab = x @ y
+            assert (ab._a is None) == ((x._a is None or y._a is None)
+                                       and (x._b is None or y._b is None))
+            assert (ab._b is None) == ((x._a is None or y._b is None)
+                                       and (x._b is None or y._a is None))
+            assert ((x + y)._a is None) == (x._a is None and y._a is None)
+
+
+def test_absent_parts_read_as_constant_zeros():
+    v = MomentumSymbol.linear_matrix(lambda q: q[0] * np.eye(4))(Q)
+    assert v._b is None
+    assert v.b.shape == (1, 1, 4, 4) and not v.b.any()
+    a, b = v
+    assert a.shape == (2, len(SAMPLES), 4, 4) and not b.any()
+    assert v.first(5).a.shape == (2, 5, 4, 4) and v.first(5)._b is None
+    assert SymbolValues(None, None).norm() == 0.0
+
+
+def test_no_zero_part_by_construction_reaches_a_product(monkeypatch):
+    # every symbol made by linear_matrix, antilinear_matrix or constant
+    # must hand out its structurally zero parts as absent, with absent
+    # derivatives, and no part product may take an all-zero constant factor
+    from ercd import suites
+    from ercd.reporting import SuiteConfig
+
+    zero_by_construction = {}  # id(symbol) -> (symbol, [a zero, b zero])
+
+    def tagging(name, zeros_of):
+        made = getattr(MomentumSymbol, name).__func__
+
+        def wrapper(cls, arg, label=""):
+            sym = made(cls, arg, label)
+            zero_by_construction[id(sym)] = (sym, zeros_of(arg))
+            return sym
+
+        monkeypatch.setattr(MomentumSymbol, name, classmethod(wrapper))
+
+    tagging("linear_matrix", lambda fn: [False, True])
+    tagging("antilinear_matrix", lambda fn: [True, False])
+    tagging("constant", lambda op: [p.is_zero for p in op.parts()])
+
+    checked = []
+
+    def check(sym, v, derivatives=()):
+        """The structural zeros of a tagged symbol's values are absent, and
+        so is the derivative of an absent or a constant part."""
+        if id(sym) not in zero_by_construction:
+            return
+        zeros = zero_by_construction[id(sym)][1]
+        for part, zero in zip((v._a, v._b), zeros):
+            assert (part is None) == zero, sym.label
+        for d in derivatives:
+            for part, value in zip((d._a, d._b), (v._a, v._b)):
+                if value is None or value.shape == (1, 1, 4, 4):
+                    assert part is None, sym.label
+        checked.append(sym.label)
+
+    evaluate, jet = MomentumSymbol.__call__, MomentumSymbol.jet
+
+    def evaluated(self, q):
+        v = evaluate(self, q)
+        check(self, v)
+        return v
+
+    def with_jet(self, q):
+        v, ds = jet(self, q)
+        check(self, v, ds)
+        return v, ds
+
+    monkeypatch.setattr(MomentumSymbol, "__call__", evaluated)
+    monkeypatch.setattr(MomentumSymbol, "jet", with_jet)
+
+    product = symbols._product
+    formed = []
+
+    def counted(x, y, flip=False):
+        if x is not None and y is not None:
+            for f in (x, y):
+                assert f.shape != (1, 1, 4, 4) or f.any()
+            formed.append(flip)
+        return product(x, y, flip)
+
+    monkeypatch.setattr(symbols, "_product", counted)
+    ledger = suites.run_suite(SuiteConfig(suites=("fw", "poincare")))
+    assert all(c.status == "pass" for c in ledger.claims)
+    # the instruments saw the generators' constants and products
+    assert "I" in checked and "s23" in checked and "tC" in checked
+    assert formed

@@ -3,7 +3,7 @@ import pytest
 
 from ercd import poincare_oracle, suites
 from ercd.jets import Jet
-from ercd.reporting import SuiteConfig
+from ercd.reporting import DEFAULT_TOLERANCES, SuiteConfig
 from ercd.symbols import (MomentumSymbol, central_difference, omega,
                           sample_momenta, signed_batch, tilde_gammas)
 from ercd.xops import (XOp, XValues, build_poincare_generators,
@@ -14,6 +14,8 @@ from ercd.xops import (XOp, XValues, build_poincare_generators,
 M = 1.0
 SAMPLES = sample_momenta(20, seed=11, radius=5.0)
 CASIMIR_BATCH = signed_batch(sample_momenta(50, seed=42, radius=5.0))
+CLOSURE_TOL = DEFAULT_TOLERANCES["closure"]
+MOMENTUM_TOL = DEFAULT_TOLERANCES["momentum"]
 
 
 def _generator_values(n_samples, seed=42):
@@ -271,7 +273,7 @@ def test_boost_without_time_term_fails_symmetry():
 
 def test_closure_fit_and_oracle():
     names, values = _generator_values(200)
-    rep = poincare_closure_check(names, values)
+    rep = poincare_closure_check(names, values, CLOSURE_TOL)
     assert rep.max_residual < 1e-8
     assert rep.oracle_verified
     assert rep.passed
@@ -282,7 +284,7 @@ def test_closure_fit_and_oracle():
 def test_closure_check_needs_the_oracle_generators():
     names, values = _generator_values(3)
     with pytest.raises(ValueError, match="oracle"):
-        poincare_closure_check(names[::-1], values[::-1])
+        poincare_closure_check(names[::-1], values[::-1], CLOSURE_TOL)
 
 
 def test_least_squares_fit_matches_the_oracle_constants():
@@ -340,7 +342,7 @@ def test_generator_algebra_fails_against_a_wrong_oracle(fake, monkeypatch):
     monkeypatch.setattr(poincare_oracle, "oracle_structure_table",
                         lambda: oracle)
     names, values = _generator_values(20)
-    rep = poincare_closure_check(names, values)
+    rep = poincare_closure_check(names, values, CLOSURE_TOL)
     assert not rep.passed
     assert (rep.max_residual > 1.0) == (fake is _changed_constant)
     ledger = suites.run_suite(SuiteConfig(suites=("poincare",), samples=20))
@@ -351,7 +353,7 @@ def test_generator_algebra_fails_against_a_wrong_oracle(fake, monkeypatch):
 
 
 def test_casimir_report():
-    rep = casimir_report(M, CASIMIR_BATCH)
+    rep = casimir_report(M, CASIMIR_BATCH, MOMENTUM_TOL)
     assert rep.passed
     assert abs(rep.momentum_square_value + M * M) < 1e-12
     assert rep.momentum_square_spread < 1e-12
@@ -360,17 +362,17 @@ def test_casimir_report():
 
 
 def test_casimir_scales_with_mass():
-    rep = casimir_report(2.0, CASIMIR_BATCH)
+    rep = casimir_report(2.0, CASIMIR_BATCH, MOMENTUM_TOL)
     assert abs(rep.momentum_square_value + 4.0) < 1e-11
 
 
 def test_reports_are_judged_against_the_given_tolerance():
-    cas = casimir_report(M, CASIMIR_BATCH)
+    cas = casimir_report(M, CASIMIR_BATCH, MOMENTUM_TOL)
     assert cas.passed
     assert not casimir_report(M, CASIMIR_BATCH,
                               tol=cas.momentum_square_spread / 2).passed
     names, values = _generator_values(20)
-    closure = poincare_closure_check(names, values)
+    closure = poincare_closure_check(names, values, CLOSURE_TOL)
     assert closure.passed
     assert not poincare_closure_check(names, values,
                                       tol=closure.max_residual / 2).passed
