@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -108,14 +108,9 @@ class GeneralOp:
 
     # composition: (X Y)(phi) = X(Y(phi)), the product of realifications
     def __matmul__(self, other: "GeneralOp") -> "GeneralOp":
-        # an entry of P1 P2 + 2 Q1 Q2 sums 8 terms of at most 3 b1 b2 each
+        # the unbatched case of the row formula
         bound = _checked(lambda b1, b2: 24 * b1 * b2, self, other)
-        # all four products P1 P2, P1 Q2, Q1 P2, Q1 Q2 in one call
-        x = self._pq[:, None] @ other._pq[None, :]
-        pq = x[0]
-        pq[0] += 2 * x[1, 1]
-        pq[1] += x[1, 0]
-        return _new(pq, self._d * other._d, bound)
+        return _new(_product(self._pq, other._pq), self._d * other._d, bound)
 
     def _combine(self, other: "GeneralOp", sign: int) -> "GeneralOp":
         # self + sign * other over the common denominator
@@ -244,13 +239,9 @@ def gram(xs: Sequence[GeneralOp], ys: Sequence[GeneralOp]
     (a, b) is (rat + sqrt2*sur) / den. rat and sur are int64, den holds
     Python ints. OverflowError if an int64 entry could wrap."""
     # an entry of P P' + 2 Q Q' sums 64 terms of at most 3 b b' each
-    bx = max((x._bound for x in xs), default=0)
-    by = max((y._bound for y in ys), default=0)
-    if 192 * bx * by > _LIMIT:
-        bx = max(x._magnitude() for x in xs)
-        by = max(y._magnitude() for y in ys)
-        if 192 * bx * by > _LIMIT:
-            raise OverflowError("Gram entries would exceed the int64 range")
+    n = len(xs)
+    _checked(lambda *b: 192 * max(b[:n], default=0) * max(b[n:], default=0),
+             *xs, *ys)
     x = np.array([op._pq for op in xs], dtype=np.int64).reshape(len(xs), 2, 64)
     y = np.array([op._pq for op in ys], dtype=np.int64).reshape(len(ys), 2, 64)
     # all four products P P', P Q', Q P', Q Q' in one call
@@ -258,6 +249,60 @@ def gram(xs: Sequence[GeneralOp], ys: Sequence[GeneralOp]
     den = np.multiply.outer(np.array([op._d for op in xs], dtype=object),
                             np.array([op._d for op in ys], dtype=object))
     return g[0, 0] + 2 * g[1, 1], g[0, 1] + g[1, 0], den
+
+
+# a row form: the sign of y @ x in it (0: x @ y alone), its extra denominator
+_FORMS = {"xy": (0, 1), "[]": (-1, 1), "{}": (1, 1), "[]/2": (-1, 2)}
+
+
+def row_products(x: GeneralOp, ys: Sequence[GeneralOp], *forms: str
+                 ) -> List[List[GeneralOp]]:
+    """x @ y ('xy'), [x, y] ('[]'), {x, y} ('{}') or [x, y]/2 ('[]/2') for
+    every y of ys, one list per form, from one batched product of x with
+    the stacked carriers of ys (and one of them with x for a bracket). The
+    whole row is normalised at once, and its operators are views into one
+    array. The overflow guard is that of @. Rows, not a table-wide stack,
+    keep the peak memory flat."""
+    if not ys:
+        return [[] for _ in forms]
+    _checked(lambda bx, *bys: 24 * bx * max(bys), x, *ys)
+    stack = np.stack([y._pq for y in ys], axis=1)
+    xy = _product(x._pq[:, None], stack)
+    yx = _product(stack, x._pq[:, None]) if forms != ("xy",) else None
+    spec = [_FORMS[form] for form in forms]
+    # a bracket sums two entries of at most _LIMIT each, so it cannot wrap
+    pq = np.concatenate([xy + s * yx if s else xy for s, _ in spec], axis=1)
+    ops = _normal(np.ascontiguousarray(pq.transpose(1, 0, 2, 3)),
+                  [x._d * y._d * f for _, f in spec for y in ys])
+    return [ops[k:k + len(ys)] for k in range(0, len(ops), len(ys))]
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """P1 P2 + 2 Q1 Q2 and P1 Q2 + Q1 P2: the carrier of the product of
+    carriers a and b, whose first axis holds P and Q; later axes broadcast.
+    An entry sums 8 terms of at most 3 b1 b2 each (entry bounds b1, b2)."""
+    x = a[:, None] @ b[None, :]  # P1 P2, P1 Q2, Q1 P2, Q1 Q2 in one call
+    pq = x[0]
+    pq[0] += 2 * x[1, 1]
+    pq[1] += x[1, 0]
+    return pq
+
+
+def _normal(pq: np.ndarray, dens: List[int]) -> List[GeneralOp]:
+    """The operators pq[j] / dens[j] of a stack of carriers, in normal form
+    and with exact entry bounds; OverflowError if one exceeds _LIMIT."""
+    gs = [1] * len(dens)
+    if any(d != 1 for d in dens):
+        entries = np.gcd.reduce(pq.reshape(len(dens), -1), axis=1).tolist()
+        gs = [math.gcd(d, g) for d, g in zip(dens, entries)]
+        pq = pq // np.array(gs, dtype=np.int64)[:, None, None, None]
+    bounds = np.abs(pq).max(axis=(1, 2, 3)).tolist()
+    if max(bounds) > _LIMIT:
+        raise OverflowError("operator result would exceed the int64 range")
+    ops = [GeneralOp.__new__(GeneralOp) for _ in dens]
+    for op, p, d, g, b in zip(ops, pq, dens, gs, bounds):
+        op._pq, op._d, op._bound, op._ab = p, d // g, b, None
+    return ops
 
 
 def _new(pq: np.ndarray, d: int, bound: int) -> GeneralOp:

@@ -17,8 +17,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebras import (OrtSet, extended_gammas, pair_op, pd_gammas,
                        pgi_lorentz6, so8_generators)
-from .operators import GeneralOp, anticommutator, commutator, compose
-from .scalars import HALF
+from .operators import (GeneralOp, anticommutator, commutator, compose,
+                        row_products)
 from .spans import OrthogonalBasis
 
 MetricSignature = Tuple[int, ...]
@@ -284,10 +284,10 @@ def closure_check(ortset: OrtSet) -> StructureReport:
     ops = ortset.ops()
     labels = ortset.labels()
     basis = OrthogonalBasis(ops)
-    # one row of commutators at a time keeps the peak memory flat
     for i in range(len(ops)):
         later = range(i + 1, len(ops))
-        coords = basis.coordinates([commutator(ops[i], ops[j]) for j in later])
+        (comms,) = row_products(ops[i], ops[i + 1:], "[]")
+        coords = basis.coordinates(comms)
         rep.checks_total += len(later)
         rep.failures += [f"[{labels[i]}, {labels[j]}] outside span"
                          for j, c in zip(later, coords) if c is None]
@@ -320,12 +320,12 @@ def squares_and_pairing_check(ortset: OrtSet) -> StructureReport:
         sq = op @ op
         if sq != ident and sq != -ident:
             rep.failures.append(f"{lbl}^2 not +-I")
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
+    for i, (li, xi) in enumerate(items):
+        later = items[i + 1:]
+        comms, antis = row_products(xi, [op for _, op in later], "[]", "{}")
+        for (lj, _), comm, anti in zip(later, comms, antis):
             rep.checks_total += 1
-            li, xi = items[i]
-            lj, xj = items[j]
-            if not commutator(xi, xj).is_zero and not anticommutator(xi, xj).is_zero:
+            if not comm.is_zero and not anti.is_zero:
                 rep.failures.append(f"{li},{lj} neither commute nor anticommute")
     return rep
 
@@ -337,13 +337,12 @@ def squares_and_pairing_check(ortset: OrtSet) -> StructureReport:
 def multiplication_table(ortset: OrtSet) -> List[Tuple[str, str, str, str]]:
     """(left, right, unit, label) rows with left*right = unit*label."""
     rows = []
+    labels, ops = ortset.labels(), ortset.ops()
     for li, xi in ortset:
-        for lj, xj in ortset:
-            hit = match_to_basis(ortset, xi @ xj)
-            if hit is None:
-                rows.append((li, lj, "?", "outside-basis"))
-            else:
-                rows.append((li, lj, hit[0], hit[1]))
+        (products,) = row_products(xi, ops, "xy")
+        for lj, product in zip(labels, products):
+            hit = match_to_basis(ortset, product)
+            rows.append((li, lj, *(hit or ("?", "outside-basis"))))
     return rows
 
 
@@ -352,18 +351,18 @@ def commutator_table(ortset: OrtSet) -> List[Tuple[str, str, str]]:
     'unit*label' when the commutator is proportional to a basis element,
     else 'mixed'."""
     rows = []
+    labels, ops = ortset.labels(), ortset.ops()
     for li, xi in ortset:
-        for lj, xj in ortset:
-            comm = commutator(xi, xj)
+        comms, halves = row_products(xi, ops, "[]", "[]/2")
+        for lj, comm, half in zip(labels, comms, halves):
             if comm.is_zero:
                 rows.append((li, lj, "0"))
                 continue
-            # anticommuting orts give [x, y] = 2 x y = 2 * unit * ort
             hit = match_to_basis(ortset, comm)
             if hit is not None:
                 rows.append((li, lj, f"{hit[0]}*{hit[1]}"))
                 continue
-            half = comm.scaled(HALF)
+            # anticommuting orts give [x, y] = 2 x y = 2 * unit * ort
             hit = match_to_basis(ortset, half)
             rows.append((li, lj, f"2*{hit[0]}*{hit[1]}" if hit else "mixed"))
     return rows

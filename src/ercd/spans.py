@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebras import ercd64
-from .operators import GeneralOp, commutator, gram
+from .operators import GeneralOp, gram, row_products
 from .scalars import ExactScalar
 
 Coordinates = Dict[int, ExactScalar]
@@ -46,6 +46,10 @@ class OrthogonalBasis:
                              "under the trace form")
         self.norms = [_scalar(rat[k, k], sur[k, k], den[k, k])
                       for k in range(len(self.ops))]
+        # (k, Gram entry) -> (c_k, c_k R_k): the entries repeat, so each
+        # coefficient and term is built once, from one inverse norm per k
+        self._terms: Dict[tuple, Tuple[ExactScalar, GeneralOp]] = {}
+        self._inverses: List[Optional[ExactScalar]] = [None] * len(self.ops)
 
     @property
     def rank(self) -> int:
@@ -57,12 +61,18 @@ class OrthogonalBasis:
         outside the span."""
         rat, sur, den = gram(self.ops, ops)
         out: List[Optional[Coordinates]] = [{} for _ in ops]
+        totals: Dict[int, GeneralOp] = {}
         for k, j in np.argwhere((rat != 0) | (sur != 0)).tolist():
-            out[j][k] = _scalar(rat[k, j], sur[k, j], den[k, j]) / self.norms[k]
-        for j, (op, coords) in enumerate(zip(ops, out)):
-            total = sum((self.ops[k].scaled(c) for k, c in coords.items()),
-                        GeneralOp.zero())
-            if total != op:
+            key = (k, int(rat[k, j]), int(sur[k, j]), den[k, j])
+            if key not in self._terms:
+                self._inverses[k] = self._inverses[k] or self.norms[k].inverse()
+                c = _scalar(*key[1:]) * self._inverses[k]
+                self._terms[key] = (c, self.ops[k].scaled(c))
+            out[j][k], term = self._terms[key]
+            totals[j] = totals[j] + term if j in totals else term
+        for j, op in enumerate(ops):
+            # the exact reconstruction sum_k c_k R_k == op proves membership
+            if not (totals[j] == op if j in totals else op.is_zero):
                 out[j] = None
         return out
 
@@ -92,7 +102,7 @@ def centralizer_kernel(x: GeneralOp) -> List[GeneralOp]:
     orts = OrthogonalBasis(ercd64().ops())
     if len(orts.ops) != 64 or orts.rank != 64:
         raise ValueError("ercd64 is not a basis of the operator space")
-    images = [commutator(x, o) for o in orts.ops]
+    (images,) = row_products(x, orts.ops, "[]")
     OrthogonalBasis(images)
     return [o for o, image in zip(orts.ops, images) if image.is_zero]
 
@@ -115,11 +125,10 @@ def structure_constants(generators: Sequence[GeneralOp]
         raise ValueError("generator set contains a zero operator; "
                          "structure constants would not be unique")
     table: Dict[Tuple[int, int, int], ExactScalar] = {}
-    # one row of commutators at a time keeps the peak memory flat; the
-    # pairs i < j fix the table, since c^k_{ji} = -c^k_{ij}
+    # the pairs i < j fix the table, since c^k_{ji} = -c^k_{ij}
     for i, gi in enumerate(gens[:-1]):
         later = range(i + 1, len(gens))
-        comms = [commutator(gi, gens[j]) for j in later]
+        (comms,) = row_products(gi, gens[i + 1:], "[]")
         for j, coords in zip(later, basis.coordinates(comms)):
             if coords is None:
                 raise ValueError(

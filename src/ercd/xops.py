@@ -185,10 +185,11 @@ def build_poincare_generators(mass: float) -> List[Tuple[str, XOp]]:
     gc0 = _g0_complex()
     ig0 = 1j * gc0
     ident4 = np.eye(4, dtype=complex)
-    zero4 = np.zeros((4, 4), dtype=complex)
     spin = breve_spin().ops()
-    # i g0 spin_l, linear and antilinear parts
-    ig0_spin = [(ig0 @ to_complex_matrix(op.A), ig0 @ to_complex_matrix(op.B))
+    # i g0 spin_l, linear and antilinear parts; a part that is zero on the
+    # exact operator is None and adds nothing
+    ig0_spin = [tuple(None if part.is_zero else ig0 @ to_complex_matrix(m)
+                      for part, m in zip(op.parts(), (op.A, op.B)))
                 for op in spin]
 
     gens = translation_generators(mass)
@@ -211,17 +212,17 @@ def build_poincare_generators(mass: float) -> List[Tuple[str, XOp]]:
     for k in range(3):
         def boost_const(q, _k=k):
             w = omega(q, mass)
-            # i g0 * i q_k/(2w) = -(q_k/2w) g0
-            a_acc = (-q[_k] / (2.0 * w)) * gc0
-            b_acc = zero4
+            # i g0 * i q_k/(2w) = -(q_k/2w) g0; the B part starts absent
+            acc = [(-q[_k] / (2.0 * w)) * gc0, None]
             # (spin x iq)_k = sum eps_klm spin_l (i q_m), left-scaled
             lm = ((_k + 1) % 3, (_k + 2) % 3)
             for l, m_idx, sign in ((lm[0], lm[1], 1.0), (lm[1], lm[0], -1.0)):
-                c = sign * 1j / (w + mass)
-                s_a, s_b = ig0_spin[l]
-                a_acc = a_acc + (c * q[m_idx]) * s_a
-                b_acc = b_acc + (c * q[m_idx]) * s_b
-            return a_acc, b_acc
+                cq = (sign * 1j / (w + mass)) * q[m_idx]
+                for half, s in enumerate(ig0_spin[l]):
+                    if s is not None:
+                        acc[half] = (cq * s if acc[half] is None
+                                     else acc[half] + cq * s)
+            return tuple(acc)
 
         x_sym = MomentumSymbol.linear_matrix(
             lambda q: (-1j * omega(q, mass)) * gc0, "-ig0w")

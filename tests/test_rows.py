@@ -1,0 +1,204 @@
+"""The row kernel operators.row_products against the per-pair operators.
+
+Every row product, commutator and anticommutator is checked against @,
+operators.commutator and operators.anticommutator on three sets: ercd64,
+a32 (all d = 1, no sqrt2 part) and the bosonic so(8) generators
+(d = 2 and 4, with sqrt2 parts). structure_constants, closure_check and
+the two dump tables are checked against per-pair references kept here,
+and the kernel's overflow guard against that of @.
+"""
+
+import tracemalloc
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from ercd.algebras import (OrtSet, a32, bosonic_so8_generators, cd16, ercd64,
+                           pd_gammas)
+from ercd.operators import (GeneralOp, anticommutator, commutator, gram, mat,
+                            row_products)
+from ercd.relations import closure_check, commutator_table, multiplication_table
+from ercd.scalars import HALF, ExactScalar
+from ercd.spans import structure_constants
+from ercd.suites import dump_tables
+
+SETS = {
+    "ercd64": lambda: ercd64().ops(),
+    "a32": lambda: a32().ops(),
+    "bosonic-so8": lambda: [op for _, op in
+                            sorted(bosonic_so8_generators().items())],
+}
+
+
+def _same(row_op, op):
+    """Equal in value, in the normal form (P, Q, d) and in hash, with a
+    stored bound that bounds the entries."""
+    assert row_op == op
+    assert row_op._d == op._d
+    assert row_op._pq.tobytes() == op._pq.tobytes()
+    assert hash(row_op) == hash(op)
+    assert row_op._bound >= int(np.abs(row_op._pq).max())
+
+
+@pytest.mark.parametrize("name", sorted(SETS))
+def test_rows_equal_the_per_pair_products(name):
+    ops = SETS[name]()
+    for x in ops:
+        prods, comms, antis, halves = row_products(x, ops, "xy", "[]", "{}",
+                                                   "[]/2")
+        for y, prod, comm, anti, half in zip(ops, prods, comms, antis, halves):
+            _same(prod, x @ y)
+            _same(comm, commutator(x, y))
+            _same(anti, anticommutator(x, y))
+            _same(half, commutator(x, y).scaled(HALF))
+
+
+def test_an_empty_row_has_no_products():
+    x = ercd64().ops()[1]
+    assert row_products(x, [], "[]", "{}") == [[], []]
+
+
+def _scalar(rat, sur, den):
+    return ExactScalar(Fraction(int(rat), den), Fraction(int(sur), den))
+
+
+def _reference_coordinates(gens, op):
+    """c_k = <R_k, op> / <R_k, R_k>, or None unless sum_k c_k R_k == op."""
+    rat, sur, den = gram(gens, [op])
+    coords, total = {}, GeneralOp.zero()
+    for k, gk in enumerate(gens):
+        if rat[k, 0] or sur[k, 0]:
+            norm = _scalar(*(a[0, 0] for a in gram([gk], [gk])))
+            coords[k] = _scalar(rat[k, 0], sur[k, 0], den[k, 0]) / norm
+            total = total + gk.scaled(coords[k])
+    return coords if total == op else None
+
+
+def _reference_structure_constants(gens):
+    table = {}
+    for i, gi in enumerate(gens):
+        for j, gj in enumerate(gens):
+            if i != j:
+                coords = _reference_coordinates(gens, gi @ gj - gj @ gi)
+                assert coords is not None
+                table.update({(i, j, k): c for k, c in coords.items()})
+    return table
+
+
+@pytest.mark.parametrize("name", sorted(SETS))
+def test_structure_constants_match_the_per_pair_reference(name):
+    gens = [op for op in SETS[name]() if op != GeneralOp.identity()]
+    assert structure_constants(gens) == _reference_structure_constants(gens)
+
+
+CLOSURE_SETS = {
+    "ercd64": (ercd64, True),
+    "a32": (a32, True),
+    "bosonic-so8": (lambda: OrtSet("bosonic-so8", tuple(
+        (f"s{a}{b}", op)
+        for (a, b), op in sorted(bosonic_so8_generators().items()))), True),
+    "pd-gammas": (pd_gammas, False),
+    "ercd64-part": (lambda: OrtSet("part", ercd64().elements[5:17]), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_SETS))
+def test_closure_check_matches_the_per_pair_reference(name):
+    build, closes = CLOSURE_SETS[name]
+    ortset = build()
+    ops, labels = ortset.ops(), ortset.labels()
+    failures = [f"[{labels[i]}, {labels[j]}] outside span"
+                for i in range(len(ops)) for j in range(i + 1, len(ops))
+                if _reference_coordinates(ops, commutator(ops[i], ops[j]))
+                is None]
+    rep = closure_check(ortset)
+    assert rep.checks_total == len(ops) * (len(ops) - 1) // 2
+    assert rep.failures == failures
+    assert rep.passed == closes
+
+
+@pytest.mark.parametrize("ortset", [cd16(), a32(), pd_gammas()],
+                         ids=lambda s: s.name)
+def test_dump_tables_match_the_per_pair_reference(ortset):
+    mult, comm = [], []
+    for li, x in ortset:
+        for lj, y in ortset:
+            hit = ortset.unit_multiples.get(x @ y)
+            mult.append((li, lj, *(hit or ("?", "outside-basis"))))
+            c = commutator(x, y)
+            hit = ortset.unit_multiples.get(c)
+            half = ortset.unit_multiples.get(c.scaled(HALF))
+            comm.append((li, lj, "0" if c.is_zero
+                         else f"{hit[0]}*{hit[1]}" if hit
+                         else f"2*{half[0]}*{half[1]}" if half else "mixed"))
+    assert multiplication_table(ortset) == mult
+    assert commutator_table(ortset) == comm
+
+
+def test_the_row_refuses_what_matmul_refuses():
+    # 24 * b1 * b2 exceeds the int64 limit for two ops with entries 2**30
+    ops = ercd64().ops()
+    big = ops[9].scaled(2 ** 30)
+    with pytest.raises(OverflowError):
+        big @ big
+    for form in ("xy", "[]", "{}", "[]/2"):
+        with pytest.raises(OverflowError):
+            row_products(big, ops[:3] + [big], form)
+    # against small orts the same products fit, in the row as with @
+    prods, comms = row_products(big, ops[:3], "xy", "[]")
+    assert prods == [big @ y for y in ops[:3]]
+    assert comms == [commutator(big, y) for y in ops[:3]]
+
+
+def test_a_bracket_beyond_the_limit_raises_instead_of_wrapping():
+    # R = b (1 + sqrt2) J, J all ones: x @ x has entries 24 b^2, within the
+    # limit, while {x, x} has 48 b^2, beyond it but below the int64 maximum
+    b = 438_000_000
+    x = GeneralOp(mat([[ExactScalar(b, b)] * 4] * 4),
+                  mat([[ExactScalar(0, 0, b, b)] * 4] * 4))
+    assert (x._pq == b).all() and x._d == 1
+    sq = x @ x
+    assert (sq._pq[0] == 24 * b * b).all()
+    (row,) = row_products(x, [x], "xy")
+    assert row == [sq]
+    with pytest.raises(OverflowError):
+        anticommutator(x, x)
+    with pytest.raises(OverflowError):
+        row_products(x, [x], "{}")
+    (comm,) = row_products(x, [x], "[]")
+    assert comm[0].is_zero
+
+
+def test_a_stale_bound_is_tightened_as_matmul_tightens_it():
+    # each product multiplies the stored bound by 24; after 13 of them it
+    # is far above the true magnitude 1, and a product of two such ops
+    # passes only after the guard reads the exact magnitudes
+    ops = ercd64().ops()
+    stale = []
+    for start in (3, 11):
+        prod = GeneralOp.identity()
+        for k in range(13):
+            prod = prod @ ops[(start + 5 * k) % 64]
+        stale.append(prod)
+    x, y = stale
+    assert 24 * x._bound * y._bound > np.iinfo(np.int64).max
+    prods, comms, antis = row_products(x, [y, x], "xy", "[]", "{}")
+    assert x._bound == 1 and y._bound == 1
+    assert prods == [x @ y, x @ x]
+    assert comms == [commutator(x, y), commutator(x, x)]
+    assert antis == [anticommutator(x, y), anticommutator(x, x)]
+
+
+@pytest.mark.parametrize("kind", ["multiplication", "commutator",
+                                  "structure-constants"])
+def test_ercd64_dumps_keep_a_flat_memory_peak(kind):
+    # a row at a time; one stack of the whole 64 x 64 table is 4 MB alone
+    ercd64()
+    tracemalloc.start()
+    try:
+        dump_tables("ercd64", kind)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
