@@ -1,9 +1,5 @@
 """Constructors for every named generator set of the extended algebra.
 
-Each element carries a label and a provenance string giving its defining
-composition, so tables and reports can be diffed against the standard
-form of the algebra by eye.
-
 Every rotation family comes from ``rotation_family``, which uses only the
 commutator x @ y - y @ x, so it also serves the nonlocal generators
 evaluated on a batch (``symbols.SymbolValues``).
@@ -26,11 +22,10 @@ MINUS_HALF = ExactScalar(Fraction(-1, 2))
 
 @dataclass(frozen=True)
 class OrtSet:
-    """Named, ordered collection of basis operators with provenance labels."""
+    """Named, ordered collection of labelled basis operators."""
 
     name: str
     elements: Tuple[Tuple[str, GeneralOp], ...]
-    provenance: Tuple[Tuple[str, str], ...] = ()
 
     def __post_init__(self):
         labels = [lbl for lbl, _ in self.elements]
@@ -55,12 +50,6 @@ class OrtSet:
                 return op
         raise KeyError(f"{label!r} not in ort set {self.name!r}")
 
-    def provenance_of(self, label: str) -> str:
-        for lbl, text in self.provenance:
-            if lbl == label:
-                return text
-        return ""
-
     @cached_property
     def unit_multiples(self) -> Dict[GeneralOp, Tuple[str, str]]:
         """Maps unit * ort to (unit, label) for the units 1, -1, i, -i.
@@ -74,12 +63,6 @@ class OrtSet:
                                    ("i", i_times), ("-i", -i_times)):
                 out[multiple] = (unit, lbl)
         return out
-
-
-def _ortset(name: str, items: Sequence[Tuple[str, GeneralOp, str]]) -> OrtSet:
-    return OrtSet(name,
-                  tuple((lbl, op) for lbl, op, _ in items),
-                  tuple((lbl, prov) for lbl, _, prov in items))
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +101,8 @@ def pd_gammas() -> OrtSet:
     g2 = GeneralOp.linear(_block_gamma(s2))
     g3 = GeneralOp.linear(_block_gamma(s3))
     g4 = compose(g0, g1, g2, g3)
-    return _ortset("pd_gammas", [
-        ("g0", g0, "diag(1,1,-1,-1)"),
-        ("g1", g1, "offblock(sigma1)"),
-        ("g2", g2, "offblock(sigma2)"),
-        ("g3", g3, "offblock(sigma3)"),
-        ("g4", g4, "g0 g1 g2 g3"),
-    ])
+    return OrtSet("pd_gammas", (("g0", g0), ("g1", g1), ("g2", g2),
+                                ("g3", g3), ("g4", g4)))
 
 
 @lru_cache(maxsize=None)
@@ -140,13 +118,9 @@ def extended_gammas() -> OrtSet:
     g5 = compose(g.get("g1"), g.get("g3"), c_op)
     g6 = compose(i_op, g5)
     g7 = compose(i_op, g.get("g0"))
-    return _ortset("extended_gammas", [
-        *((lbl, g.get(lbl), g.provenance_of(lbl))
-          for lbl in ("g1", "g2", "g3", "g4")),
-        ("g5", g5, "g1 g3 C"),
-        ("g6", g6, "i g1 g3 C"),
-        ("g7", g7, "i g0"),
-    ])
+    return OrtSet("extended_gammas", (
+        *((lbl, g.get(lbl)) for lbl in ("g1", "g2", "g3", "g4")),
+        ("g5", g5), ("g6", g6), ("g7", g7)))
 
 
 # ---------------------------------------------------------------------------
@@ -185,21 +159,17 @@ def pair_op(table: Dict[Pair, GeneralOp], a: int, b: int) -> GeneralOp:
     return -table[(b, a)]
 
 
-def _doubled_family(name: str, table: Dict[Pair, GeneralOp],
-                    top: int) -> OrtSet:
+def _doubled_family(name: str, table: Dict[Pair, GeneralOp]) -> OrtSet:
     """The orts {I, alpha^{ab} = 2 s^{ab}} over the sorted family; the
-    extra slot alpha^{a,top} = g_a is labelled by its generator."""
-    items = [("I", GeneralOp.identity(), "identity")]
-    for (a, b), s in sorted(table.items()):
-        items.append((f"alpha_{a}{b}", s.scaled(2),
-                      f"2*s_{a}{b}" if b < top else f"g{a}"))
-    return _ortset(name, items)
+    extra slot, the family's last index, holds alpha^{a,top} = g_a."""
+    return OrtSet(name, (("I", GeneralOp.identity()), *(
+        (f"alpha_{a}{b}", s.scaled(2)) for (a, b), s in sorted(table.items()))))
 
 
 @lru_cache(maxsize=None)
 def cd16() -> OrtSet:
     """The 16 orts {I, alpha^{mn} = 2 s^{mn}} of the Dirac-matrix algebra."""
-    return _doubled_family("cd16", so15_generators(), 5)
+    return _doubled_family("cd16", so15_generators())
 
 
 @lru_cache(maxsize=None)
@@ -209,13 +179,11 @@ def ercd64() -> OrtSet:
     i_op = GeneralOp.imaginary_unit()
     c_op = GeneralOp.conjugation()
     ic_op = i_op @ c_op
-    items = []
-    for prefix, factor in (("", None), ("i.", i_op), ("C.", c_op), ("iC.", ic_op)):
-        for lbl, op in base:
-            items.append((prefix + lbl,
-                          op if factor is None else factor @ op,
-                          (prefix + lbl).replace(".", " ")))
-    return _ortset("ercd64", items)
+    return OrtSet("ercd64", tuple(
+        (prefix + lbl, op if factor is None else factor @ op)
+        for prefix, factor in (("", None), ("i.", i_op), ("C.", c_op),
+                               ("iC.", ic_op))
+        for lbl, op in base))
 
 
 @lru_cache(maxsize=None)
@@ -230,7 +198,7 @@ def so8_generators() -> Dict[Pair, GeneralOp]:
 @lru_cache(maxsize=None)
 def percd29() -> OrtSet:
     """The 29 orts {alpha^{AB} = 2 s^{AB}, I} of the proper subalgebra."""
-    return _doubled_family("percd29", so8_generators(), 8)
+    return _doubled_family("percd29", so8_generators())
 
 
 @lru_cache(maxsize=None)
@@ -238,7 +206,7 @@ def so6() -> OrtSet:
     """The 16 orts {I, alpha^{AB}} over indices 1..6: the pure matrix
     symmetries of the diagonalized (even-odd split) wave equation."""
     return _doubled_family("so6", {pair: s for pair, s in
-                                   so8_generators().items() if pair[1] < 7}, 8)
+                                   so8_generators().items() if pair[1] < 7})
 
 
 @lru_cache(maxsize=None)
@@ -246,20 +214,11 @@ def a32() -> OrtSet:
     """The 32-element maximal pure-matrix invariance set of the
     diagonalized equation: the 15 nontrivial so6 orts, their products
     with i g0, plus i g0 and I."""
-    base = so6()
+    nontrivial = [(lbl, op) for lbl, op in so6() if lbl != "I"]
     ig0 = extended_gammas().get("g7")
-    items = []
-    for lbl, op in base:
-        if lbl == "I":
-            continue
-        items.append((lbl, op, base.provenance_of(lbl)))
-    for lbl, op in base:
-        if lbl == "I":
-            continue
-        items.append((f"ig0.{lbl}", ig0 @ op, f"i g0 * {lbl}"))
-    items.append(("ig0", ig0, "i g0"))
-    items.append(("I", GeneralOp.identity(), "identity"))
-    return _ortset("a32", items)
+    return OrtSet("a32", (*nontrivial,
+                          *((f"ig0.{lbl}", ig0 @ op) for lbl, op in nontrivial),
+                          ("ig0", ig0), ("I", GeneralOp.identity())))
 
 
 # ---------------------------------------------------------------------------
@@ -275,16 +234,16 @@ def pgi8() -> OrtSet:
     c_op = GeneralOp.conjugation()
     g2c = g.get("g2") @ c_op
     g24c = compose(g.get("g2"), g.get("g4"), c_op)
-    return _ortset("pgi8", [
-        ("g2C", g2c, "g2 C"),
-        ("ig2C", i_op @ g2c, "i g2 C"),
-        ("g2g4C", g24c, "g2 g4 C"),
-        ("ig2g4C", i_op @ g24c, "i g2 g4 C"),
-        ("g4", g.get("g4"), "g4"),
-        ("ig4", i_op @ g.get("g4"), "i g4"),
-        ("i", i_op, "i"),
-        ("I", GeneralOp.identity(), "identity"),
-    ])
+    return OrtSet("pgi8", (
+        ("g2C", g2c),
+        ("ig2C", i_op @ g2c),
+        ("g2g4C", g24c),
+        ("ig2g4C", i_op @ g24c),
+        ("g4", g.get("g4")),
+        ("ig4", i_op @ g.get("g4")),
+        ("i", i_op),
+        ("I", GeneralOp.identity()),
+    ))
 
 
 @lru_cache(maxsize=None)
@@ -351,8 +310,7 @@ def bosonic_rep() -> Tuple[OrtSet, GeneralOp, GeneralOp]:
 
     explicit = {"bg1": bg1, "bg2": bg2, "bg3": bg3, "bg4": bg4, "bg5": bg5,
                 "bg6": bg6, "bg7": bg7, "bg0": bg0, "bi": bi, "bC": bC}
-    items = [(lbl, op, f"W {lbl[1:]} W^-1") for lbl, op in explicit.items()]
-    return _ortset("bosonic", items), w, w_inv
+    return OrtSet("bosonic", tuple(explicit.items())), w, w_inv
 
 
 @lru_cache(maxsize=None)
@@ -378,11 +336,7 @@ def breve_spin() -> OrtSet:
                                [-one, i, z, z], [z, z, z, z]]).scaled(r)
     s3 = GeneralOp((((-i), z, z, z), (z, i, z, z),
                     (z, z, z, z), (z, z, z, z)), None)
-    return _ortset("breve_spin", [
-        ("s1", s1, "antilinear, upper block"),
-        ("s2", s2, "antilinear, upper block"),
-        ("s3", s3, "diag(-i, i, 0, 0)"),
-    ])
+    return OrtSet("breve_spin", (("s1", s1), ("s2", s2), ("s3", s3)))
 
 
 def breve_spin_from_compositions() -> List[GeneralOp]:

@@ -16,10 +16,11 @@ import os
 import sys
 from typing import List, Optional
 
-from .reporting import SUITE_NAMES, SuiteConfig
+from .reporting import DEFAULT_TOLERANCES, SUITE_NAMES, SuiteConfig
 from .suites import DUMP_KINDS, dump_tables, run_suite
 
 _SUITE_CHOICES = SUITE_NAMES + ("all",)
+_TOL_KEYS = tuple(DEFAULT_TOLERANCES)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=42)
     verify.add_argument("--tol", action="append", default=[],
                         metavar="KEY=VALUE",
-                        help="tolerance override: momentum|symmetry|closure")
+                        help="tolerance override: " + "|".join(_TOL_KEYS))
     verify.add_argument("--format", choices=("text", "json", "csv"),
                         default="text")
     verify.add_argument("--out", help="output path (default: stdout)")
@@ -69,9 +70,9 @@ def _parse_tolerances(pairs: List[str]):
         if "=" not in pair:
             raise ValueError(f"--tol must be KEY=VALUE, got {pair!r}")
         key, value = pair.split("=", 1)
-        if key not in ("momentum", "symmetry", "closure"):
-            raise ValueError(f"--tol key must be momentum, symmetry or "
-                             f"closure, got {key!r}")
+        if key not in _TOL_KEYS:
+            raise ValueError(f"--tol key must be {', '.join(_TOL_KEYS[:-1])} "
+                             f"or {_TOL_KEYS[-1]}, got {key!r}")
         try:
             tol = float(value)
         except ValueError:
@@ -160,7 +161,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             seed=args.seed,
             tolerances=_parse_tolerances(args.tol),
             fmt=args.format,
-            out=args.out,
             inject_fault=_parse_fault(args.inject_fault),
             timings=args.timings,
         )

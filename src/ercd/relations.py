@@ -19,7 +19,7 @@ from .algebras import (OrtSet, extended_gammas, pair_op, pd_gammas,
                        pgi_lorentz6, so8_generators)
 from .operators import (GeneralOp, anticommutator, commutator, compose,
                         row_products)
-from .spans import OrthogonalBasis
+from .spans import OrthogonalBasis, bracket_coordinates
 
 MetricSignature = Tuple[int, ...]
 Pair = Tuple[int, int]
@@ -31,30 +31,17 @@ COMPACT8: MetricSignature = (-1,) * 8
 
 @dataclass
 class StructureReport:
-    """Outcome of one relation check over a generator set.
+    """Outcome of one exact relation check: the number of checks made and
+    a message per failing one; it passes when there are none. payload
+    holds a check's own results by name."""
 
-    Exact sets report zero worst deviation; a report marked pass has no
-    failing entries.
-    """
-
-    set_name: str
-    kind: str
     checks_total: int = 0
     failures: List[str] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
     payload: Dict[str, object] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
         return not self.failures
-
-    @property
-    def worst_deviation(self) -> str:
-        return "0" if self.passed else "exact mismatch"
-
-    def summary(self) -> str:
-        status = "pass" if self.passed else f"FAIL ({len(self.failures)})"
-        return f"{self.set_name}/{self.kind}: {self.checks_total} checks, {status}"
 
 
 def _as_ops(gens) -> List[Tuple[str, GeneralOp]]:
@@ -63,22 +50,19 @@ def _as_ops(gens) -> List[Tuple[str, GeneralOp]]:
     return [(f"g{k}", op) for k, op in enumerate(gens)]
 
 
-def check_anticommutation(gens, metric: MetricSignature,
-                          scale: int = 2) -> StructureReport:
-    """Verify g_a g_b + g_b g_a = scale * metric[a] * delta_ab * I exactly."""
+def check_anticommutation(gens, metric: MetricSignature) -> StructureReport:
+    """Verify g_a g_b + g_b g_a = 2 * metric[a] * delta_ab * I exactly."""
     items = _as_ops(gens)
     if len(items) != len(metric):
         raise ValueError("generator count does not match metric length")
-    name = gens.name if isinstance(gens, OrtSet) else "generators"
-    rep = StructureReport(name, "anticommutation")
+    rep = StructureReport()
     labels = [lbl for lbl, _ in items]
     for a, b, defect in anticommutation_defects(
-            [op for _, op in items], metric,
-            GeneralOp.identity().scaled(scale)):
+            [op for _, op in items], metric, GeneralOp.identity().scaled(2)):
         rep.checks_total += 1
         if not defect.is_zero:
             rep.failures.append(f"{{{labels[a]},{labels[b]}}} != "
-                                f"{scale * metric[a] if a == b else 0}*I")
+                                f"{2 * metric[a] if a == b else 0}*I")
     return rep
 
 
@@ -121,14 +105,14 @@ def rotation_defects(table: Dict[Pair, object], metric: MetricSignature,
 
 
 def check_rotation_table(table: Dict[Pair, GeneralOp], metric: MetricSignature,
-                         set_name: str, index_base: int = 0) -> StructureReport:
+                         index_base: int = 0) -> StructureReport:
     """Full pairwise commutator table against the metric-contraction rule.
 
     The compact all-minus signature reproduces the plus-sign (delta) form
     of the commutation relations; the (+,-,...,-) signature gives the
     pseudo-rotation form.
     """
-    rep = StructureReport(set_name, "commutation-table")
+    rep = StructureReport()
     for (m, n), (r, s), defect in rotation_defects(table, metric, index_base):
         rep.checks_total += 1
         if not defect.is_zero:
@@ -138,13 +122,12 @@ def check_rotation_table(table: Dict[Pair, GeneralOp], metric: MetricSignature,
 
 def check_so15(table: Dict[Pair, GeneralOp]) -> StructureReport:
     """Six-index pseudo-rotation table, metric diag(+1,-1,-1,-1,-1,-1)."""
-    return check_rotation_table(table, SO15_METRIC, "so(1,5)", index_base=0)
+    return check_rotation_table(table, SO15_METRIC)
 
 
-def check_so8(table: Dict[Pair, GeneralOp],
-              set_name: str = "so(8)") -> StructureReport:
+def check_so8(table: Dict[Pair, GeneralOp]) -> StructureReport:
     """Eight-index compact rotation table (delta form of the relations)."""
-    return check_rotation_table(table, COMPACT8, set_name, index_base=1)
+    return check_rotation_table(table, COMPACT8, index_base=1)
 
 
 def pgi_orientation_check() -> StructureReport:
@@ -153,19 +136,15 @@ def pgi_orientation_check() -> StructureReport:
     (+---) table; the printed ones satisfy it with the overall sign flipped.
     """
     table = pgi_lorentz6()
-    direct = check_rotation_table(table, SO13_METRIC, "pgi-sextet", index_base=0)
-    negated = {pair: -op for pair, op in table.items()}
-    mirrored = check_rotation_table(negated, SO13_METRIC, "pgi-sextet-negated",
-                                    index_base=0)
-    rep = StructureReport("pgi_lorentz6", "so(1,3)-orientation")
-    rep.checks_total = direct.checks_total + mirrored.checks_total
+    direct = check_rotation_table(table, SO13_METRIC)
+    mirrored = check_rotation_table({pair: -op for pair, op in table.items()},
+                                    SO13_METRIC)
+    rep = StructureReport(direct.checks_total + mirrored.checks_total)
     if not mirrored.passed:
         rep.failures.append("negated sextet fails the (+---) table")
     if direct.passed:
         rep.failures.append("direct and mirrored orientations cannot both close")
     rep.payload["orientation"] = "mirrored"
-    rep.notes.append("printed sextet satisfies the table with the overall "
-                     "sign flipped; equivalently its negation satisfies (+---)")
     return rep
 
 
@@ -227,7 +206,7 @@ def verify_explicit_forms(columns: Sequence[int] = (5, 6, 7, 8),
     the tabulated one carries hint; {flipped} in it stands for the
     tabulated text with its sign flipped."""
     table = so8_generators()
-    rep = StructureReport("percd29", "explicit-forms")
+    rep = StructureReport()
     for (a, b), expected, text in _expected_explicit_forms():
         if b not in columns:
             continue
@@ -256,11 +235,9 @@ def gamma_product_identities() -> StructureReport:
         "g5 g6 = i": seven[4] @ seven[5] == GeneralOp.imaginary_unit(),
         "g7 = -(g1..g6 product)": -compose(*seven[:6]) == seven[6],
     }
-    return StructureReport(
-        "gammas", "product-identities", checks_total=len(holds),
-        failures=[name.replace(" = ", " != ") for name, ok in holds.items()
-                  if not ok],
-        payload=holds)
+    failures = [name.replace(" = ", " != ")
+                for name, ok in holds.items() if not ok]
+    return StructureReport(len(holds), failures, holds)
 
 
 # ---------------------------------------------------------------------------
@@ -280,17 +257,12 @@ def casimir_spin_squared(spin: OrtSet | Sequence[GeneralOp]) -> GeneralOp:
 
 def closure_check(ortset: OrtSet) -> StructureReport:
     """Every pairwise commutator must lie in the real span of the set."""
-    rep = StructureReport(ortset.name, "lie-closure")
-    ops = ortset.ops()
+    rep = StructureReport()
     labels = ortset.labels()
-    basis = OrthogonalBasis(ops)
-    for i in range(len(ops)):
-        later = range(i + 1, len(ops))
-        (comms,) = row_products(ops[i], ops[i + 1:], "[]")
-        coords = basis.coordinates(comms)
-        rep.checks_total += len(later)
-        rep.failures += [f"[{labels[i]}, {labels[j]}] outside span"
-                         for j, c in zip(later, coords) if c is None]
+    for i, j, coords in bracket_coordinates(OrthogonalBasis(ortset.ops())):
+        rep.checks_total += 1
+        if coords is None:
+            rep.failures.append(f"[{labels[i]}, {labels[j]}] outside span")
     return rep
 
 
@@ -298,10 +270,9 @@ def composition_closure_check(ortset: OrtSet) -> StructureReport:
     """Every pairwise product must be +-1 or +-i times a basis element
     (the defining feature of an ort basis)."""
     rows = multiplication_table(ortset)
-    return StructureReport(
-        ortset.name, "composition-closure", checks_total=len(rows),
-        failures=[f"{li} * {lj} not proportional to an ort"
-                  for li, lj, unit, _ in rows if unit == "?"])
+    return StructureReport(len(rows), [
+        f"{li} * {lj} not proportional to an ort"
+        for li, lj, unit, _ in rows if unit == "?"])
 
 
 def match_to_basis(ortset: OrtSet, op: GeneralOp
@@ -312,7 +283,7 @@ def match_to_basis(ortset: OrtSet, op: GeneralOp
 
 def squares_and_pairing_check(ortset: OrtSet) -> StructureReport:
     """Each ort squares to +I or -I; each pair commutes or anticommutes."""
-    rep = StructureReport(ortset.name, "squares-and-pairing")
+    rep = StructureReport()
     ident = GeneralOp.identity()
     items = list(ortset.elements)
     for lbl, op in items:

@@ -41,7 +41,6 @@ class SuiteConfig:
     seed: int = 42
     tolerances: Tuple[Tuple[str, float], ...] = ()
     fmt: str = "text"
-    out: Optional[str] = None
     inject_fault: Optional[Tuple[str, int, int]] = None
     timings: bool = False
 

@@ -14,7 +14,7 @@ constants all read coordinates.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -112,6 +112,18 @@ def centralizer_dimension(x: GeneralOp) -> int:
     return len(centralizer_kernel(x))
 
 
+def bracket_coordinates(basis: OrthogonalBasis
+                        ) -> Iterator[Tuple[int, int, Optional[Coordinates]]]:
+    """(i, j, coordinates of [R_i, R_j]) for every pair i < j of the basis
+    members, None when the commutator lies outside the span; one row of
+    commutators at a time."""
+    ops = basis.ops
+    for i in range(len(ops) - 1):
+        (comms,) = row_products(ops[i], ops[i + 1:], "[]")
+        for j, coords in enumerate(basis.coordinates(comms), i + 1):
+            yield i, j, coords
+
+
 def structure_constants(generators: Sequence[GeneralOp]
                         ) -> Dict[Tuple[int, int, int], ExactScalar]:
     """c^k_{ij} with [g_i, g_j] = sum_k c^k_{ij} g_k, exact; sparse dict.
@@ -120,20 +132,16 @@ def structure_constants(generators: Sequence[GeneralOp]
     expansion unique; anything else is rejected with ValueError.
     """
     basis = OrthogonalBasis(generators)
-    gens = basis.ops
-    if basis.rank != len(gens):
+    if basis.rank != len(basis.ops):
         raise ValueError("generator set contains a zero operator; "
                          "structure constants would not be unique")
     table: Dict[Tuple[int, int, int], ExactScalar] = {}
     # the pairs i < j fix the table, since c^k_{ji} = -c^k_{ij}
-    for i, gi in enumerate(gens[:-1]):
-        later = range(i + 1, len(gens))
-        (comms,) = row_products(gi, gens[i + 1:], "[]")
-        for j, coords in zip(later, basis.coordinates(comms)):
-            if coords is None:
-                raise ValueError(
-                    f"commutator of generators {i},{j} lies outside the span")
-            for k, c in coords.items():
-                table[(i, j, k)] = c
-                table[(j, i, k)] = -c
+    for i, j, coords in bracket_coordinates(basis):
+        if coords is None:
+            raise ValueError(
+                f"commutator of generators {i},{j} lies outside the span")
+        for k, c in coords.items():
+            table[(i, j, k)] = c
+            table[(j, i, k)] = -c
     return table

@@ -236,16 +236,15 @@ def central_difference(x: MomentumSymbol, a: int, points, h: float = 1e-5
 # sampling
 # ---------------------------------------------------------------------------
 
-def sample_momenta(n: int, seed: int = 42, radius: float = 10.0,
-                   include_special: bool = True) -> List[Triple]:
+def sample_momenta(n: int, seed: int = 42, radius: float = 10.0
+                   ) -> List[Triple]:
     """Deterministic seeded momenta in the ball |q| <= radius, always
     including the origin and axis-aligned points so degenerate directions
     are exercised."""
     rng = np.random.default_rng(seed)
-    pts: List[Triple] = []
-    if include_special:
-        r = radius / 2.0
-        pts += [(0.0, 0.0, 0.0), (r, 0.0, 0.0), (0.0, r, 0.0), (0.0, 0.0, r)]
+    r = radius / 2.0
+    pts: List[Triple] = [(0.0, 0.0, 0.0), (r, 0.0, 0.0), (0.0, r, 0.0),
+                         (0.0, 0.0, r)]
     while len(pts) < n:
         v = rng.uniform(-radius, radius, 3)
         if np.linalg.norm(v) <= radius:
@@ -259,43 +258,18 @@ def sample_momenta(n: int, seed: int = 42, radius: float = 10.0,
 
 @dataclass(frozen=True)
 class EquationOperator:
-    """Hamiltonian symbol H(q) of an evolution operator d_0 + iH.
-
-    exact_terms decomposes H(q) = sum_t f_t(q) M_t with exact constant
+    """Hamiltonian symbol H(q) of an evolution operator d_0 + iH, and its
+    exact terms (M_t, sigma_t): H(q) = sum_t f_t(q) M_t with exact constant
     linear operators M_t and scalar profiles f_t, each even (sigma_t = +1)
-    or odd (sigma_t = -1) in q; that decomposition powers the
-    zero-tolerance symmetry check for constant candidate operators.
-    """
+    or odd (sigma_t = -1) in q. ``check_equation_symmetry`` reads the
+    terms."""
 
-    name: str
-    mass: float
     symbol: MomentumSymbol
-    exact_terms: Tuple[Tuple[GeneralOp, int, str], ...]
+    exact_terms: Tuple[Tuple[GeneralOp, int], ...]
 
     def hamiltonian(self, q) -> np.ndarray:
         a, _ = self.symbol.value_at(q)
         return a
-
-    def is_exact_symmetry(self, op: GeneralOp) -> Tuple[bool, List[str]]:
-        """Zero-tolerance symmetry test for a constant operator.
-
-        op is a symmetry of d_0 + iH iff op composed with iH equals iH
-        composed with op under the flip law. Expanding per exact term:
-        the linear part must commute with each M_t, and the antilinear
-        part N must satisfy -sigma_t * N M_t = M_t N.
-        """
-        failures = []
-        lin, anti = op.parts()
-        for (m_t, sigma, profile) in self.exact_terms:
-            if not lin.is_zero and lin @ m_t != m_t @ lin:
-                failures.append(f"linear part fails on {profile} term")
-            if not anti.is_zero:
-                lhs = anti @ m_t
-                if sigma > 0:
-                    lhs = -lhs
-                if lhs != m_t @ anti:
-                    failures.append(f"antilinear part fails on {profile} term")
-        return (not failures), failures
 
 
 def _gamma_complex():
@@ -315,8 +289,7 @@ def fw_hamiltonian(mass: float) -> EquationOperator:
     g0 = gc[0]
 
     sym = MomentumSymbol.linear_matrix(lambda q: omega(q, mass) * g0, "H_fw")
-    return EquationOperator("fw", mass, sym,
-                            ((pd_gammas().get("g0"), +1, "omega"),))
+    return EquationOperator(sym, ((pd_gammas().get("g0"), +1),))
 
 
 def dirac_hamiltonian(mass: float) -> EquationOperator:
@@ -336,10 +309,10 @@ def dirac_hamiltonian(mass: float) -> EquationOperator:
     sym = MomentumSymbol.linear_matrix(fn_a, "H_d")
     g = pd_gammas()
     g0 = g.get("g0")
-    terms = [(g0 @ g.get(f"g{k}"), -1, f"q{k}") for k in (1, 2, 3)]
+    terms = [(g0 @ g.get(f"g{k}"), -1) for k in (1, 2, 3)]
     if mass:
-        terms.append((g0, +1, "mass"))
-    return EquationOperator("dirac", mass, sym, tuple(terms))
+        terms.append((g0, +1))
+    return EquationOperator(sym, tuple(terms))
 
 
 def fw_transform(mass: float, sign: int = +1) -> MomentumSymbol:
@@ -482,20 +455,18 @@ def tilde_values(mass: float, q) -> Dict[str, SymbolValues]:
 # symmetry checking
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SymmetryReport:
-    candidate: str
-    equation: str
-    is_symmetry: bool
-    exact: bool
-    max_residual: float
-    detail: str = ""
-
-
-def check_equation_symmetry(x: GeneralOp, eq: EquationOperator,
-                            label: str = "") -> SymmetryReport:
+def check_equation_symmetry(x: GeneralOp, eq: EquationOperator) -> bool:
     """Is the constant operator x a symmetry of the evolution operator
-    d_0 + iH? The check is structural and exact (zero tolerance)."""
-    ok, failures = eq.is_exact_symmetry(x)
-    return SymmetryReport(label or "constant", eq.name, ok, True,
-                          0.0 if ok else float("inf"), "; ".join(failures))
+    d_0 + iH? Exact (zero tolerance): x is one iff x iH = iH x under the
+    flip law, that is, per exact term (M_t, sigma_t), the linear part L of
+    x commutes with M_t and the antilinear part N satisfies
+    -sigma_t N M_t = M_t N."""
+    lin, anti = x.parts()
+    for m_t, sigma in eq.exact_terms:
+        if not lin.is_zero and lin @ m_t != m_t @ lin:
+            return False
+        if not anti.is_zero:
+            lhs = anti @ m_t
+            if (-lhs if sigma > 0 else lhs) != m_t @ anti:
+                return False
+    return True

@@ -54,14 +54,12 @@ class XOp:
     """Normal-form position polynomial with symbol coefficients."""
 
     coeffs: Dict[Multi, MomentumSymbol]
-    mass: float
     t_coeff: Optional[MomentumSymbol] = None
 
 
-def position_op(a: int, mass: float) -> XOp:
+def position_op(a: int) -> XOp:
     """The canonical position operator x_a ~ i d/dq_a (unit coefficient)."""
-    return XOp({_E[a]: MomentumSymbol.constant(GeneralOp.identity(), "I")},
-               mass)
+    return XOp({_E[a]: MomentumSymbol.constant(GeneralOp.identity(), "I")})
 
 
 @dataclass
@@ -70,53 +68,43 @@ class XValues:
     with its derivatives d/dq_a when it was evaluated by ``evaluate``."""
 
     terms: Dict[Multi, Coeff]
-    mass: float
 
     def degree(self) -> int:
         return max((sum(k) for k in self.terms), default=0)
 
     def __add__(self, other: "XValues") -> "XValues":
-        return _collect(_mass(self, other),
-                        ((k, v) for x in (self, other)
-                         for k, (v, _) in x.terms.items()))
+        return _collect((k, v) for x in (self, other)
+                        for k, (v, _) in x.terms.items())
 
     def __sub__(self, other: "XValues") -> "XValues":
         return self + XValues({k: (-v, None)
-                               for k, (v, _) in other.terms.items()},
-                              other.mass)
+                               for k, (v, _) in other.terms.items()})
 
     def max_norm(self) -> float:
         """Largest coefficient entry modulus over the +q half."""
         return max((v.norm() for v, _ in self.terms.values()), default=0.0)
 
 
-def _mass(x: XValues, y: XValues) -> float:
-    if x.mass != y.mass:
-        raise ValueError("mass mismatch between operators")
-    return x.mass
-
-
-def _collect(mass: float, pieces) -> XValues:
+def _collect(pieces) -> XValues:
     """The sum of the (key, values) pieces per key, in order; a sum
     carries no derivatives."""
     out: Dict[Multi, SymbolValues] = {}
     for key, v in pieces:
         out[key] = out[key] + v if key in out else v
-    return XValues({k: (v, None) for k, v in out.items()}, mass)
+    return XValues({k: (v, None) for k, v in out.items()})
 
 
 def evaluate(x: XOp, q) -> XValues:
     """The spatial coefficients of x on the signed batch q, each
     evaluated once with its derivatives; the time coefficient is left
     out."""
-    return XValues({k: sym.jet(q) for k, sym in x.coeffs.items()}, x.mass)
+    return XValues({k: sym.jet(q) for k, sym in x.coeffs.items()})
 
 
 def compose(x: XValues, y: XValues) -> XValues:
     """Product in normal form: x^alpha S times x^beta T is
     x^(alpha+beta) (S T), plus -i x^alpha (dS/dq_b) T when beta = e_b.
     The product carries no derivatives."""
-    mass = _mass(x, y)
     if y.degree() > 1:
         raise ValueError("the right factor of a product must have "
                          "degree <= 1")
@@ -132,7 +120,7 @@ def compose(x: XValues, y: XValues) -> XValues:
                                      "no derivative (jets are degree 1)")
                 yield alpha, (-1j * ds[beta.index(1)]) @ t
 
-    return _collect(mass, pieces())
+    return _collect(pieces())
 
 
 def commutator(x: XValues, y: XValues) -> XValues:
@@ -159,11 +147,11 @@ def translation_generators(mass: float) -> List[Tuple[str, XOp]]:
     ident4 = np.eye(4, dtype=complex)
     p0 = MomentumSymbol.linear_matrix(lambda q: (-1j * omega(q, mass)) * gc0,
                                       "p0")
-    gens = [("p0", XOp({ZERO_MULTI: p0}, mass))]
+    gens = [("p0", XOp({ZERO_MULTI: p0}))]
     for n in range(3):
         pn = MomentumSymbol.linear_matrix(lambda q, n=n: (1j * q[n]) * ident4,
                                           f"p{n + 1}")
-        gens.append((f"p{n + 1}", XOp({ZERO_MULTI: pn}, mass)))
+        gens.append((f"p{n + 1}", XOp({ZERO_MULTI: pn})))
     return gens
 
 
@@ -204,7 +192,7 @@ def build_poincare_generators(mass: float) -> List[Tuple[str, XOp]]:
             ZERO_MULTI: MomentumSymbol.constant(spin[_SPIN_SLOT[(l, n)]],
                                                 f"s{l}{n}"),
         }
-        gens.append((f"j{l}{n}", XOp(coeffs, mass)))
+        gens.append((f"j{l}{n}", XOp(coeffs)))
 
     # boosts: x-coefficient -i g0 omega; constant part
     # i g0 (i q_k / (2 omega))  +  i g0 (spin x iq)_k / (omega + m);
@@ -230,7 +218,7 @@ def build_poincare_generators(mass: float) -> List[Tuple[str, XOp]]:
         t_sym = MomentumSymbol.linear_matrix(
             lambda q, _k=k: (1j * q[_k]) * ident4, f"iq{k + 1}")
         coeffs = {_E[k]: x_sym, ZERO_MULTI: const_sym}
-        gens.append((f"j0{k + 1}", XOp(coeffs, mass, t_sym)))
+        gens.append((f"j0{k + 1}", XOp(coeffs, t_sym)))
 
     return gens
 
@@ -239,24 +227,23 @@ def build_poincare_generators(mass: float) -> List[Tuple[str, XOp]]:
 # evolution-operator symmetry for XOps
 # ---------------------------------------------------------------------------
 
-def evolution_commutator_residual(gens: Sequence[XOp],
+def evolution_commutator_residual(mass: float, gens: Sequence[XOp],
                                   values: Sequence[XValues],
                                   q: np.ndarray) -> float:
     """Max norm of [d_0 + iH, G] over the signed batch q and over the
     generators G in gens, whose spatial coefficients on q are values, H the
-    diagonalized Hamiltonian, evaluated once for all of them. For
-    time-independent spatial parts the commutator is [iH, G_spatial] plus
-    the x0 coefficient surfacing through d_0."""
-    mass = gens[0].mass
+    diagonalized Hamiltonian of the given mass, evaluated once for all of
+    them. For time-independent spatial parts the commutator is
+    [iH, G_spatial] plus the x0 coefficient surfacing through d_0."""
     gc0 = _g0_complex()
     i_h = MomentumSymbol.linear_matrix(
         lambda q: (1j * omega(q, mass)) * gc0, "iH")
-    i_h_values = evaluate(XOp({ZERO_MULTI: i_h}, mass), q)
+    i_h_values = evaluate(XOp({ZERO_MULTI: i_h}), q)
     worst = 0.0
     for gen, value in zip(gens, values, strict=True):
         comm = commutator(i_h_values, value)
         if gen.t_coeff is not None:
-            comm = comm + XValues({ZERO_MULTI: (gen.t_coeff(q), None)}, mass)
+            comm = comm + XValues({ZERO_MULTI: (gen.t_coeff(q), None)})
         worst = max(worst, comm.max_norm())
     return worst
 
@@ -273,7 +260,6 @@ class ClosureResult:
 
 @dataclass
 class PoincareClosureReport:
-    names: List[str]
     results: List[ClosureResult]
     max_residual: float
     tol: float
@@ -303,14 +289,13 @@ def poincare_closure_check(names: Sequence[str], values: Sequence[XValues],
     for i, x in enumerate(values):
         for j in range(i + 1, len(values)):
             pair = (names[i], names[j])
-            expansion = _collect(x.mass, (
+            expansion = _collect(
                 (key, c * v) for c, g in zip(table[pair], values) if c
-                for key, (v, _) in g.terms.items()))
+                for key, (v, _) in g.terms.items())
             resid = (commutator(x, values[j]) - expansion).max_norm()
             results.append(ClosureResult(pair, resid))
-    return PoincareClosureReport(list(names), results,
-                                 max(r.residual for r in results), tol,
-                                 verified)
+    return PoincareClosureReport(results, max(r.residual for r in results),
+                                 tol, verified)
 
 
 # ---------------------------------------------------------------------------

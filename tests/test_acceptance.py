@@ -49,14 +49,14 @@ def test_criterion_1_anticommutation_tables():
     ok = g.get("g0").adjoint() == g.get("g0")
     for k in (1, 2, 3):
         ok = ok and g.get(f"g{k}").adjoint() == -g.get(f"g{k}")
-    five = check_anticommutation(g, (1, -1, -1, -1, -1), 2)
-    seven = check_anticommutation(extended_gammas(), (-1,) * 7, 2)
+    five = check_anticommutation(g, (1, -1, -1, -1, -1))
+    seven = check_anticommutation(extended_gammas(), (-1,) * 7)
     elapsed = time.perf_counter() - t0
     ok = ok and five.passed and seven.passed and elapsed < 1.0
     _report(1, ok, f"adjoint pattern + 5/7-generator tables exact, "
                    f"{elapsed:.2f}s")
-    assert five.passed and five.worst_deviation == "0"
-    assert seven.passed and seven.worst_deviation == "0"
+    assert five.passed and five.checks_total == 25
+    assert seven.passed and seven.checks_total == 49
     assert ok
 
 
@@ -64,7 +64,7 @@ def test_criterion_2_commutation_tables():
     t0 = time.perf_counter()
     so15 = check_so15(so15_generators())
     so8 = check_so8(so8_generators())
-    bos = check_so8(bosonic_so8_generators(), "bosonic")
+    bos = check_so8(bosonic_so8_generators())
     elapsed = time.perf_counter() - t0
     ok = so15.passed and so8.passed and bos.passed and elapsed < 5.0
     _report(2, ok, f"225 + 784 + 784 pairs exact, {elapsed:.2f}s")
@@ -197,13 +197,10 @@ def test_criterion_8_transform_identities():
 
 def test_criterion_9_symmetry_checks():
     fw = fw_hamiltonian(1.0)
-    a32_ok = all(check_equation_symmetry(op, fw).is_symmetry
-                 and check_equation_symmetry(op, fw).exact
-                 for _, op in a32())
+    a32_ok = all(check_equation_symmetry(op, fw) for _, op in a32())
     massless = dirac_hamiltonian(0.0)
-    pgi_ok = all(check_equation_symmetry(op, massless).is_symmetry
-                 for _, op in pgi8())
-    control = not check_equation_symmetry(pd_gammas().get("g1"), fw).is_symmetry
+    pgi_ok = all(check_equation_symmetry(op, massless) for _, op in pgi8())
+    control = not check_equation_symmetry(pd_gammas().get("g1"), fw)
     ok = a32_ok and pgi_ok and control
     _report(9, ok, f"32 invariances exact, 8 massless invariances exact, "
                    f"negative control rejected={control}")
@@ -216,7 +213,7 @@ def test_criterion_10_generator_suite():
     q = signed_batch(sample_momenta(200, seed=42, radius=5.0))
     names, gens = zip(*build_poincare_generators(m))
     values = [evaluate(g, q) for g in gens]
-    worst_sym = evolution_commutator_residual(gens, values, q)
+    worst_sym = evolution_commutator_residual(m, gens, values, q)
     closure = poincare_closure_check(names, values,
                                      DEFAULT_TOLERANCES["closure"])
     cas = casimir_report(m, q, DEFAULT_TOLERANCES["momentum"])
@@ -243,7 +240,7 @@ def test_criterion_11_fault_injection():
         for row in range(4):
             for col in range(4):
                 bad = corrupted_pd_gammas(target, row, col)
-                if check_anticommutation(bad, (1, -1, -1, -1, -1), 2).passed \
+                if check_anticommutation(bad, (1, -1, -1, -1, -1)).passed \
                         and check_so15(so15_generators(bad)).passed:
                     undetected.append((target, row, col))
     ok = not undetected

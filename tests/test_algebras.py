@@ -76,10 +76,9 @@ def test_pgi_sextet_values():
     assert sextet[(0, 2)] == g2c.scaled(ExactScalar.rational(-1, 2))
 
 
-def test_labels_are_unique_and_provenance_attached():
+def test_labels_are_unique():
     basis = ercd64()
     assert len(set(basis.labels())) == 64
-    assert basis.provenance_of("alpha_05")
     with pytest.raises(ValueError):
         OrtSet("bad", (("x", GeneralOp.identity()),
                        ("x", GeneralOp.zero())))

@@ -371,6 +371,11 @@ def test_cli_unknown_suite_exits_2(capsys):
 
 def test_cli_bad_tolerance_exits_2(capsys):
     assert main(["verify", "--suite", "cd", "--tol", "nonsense"]) == 2
+    capsys.readouterr()
+    assert main(["verify", "--suite", "cd", "--tol", "speed=1"]) == 2
+    assert capsys.readouterr().err == (
+        "ercd: error: --tol key must be momentum, symmetry or closure, "
+        "got 'speed'\n")
 
 
 @pytest.mark.parametrize("flags", [

@@ -3,10 +3,13 @@ exact suites and the four table dumps of the benchmark, against the golden
 outputs under bench/golden (read through bench/workloads.py), and the
 canonical JSON of six momentum-suite runs, against the reports recorded
 under tests/golden (their sampled residuals are floats, so a change of
-host, numpy or BLAS may move their last digits). numpy is the only runtime
+host, numpy or BLAS may move their last digits). tests/golden also holds
+the SHA-256 of all 18 JSON dumps (6 sets x 3 kinds), the full CSV report
+and the JSON report under --inject-fault g2,0,1. numpy is the only runtime
 dependency: the same outputs come from a process in which sympy cannot be
 imported."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -18,6 +21,7 @@ import pytest
 
 import ercd
 from ercd.cli import main
+from ercd.suites import DUMP_KINDS
 
 _BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 _GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -46,6 +50,30 @@ def test_table_dumps_match_the_golden_digests(capsys):
     assert workloads.check_tables(outs) == (len(outs), 0)
 
 
+def test_all_dumps_match_the_recorded_digests(capsys):
+    digests = json.loads((_GOLDEN / "dumps.sha256.json").read_text())
+    got = {}
+    for name in ("cd16", "ercd64", "percd29", "so6", "a32", "pgi8"):
+        for kind in DUMP_KINDS:
+            out = _run(["dump", "--set", name, "--kind", kind], capsys)
+            assert out["rc"] == 0
+            got[f"{name}/{kind}"] = hashlib.sha256(
+                out["stdout"].encode()).hexdigest()
+    assert got == digests
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["verify", "--format", "csv"], "verify.csv"),
+    (["verify", "--inject-fault", "g2,0,1", "--format", "json"],
+     "verify-fault-g2-0-1.json"),
+])
+def test_full_reports_match_the_recorded_reports(argv, golden, capsys):
+    out = _run(argv, capsys)
+    assert out["rc"] == 1
+    # read as bytes: the CSV rows end in \r\n
+    assert out["stdout"] == (_GOLDEN / golden).read_bytes().decode()
+
+
 # recorded report -> verify options; each runs with --format json
 MOMENTUM_RUNS = {
     "fw": ["--suite", "fw"],
@@ -71,6 +99,7 @@ _WITHOUT_SYMPY = """
 import contextlib, io, json, sys
 sys.modules["sympy"] = None  # every import of sympy raises ImportError
 from ercd.cli import main
+from ercd.suites import DUMP_KINDS
 outs = []
 for argv in json.loads(sys.argv[1]):
     buf = io.StringIO()

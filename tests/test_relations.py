@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ercd import relations
 from ercd.algebras import (OrtSet, a32, bosonic_rep, bosonic_so8_generators,
                            breve_spin, cd16, ercd64, extended_gammas,
                            pd_gammas, pgi8, pgi_lorentz6, percd29,
@@ -22,27 +23,26 @@ from ercd.symbols import (MomentumSymbol, SymbolValues, sample_momenta,
 
 
 def test_anticommutation_five_generators():
-    rep = check_anticommutation(pd_gammas(), (1, -1, -1, -1, -1), 2)
+    rep = check_anticommutation(pd_gammas(), (1, -1, -1, -1, -1))
     assert rep.passed and rep.checks_total == 25
-    assert rep.worst_deviation == "0"
 
 
 def test_anticommutation_seven_generators():
-    rep = check_anticommutation(extended_gammas(), (-1,) * 7, 2)
+    rep = check_anticommutation(extended_gammas(), (-1,) * 7)
     assert rep.passed and rep.checks_total == 49
 
 
 def test_anticommutation_negative_control():
     # identical generators cannot anticommute to zero off the diagonal
     g0 = pd_gammas().get("g0")
-    rep = check_anticommutation([g0, g0], (1, -1), 2)
+    rep = check_anticommutation([g0, g0], (1, -1))
     assert not rep.passed
     assert any("g0" in f or "g1" in f for f in rep.failures)
 
 
 def test_anticommutation_metric_length_mismatch():
     with pytest.raises(ValueError):
-        check_anticommutation(pd_gammas(), (1, -1), 2)
+        check_anticommutation(pd_gammas(), (1, -1))
 
 
 def test_so15_full_table():
@@ -64,7 +64,7 @@ def test_so15_specific_commutator():
 
 def test_so8_full_table_fundamental_and_bosonic():
     assert check_so8(so8_generators()).passed
-    assert check_so8(bosonic_so8_generators(), "bosonic").passed
+    assert check_so8(bosonic_so8_generators()).passed
 
 
 def test_so8_disjoint_pairs_commute():
@@ -98,17 +98,28 @@ def test_pgi_orientation_is_mirrored():
     rep = pgi_orientation_check()
     assert rep.passed
     assert rep.payload["orientation"] == "mirrored"
-    direct = check_rotation_table(pgi_lorentz6(), SO13_METRIC, "pgi")
+    direct = check_rotation_table(pgi_lorentz6(), SO13_METRIC)
     assert not direct.passed  # printed orientation fails the (+---) table
     negated = {k: -v for k, v in pgi_lorentz6().items()}
-    assert check_rotation_table(negated, SO13_METRIC, "pgi-neg").passed
+    assert check_rotation_table(negated, SO13_METRIC).passed
+
+
+def test_pgi_orientation_check_fails_on_the_negated_sextet(monkeypatch):
+    # with the sextet negated the printed orientation closes and the
+    # mirrored one does not, so both failures fire
+    negated = {k: -v for k, v in pgi_lorentz6().items()}
+    monkeypatch.setattr(relations, "pgi_lorentz6", lambda: negated)
+    rep = pgi_orientation_check()
+    assert rep.failures == [
+        "negated sextet fails the (+---) table",
+        "direct and mirrored orientations cannot both close"]
 
 
 def test_cd_sextet_passes_restricted_table():
     table = so15_generators()
     restricted = {(a, b): table[(a, b)]
                   for (a, b) in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))}
-    assert check_rotation_table(restricted, SO13_METRIC, "cd-sextet").passed
+    assert check_rotation_table(restricted, SO13_METRIC).passed
 
 
 def test_explicit_forms_report():
@@ -201,7 +212,7 @@ def test_anticommutation_rule_on_flip_arrays_agrees_with_the_exact_check():
     q = signed_batch(sample_momenta(3, seed=5))
     values = [MomentumSymbol.constant(ext.get(f"g{k}"))(q)
               for k in range(1, 8)]
-    assert check_anticommutation(ext, (-1,) * 7, 2).passed
+    assert check_anticommutation(ext, (-1,) * 7).passed
     assert flip_anticommutation_residual(values) <= 1e-15
     values[4] = values[4] + _bump(q, 1, (0, 2, 3, 0))  # antilinear part of g5
     assert flip_anticommutation_residual(values) > 1e-3
@@ -256,6 +267,18 @@ def test_squares_and_pairing_of_full_basis():
     assert squares_and_pairing_check(ercd64()).passed
 
 
+def test_squares_and_pairing_failures():
+    # x + y squares to 2I for anticommuting x, y, and neither commutes
+    # nor anticommutes with x; 2I squares to 4I
+    x, y = ercd64().get("alpha_01"), ercd64().get("alpha_02")
+    two = GeneralOp.identity().scaled(2)
+    rep = squares_and_pairing_check(
+        OrtSet("mixed", (("x", x), ("x+y", x + y), ("2I", two))))
+    assert rep.checks_total == 6
+    assert rep.failures == ["x+y^2 not +-I", "2I^2 not +-I",
+                            "x,x+y neither commute nor anticommute"]
+
+
 def test_composition_closure_of_small_sets():
     assert composition_closure_check(cd16()).passed
     assert composition_closure_check(pgi8()).passed
@@ -273,6 +296,16 @@ def test_commutator_table_antisymmetry_and_zero_diagonal():
     for lbl, _ in cd16():
         assert rows[(lbl, lbl)] == "0"
     assert rows[("alpha_01", "alpha_01")] == "0"
+
+
+def test_commutator_table_names_a_unit_multiple():
+    # [s12, s13] = s23 in the compact table: the unit*label entry
+    s = so8_generators()
+    triple = OrtSet("triple", tuple((f"s{a}{b}", s[(a, b)])
+                                    for a, b in ((1, 2), (1, 3), (2, 3))))
+    rows = {(r[0], r[1]): r[2] for r in commutator_table(triple)}
+    assert rows[("s12", "s13")] == "1*s23"
+    assert rows[("s13", "s12")] == "-1*s23"
 
 
 def test_match_to_basis():
