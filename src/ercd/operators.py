@@ -10,9 +10,11 @@ with int64 arrays P, Q and a positive integer d, normalised so that
 gcd(P, Q, d) = 1. Composition is integer matrix multiplication, the
 adjoint (A -> A^dagger, B -> B^T) is the transpose, and equality and
 hashing compare (P, Q, d). An operation whose int64 result could wrap
-raises OverflowError instead. The (A, B) matrices over Q(i, sqrt2) are
-views built on demand, for rendering, floating images and apply, the
-spinor action that tests keep as an independent oracle for composition.
+raises OverflowError instead. ``floats`` reads the complex images of A and
+B straight from the carrier; it is the one exact-to-float path. The (A, B)
+matrices over Q(i, sqrt2) are views built on demand, uncached, for apply,
+the spinor action that tests keep as an independent oracle for
+composition.
 
 The algebra is real: scalar multiplication is restricted to real field
 elements, and multiplication by i is composition with the operator i.
@@ -49,7 +51,7 @@ class GeneralOp:
     refused.
     """
 
-    __slots__ = ("_pq", "_d", "_bound", "_ab")
+    __slots__ = ("_pq", "_d", "_bound")
 
     def __init__(self, A: Matrix | None = None, B: Matrix | None = None):
         zero = [[0] * 4] * 4
@@ -72,7 +74,6 @@ class GeneralOp:
             if g != 1:
                 pq, d, bound = pq // g, d // g, bound // g
         self._pq, self._d, self._bound = pq, d, bound
-        self._ab = None
 
     def _magnitude(self) -> int:
         """Tighten _bound to the largest absolute entry and return it."""
@@ -159,7 +160,7 @@ class GeneralOp:
         turned = i_op @ self @ i_op
         return (self - turned).scaled(HALF), (self + turned).scaled(HALF)
 
-    # the (A, B) view
+    # the (A, B) view and its float image
     @property
     def A(self) -> Matrix:
         return self._views()[0]
@@ -169,22 +170,33 @@ class GeneralOp:
         return self._views()[1]
 
     def _views(self) -> Tuple[Matrix, Matrix]:
-        if self._ab is None:
-            rat, sur = self._components()
-            self._ab = tuple(
-                tuple(tuple(ExactScalar(rat[k], sur[k], rat[k + 16], sur[k + 16])
-                            for k in range(base + 4 * i, base + 4 * i + 4))
-                      for i in range(4))
-                for base in (0, 32))
-        return self._ab
+        den = 2 * self._d
+        # axes: A or B, row, column, re or im, rational or sqrt2 part
+        parts = self._halves().transpose(1, 3, 4, 2, 0).reshape(2, 4, 4, 4)
+        return tuple(tuple(tuple(ExactScalar(*(Fraction(x, den) for x in e))
+                                 for e in row) for row in part)
+                     for part in parts.tolist())
 
-    def _components(self):
-        """Ar, Ai, Br, Bi row-major: rational and sqrt2 parts, 64 each."""
+    def floats(self) -> Tuple[np.ndarray | None, np.ndarray | None]:
+        """The complex 4x4 images of A and B, read from the carrier; a part
+        that is exactly zero is None, decided on the integers. The real or
+        imaginary part of an entry with rational and sqrt2 numerators h
+        and s is h/(2d) + (s/(2d))*sqrt(2.0), each quotient correctly
+        rounded while h, s and 2d stay below 2**53. Exact equality is
+        never decided on it."""
+        h = self._halves()
+        den = 2 * self._d
+        x = h[0] / den + (h[1] / den) * math.sqrt(2.0)
+        return tuple(x[k, 0] + 1j * x[k, 1] if h[:, k].any() else None
+                     for k in range(2))
+
+    def _halves(self) -> np.ndarray:
+        """2d times (Ar, Ai; Br, Bi): axes rational or sqrt2 part, A or B,
+        re or im, row, column."""
         m = self._pq
         r11, r12, r21, r22 = m[:, :4, :4], m[:, :4, 4:], m[:, 4:, :4], m[:, 4:, 4:]
-        halves = np.concatenate((r11 + r22, r21 - r12, r11 - r22, r21 + r12),
-                                axis=1)
-        return [_fractions(c, 2 * self._d) for c in halves.reshape(2, 64).tolist()]
+        return np.array(((r11 + r22, r21 - r12),
+                         (r11 - r22, r21 + r12))).transpose(2, 0, 1, 3, 4)
 
     def apply(self, phi: Spinor) -> Spinor:
         A, B = self._views()
@@ -226,7 +238,7 @@ class GeneralOp:
         Injective multiplicative homomorphism:
         realify(X @ Y) is the matrix product of realify(X) and realify(Y).
         """
-        rat, sur = (_fractions(c, self._d)
+        rat, sur = ([Fraction(x, self._d) for x in c]
                     for c in self._pq.reshape(2, 64).tolist())
         return tuple(tuple(ExactScalar(rat[k], sur[k])
                            for k in range(8 * i, 8 * i + 8)) for i in range(8))
@@ -301,7 +313,7 @@ def _normal(pq: np.ndarray, dens: List[int]) -> List[GeneralOp]:
         raise OverflowError("operator result would exceed the int64 range")
     ops = [GeneralOp.__new__(GeneralOp) for _ in dens]
     for op, p, d, g, b in zip(ops, pq, dens, gs, bounds):
-        op._pq, op._d, op._bound, op._ab = p, d // g, b, None
+        op._pq, op._d, op._bound = p, d // g, b
     return ops
 
 
@@ -330,13 +342,6 @@ def _checked(bound_of, *ops: GeneralOp) -> int:
 
 def _dot(row, v) -> ExactScalar:
     return sum((a * x for a, x in zip(row, v) if a), ZERO)
-
-
-def _fractions(ints: list, den: int) -> list:
-    # values repeat (mostly 0 and +-1): build each Fraction once
-    memo = {}
-    return [memo[x] if x in memo else memo.setdefault(x, Fraction(x, den))
-            for x in ints]
 
 
 def _is_matrix(x) -> bool:

@@ -32,12 +32,10 @@ COMPACT8: MetricSignature = (-1,) * 8
 @dataclass
 class StructureReport:
     """Outcome of one exact relation check: the number of checks made and
-    a message per failing one; it passes when there are none. payload
-    holds a check's own results by name."""
+    a message per failing one; it passes when there are none."""
 
     checks_total: int = 0
     failures: List[str] = field(default_factory=list)
-    payload: Dict[str, object] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -144,7 +142,6 @@ def pgi_orientation_check() -> StructureReport:
         rep.failures.append("negated sextet fails the (+---) table")
     if direct.passed:
         rep.failures.append("direct and mirrored orientations cannot both close")
-    rep.payload["orientation"] = "mirrored"
     return rep
 
 
@@ -216,28 +213,23 @@ def verify_explicit_forms(columns: Sequence[int] = (5, 6, 7, 8),
             flipped = "+" + text[1:] if text[0] == "-" else "-" + text
             note = hint.format(flipped=flipped) if computed == -expected else ""
             rep.failures.append(f"alpha_{a}{b} != {text}{note}")
-    rep.payload["identities"] = rep.checks_total
     return rep
 
 
-def gamma_product_identities() -> StructureReport:
-    """prod(g0..g4) = -I, prod(g1..g7) = I, g5 g6 = i, g7 = -prod(g1..g6).
-
-    payload maps each identity, by name, to whether it holds."""
+def gamma_product_identities() -> Dict[str, bool]:
+    """prod(g0..g4) = -I, prod(g1..g7) = I, g5 g6 = i, g7 = -prod(g1..g6):
+    each identity, by name, mapped to whether it holds."""
     g = pd_gammas()
     ext = extended_gammas()
     ident = GeneralOp.identity()
     seven = [ext.get(f"g{k}") for k in range(1, 8)]
-    holds = {
+    return {
         "g0 g1 g2 g3 g4 = -I":
             compose(*(g.get(f"g{k}") for k in range(5))) == -ident,
         "g1..g7 product = I": compose(*seven) == ident,
         "g5 g6 = i": seven[4] @ seven[5] == GeneralOp.imaginary_unit(),
         "g7 = -(g1..g6 product)": -compose(*seven[:6]) == seven[6],
     }
-    failures = [name.replace(" = ", " != ")
-                for name, ok in holds.items() if not ok]
-    return StructureReport(len(holds), failures, holds)
 
 
 # ---------------------------------------------------------------------------

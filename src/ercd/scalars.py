@@ -9,13 +9,11 @@ only adjoined surd.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Union
 
 RationalLike = Union[int, Fraction]
 
-_SQRT2 = math.sqrt(2.0)
 _F0 = Fraction(0)
 
 
@@ -72,10 +70,6 @@ class ExactScalar:
     @property
     def is_real(self) -> bool:
         return not self.c and not self.d
-
-    @property
-    def is_rational(self) -> bool:
-        return not self.b and not self.c and not self.d
 
     # -- ring/field operations ---------------------------------------------
 
@@ -156,12 +150,7 @@ class ExactScalar:
     def __hash__(self) -> int:
         return hash((self.a, self.b, self.c, self.d))
 
-    # -- conversions ---------------------------------------------------------
-
-    def to_complex(self) -> complex:
-        """Floating image; exact equality is never decided through this."""
-        return complex(float(self.a) + float(self.b) * _SQRT2,
-                       float(self.c) + float(self.d) * _SQRT2)
+    # -- rendering -----------------------------------------------------------
 
     def __repr__(self) -> str:
         return f"ExactScalar({self.a}, {self.b}, {self.c}, {self.d})"

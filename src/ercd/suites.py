@@ -36,7 +36,7 @@ from .spans import (OrthogonalBasis, centralizer_kernel, span_rank,
 from .symbols import (MomentumSymbol, SymbolValues, check_equation_symmetry,
                       dirac_hamiltonian, fw_hamiltonian, fw_transform, pd_spin,
                       sample_momenta, signed_batch, spin_matrices_complex,
-                      tilde_values, to_complex_matrix)
+                      tilde_values)
 from .xops import (XOp, ZERO_MULTI, build_poincare_generators,
                    casimir_report, commutator as xop_commutator, evaluate,
                    evolution_commutator_residual, poincare_closure_check,
@@ -289,7 +289,7 @@ def _suite_percd(ledger: Ledger, config: SuiteConfig) -> None:
     _claim(ledger, "percd.so8-table", rep.passed and closure.passed,
            detail=f"{rep.checks_total} pairs, closure {closure.checks_total}")
 
-    holds = gamma_product_identities().payload
+    holds = gamma_product_identities()
     _claim(ledger, "percd.five-product", holds["g0 g1 g2 g3 g4 = -I"])
 
     seven_ok = all(holds[name] for name in (
@@ -398,7 +398,7 @@ def _suite_fw(ledger: Ledger, config: SuiteConfig) -> None:
     h0 = fw.hamiltonian((0.0, 0.0, 0.0))
     worst = max(_light_cone_residual(fw, near, m),
                 float(np.max(np.abs(
-                    h0 - m * to_complex_matrix(pd_gammas().get("g0").A)))))
+                    h0 - m * pd_gammas().get("g0").floats()[0]))))
     _claim(ledger, "fw.wave-operator", worst < h_tol, residual=worst,
            detail=f"{len(near)} points and q = 0", tol=h_tol)
 

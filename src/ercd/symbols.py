@@ -34,13 +34,16 @@ on degree-1 array jets (``jets.Jet``) seeded with +e_a on the +q half and
 
 Fourier convention: phi(x) = (2 pi)^(-3/2) Int d^3q e^{i q.x} phitilde(q),
 so d/dx_n has symbol i q_n and conjugation sends phitilde(q) to
-conj(phitilde(-q)). Constant symbols embed GeneralOps and compose
-identically to the exact layer.
+conj(phitilde(-q)). Constant symbols embed GeneralOps through their float
+images (``GeneralOp.floats``) and compose identically to the exact layer.
+An ``EquationOperator`` states a Hamiltonian once, by its exact terms; the
+symmetry check reads them, and its symbols are built from them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
@@ -53,11 +56,6 @@ Triple = Tuple[float, float, float]
 
 # d/dq of the -q half is minus the derivative taken at -q
 _HALF_SIGN = np.array([1.0, -1.0]).reshape(2, 1, 1, 1)
-
-
-def to_complex_matrix(m) -> np.ndarray:
-    """Floating image of an exact 4x4 matrix."""
-    return np.array([[x.to_complex() for x in row] for row in m], dtype=complex)
 
 
 def signed_batch(points) -> np.ndarray:
@@ -188,11 +186,10 @@ class MomentumSymbol:
 
     @classmethod
     def constant(cls, op: GeneralOp, label: str = "") -> "MomentumSymbol":
-        """The constant symbol of op; a part whose exact matrix is zero is
-        absent."""
-        a, b = (to_complex_matrix(m) if any(x for row in m for x in row)
-                else None for m in (op.A, op.B))
-        return cls(lambda q: (a, b), label or "const")
+        """The constant symbol of op, its float image ``op.floats()``; a
+        part whose exact matrix is zero is absent."""
+        parts = op.floats()
+        return cls(lambda q: parts, label or "const")
 
     @classmethod
     def linear_matrix(cls, fn_a: Callable, label: str = "") -> "MomentumSymbol":
@@ -222,16 +219,6 @@ class MomentumSymbol:
                 tuple(SymbolValues(da, db) for da, db in zip(*grads)))
 
 
-def central_difference(x: MomentumSymbol, a: int, points, h: float = 1e-5
-                       ) -> Tuple[np.ndarray, np.ndarray]:
-    """d/dq_a of (A, B) at points by central differences with step h: the
-    independent cross-check of the jets."""
-    step = h * np.eye(3)[a]
-    (ap, bp), (am, bm) = (x(signed_batch(np.asarray(points) + s * step))
-                          for s in (1.0, -1.0))
-    return (ap[0] - am[0]) / (2.0 * h), (bp[0] - bm[0]) / (2.0 * h)
-
-
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
@@ -256,16 +243,23 @@ def sample_momenta(n: int, seed: int = 42, radius: float = 10.0
 # wave-equation operators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class EquationOperator:
-    """Hamiltonian symbol H(q) of an evolution operator d_0 + iH, and its
-    exact terms (M_t, sigma_t): H(q) = sum_t f_t(q) M_t with exact constant
-    linear operators M_t and scalar profiles f_t, each even (sigma_t = +1)
-    or odd (sigma_t = -1) in q. ``check_equation_symmetry`` reads the
-    terms."""
+    """The evolution operator d_0 + iH with H(q) = sum_t f_t(q) M_t, stated
+    once by its terms (M_t, sigma_t, f_t): exact constant linear operators
+    M_t and scalar profiles f_t, each even (sigma_t = +1) or odd
+    (sigma_t = -1) in q. ``symbol`` is built from the terms, and
+    ``check_equation_symmetry`` reads them exactly."""
 
-    symbol: MomentumSymbol
-    exact_terms: Tuple[Tuple[GeneralOp, int], ...]
+    def __init__(self, terms, label: str):
+        self.terms: Tuple[Tuple[GeneralOp, int, Callable], ...] = tuple(terms)
+        self.symbol = self.scaled(1, label)
+
+    def scaled(self, c, label: str) -> MomentumSymbol:
+        """The symbol of c H: the sum of (c f_t(q)) floats(M_t) in term
+        order."""
+        images = [(f, m.floats()[0]) for m, _, f in self.terms]
+        return MomentumSymbol.linear_matrix(
+            lambda q: reduce(add, ((c * f(q)) * a for f, a in images)), label)
 
     def hamiltonian(self, q) -> np.ndarray:
         a, _ = self.symbol.value_at(q)
@@ -274,7 +268,7 @@ class EquationOperator:
 
 def _gamma_complex():
     g = pd_gammas()
-    return {k: to_complex_matrix(g.get(f"g{k}").A) for k in range(5)}
+    return {k: g.get(f"g{k}").floats()[0] for k in range(5)}
 
 
 def omega(q, mass: float):
@@ -285,34 +279,21 @@ def fw_hamiltonian(mass: float) -> EquationOperator:
     """Diagonalized-form Hamiltonian g0 * omega(q)."""
     if mass < 0:
         raise ValueError("mass must be nonnegative")
-    gc = _gamma_complex()
-    g0 = gc[0]
-
-    sym = MomentumSymbol.linear_matrix(lambda q: omega(q, mass) * g0, "H_fw")
-    return EquationOperator(sym, ((pd_gammas().get("g0"), +1),))
+    return EquationOperator(
+        [(pd_gammas().get("g0"), +1, lambda q: omega(q, mass))], "H_fw")
 
 
 def dirac_hamiltonian(mass: float) -> EquationOperator:
     """Local-form Hamiltonian alpha.q + beta m, alpha_k = g0 gk, beta = g0."""
     if mass < 0:
         raise ValueError("mass must be nonnegative")
-    gc = _gamma_complex()
-    alpha = [gc[0] @ gc[k] for k in (1, 2, 3)]
-    beta = gc[0]
-
-    def fn_a(q):
-        acc = q[0] * alpha[0] + q[1] * alpha[1] + q[2] * alpha[2]
-        if mass:
-            acc = acc + mass * beta
-        return acc
-
-    sym = MomentumSymbol.linear_matrix(fn_a, "H_d")
     g = pd_gammas()
     g0 = g.get("g0")
-    terms = [(g0 @ g.get(f"g{k}"), -1) for k in (1, 2, 3)]
+    terms = [(g0 @ g.get(f"g{k}"), -1, lambda q, k=k: q[k - 1])
+             for k in (1, 2, 3)]
     if mass:
-        terms.append((g0, +1))
-    return EquationOperator(sym, tuple(terms))
+        terms.append((g0, +1, lambda q: mass))
+    return EquationOperator(terms, "H_d")
 
 
 def fw_transform(mass: float, sign: int = +1) -> MomentumSymbol:
@@ -342,9 +323,8 @@ def fw_transform(mass: float, sign: int = +1) -> MomentumSymbol:
 def spin_matrices_complex() -> List[np.ndarray]:
     """The constant spin triple (s_23, s_31, s_12) = (gm gn / 2)."""
     s = so15_generators()
-    return [to_complex_matrix(s[(2, 3)].A),
-            -to_complex_matrix(s[(1, 3)].A),
-            to_complex_matrix(s[(1, 2)].A)]
+    return [s[(2, 3)].floats()[0], -s[(1, 3)].floats()[0],
+            s[(1, 2)].floats()[0]]
 
 
 def pd_spin(mass: float) -> List[MomentumSymbol]:
@@ -378,14 +358,10 @@ def pd_spin(mass: float) -> List[MomentumSymbol]:
 
 
 def tilde_gammas(mass: float) -> List[Tuple[str, MomentumSymbol]]:
-    """Nonlocal images of the seven generators (plus g0 and C) in the
-    local representation: tilde X = V+ X V-.
-
-    The matrix generators get closed forms; the conjugation image gets
-    the expanded V+ conj(V-(-q)) closed form; the composite generators
-    (5, 6, 7) compose their evaluated factors inside their own evaluation,
-    exactly as defined: tg5 = tg1 tg3 tC, tg6 = i tg5, tg7 = i tg0.
-    ``tilde_values`` evaluates all nine on one batch.
+    """The six closed forms among the nonlocal images tilde X = V+ X V- of
+    the seven generators, g0 and C in the local representation: tg1..tg4,
+    tg0, and tC, the expanded V+ conj(V-(-q)). ``tilde_values`` composes
+    the other three from their values.
     """
     if mass <= 0:
         raise ValueError("nonlocal generators need m > 0")
@@ -430,25 +406,19 @@ def tilde_gammas(mass: float) -> List[Tuple[str, MomentumSymbol]]:
     tg4 = make_scaled(gc[4], "tg4")
     tg0 = make_scaled(gc[0], "tg0")
     t_c = MomentumSymbol.antilinear_matrix(tc_fn, "tC")
-    tg5 = MomentumSymbol(
-        lambda q: tg1._eval(q) @ tg3._eval(q) @ t_c._eval(q), "tg5")
-    tg6 = MomentumSymbol(lambda q: 1j * tg5._eval(q), "tg6")
-    tg7 = MomentumSymbol(lambda q: 1j * tg0._eval(q), "tg7")
     return [("tg1", tg1), ("tg2", tg2), ("tg3", tg3), ("tg4", tg4),
-            ("tg5", tg5), ("tg6", tg6), ("tg7", tg7),
             ("tg0", tg0), ("tC", t_c)]
 
 
 def tilde_values(mass: float, q) -> Dict[str, SymbolValues]:
-    """The nine operators of ``tilde_gammas`` on the signed batch q, each
-    closed form evaluated once: tg5, tg6 and tg7 compose the values as
-    their symbols do, in the same order, so all nine are bit for bit the
-    symbols' own values."""
-    syms = tilde_gammas(mass)
-    v = {k: s(q) for k, s in syms if k not in ("tg5", "tg6", "tg7")}
+    """The nine nonlocal operators on the signed batch q: the six closed
+    forms of ``tilde_gammas``, each evaluated once, and the composite
+    generators composed from their values as defined, tg5 = tg1 tg3 tC,
+    tg6 = i tg5 and tg7 = i tg0."""
+    v = {k: s(q) for k, s in tilde_gammas(mass)}
     tg5 = v["tg1"] @ v["tg3"] @ v["tC"]
     v.update(tg5=tg5, tg6=1j * tg5, tg7=1j * v["tg0"])
-    return {k: v[k] for k, _ in syms}
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +432,7 @@ def check_equation_symmetry(x: GeneralOp, eq: EquationOperator) -> bool:
     x commutes with M_t and the antilinear part N satisfies
     -sigma_t N M_t = M_t N."""
     lin, anti = x.parts()
-    for m_t, sigma in eq.exact_terms:
+    for m_t, sigma, _ in eq.terms:
         if not lin.is_zero and lin @ m_t != m_t @ lin:
             return False
         if not anti.is_zero:

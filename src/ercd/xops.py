@@ -18,7 +18,9 @@ values and dS/dq_b comes from the left coefficient's jet. The right
 factor has degree <= 1, and a coefficient formed by the algebra carries
 no derivative, so it never stands left of a position. The time coordinate
 never mixes with the q-calculus; an optional x0 coefficient is tracked
-separately and only enters the evolution-operator symmetry check.
+separately and only enters the evolution-operator symmetry check. p0, the
+boosts' x-coefficient and iH are the diagonalized Hamiltonian's symbol
+scaled by -i, -i and +i (``EquationOperator.scaled``).
 
 The Lie closure of the ten generators is checked on their evaluated
 values against the structure constants that ``poincare_oracle`` proves
@@ -35,7 +37,7 @@ import numpy as np
 
 from .algebras import breve_spin, pd_gammas
 from .operators import GeneralOp
-from .symbols import MomentumSymbol, SymbolValues, omega, to_complex_matrix
+from .symbols import MomentumSymbol, SymbolValues, fw_hamiltonian, omega
 
 Multi = Tuple[int, int, int]
 ZERO_MULTI: Multi = (0, 0, 0)
@@ -134,19 +136,11 @@ def commutator(x: XValues, y: XValues) -> XValues:
 _SPIN_SLOT = {(2, 3): 0, (3, 1): 1, (1, 2): 2}  # (l, n) -> spin component
 
 
-def _g0_complex() -> np.ndarray:
-    return to_complex_matrix(pd_gammas().get("g0").A)
-
-
 def translation_generators(mass: float) -> List[Tuple[str, XOp]]:
     """p0 = -i g0 omega and p_n = i q_n; unlike the boosts these need only
     m >= 0."""
-    if mass < 0:
-        raise ValueError("mass must be nonnegative")
-    gc0 = _g0_complex()
+    p0 = fw_hamiltonian(mass).scaled(-1j, "p0")
     ident4 = np.eye(4, dtype=complex)
-    p0 = MomentumSymbol.linear_matrix(lambda q: (-1j * omega(q, mass)) * gc0,
-                                      "p0")
     gens = [("p0", XOp({ZERO_MULTI: p0}))]
     for n in range(3):
         pn = MomentumSymbol.linear_matrix(lambda q, n=n: (1j * q[n]) * ident4,
@@ -170,15 +164,15 @@ def build_poincare_generators(mass: float) -> List[Tuple[str, XOp]]:
     """
     if mass <= 0:
         raise ValueError("boost generators need m > 0")
-    gc0 = _g0_complex()
+    gc0 = pd_gammas().get("g0").floats()[0]
     ig0 = 1j * gc0
     ident4 = np.eye(4, dtype=complex)
     spin = breve_spin().ops()
     # i g0 spin_l, linear and antilinear parts; a part that is zero on the
     # exact operator is None and adds nothing
-    ig0_spin = [tuple(None if part.is_zero else ig0 @ to_complex_matrix(m)
-                      for part, m in zip(op.parts(), (op.A, op.B)))
+    ig0_spin = [tuple(None if m is None else ig0 @ m for m in op.floats())
                 for op in spin]
+    x_sym = fw_hamiltonian(mass).scaled(-1j, "-ig0w")
 
     gens = translation_generators(mass)
 
@@ -212,8 +206,6 @@ def build_poincare_generators(mass: float) -> List[Tuple[str, XOp]]:
                                      else acc[half] + cq * s)
             return tuple(acc)
 
-        x_sym = MomentumSymbol.linear_matrix(
-            lambda q: (-1j * omega(q, mass)) * gc0, "-ig0w")
         const_sym = MomentumSymbol(boost_const, f"j0{k + 1}c")
         t_sym = MomentumSymbol.linear_matrix(
             lambda q, _k=k: (1j * q[_k]) * ident4, f"iq{k + 1}")
@@ -235,9 +227,7 @@ def evolution_commutator_residual(mass: float, gens: Sequence[XOp],
     diagonalized Hamiltonian of the given mass, evaluated once for all of
     them. For time-independent spatial parts the commutator is
     [iH, G_spatial] plus the x0 coefficient surfacing through d_0."""
-    gc0 = _g0_complex()
-    i_h = MomentumSymbol.linear_matrix(
-        lambda q: (1j * omega(q, mass)) * gc0, "iH")
+    i_h = fw_hamiltonian(mass).scaled(1j, "iH")
     i_h_values = evaluate(XOp({ZERO_MULTI: i_h}), q)
     worst = 0.0
     for gen, value in zip(gens, values, strict=True):

@@ -328,9 +328,9 @@ def test_product_claims_read_the_named_identities(monkeypatch):
     real = ercd.suites.gamma_product_identities
 
     def one_broken():
-        rep = real()
-        rep.payload["g5 g6 = i"] = False
-        return rep
+        holds = real()
+        holds["g5 g6 = i"] = False
+        return holds
 
     monkeypatch.setattr(ercd.suites, "gamma_product_identities", one_broken)
     ledger = run_suite(SuiteConfig(suites=("percd",)))

@@ -1,10 +1,16 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ercd.algebras import (a32, bosonic_rep, cd16, ercd64, extended_gammas,
-                           pd_gammas)
+from ercd.algebras import (a32, bosonic_rep, bosonic_so8_generators,
+                           breve_spin, cd16, ercd64, extended_gammas,
+                           pd_gammas, percd29, pgi8, pgi_lorentz6, so6,
+                           so8_generators, so15_generators)
 from ercd.operators import (GeneralOp, anticommutator, commutator, compose,
                             gram, mat)
 from ercd.scalars import HALF, ExactScalar, I_UNIT, ZERO
@@ -263,6 +269,60 @@ def test_views_round_trip_and_equal_ops_hash_equal():
         assert other == op.scaled(HALF) and hash(other) == hash(op.scaled(HALF))
         assert op.scaled(Fraction(1, 3)).scaled(3) == op
         assert sum(op.parts(), GeneralOp.zero()) == op
+
+
+def _reference_image(m):
+    """The per-entry float image of an exact 4x4 matrix, None when it is
+    zero: the conversion that GeneralOp.floats replaced."""
+    if not any(x for row in m for x in row):
+        return None
+    return np.array([[complex(float(x.a) + float(x.b) * math.sqrt(2),
+                              float(x.c) + float(x.d) * math.sqrt(2))
+                      for x in row] for row in m], dtype=complex)
+
+
+def _assert_floats_match_the_views(op):
+    for image, view in zip(op.floats(), (op.A, op.B)):
+        ref = _reference_image(view)
+        assert (image is None) == (ref is None)
+        if ref is not None:
+            assert image.dtype == ref.dtype and image.shape == (4, 4)
+            assert image.tobytes() == ref.tobytes()
+
+
+def test_floats_match_the_views_on_every_algebra_operator():
+    breve, w, w_inv = bosonic_rep()
+    sets = (pd_gammas(), extended_gammas(), cd16(), ercd64(), percd29(),
+            so6(), a32(), pgi8(), breve, breve_spin())
+    families = (so15_generators(), so8_generators(),
+                bosonic_so8_generators(), pgi_lorentz6())
+    ops = ([op for s in sets for op in s.ops()]
+           + [op for f in families for op in f.values()] + [w, w_inv])
+    assert len(ops) == 269
+    for op in ops:
+        _assert_floats_match_the_views(op)
+
+
+# an entry is None (zero) or (den, [a, b, c, d]): (a + b sqrt2 + i(c + d sqrt2))/den
+_entries = st.one_of(st.none(), st.tuples(
+    st.sampled_from((1, 2, 3, 5, 7, 9)),
+    st.lists(st.integers(-4, 4), min_size=4, max_size=4)))
+_grids = st.one_of(st.none(), st.lists(_entries, min_size=16, max_size=16))
+
+
+def _matrix(grid):
+    if grid is None:
+        return None
+    entries = [ZERO if e is None else ExactScalar(*(Fraction(x, e[0])
+                                                    for x in e[1]))
+               for e in grid]
+    return tuple(tuple(entries[4 * i:4 * i + 4]) for i in range(4))
+
+
+@given(_grids, _grids)
+@settings(max_examples=60, deadline=None)
+def test_floats_match_the_views_on_sqrt2_and_nondyadic_ops(a, b):
+    _assert_floats_match_the_views(GeneralOp(_matrix(a), _matrix(b)))
 
 
 def test_linear_and_antilinear_parts():

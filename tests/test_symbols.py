@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from ercd.algebras import a32, extended_gammas, pd_gammas, pgi8
+from ercd.algebras import a32, ercd64, extended_gammas, pd_gammas, pgi8
 from ercd.operators import GeneralOp, anticommutator, commutator
 from ercd.symbols import (MomentumSymbol, SymbolValues,
                           check_equation_symmetry, dirac_hamiltonian,
                           fw_hamiltonian, fw_transform, omega, pd_spin,
                           sample_momenta, signed_batch, spin_matrices_complex,
-                          tilde_gammas, tilde_values, to_complex_matrix)
+                          tilde_gammas, tilde_values)
 from ercd import symbols
+from ercd.reporting import DEFAULT_TOLERANCES
 from ercd.xops import build_poincare_generators
 
 M = 1.0
@@ -39,7 +40,7 @@ def test_sampling_is_deterministic_and_bounded():
 
 
 def test_hamiltonian_values_at_rest():
-    g0 = to_complex_matrix(pd_gammas().get("g0").A)
+    g0, _ = pd_gammas().get("g0").floats()
     h, _ = fw_hamiltonian(M).symbol.value_at((0.0, 0.0, 0.0))
     assert np.allclose(h, g0)
     h, _ = dirac_hamiltonian(M).symbol.value_at((0.0, 0.0, 0.0))
@@ -114,15 +115,14 @@ def test_nonlocal_spin_equals_conjugated_spin():
 
 def test_tilde_vector_at_rest():
     tgs = dict(tilde_gammas(M))
-    g4 = to_complex_matrix(pd_gammas().get("g4").A)
+    g4, _ = pd_gammas().get("g4").floats()
     a, _ = tgs["tg4"].value_at((0.0, 0.0, 0.0))
     assert np.allclose(a, g4, atol=TOL)
 
 
 def test_tilde_set_satisfies_minus_two_delta():
-    q = signed_batch(SAMPLES[:12])
-    tgs = dict(tilde_gammas(M))
-    values = [tgs[f"tg{k}"](q) for k in range(1, 8)]
+    tilde = tilde_values(M, signed_batch(SAMPLES[:12]))
+    values = [tilde[f"tg{k}"] for k in range(1, 8)]
     for a in range(7):
         for b in range(a, 7):
             ac = anticommutator(values[a], values[b])
@@ -138,14 +138,17 @@ def test_tilde_operators_match_conjugation():
     fundamentals = {f"tg{k}": _const(ext.get(f"g{k}")) for k in range(1, 8)}
     fundamentals["tg0"] = _const(pd_gammas().get("g0"))
     fundamentals["tC"] = _const(GeneralOp.conjugation())
-    for lbl, sym in tilde_gammas(M):
+    values = tilde_values(M, q)
+    assert set(values) == set(fundamentals)
+    for lbl, value in values.items():
         conj = vp @ fundamentals[lbl](q) @ vm
-        assert (sym(q) - conj).norm() < TOL, lbl
+        assert (value - conj).norm() < TOL, lbl
 
 
 def test_tilde_values_evaluate_each_closed_form_once(monkeypatch):
-    # the six closed forms (tg1..tg4, tg0, tC) call omega once each; tg5,
-    # tg6 and tg7 compose their values, bit for bit as their symbols do
+    # the six closed forms (tg1..tg4, tg0, tC) call omega once each, and
+    # their values are bit for bit the symbols' own; tg5, tg6 and tg7
+    # compose them
     q = signed_batch(SAMPLES[:40])
     calls = []
 
@@ -158,7 +161,7 @@ def test_tilde_values_evaluate_each_closed_form_once(monkeypatch):
     assert len(calls) == 6
     monkeypatch.undo()
     syms = tilde_gammas(M)
-    assert list(values) == [lbl for lbl, _ in syms]
+    assert len(syms) == 6 and len(values) == 9
     for lbl, sym in syms:
         assert all(np.array_equal(x, y)
                    for x, y in zip(values[lbl], sym(q))), lbl
@@ -297,6 +300,26 @@ def test_momentum_symbol_symmetry_check_numeric_path():
                          "V+ g7 V-")
     q = signed_batch(SAMPLES[:25])
     assert commutator(sym(q), 1j * hd.symbol(q)).norm() < TOL
+
+
+def test_exact_terms_and_symbol_state_the_same_hamiltonian():
+    # the exact verdict on the terms against the flip-law commutator of the
+    # constant with the symbol built from them, on every ort of ercd64 and
+    # pgi8; a rejected ort leaves a residual far above the tolerance
+    tol = DEFAULT_TOLERANCES["momentum"]
+    q = signed_batch(SAMPLES[:25])
+    orts = ercd64().ops() + pgi8().ops()
+    verdicts = set()
+    for eq in (fw_hamiltonian(1.0), dirac_hamiltonian(0.0),
+               dirac_hamiltonian(1.0)):
+        i_h = 1j * eq.symbol(q)
+        for x in orts:
+            exact = check_equation_symmetry(x, eq)
+            residual = commutator(_const(x)(q), i_h).norm()
+            assert exact == (residual < tol), (eq.symbol.label, x, residual)
+            assert exact or residual > 1e-3
+            verdicts.add(exact)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
