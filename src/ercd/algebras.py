@@ -10,9 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .operators import GeneralOp, commutator, compose, mat
+import numpy as np
+
+from .operators import GeneralOp, commutator, compose, mat, row_products
 from .scalars import ExactScalar, HALF, I_UNIT, INV_SQRT2, ONE, ZERO
 
 Pair = Tuple[int, int]
@@ -121,6 +123,55 @@ def extended_gammas() -> OrtSet:
     return OrtSet("extended_gammas", (
         *((lbl, g.get(lbl)) for lbl in ("g1", "g2", "g3", "g4")),
         ("g5", g5), ("g6", g6), ("g7", g7)))
+
+
+# ---------------------------------------------------------------------------
+# Clifford blade codes
+# ---------------------------------------------------------------------------
+
+_BITS = np.array([bin(m).count("1") for m in range(64)])
+# e_S e_T = BLADE_SIGNS[S, T] e_{S xor T}: -1 to the swaps that sort the
+# factors (s in S above t in T; shifts k > 0) plus |S & T| (k = 0), g_k^2 = -I
+BLADE_SIGNS = 1 - 2 * (sum(_BITS[(np.arange(64)[:, None] >> k) & np.arange(64)]
+                           for k in range(6)) % 2)
+
+
+@lru_cache(maxsize=None)
+def _signed_blades() -> Dict[GeneralOp, Tuple[int, int]]:
+    """The 128 signed blades mapped to their codes, from 63 products; empty
+    unless g1..g6 satisfy g_k^2 = -I and {g_k, g_l} = 0 exactly."""
+    gens = extended_gammas().ops()[:6]
+    if any(a != GeneralOp.identity().scaled(-2) if k == l else not a.is_zero
+           for k, g in enumerate(gens)
+           for l, a in enumerate(row_products(g, gens, "{}")[0])):
+        return {}
+    blades = [GeneralOp.identity()]
+    for g in gens:  # e_{S + k} = e_S g_k, S below k: blades in mask order
+        blades += [b @ g for b in blades]
+    return {b if s > 0 else -b: (s, m)
+            for s in (1, -1) for m, b in enumerate(blades)}
+
+
+def blade_codes(ops: Sequence[GeneralOp]) -> Optional[List[Tuple[int, int]]]:
+    """The code (sign, S) of each op = sign * e_S, e_S the product of the g_k
+    of g1..g6 with bit k-1 of S set, in increasing k; or None unless every
+    op is a signed blade and no two share a mask. As g1..g6 satisfy the
+    Clifford relations, every product of the ops follows from BLADE_SIGNS
+    (universal property); the tables of relations and spans then use it."""
+    codes = [_signed_blades().get(op) for op in ops]
+    if None in codes or len({m for _, m in codes}) != len(codes):
+        return None
+    return codes
+
+
+def blade_products(xs, ys):
+    """For each code x of xs, three lists over the codes y of ys: the signs
+    and the masks of the codes of x y, and whether x and y commute."""
+    signs, masks = np.array(ys).reshape(-1, 2).T
+    for s, m in xs:
+        sigma = BLADE_SIGNS[m, masks]
+        yield ((s * signs * sigma).tolist(), (m ^ masks).tolist(),
+               (sigma == BLADE_SIGNS[masks, m]).tolist())
 
 
 # ---------------------------------------------------------------------------

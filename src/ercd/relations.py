@@ -7,7 +7,9 @@ failure, never a tolerance question. The two defect rules,
 ``rotation_defects`` and ``anticommutation_defects``, use only @, + and -,
 so they serve exact operators and evaluated symbols
 (``symbols.SymbolValues``) alike: the fw suite reads their defects on the
-nonlocal generators as float residuals.
+nonlocal generators as float residuals. The multiplication and commutator
+tables follow the blade rule when ``algebras.blade_codes`` names every ort,
+and the matrix rows otherwise.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .algebras import (OrtSet, extended_gammas, pair_op, pd_gammas,
-                       pgi_lorentz6, so8_generators)
+from .algebras import (OrtSet, blade_codes, blade_products, extended_gammas,
+                       pair_op, pd_gammas, pgi_lorentz6, so8_generators)
 from .operators import (GeneralOp, anticommutator, commutator, compose,
                         row_products)
 from .spans import OrthogonalBasis, bracket_coordinates
@@ -297,22 +299,46 @@ def squares_and_pairing_check(ortset: OrtSet) -> StructureReport:
 # tables for the dump interface
 # ---------------------------------------------------------------------------
 
+def _blade_pairs(ortset: OrtSet):
+    """(left, right, hit, commutes) per ordered pair of a set blade_codes
+    names, hit the (unit, label) of left*right or None, from the code image
+    of OrtSet.unit_multiples (an ort enters 1, -1, i, -i; a later one wins)."""
+    codes = blade_codes(ortset.ops())
+    if codes is None:
+        return None
+    labels, units = ortset.labels(), {}
+    ((i_signs, i_masks, _),) = blade_products(
+        blade_codes([GeneralOp.imaginary_unit()]), codes)
+    for lbl, (s, m), si, mi in zip(labels, codes, i_signs, i_masks):
+        units.update({(s, m): ("1", lbl), (-s, m): ("-1", lbl),
+                      (si, mi): ("i", lbl), (-si, mi): ("-i", lbl)})
+    return [(li, lj, units.get(code), c) for li, (signs, masks, commutes)
+            in zip(labels, blade_products(codes, codes))
+            for lj, code, c in zip(labels, zip(signs, masks), commutes)]
+
+
 def multiplication_table(ortset: OrtSet) -> List[Tuple[str, str, str, str]]:
     """(left, right, unit, label) rows with left*right = unit*label."""
-    rows = []
+    pairs = _blade_pairs(ortset)
+    if pairs is not None:
+        return [(li, lj, *(hit or ("?", "outside-basis")))
+                for li, lj, hit, _ in pairs]
     labels, ops = ortset.labels(), ortset.ops()
-    for li, xi in ortset:
-        (products,) = row_products(xi, ops, "xy")
-        for lj, product in zip(labels, products):
-            hit = match_to_basis(ortset, product)
-            rows.append((li, lj, *(hit or ("?", "outside-basis"))))
-    return rows
+    return [(li, lj, *(match_to_basis(ortset, product)
+                       or ("?", "outside-basis")))
+            for li, xi in ortset
+            for lj, product in zip(labels, row_products(xi, ops, "xy")[0])]
 
 
 def commutator_table(ortset: OrtSet) -> List[Tuple[str, str, str]]:
     """(left, right, rendered) rows; the rendered entry is '0', or
     'unit*label' when the commutator is proportional to a basis element,
     else 'mixed'."""
+    pairs = _blade_pairs(ortset)
+    if pairs is not None:
+        # anticommuting blades give [x, y] = 2 x y, never a unit multiple
+        return [(li, lj, "0" if c else f"2*{hit[0]}*{hit[1]}" if hit
+                 else "mixed") for li, lj, hit, c in pairs]
     rows = []
     labels, ops = ortset.labels(), ortset.ops()
     for li, xi in ortset:

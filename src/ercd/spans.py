@@ -18,7 +18,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebras import ercd64
+from .algebras import blade_codes, blade_products, ercd64
 from .operators import GeneralOp, gram, row_products
 from .scalars import ExactScalar
 
@@ -131,6 +131,9 @@ def structure_constants(generators: Sequence[GeneralOp]
     The generators must be nonzero and mutually orthogonal, which makes the
     expansion unique; anything else is rejected with ValueError.
     """
+    codes = blade_codes(generators)
+    if codes is not None:
+        return _blade_structure_constants(codes)
     basis = OrthogonalBasis(generators)
     if basis.rank != len(basis.ops):
         raise ValueError("generator set contains a zero operator; "
@@ -144,4 +147,23 @@ def structure_constants(generators: Sequence[GeneralOp]
         for k, c in coords.items():
             table[(i, j, k)] = c
             table[(j, i, k)] = -c
+    return table
+
+
+def _blade_structure_constants(codes):
+    """structure_constants of distinct signed blades s_i e_{S_i} (nonzero,
+    orthogonal): [g_i, g_j] is 0 if they commute, else 2 g_i g_j, which is
+    +-2 g_k if S_k = S_i xor S_j and outside the span if no S_k is."""
+    index = {mask: k for k, (_, mask) in enumerate(codes)}
+    two = {1: ExactScalar(2), -1: ExactScalar(-2)}
+    table: Dict[Tuple[int, int, int], ExactScalar] = {}
+    for i, (signs, masks, commutes) in enumerate(blade_products(codes, codes)):
+        for j in range(i + 1, len(codes)):
+            if not commutes[j]:
+                if masks[j] not in index:
+                    raise ValueError(f"commutator of generators {i},{j} "
+                                     "lies outside the span")
+                k = index[masks[j]]
+                c = signs[j] * codes[k][0]
+                table[(i, j, k)], table[(j, i, k)] = two[c], two[-c]
     return table

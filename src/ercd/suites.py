@@ -668,13 +668,14 @@ def dump_tables(set_name: str, kind: str, fmt: str = "json") -> str:
                 for (i, j, k), coeff in sorted(table.items())]
 
     if fmt == "json":
-        return json.dumps({
-            "schema_version": 1,
-            "set": set_name,
-            "kind": kind,
-            "columns": header,
-            "entries": rows,
-        }, sort_keys=True, indent=2) + "\n"
+        # json.dumps' indent=2 layout, the entries through the C encoder
+        text = json.dumps({"schema_version": 1, "set": set_name, "kind": kind,
+                           "columns": header, "entries": [0] if rows else []},
+                          sort_keys=True, indent=2)
+        entries = ",\n".join("    [\n      " + ",\n      ".join(
+            map(json.encoder.encode_basestring_ascii, row)) + "\n    ]"
+            for row in rows)
+        return text.replace("\n    0\n", f"\n{entries}\n", 1) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)

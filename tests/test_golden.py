@@ -4,10 +4,10 @@ outputs under bench/golden (read through bench/workloads.py), and the
 canonical JSON of six momentum-suite runs, against the reports recorded
 under tests/golden (their sampled residuals are floats, so a change of
 host, numpy or BLAS may move their last digits). tests/golden also holds
-the SHA-256 of all 18 JSON dumps (6 sets x 3 kinds), the full CSV report
-and the JSON report under --inject-fault g2,0,1. numpy is the only runtime
-dependency: the same outputs come from a process in which sympy cannot be
-imported."""
+the SHA-256 of all 18 dumps (6 sets x 3 kinds) in JSON and in CSV, the
+full CSV report and the JSON report under --inject-fault g2,0,1. numpy is
+the only runtime dependency: the same outputs come from a process in which
+sympy cannot be imported."""
 
 import hashlib
 import importlib.util
@@ -20,6 +20,8 @@ import sys
 import pytest
 
 import ercd
+from ercd import suites
+from ercd.algebras import OrtSet, ercd64
 from ercd.cli import main
 from ercd.suites import DUMP_KINDS
 
@@ -50,16 +52,40 @@ def test_table_dumps_match_the_golden_digests(capsys):
     assert workloads.check_tables(outs) == (len(outs), 0)
 
 
-def test_all_dumps_match_the_recorded_digests(capsys):
-    digests = json.loads((_GOLDEN / "dumps.sha256.json").read_text())
+def _dump_digests(capsys, *options):
     got = {}
     for name in ("cd16", "ercd64", "percd29", "so6", "a32", "pgi8"):
         for kind in DUMP_KINDS:
-            out = _run(["dump", "--set", name, "--kind", kind], capsys)
+            out = _run(["dump", "--set", name, "--kind", kind, *options],
+                       capsys)
             assert out["rc"] == 0
             got[f"{name}/{kind}"] = hashlib.sha256(
                 out["stdout"].encode()).hexdigest()
-    assert got == digests
+    return got
+
+
+def test_all_dumps_match_the_recorded_digests(capsys):
+    digests = json.loads((_GOLDEN / "dumps.sha256.json").read_text())
+    assert _dump_digests(capsys) == digests
+
+
+def test_all_csv_dumps_match_the_recorded_digests(capsys):
+    digests = json.loads((_GOLDEN / "dumps-csv.sha256.json").read_text())
+    assert _dump_digests(capsys, "--format", "csv") == digests
+
+
+@pytest.mark.parametrize("kind", DUMP_KINDS)
+def test_the_json_dump_layout_is_that_of_json_dumps(kind, monkeypatch):
+    # labels that need escapes; x and i x commute, so there are no
+    # structure constants
+    ops = ercd64().ops()
+    odd = OrtSet("odd", (("\u00e9\"\\", ops[5]), ("tab\t\u2603", ops[21]),
+                         ("I", ops[0])))
+    monkeypatch.setitem(suites._DUMPABLE, "odd", lambda: odd)
+    text = suites.dump_tables("odd", kind)
+    doc = json.loads(text)
+    assert (doc["entries"] == []) == (kind == "structure-constants")
+    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("argv, golden", [

@@ -5,7 +5,10 @@ operators.commutator and operators.anticommutator on three sets: ercd64,
 a32 (all d = 1, no sqrt2 part) and the bosonic so(8) generators
 (d = 2 and 4, with sqrt2 parts). structure_constants, closure_check and
 the two dump tables are checked against per-pair references kept here,
-and the kernel's overflow guard against that of @.
+and the kernel's overflow guard against that of @. The tables of the six
+dumpable sets come from blade codes; sets the codes do not name (halves of
+blades, a doubled ort, op with -op, a zero operator) take the matrix rows
+and must give the same rows and the same errors.
 """
 
 import tracemalloc
@@ -14,14 +17,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ercd.algebras import (OrtSet, a32, bosonic_so8_generators, cd16, ercd64,
-                           pd_gammas)
+from ercd.algebras import (OrtSet, a32, blade_codes, bosonic_so8_generators,
+                           cd16, ercd64, pd_gammas, percd29, pgi8, so6,
+                           so8_generators)
 from ercd.operators import (GeneralOp, anticommutator, commutator, gram, mat,
                             row_products)
 from ercd.relations import closure_check, commutator_table, multiplication_table
 from ercd.scalars import HALF, ExactScalar
 from ercd.spans import structure_constants
 from ercd.suites import dump_tables
+
+DUMPABLE = {"cd16": cd16, "ercd64": ercd64, "percd29": percd29, "so6": so6,
+            "a32": a32, "pgi8": pgi8}
 
 SETS = {
     "ercd64": lambda: ercd64().ops(),
@@ -86,9 +93,10 @@ def _reference_structure_constants(gens):
     return table
 
 
-@pytest.mark.parametrize("name", sorted(SETS))
+@pytest.mark.parametrize("name", sorted({**SETS, **DUMPABLE}))
 def test_structure_constants_match_the_per_pair_reference(name):
-    gens = [op for op in SETS[name]() if op != GeneralOp.identity()]
+    ops = SETS[name]() if name in SETS else DUMPABLE[name]().ops()
+    gens = [op for op in ops if op != GeneralOp.identity()]
     assert structure_constants(gens) == _reference_structure_constants(gens)
 
 
@@ -118,9 +126,9 @@ def test_closure_check_matches_the_per_pair_reference(name):
     assert rep.passed == closes
 
 
-@pytest.mark.parametrize("ortset", [cd16(), a32(), pd_gammas()],
-                         ids=lambda s: s.name)
-def test_dump_tables_match_the_per_pair_reference(ortset):
+def _reference_tables(ortset):
+    """The multiplication and commutator rows from one product, one
+    commutator and unit_multiples lookups per pair."""
     mult, comm = [], []
     for li, x in ortset:
         for lj, y in ortset:
@@ -132,8 +140,55 @@ def test_dump_tables_match_the_per_pair_reference(ortset):
             comm.append((li, lj, "0" if c.is_zero
                          else f"{hit[0]}*{hit[1]}" if hit
                          else f"2*{half[0]}*{half[1]}" if half else "mixed"))
-    assert multiplication_table(ortset) == mult
-    assert commutator_table(ortset) == comm
+    return mult, comm
+
+
+# the six dumpable sets, all of them distinct signed blades, and pd_gammas,
+# blades whose products leave the set
+@pytest.mark.parametrize("ortset", [s() for s in DUMPABLE.values()]
+                         + [pd_gammas()], ids=lambda s: s.name)
+def test_dump_tables_match_the_per_pair_reference(ortset):
+    assert blade_codes(ortset.ops()) is not None
+    assert (multiplication_table(ortset),
+            commutator_table(ortset)) == _reference_tables(ortset)
+
+
+def _with(ortset, index, op, label):
+    elements = list(ortset.elements)
+    elements[index] = (label, op)
+    return OrtSet(f"{ortset.name}-changed", tuple(elements))
+
+
+# sets the blade codes do not name: (set, structure-constant error or None)
+OFF_BLADE = {
+    "so8-triple": (lambda: OrtSet("triple", tuple(
+        (f"s{a}{b}", so8_generators()[(a, b)])
+        for a, b in ((1, 2), (1, 3), (2, 3)))), None),
+    "ercd64-doubled": (lambda: _with(ercd64(), 5, ercd64().ops()[5].scaled(2),
+                                     "twice"), None),
+    "cd16-plus-minus": (lambda: _with(cd16(), 2, -cd16().ops()[1], "minus"),
+                        "operators 0 and 1 are not orthogonal under the "
+                        "trace form"),
+    "cd16-zero": (lambda: _with(cd16(), 3, GeneralOp.zero(), "zero"),
+                  "generator set contains a zero operator; structure "
+                  "constants would not be unique"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFF_BLADE))
+def test_tables_off_the_blade_path_match_the_per_pair_reference(name):
+    build, error = OFF_BLADE[name]
+    ortset = build()
+    assert blade_codes(ortset.ops()) is None
+    assert (multiplication_table(ortset),
+            commutator_table(ortset)) == _reference_tables(ortset)
+    gens = [op for lbl, op in ortset if lbl != "I"]
+    if error is None:
+        assert structure_constants(gens) == _reference_structure_constants(gens)
+    else:
+        with pytest.raises(ValueError) as refused:
+            structure_constants(gens)
+        assert str(refused.value) == error
 
 
 def test_the_row_refuses_what_matmul_refuses():
