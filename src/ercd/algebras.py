@@ -166,12 +166,13 @@ def blade_codes(ops: Sequence[GeneralOp]) -> Optional[List[Tuple[int, int]]]:
 
 def blade_products(xs, ys):
     """For each code x of xs, three lists over the codes y of ys: the signs
-    and the masks of the codes of x y, and whether x and y commute."""
-    signs, masks = np.array(ys).reshape(-1, 2).T
-    for s, m in xs:
-        sigma = BLADE_SIGNS[m, masks]
-        yield ((s * signs * sigma).tolist(), (m ^ masks).tolist(),
-               (sigma == BLADE_SIGNS[masks, m]).tolist())
+    and the masks of the codes of x y, and whether x and y commute. The
+    whole table is read from BLADE_SIGNS at once."""
+    (sx, mx), (sy, my) = (np.array(c).reshape(-1, 2).T for c in (xs, ys))
+    sigma = BLADE_SIGNS[mx[:, None], my]
+    return zip((sx[:, None] * sy * sigma).tolist(),
+               (mx[:, None] ^ my).tolist(),
+               (sigma == BLADE_SIGNS[my, mx[:, None]]).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +202,6 @@ def so15_generators(gammas: "OrtSet | None" = None) -> Dict[Pair, GeneralOp]:
     fifth index slot holding s^{m,5} = g_m / 2."""
     g = gammas if gammas is not None else pd_gammas()
     return rotation_family([g.get(f"g{k}").scaled(HALF) for k in range(5)])
-
-
-def pair_op(table: Dict[Pair, GeneralOp], a: int, b: int) -> GeneralOp:
-    """Antisymmetric lookup: s^{ba} = -s^{ab} (a != b)."""
-    if (a, b) in table:
-        return table[(a, b)]
-    return -table[(b, a)]
 
 
 def _doubled_family(name: str, table: Dict[Pair, GeneralOp]) -> OrtSet:

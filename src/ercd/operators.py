@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -287,6 +287,37 @@ def row_products(x: GeneralOp, ys: Sequence[GeneralOp], *forms: str
     ops = _normal(np.ascontiguousarray(pq.transpose(1, 0, 2, 3)),
                   [x._d * y._d * f for _, f in spec for y in ys])
     return [ops[k:k + len(ys)] for k in range(0, len(ops), len(ys))]
+
+
+def bracket_matches(ops: Sequence[GeneralOp], coeffs: np.ndarray
+                    ) -> Iterator[List[bool]]:
+    """For each x = ops[p], whether [x, ops[q]] == sum_k coeffs[p, q, k]
+    ops[k] exactly, one list over q per p, with coeffs an integer array of
+    shape (n, n, n). The carriers are brought to one common denominator D
+    and stacked as Y; the test then reads x Y_q - Y_q x == d_x sum_k
+    coeffs[p, q, k] Y_k on integers, and no operator is built per pair.
+    The overflow guard is that of @. Rows, as in row_products, keep the
+    peak memory flat."""
+    if not ops:
+        return
+    dens = [op._d for op in ops]
+    scales = [math.lcm(*dens) // d for d in dens]
+    weight = int(np.abs(coeffs).sum(axis=2).max())
+
+    def bound_of(*bs):
+        # a stacked entry, an entry of either product of a bracket, and a
+        # contraction of at most weight stacked entries scaled by d_x
+        b = max(bk * s for bk, s in zip(bs, scales))
+        return max(b, 24 * max(bs) * b, max(dens) * weight * b)
+
+    _checked(bound_of, *ops)
+    stack = np.stack([op._pq * s for op, s in zip(ops, scales)], axis=1)
+    for x, c in zip(ops, coeffs):
+        xp = x._pq[:, None]
+        # a bracket subtracts two entries of at most _LIMIT, so it cannot wrap
+        bracket = _product(xp, stack) - _product(stack, xp)
+        expected = x._d * np.einsum("qk,ikab->iqab", c, stack)
+        yield (bracket == expected).all(axis=(0, 2, 3)).tolist()
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

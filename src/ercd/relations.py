@@ -3,25 +3,32 @@ commutation tables, Hermiticity classification, explicit-form identities,
 Casimir evaluation and Lie closure.
 
 Every check in this module is exact: a nonzero deviation is a hard
-failure, never a tolerance question. The two defect rules,
-``rotation_defects`` and ``anticommutation_defects``, use only @, + and -,
-so they serve exact operators and evaluated symbols
-(``symbols.SymbolValues``) alike: the fw suite reads their defects on the
-nonlocal generators as float residuals. The multiplication and commutator
-tables follow the blade rule when ``algebras.blade_codes`` names every ort,
-and the matrix rows otherwise.
+failure, never a tolerance question. The metric-contraction rule of the
+rotation tables is one integer tensor C[P, Q, K], built once per family
+shape. check_rotation_table reads it one generator row at a time on
+integers (operators.bracket_matches); rotation_defects reads it pair by
+pair with @, + and - only, so evaluated symbols (``symbols.SymbolValues``)
+take it too, and the fw suite reads its defects on the nonlocal
+generators as float residuals, as it does those of
+``anticommutation_defects``. On a set that ``algebras.blade_codes`` names
+in full, the Lie closure, the squares-and-pairing check and the
+multiplication and commutator tables follow the blade rule; every other
+set takes the matrix rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .algebras import (OrtSet, blade_codes, blade_products, extended_gammas,
-                       pair_op, pd_gammas, pgi_lorentz6, so8_generators)
-from .operators import (GeneralOp, anticommutator, commutator, compose,
-                        row_products)
-from .spans import OrthogonalBasis, bracket_coordinates
+                       pd_gammas, pgi_lorentz6, so8_generators)
+from .operators import (GeneralOp, anticommutator, bracket_matches,
+                        commutator, compose, row_products)
+from .spans import bracket_coordinates
 
 MetricSignature = Tuple[int, ...]
 Pair = Tuple[int, int]
@@ -79,44 +86,71 @@ def anticommutation_defects(gens: Sequence, metric: MetricSignature, unit
             yield a, b, defect
 
 
+@lru_cache(maxsize=None)
+def _contraction(pairs: Tuple[Pair, ...], metric: MetricSignature,
+                 index_base: int) -> np.ndarray:
+    """C[P, Q, K], integers with [s^P, s^Q] = sum_K C[P, Q, K] s^K over the
+    keys of a family, from the metric-contraction rule
+
+        [s^{mn}, s^{rs}] = -g^{mr} s^{ns} - g^{rn} s^{sm}
+                           - g^{ns} s^{mr} - g^{sm} s^{rn},
+
+    with s^{aa} = 0 and s^{ba} = -s^{ab} for a key (a, b). Two distinct
+    pairs share at most one index, so at most one term survives and every
+    entry is 0 or +-1. Built once per (pairs, metric, index_base)."""
+    index = {pair: k for k, pair in enumerate(pairs)}
+    rule = np.zeros((len(pairs),) * 3, dtype=np.int64)
+    for p, (m, n) in enumerate(pairs):
+        for q, (r, s) in enumerate(pairs):
+            for i, j, k, l in ((m, r, n, s), (r, n, s, m),
+                               (n, s, m, r), (s, m, r, n)):
+                if i == j and k != l:
+                    sign = -metric[i - index_base]
+                    if (k, l) in index:
+                        rule[p, q, index[(k, l)]] += sign
+                    else:
+                        rule[p, q, index[(l, k)]] -= sign
+    return rule
+
+
 def rotation_defects(table: Dict[Pair, object], metric: MetricSignature,
                      index_base: int = 0
                      ) -> Iterator[Tuple[Pair, Pair, object]]:
     """((m, n), (r, s), [s^{mn}, s^{rs}] - rhs) for every pair of pairs of
-    the family, with the metric-contraction rule
-
-        [s^{mn}, s^{rs}] = -g^{mr} s^{ns} - g^{rn} s^{sm}
-                           - g^{ns} s^{mr} - g^{sm} s^{rn}.
-
-    Terms s^{aa} vanish and are skipped, so no zero element is needed."""
+    the family, rhs the term that the contraction rule C of
+    check_rotation_table gives, formed pair by pair with @, + and - only,
+    so evaluated symbols (``symbols.SymbolValues``) take it too."""
     pairs = sorted(table)
-    for (m, n) in pairs:
-        for (r, s) in pairs:
-            defect = commutator(table[(m, n)], table[(r, s)])
-            for i, j, k, l in ((m, r, n, s), (r, n, s, m),
-                               (n, s, m, r), (s, m, r, n)):
-                if i == j and k != l:
-                    term = pair_op(table, k, l)
-                    if metric[i - index_base] > 0:
-                        defect = defect + term
-                    else:
-                        defect = defect - term
-            yield (m, n), (r, s), defect
+    rule = _contraction(tuple(pairs), metric, index_base)
+    # (P, Q) -> (s^K, whether C[P, Q, K] = +1), the one term of the pair
+    terms = {(p, q): (table[pairs[k]], rule[p, q, k] > 0)
+             for p, q, k in np.argwhere(rule).tolist()}
+    for p, pair in enumerate(pairs):
+        for q, other in enumerate(pairs):
+            defect = commutator(table[pair], table[other])
+            if (p, q) in terms:
+                term, plus = terms[(p, q)]
+                defect = defect - term if plus else defect + term
+            yield pair, other, defect
 
 
 def check_rotation_table(table: Dict[Pair, GeneralOp], metric: MetricSignature,
                          index_base: int = 0) -> StructureReport:
-    """Full pairwise commutator table against the metric-contraction rule.
+    """Full pairwise commutator table against the metric-contraction rule,
+    one integer row per generator (operators.bracket_matches against the
+    contraction rule C).
 
     The compact all-minus signature reproduces the plus-sign (delta) form
     of the commutation relations; the (+,-,...,-) signature gives the
     pseudo-rotation form.
     """
-    rep = StructureReport()
-    for (m, n), (r, s), defect in rotation_defects(table, metric, index_base):
-        rep.checks_total += 1
-        if not defect.is_zero:
-            rep.failures.append(f"[s{m}{n}, s{r}{s}] mismatch")
+    pairs = sorted(table)
+    rule = _contraction(tuple(pairs), metric, index_base)
+    rep = StructureReport(len(pairs) ** 2)
+    rows = bracket_matches([table[pair] for pair in pairs], rule)
+    for (m, n), row in zip(pairs, rows):
+        rep.failures += [f"[s{m}{n}, s{r}{s}] mismatch"
+                         for (r, s), ok in zip(pairs, row) if not ok]
     return rep
 
 
@@ -251,13 +285,11 @@ def casimir_spin_squared(spin: OrtSet | Sequence[GeneralOp]) -> GeneralOp:
 
 def closure_check(ortset: OrtSet) -> StructureReport:
     """Every pairwise commutator must lie in the real span of the set."""
-    rep = StructureReport()
     labels = ortset.labels()
-    for i, j, coords in bracket_coordinates(OrthogonalBasis(ortset.ops())):
-        rep.checks_total += 1
-        if coords is None:
-            rep.failures.append(f"[{labels[i]}, {labels[j]}] outside span")
-    return rep
+    return StructureReport(len(labels) * (len(labels) - 1) // 2, [
+        f"[{labels[i]}, {labels[j]}] outside span"
+        for i, j, coords in bracket_coordinates(ortset.ops())
+        if coords is None])
 
 
 def composition_closure_check(ortset: OrtSet) -> StructureReport:
@@ -277,9 +309,14 @@ def match_to_basis(ortset: OrtSet, op: GeneralOp
 
 def squares_and_pairing_check(ortset: OrtSet) -> StructureReport:
     """Each ort squares to +I or -I; each pair commutes or anticommutes."""
+    items = list(ortset.elements)
+    if blade_codes(ortset.ops()) is not None:
+        # a signed blade squares to BLADE_SIGNS[S, S] I = +-I, and two blades
+        # commute or anticommute (the commutes flag of blade_products), so
+        # on blade codes every check holds
+        return StructureReport(len(items) * (len(items) + 1) // 2)
     rep = StructureReport()
     ident = GeneralOp.identity()
-    items = list(ortset.elements)
     for lbl, op in items:
         rep.checks_total += 1
         sq = op @ op

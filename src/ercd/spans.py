@@ -112,16 +112,43 @@ def centralizer_dimension(x: GeneralOp) -> int:
     return len(centralizer_kernel(x))
 
 
-def bracket_coordinates(basis: OrthogonalBasis
+def bracket_coordinates(ops: Sequence[GeneralOp]
                         ) -> Iterator[Tuple[int, int, Optional[Coordinates]]]:
-    """(i, j, coordinates of [R_i, R_j]) for every pair i < j of the basis
-    members, None when the commutator lies outside the span; one row of
-    commutators at a time."""
+    """(i, j, coordinates of [ops_i, ops_j]) for every pair i < j whose
+    commutator is not zero, None when it lies outside the span. On distinct
+    signed blades (algebras.blade_codes) the blade rule gives them with no
+    product and no OrthogonalBasis. Otherwise the ops must be mutually
+    orthogonal (ValueError from this call) and the coordinates come one row
+    of commutators at a time."""
+    codes = blade_codes(ops)
+    if codes is not None:
+        return _blade_brackets(codes)
+    return _row_brackets(OrthogonalBasis(ops))
+
+
+def _row_brackets(basis: OrthogonalBasis):
     ops = basis.ops
     for i in range(len(ops) - 1):
         (comms,) = row_products(ops[i], ops[i + 1:], "[]")
         for j, coords in enumerate(basis.coordinates(comms), i + 1):
-            yield i, j, coords
+            if coords != {}:
+                yield i, j, coords
+
+
+_TWO = {1: ExactScalar(2), -1: ExactScalar(-2)}
+
+
+def _blade_brackets(codes):
+    """The blade rule for s_i e_{S_i}: [g_i, g_j] is 0 if they commute,
+    else 2 g_i g_j = +-2 e_{S_i xor S_j}, which is +-2 g_k if S_k is that
+    mask and outside the span if no S_k is."""
+    index = {mask: k for k, (_, mask) in enumerate(codes)}
+    for i, (signs, masks, commutes) in enumerate(blade_products(codes, codes)):
+        for j in range(i + 1, len(codes)):
+            if not commutes[j]:
+                k = index.get(masks[j])
+                yield i, j, (None if k is None
+                             else {k: _TWO[signs[j] * codes[k][0]]})
 
 
 def structure_constants(generators: Sequence[GeneralOp]
@@ -131,39 +158,23 @@ def structure_constants(generators: Sequence[GeneralOp]
     The generators must be nonzero and mutually orthogonal, which makes the
     expansion unique; anything else is rejected with ValueError.
     """
-    codes = blade_codes(generators)
-    if codes is not None:
-        return _blade_structure_constants(codes)
-    basis = OrthogonalBasis(generators)
-    if basis.rank != len(basis.ops):
+    brackets = bracket_coordinates(generators)
+    if any(op.is_zero for op in generators):
         raise ValueError("generator set contains a zero operator; "
                          "structure constants would not be unique")
     table: Dict[Tuple[int, int, int], ExactScalar] = {}
+    # the coordinate objects repeat (the basis builds each once, the blade
+    # rule has two), so each is negated once, keyed by identity; the table
+    # holds every one of them, so no id is reused meanwhile
+    negated: Dict[int, ExactScalar] = {}
     # the pairs i < j fix the table, since c^k_{ji} = -c^k_{ij}
-    for i, j, coords in bracket_coordinates(basis):
+    for i, j, coords in brackets:
         if coords is None:
             raise ValueError(
                 f"commutator of generators {i},{j} lies outside the span")
         for k, c in coords.items():
-            table[(i, j, k)] = c
-            table[(j, i, k)] = -c
-    return table
-
-
-def _blade_structure_constants(codes):
-    """structure_constants of distinct signed blades s_i e_{S_i} (nonzero,
-    orthogonal): [g_i, g_j] is 0 if they commute, else 2 g_i g_j, which is
-    +-2 g_k if S_k = S_i xor S_j and outside the span if no S_k is."""
-    index = {mask: k for k, (_, mask) in enumerate(codes)}
-    two = {1: ExactScalar(2), -1: ExactScalar(-2)}
-    table: Dict[Tuple[int, int, int], ExactScalar] = {}
-    for i, (signs, masks, commutes) in enumerate(blade_products(codes, codes)):
-        for j in range(i + 1, len(codes)):
-            if not commutes[j]:
-                if masks[j] not in index:
-                    raise ValueError(f"commutator of generators {i},{j} "
-                                     "lies outside the span")
-                k = index[masks[j]]
-                c = signs[j] * codes[k][0]
-                table[(i, j, k)], table[(j, i, k)] = two[c], two[-c]
+            key = id(c)
+            if key not in negated:
+                negated[key] = -c
+            table[(i, j, k)], table[(j, i, k)] = c, negated[key]
     return table

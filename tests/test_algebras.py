@@ -2,7 +2,7 @@ import pytest
 
 from ercd.algebras import (OrtSet, a32, bosonic_rep, breve_spin,
                            breve_spin_from_compositions, cd16, ercd64,
-                           extended_gammas, pair_op, pd_gammas, pgi8,
+                           extended_gammas, pd_gammas, pgi8,
                            pgi_lorentz6, percd29, so15_generators, so6,
                            so8_generators)
 from ercd.operators import GeneralOp, compose, mat
@@ -57,7 +57,6 @@ def test_fifth_slot_generators_are_half_gammas():
     g = pd_gammas()
     assert table[(0, 5)] == g.get("g0").scaled(HALF)
     assert cd16().get("alpha_05") == g.get("g0")
-    assert pair_op(table, 5, 0) == -table[(0, 5)]
 
 
 def test_ercd_span_is_full():

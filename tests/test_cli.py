@@ -30,6 +30,27 @@ def test_run_suite_fw_residuals_within_tolerance():
     assert conj.residual < 1e-12
 
 
+def test_wave_operator_at_rest_is_compared_with_beta_m(monkeypatch):
+    from ercd import symbols
+    from ercd.algebras import OrtSet, pd_gammas
+    from ercd.symbols import fw_hamiltonian, sample_momenta
+
+    clean = _claims(SuiteConfig(suites=("fw",)))["fw.wave-operator"]
+    assert clean.status == "pass" and clean.residual == 0.0
+    # H = -g0 w(q) is Hermitian with spectrum (-w, -w, w, w), so only the
+    # q = 0 half can tell it from g0 w(q), and only against a beta that is
+    # not read from the same g0
+    negated = OrtSet("negated-g0", tuple(
+        (lbl, -op if lbl == "g0" else op) for lbl, op in pd_gammas()))
+    for module in (symbols, ercd.suites):
+        monkeypatch.setattr(module, "pd_gammas", lambda: negated)
+    points = sample_momenta(40, seed=42, radius=10.0)
+    assert ercd.suites._light_cone_residual(
+        fw_hamiltonian(1.0), points, 1.0) < 1e-12
+    claim = _claims(SuiteConfig(suites=("fw",)))["fw.wave-operator"]
+    assert claim.failed and claim.residual == 2.0
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite(SuiteConfig(suites=("nope",)))

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from ercd import relations
-from ercd.algebras import (OrtSet, a32, bosonic_rep, bosonic_so8_generators,
-                           breve_spin, cd16, ercd64, extended_gammas,
-                           pd_gammas, pgi8, pgi_lorentz6, percd29,
-                           rotation_family, so15_generators, so8_generators)
+from ercd.algebras import (OrtSet, a32, blade_codes, bosonic_rep,
+                           bosonic_so8_generators, breve_spin, cd16, ercd64,
+                           extended_gammas, pd_gammas, pgi8, pgi_lorentz6,
+                           percd29, rotation_family, so15_generators,
+                           so8_generators)
 from ercd.operators import GeneralOp, commutator
 from ercd.relations import (SO13_METRIC, casimir_spin_squared,
                             check_anticommutation, check_rotation_table,
@@ -269,8 +270,9 @@ def test_squares_and_pairing_failures():
     # nor anticommutes with x; 2I squares to 4I
     x, y = ercd64().get("alpha_01"), ercd64().get("alpha_02")
     two = GeneralOp.identity().scaled(2)
-    rep = squares_and_pairing_check(
-        OrtSet("mixed", (("x", x), ("x+y", x + y), ("2I", two))))
+    mixed = OrtSet("mixed", (("x", x), ("x+y", x + y), ("2I", two)))
+    assert blade_codes(mixed.ops()) is None  # the matrix path
+    rep = squares_and_pairing_check(mixed)
     assert rep.checks_total == 6
     assert rep.failures == ["x+y^2 not +-I", "2I^2 not +-I",
                             "x,x+y neither commute nor anticommute"]

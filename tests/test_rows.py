@@ -1,4 +1,4 @@
-"""The row kernel operators.row_products against the per-pair operators.
+"""The row kernels of operators against the per-pair operators.
 
 Every row product, commutator and anticommutator is checked against @,
 operators.commutator and operators.anticommutator on three sets: ercd64,
@@ -8,7 +8,12 @@ the two dump tables are checked against per-pair references kept here,
 and the kernel's overflow guard against that of @. The tables of the six
 dumpable sets come from blade codes; sets the codes do not name (halves of
 blades, a doubled ort, op with -op, a zero operator) take the matrix rows
-and must give the same rows and the same errors.
+and must give the same rows and the same errors. closure_check and
+squares_and_pairing_check must give the same reports on blade codes as on
+the matrix rows. check_rotation_table, which reads one integer row per
+generator (operators.bracket_matches), and rotation_defects are checked
+against the per-pair metric-contraction rule kept here, on every rotation
+family of the suites, on faulted tables and near the int64 limit.
 """
 
 import tracemalloc
@@ -17,15 +22,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ercd import algebras
 from ercd.algebras import (OrtSet, a32, blade_codes, bosonic_so8_generators,
-                           cd16, ercd64, pd_gammas, percd29, pgi8, so6,
-                           so8_generators)
+                           cd16, ercd64, pd_gammas, percd29, pgi8,
+                           pgi_lorentz6, so6, so8_generators, so15_generators)
 from ercd.operators import (GeneralOp, anticommutator, commutator, gram, mat,
                             row_products)
-from ercd.relations import closure_check, commutator_table, multiplication_table
+from ercd.relations import (COMPACT8, SO13_METRIC, SO15_METRIC,
+                            check_rotation_table, closure_check,
+                            commutator_table, multiplication_table,
+                            rotation_defects, squares_and_pairing_check)
 from ercd.scalars import HALF, ExactScalar
 from ercd.spans import structure_constants
-from ercd.suites import dump_tables
+from ercd.suites import corrupted_pd_gammas, dump_tables
 
 DUMPABLE = {"cd16": cd16, "ercd64": ercd64, "percd29": percd29, "so6": so6,
             "a32": a32, "pgi8": pgi8}
@@ -124,6 +133,26 @@ def test_closure_check_matches_the_per_pair_reference(name):
     assert rep.checks_total == len(ops) * (len(ops) - 1) // 2
     assert rep.failures == failures
     assert rep.passed == closes
+
+
+def _report(rep):
+    return rep.checks_total, rep.failures
+
+
+@pytest.mark.parametrize("ortset", [s() for s in DUMPABLE.values()]
+                         + [b() for b, _ in CLOSURE_SETS.values()],
+                         ids=lambda s: s.name)
+def test_closure_and_pairing_read_the_same_on_blades_as_on_rows(
+        ortset, monkeypatch):
+    blades = blade_codes(ortset.ops()) is not None
+    assert blades or ortset.name == "bosonic-so8"
+    reports = [_report(closure_check(ortset)),
+               _report(squares_and_pairing_check(ortset))]
+    # without blades every set takes the matrix rows
+    monkeypatch.setattr(algebras, "_signed_blades", lambda: {})
+    assert blade_codes(ortset.ops()) is None
+    assert reports == [_report(closure_check(ortset)),
+                       _report(squares_and_pairing_check(ortset))]
 
 
 def _reference_tables(ortset):
@@ -257,3 +286,93 @@ def test_ercd64_dumps_keep_a_flat_memory_peak(kind):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20
+
+
+def _reference_rotation(table, metric, base=0):
+    """(checks_total, failures, defects) of the per-pair rule: one
+    commutator per pair of pairs, then the four metric-contraction terms
+    s^{kl} of [s^{mn}, s^{rs}] + g^{ij} s^{kl}, i = j, with s^{aa} = 0 and
+    s^{ba} = -s^{ab}."""
+    def pair(a, b):
+        return table[(a, b)] if (a, b) in table else -table[(b, a)]
+
+    pairs = sorted(table)
+    failures, defects = [], []
+    for (m, n) in pairs:
+        for (r, s) in pairs:
+            defect = commutator(table[(m, n)], table[(r, s)])
+            for i, j, k, l in ((m, r, n, s), (r, n, s, m),
+                               (n, s, m, r), (s, m, r, n)):
+                if i == j and k != l:
+                    term = pair(k, l)
+                    if metric[i - base] > 0:
+                        defect = defect + term
+                    else:
+                        defect = defect - term
+            defects.append(defect)
+            if not defect.is_zero:
+                failures.append(f"[s{m}{n}, s{r}{s}] mismatch")
+    return len(pairs) ** 2, failures, defects
+
+
+def _so8_broken():
+    table = dict(so8_generators())
+    table[(3, 6)] = table[(3, 6)] + so8_generators()[(1, 2)].scaled(HALF)
+    return table
+
+
+# (table, metric, index base, number of failures)
+ROTATION_TABLES = {
+    "so15": (so15_generators, SO15_METRIC, 0, 0),
+    "so8": (so8_generators, COMPACT8, 1, 0),
+    "bosonic-so8": (bosonic_so8_generators, COMPACT8, 1, 0),
+    "pgi-direct": (pgi_lorentz6, SO13_METRIC, 0, 24),
+    "pgi-mirrored": (lambda: {pair: -op for pair, op
+                              in pgi_lorentz6().items()}, SO13_METRIC, 0, 0),
+    "so15-fault-g2": (lambda: so15_generators(
+        corrupted_pd_gammas("g2", 0, 1)), SO15_METRIC, 0, None),
+    "so8-broken": (_so8_broken, COMPACT8, 1, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROTATION_TABLES))
+def test_rotation_rows_match_the_per_pair_rule(name):
+    build, metric, base, failing = ROTATION_TABLES[name]
+    table = build()
+    total, failures, defects = _reference_rotation(table, metric, base)
+    if failing is None:
+        assert failures
+    else:
+        assert len(failures) == failing
+    rep = check_rotation_table(table, metric, base)
+    assert (rep.checks_total, rep.failures) == (total, failures)
+    # rotation_defects, which the fw suite runs on evaluated symbols, reads
+    # the same contraction rule pair by pair
+    assert [d for _, _, d in rotation_defects(table, metric, base)] == defects
+
+
+def test_a_rotation_table_beyond_the_limit_raises_instead_of_wrapping():
+    # s^{AB} has d = 2 and entries +-1, so 2b s^{AB} has entries b and
+    # d = 1, and one product of a bracket up to 24 b^2: within the limit
+    # at b = 438_000_000, beyond it at 440_000_000
+    def scaled(b):
+        return {pair: s.scaled(2 * b) for pair, s in so8_generators().items()}
+
+    fits = scaled(438_000_000)
+    rep = check_rotation_table(fits, COMPACT8, 1)
+    total, failures, _ = _reference_rotation(fits, COMPACT8, 1)
+    assert failures and (rep.checks_total, rep.failures) == (total, failures)
+    beyond = scaled(440_000_000)
+    with pytest.raises(OverflowError):
+        _reference_rotation(beyond, COMPACT8, 1)
+    with pytest.raises(OverflowError):
+        check_rotation_table(beyond, COMPACT8, 1)
+    # numerators 2**20 in one entry and a denominator 2**21 in another lift
+    # the first to 2**41 at the common denominator, and its bracket
+    # products to 24 * 2**61: the rows refuse that, though each pair fits
+    table = dict(so8_generators())
+    table[(1, 2)] = table[(1, 2)].scaled(2 ** 21)
+    table[(3, 4)] = table[(3, 4)].scaled(Fraction(1, 2 ** 20))
+    assert _reference_rotation(table, COMPACT8, 1)[1]
+    with pytest.raises(OverflowError):
+        check_rotation_table(table, COMPACT8, 1)
