@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,20 +51,6 @@ class OrtSet:
             if lbl == label:
                 return op
         raise KeyError(f"{label!r} not in ort set {self.name!r}")
-
-    @cached_property
-    def unit_multiples(self) -> Dict[GeneralOp, Tuple[str, str]]:
-        """Maps unit * ort to (unit, label) for the units 1, -1, i, -i.
-
-        Cached on the instance, so the map lives and dies with its set."""
-        i_op = GeneralOp.imaginary_unit()
-        out: Dict[GeneralOp, Tuple[str, str]] = {}
-        for lbl, op in self.elements:
-            i_times = i_op @ op
-            for unit, multiple in (("1", op), ("-1", -op),
-                                   ("i", i_times), ("-i", -i_times)):
-                out[multiple] = (unit, lbl)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +129,7 @@ def _signed_blades() -> Dict[GeneralOp, Tuple[int, int]]:
     gens = extended_gammas().ops()[:6]
     if any(a != GeneralOp.identity().scaled(-2) if k == l else not a.is_zero
            for k, g in enumerate(gens)
-           for l, a in enumerate(row_products(g, gens, "{}")[0])):
+           for l, a in enumerate(row_products(g, gens, 1))):
         return {}
     blades = [GeneralOp.identity()]
     for g in gens:  # e_{S + k} = e_S g_k, S below k: blades in mask order
@@ -161,6 +147,16 @@ def blade_codes(ops: Sequence[GeneralOp]) -> Optional[List[Tuple[int, int]]]:
     codes = [_signed_blades().get(op) for op in ops]
     if None in codes or len({m for _, m in codes}) != len(codes):
         return None
+    return codes
+
+
+def require_blades(ops: Sequence[GeneralOp], name: str
+                   ) -> List[Tuple[int, int]]:
+    """blade_codes(ops), or ValueError naming the set unless the ops are
+    distinct signed blades."""
+    codes = blade_codes(ops)
+    if codes is None:
+        raise ValueError(f"{name} is not a set of distinct signed blades")
     return codes
 
 

@@ -70,8 +70,11 @@ class GeneralOp:
     def _set(self, pq: np.ndarray, d: int, bound: int) -> None:
         """Store (pq, d) in normal form, gcd(P, Q, d) = 1."""
         if d != 1:
-            g = math.gcd(d, int(np.gcd.reduce(pq, axis=None)))
-            if g != 1:
+            e = int(np.gcd.reduce(pq, axis=None))
+            g = math.gcd(d, e)
+            if e == 0:  # zero: gcd(d, 0) = d, and its normal form is (0, 1)
+                d, bound = 1, 0
+            elif g != 1:
                 pq, d, bound = pq // g, d // g, bound // g
         self._pq, self._d, self._bound = pq, d, bound
 
@@ -263,60 +266,52 @@ def gram(xs: Sequence[GeneralOp], ys: Sequence[GeneralOp]
     return g[0, 0] + 2 * g[1, 1], g[0, 1] + g[1, 0], den
 
 
-# a row form: the sign of y @ x in it (0: x @ y alone), its extra denominator
-_FORMS = {"xy": (0, 1), "[]": (-1, 1), "{}": (1, 1), "[]/2": (-1, 2)}
-
-
-def row_products(x: GeneralOp, ys: Sequence[GeneralOp], *forms: str
-                 ) -> List[List[GeneralOp]]:
-    """x @ y ('xy'), [x, y] ('[]'), {x, y} ('{}') or [x, y]/2 ('[]/2') for
-    every y of ys, one list per form, from one batched product of x with
-    the stacked carriers of ys (and one of them with x for a bracket). The
-    whole row is normalised at once, and its operators are views into one
-    array. The overflow guard is that of @. Rows, not a table-wide stack,
-    keep the peak memory flat."""
+def row_products(x: GeneralOp, ys: Sequence[GeneralOp], sign: int
+                 ) -> List[GeneralOp]:
+    """x @ y + sign * y @ x for every y of ys: the row of commutators [x, y]
+    for sign -1 and of anticommutators {x, y} for sign 1, from one batched
+    product of x with the stacked carriers of ys and one of them with x.
+    The whole row is normalised at once, and its operators are views into
+    one array. The overflow guard is that of @. Rows, not a table-wide
+    stack, keep the peak memory flat."""
     if not ys:
-        return [[] for _ in forms]
+        return []
     _checked(lambda bx, *bys: 24 * bx * max(bys), x, *ys)
     stack = np.stack([y._pq for y in ys], axis=1)
-    xy = _product(x._pq[:, None], stack)
-    yx = _product(stack, x._pq[:, None]) if forms != ("xy",) else None
-    spec = [_FORMS[form] for form in forms]
+    xp = x._pq[:, None]
     # a bracket sums two entries of at most _LIMIT each, so it cannot wrap
-    pq = np.concatenate([xy + s * yx if s else xy for s, _ in spec], axis=1)
-    ops = _normal(np.ascontiguousarray(pq.transpose(1, 0, 2, 3)),
-                  [x._d * y._d * f for _, f in spec for y in ys])
-    return [ops[k:k + len(ys)] for k in range(0, len(ops), len(ys))]
+    pq = _product(xp, stack) + sign * _product(stack, xp)
+    return _normal(np.ascontiguousarray(pq.transpose(1, 0, 2, 3)),
+                   [x._d * y._d for y in ys])
 
 
-def bracket_matches(ops: Sequence[GeneralOp], coeffs: np.ndarray
-                    ) -> Iterator[List[bool]]:
-    """For each x = ops[p], whether [x, ops[q]] == sum_k coeffs[p, q, k]
-    ops[k] exactly, one list over q per p, with coeffs an integer array of
-    shape (n, n, n). The carriers are brought to one common denominator D
-    and stacked as Y; the test then reads x Y_q - Y_q x == d_x sum_k
-    coeffs[p, q, k] Y_k on integers, and no operator is built per pair.
-    The overflow guard is that of @. Rows, as in row_products, keep the
-    peak memory flat."""
+def bracket_matches(ops: Sequence[GeneralOp], terms: np.ndarray,
+                    signs: np.ndarray) -> Iterator[List[bool]]:
+    """For each x = ops[p], whether [x, ops[q]] == signs[p, q] ops[terms[p,
+    q]] exactly, one list over q per p, with terms and signs integer arrays
+    of shape (n, n) and signs in {-1, 0, 1}. The carriers are brought to
+    one common denominator D and stacked as Y; the test then reads
+    x Y_q - Y_q x == d_x signs[p, q] Y_{terms[p, q]} on integers, and no
+    operator is built per pair. The overflow guard is that of @. Rows, as
+    in row_products, keep the peak memory flat."""
     if not ops:
         return
     dens = [op._d for op in ops]
     scales = [math.lcm(*dens) // d for d in dens]
-    weight = int(np.abs(coeffs).sum(axis=2).max())
 
     def bound_of(*bs):
-        # a stacked entry, an entry of either product of a bracket, and a
-        # contraction of at most weight stacked entries scaled by d_x
+        # a stacked entry, an entry of either product of a bracket, and
+        # d_x times a stacked entry
         b = max(bk * s for bk, s in zip(bs, scales))
-        return max(b, 24 * max(bs) * b, max(dens) * weight * b)
+        return max(b, 24 * max(bs) * b, max(dens) * b)
 
     _checked(bound_of, *ops)
     stack = np.stack([op._pq * s for op, s in zip(ops, scales)], axis=1)
-    for x, c in zip(ops, coeffs):
+    for x, k, sign in zip(ops, terms, signs):
         xp = x._pq[:, None]
         # a bracket subtracts two entries of at most _LIMIT, so it cannot wrap
         bracket = _product(xp, stack) - _product(stack, xp)
-        expected = x._d * np.einsum("qk,ikab->iqab", c, stack)
+        expected = x._d * sign[:, None, None] * stack[:, k]
         yield (bracket == expected).all(axis=(0, 2, 3)).tolist()
 
 
@@ -334,17 +329,18 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _normal(pq: np.ndarray, dens: List[int]) -> List[GeneralOp]:
     """The operators pq[j] / dens[j] of a stack of carriers, in normal form
     and with exact entry bounds; OverflowError if one exceeds _LIMIT."""
-    gs = [1] * len(dens)
     if any(d != 1 for d in dens):
         entries = np.gcd.reduce(pq.reshape(len(dens), -1), axis=1).tolist()
-        gs = [math.gcd(d, g) for d, g in zip(dens, entries)]
+        # gcd(d, 0) = d: a zero carrier takes d = 1 and no division
+        gs = [math.gcd(d, e) if e else 1 for d, e in zip(dens, entries)]
         pq = pq // np.array(gs, dtype=np.int64)[:, None, None, None]
+        dens = [d // g if e else 1 for d, g, e in zip(dens, gs, entries)]
     bounds = np.abs(pq).max(axis=(1, 2, 3)).tolist()
     if max(bounds) > _LIMIT:
         raise OverflowError("operator result would exceed the int64 range")
     ops = [GeneralOp.__new__(GeneralOp) for _ in dens]
-    for op, p, d, g, b in zip(ops, pq, dens, gs, bounds):
-        op._pq, op._d, op._bound = p, d // g, b
+    for op, p, d, b in zip(ops, pq, dens, bounds):
+        op._pq, op._d, op._bound = p, d, b
     return ops
 
 

@@ -4,31 +4,32 @@ Casimir evaluation and Lie closure.
 
 Every check in this module is exact: a nonzero deviation is a hard
 failure, never a tolerance question. The metric-contraction rule of the
-rotation tables is one integer tensor C[P, Q, K], built once per family
-shape. check_rotation_table reads it one generator row at a time on
-integers (operators.bracket_matches); rotation_defects reads it pair by
-pair with @, + and - only, so evaluated symbols (``symbols.SymbolValues``)
-take it too, and the fw suite reads its defects on the nonlocal
-generators as float residuals, as it does those of
-``anticommutation_defects``. On a set that ``algebras.blade_codes`` names
-in full, the Lie closure, the squares-and-pairing check and the
-multiplication and commutator tables follow the blade rule; every other
-set takes the matrix rows.
+rotation tables is one signed index, the term K and the sign of
+[s^P, s^Q], built once per family shape. check_rotation_table reads it one
+generator row at a time on integers (operators.bracket_matches);
+rotation_defects reads it pair by pair with @, + and - only, so evaluated
+symbols (``symbols.SymbolValues``) take it too, and the fw suite reads its
+defects on the nonlocal generators as float residuals, as it does those
+of ``anticommutation_defects``. The Lie closure, the squares-and-pairing
+check and the multiplication and commutator tables read a set through its
+blade codes (``algebras.blade_codes``) and form no matrix product. A set
+that is not distinct signed blades fails those three checks with one
+message, and the two tables raise it as a ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from .algebras import (OrtSet, blade_codes, blade_products, extended_gammas,
-                       pd_gammas, pgi_lorentz6, so8_generators)
+                       pd_gammas, pgi_lorentz6, require_blades, so8_generators)
 from .operators import (GeneralOp, anticommutator, bracket_matches,
-                        commutator, compose, row_products)
-from .spans import bracket_coordinates
+                        commutator, compose)
+from .spans import blade_brackets
 
 MetricSignature = Tuple[int, ...]
 Pair = Tuple[int, int]
@@ -88,49 +89,48 @@ def anticommutation_defects(gens: Sequence, metric: MetricSignature, unit
 
 @lru_cache(maxsize=None)
 def _contraction(pairs: Tuple[Pair, ...], metric: MetricSignature,
-                 index_base: int) -> np.ndarray:
-    """C[P, Q, K], integers with [s^P, s^Q] = sum_K C[P, Q, K] s^K over the
-    keys of a family, from the metric-contraction rule
+                 index_base: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(terms, signs), (n, n) integer arrays with [s^P, s^Q] =
+    signs[P, Q] s^{terms[P, Q]} over the keys of a family, from the
+    metric-contraction rule
 
         [s^{mn}, s^{rs}] = -g^{mr} s^{ns} - g^{rn} s^{sm}
                            - g^{ns} s^{mr} - g^{sm} s^{rn},
 
     with s^{aa} = 0 and s^{ba} = -s^{ab} for a key (a, b). Two distinct
-    pairs share at most one index, so at most one term survives and every
-    entry is 0 or +-1. Built once per (pairs, metric, index_base)."""
+    pairs share at most one index, so at most one term survives: its sign
+    is +-1, and 0 (with term 0) where none does. Built once per (pairs,
+    metric, index_base)."""
     index = {pair: k for k, pair in enumerate(pairs)}
-    rule = np.zeros((len(pairs),) * 3, dtype=np.int64)
+    terms = np.zeros((len(pairs),) * 2, dtype=np.int64)
+    signs = np.zeros_like(terms)
     for p, (m, n) in enumerate(pairs):
         for q, (r, s) in enumerate(pairs):
             for i, j, k, l in ((m, r, n, s), (r, n, s, m),
                                (n, s, m, r), (s, m, r, n)):
                 if i == j and k != l:
                     sign = -metric[i - index_base]
-                    if (k, l) in index:
-                        rule[p, q, index[(k, l)]] += sign
-                    else:
-                        rule[p, q, index[(l, k)]] -= sign
-    return rule
+                    if (k, l) not in index:
+                        k, l, sign = l, k, -sign
+                    terms[p, q], signs[p, q] = index[(k, l)], sign
+    return terms, signs
 
 
 def rotation_defects(table: Dict[Pair, object], metric: MetricSignature,
                      index_base: int = 0
                      ) -> Iterator[Tuple[Pair, Pair, object]]:
     """((m, n), (r, s), [s^{mn}, s^{rs}] - rhs) for every pair of pairs of
-    the family, rhs the term that the contraction rule C of
+    the family, rhs the term that the contraction rule of
     check_rotation_table gives, formed pair by pair with @, + and - only,
     so evaluated symbols (``symbols.SymbolValues``) take it too."""
     pairs = sorted(table)
-    rule = _contraction(tuple(pairs), metric, index_base)
-    # (P, Q) -> (s^K, whether C[P, Q, K] = +1), the one term of the pair
-    terms = {(p, q): (table[pairs[k]], rule[p, q, k] > 0)
-             for p, q, k in np.argwhere(rule).tolist()}
+    terms, signs = _contraction(tuple(pairs), metric, index_base)
     for p, pair in enumerate(pairs):
         for q, other in enumerate(pairs):
             defect = commutator(table[pair], table[other])
-            if (p, q) in terms:
-                term, plus = terms[(p, q)]
-                defect = defect - term if plus else defect + term
+            if signs[p, q]:
+                term = table[pairs[terms[p, q]]]
+                defect = defect - term if signs[p, q] > 0 else defect + term
             yield pair, other, defect
 
 
@@ -138,16 +138,16 @@ def check_rotation_table(table: Dict[Pair, GeneralOp], metric: MetricSignature,
                          index_base: int = 0) -> StructureReport:
     """Full pairwise commutator table against the metric-contraction rule,
     one integer row per generator (operators.bracket_matches against the
-    contraction rule C).
+    signed index of the rule).
 
     The compact all-minus signature reproduces the plus-sign (delta) form
     of the commutation relations; the (+,-,...,-) signature gives the
     pseudo-rotation form.
     """
     pairs = sorted(table)
-    rule = _contraction(tuple(pairs), metric, index_base)
     rep = StructureReport(len(pairs) ** 2)
-    rows = bracket_matches([table[pair] for pair in pairs], rule)
+    rows = bracket_matches([table[pair] for pair in pairs],
+                           *_contraction(tuple(pairs), metric, index_base))
     for (m, n), row in zip(pairs, rows):
         rep.failures += [f"[s{m}{n}, s{r}{s}] mismatch"
                          for (r, s), ok in zip(pairs, row) if not ok]
@@ -283,66 +283,52 @@ def casimir_spin_squared(spin: OrtSet | Sequence[GeneralOp]) -> GeneralOp:
     return out
 
 
+def _blade_report(ortset: OrtSet, total: int, failures) -> StructureReport:
+    """StructureReport(total, failures(codes)) on the blade codes of ortset;
+    a set that is not distinct signed blades fails with that message as
+    its one failure, and never raises."""
+    try:
+        codes = require_blades(ortset.ops(), ortset.name)
+    except ValueError as exc:
+        return StructureReport(total, [str(exc)])
+    return StructureReport(total, failures(codes))
+
+
 def closure_check(ortset: OrtSet) -> StructureReport:
     """Every pairwise commutator must lie in the real span of the set."""
     labels = ortset.labels()
-    return StructureReport(len(labels) * (len(labels) - 1) // 2, [
-        f"[{labels[i]}, {labels[j]}] outside span"
-        for i, j, coords in bracket_coordinates(ortset.ops())
-        if coords is None])
+    return _blade_report(ortset, len(labels) * (len(labels) - 1) // 2,
+                         lambda codes: [
+                             f"[{labels[i]}, {labels[j]}] outside span"
+                             for i, j, k, _ in blade_brackets(codes)
+                             if k is None])
 
 
 def composition_closure_check(ortset: OrtSet) -> StructureReport:
     """Every pairwise product must be +-1 or +-i times a basis element
     (the defining feature of an ort basis)."""
-    rows = multiplication_table(ortset)
-    return StructureReport(len(rows), [
+    return _blade_report(ortset, len(ortset) ** 2, lambda codes: [
         f"{li} * {lj} not proportional to an ort"
-        for li, lj, unit, _ in rows if unit == "?"])
-
-
-def match_to_basis(ortset: OrtSet, op: GeneralOp
-                   ) -> Optional[Tuple[str, str]]:
-    """Identify op as (unit, label) with op = unit * ort, unit in {1,-1,i,-i}."""
-    return ortset.unit_multiples.get(op)
+        for li, lj, hit, _ in _blade_pairs(ortset, codes) if hit is None])
 
 
 def squares_and_pairing_check(ortset: OrtSet) -> StructureReport:
-    """Each ort squares to +I or -I; each pair commutes or anticommutes."""
-    items = list(ortset.elements)
-    if blade_codes(ortset.ops()) is not None:
-        # a signed blade squares to BLADE_SIGNS[S, S] I = +-I, and two blades
-        # commute or anticommute (the commutes flag of blade_products), so
-        # on blade codes every check holds
-        return StructureReport(len(items) * (len(items) + 1) // 2)
-    rep = StructureReport()
-    ident = GeneralOp.identity()
-    for lbl, op in items:
-        rep.checks_total += 1
-        sq = op @ op
-        if sq != ident and sq != -ident:
-            rep.failures.append(f"{lbl}^2 not +-I")
-    for i, (li, xi) in enumerate(items):
-        later = items[i + 1:]
-        comms, antis = row_products(xi, [op for _, op in later], "[]", "{}")
-        for (lj, _), comm, anti in zip(later, comms, antis):
-            rep.checks_total += 1
-            if not comm.is_zero and not anti.is_zero:
-                rep.failures.append(f"{li},{lj} neither commute nor anticommute")
-    return rep
+    """Each ort squares to +I or -I; each pair commutes or anticommutes.
+    A signed blade squares to BLADE_SIGNS[S, S] I = +-I, and two blades
+    commute or anticommute (the commutes flag of blade_products), so on
+    blade codes every check holds."""
+    n = len(ortset)
+    return _blade_report(ortset, n * (n + 1) // 2, lambda codes: [])
 
 
 # ---------------------------------------------------------------------------
 # tables for the dump interface
 # ---------------------------------------------------------------------------
 
-def _blade_pairs(ortset: OrtSet):
-    """(left, right, hit, commutes) per ordered pair of a set blade_codes
-    names, hit the (unit, label) of left*right or None, from the code image
-    of OrtSet.unit_multiples (an ort enters 1, -1, i, -i; a later one wins)."""
-    codes = blade_codes(ortset.ops())
-    if codes is None:
-        return None
+def _blade_pairs(ortset: OrtSet, codes):
+    """(left, right, hit, commutes) per ordered pair of the set with blade
+    codes codes, hit the (unit, label) with left*right = unit*label or
+    None; each ort enters 1, -1, i, -i in turn, and a later one wins."""
     labels, units = ortset.labels(), {}
     ((i_signs, i_masks, _),) = blade_products(
         blade_codes([GeneralOp.imaginary_unit()]), codes)
@@ -355,40 +341,17 @@ def _blade_pairs(ortset: OrtSet):
 
 
 def multiplication_table(ortset: OrtSet) -> List[Tuple[str, str, str, str]]:
-    """(left, right, unit, label) rows with left*right = unit*label."""
-    pairs = _blade_pairs(ortset)
-    if pairs is not None:
-        return [(li, lj, *(hit or ("?", "outside-basis")))
-                for li, lj, hit, _ in pairs]
-    labels, ops = ortset.labels(), ortset.ops()
-    return [(li, lj, *(match_to_basis(ortset, product)
-                       or ("?", "outside-basis")))
-            for li, xi in ortset
-            for lj, product in zip(labels, row_products(xi, ops, "xy")[0])]
+    """(left, right, unit, label) rows with left*right = unit*label.
+    ValueError unless the set is distinct signed blades."""
+    return [(li, lj, *(hit or ("?", "outside-basis"))) for li, lj, hit, _
+            in _blade_pairs(ortset, require_blades(ortset.ops(), ortset.name))]
 
 
 def commutator_table(ortset: OrtSet) -> List[Tuple[str, str, str]]:
-    """(left, right, rendered) rows; the rendered entry is '0', or
-    'unit*label' when the commutator is proportional to a basis element,
-    else 'mixed'."""
-    pairs = _blade_pairs(ortset)
-    if pairs is not None:
-        # anticommuting blades give [x, y] = 2 x y, never a unit multiple
-        return [(li, lj, "0" if c else f"2*{hit[0]}*{hit[1]}" if hit
-                 else "mixed") for li, lj, hit, c in pairs]
-    rows = []
-    labels, ops = ortset.labels(), ortset.ops()
-    for li, xi in ortset:
-        comms, halves = row_products(xi, ops, "[]", "[]/2")
-        for lj, comm, half in zip(labels, comms, halves):
-            if comm.is_zero:
-                rows.append((li, lj, "0"))
-                continue
-            hit = match_to_basis(ortset, comm)
-            if hit is not None:
-                rows.append((li, lj, f"{hit[0]}*{hit[1]}"))
-                continue
-            # anticommuting orts give [x, y] = 2 x y = 2 * unit * ort
-            hit = match_to_basis(ortset, half)
-            rows.append((li, lj, f"2*{hit[0]}*{hit[1]}" if hit else "mixed"))
-    return rows
+    """(left, right, rendered) rows; the rendered entry is '0' for
+    commuting orts, else 2*unit*label with [x, y] = 2 x y = 2*unit*label,
+    or 'mixed' when x y is no unit multiple of an ort. ValueError unless
+    the set is distinct signed blades."""
+    return [(li, lj, "0" if c else f"2*{hit[0]}*{hit[1]}" if hit else "mixed")
+            for li, lj, hit, c in _blade_pairs(
+                ortset, require_blades(ortset.ops(), ortset.name))]

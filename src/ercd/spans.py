@@ -7,8 +7,10 @@ and so are the rotation generators built from them. Over an orthogonal
 basis R_k the coordinates of X are c_k = <R_k, X> / <R_k, R_k>; X lies in
 the span exactly when sum_k c_k R_k == X, which is checked exactly
 (a projection alone proves nothing). A basis that is not orthogonal is
-refused. Ranks, span equality, Lie closure, centralizers and structure
-constants all read coordinates.
+refused. Ranks, span equality and centralizers read coordinates, so they
+take any operators. The Lie closure and the structure constants are
+decided on blade codes (blade_brackets): they take a set of distinct
+signed blades only.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .algebras import blade_codes, blade_products, ercd64
+from .algebras import blade_products, ercd64, require_blades
 from .operators import GeneralOp, gram, row_products
 from .scalars import ExactScalar
 
@@ -102,7 +104,7 @@ def centralizer_kernel(x: GeneralOp) -> List[GeneralOp]:
     orts = OrthogonalBasis(ercd64().ops())
     if len(orts.ops) != 64 or orts.rank != 64:
         raise ValueError("ercd64 is not a basis of the operator space")
-    (images,) = row_products(x, orts.ops, "[]")
+    images = row_products(x, orts.ops, -1)
     OrthogonalBasis(images)
     return [o for o, image in zip(orts.ops, images) if image.is_zero]
 
@@ -112,69 +114,34 @@ def centralizer_dimension(x: GeneralOp) -> int:
     return len(centralizer_kernel(x))
 
 
-def bracket_coordinates(ops: Sequence[GeneralOp]
-                        ) -> Iterator[Tuple[int, int, Optional[Coordinates]]]:
-    """(i, j, coordinates of [ops_i, ops_j]) for every pair i < j whose
-    commutator is not zero, None when it lies outside the span. On distinct
-    signed blades (algebras.blade_codes) the blade rule gives them with no
-    product and no OrthogonalBasis. Otherwise the ops must be mutually
-    orthogonal (ValueError from this call) and the coordinates come one row
-    of commutators at a time."""
-    codes = blade_codes(ops)
-    if codes is not None:
-        return _blade_brackets(codes)
-    return _row_brackets(OrthogonalBasis(ops))
-
-
-def _row_brackets(basis: OrthogonalBasis):
-    ops = basis.ops
-    for i in range(len(ops) - 1):
-        (comms,) = row_products(ops[i], ops[i + 1:], "[]")
-        for j, coords in enumerate(basis.coordinates(comms), i + 1):
-            if coords != {}:
-                yield i, j, coords
-
-
-_TWO = {1: ExactScalar(2), -1: ExactScalar(-2)}
-
-
-def _blade_brackets(codes):
-    """The blade rule for s_i e_{S_i}: [g_i, g_j] is 0 if they commute,
-    else 2 g_i g_j = +-2 e_{S_i xor S_j}, which is +-2 g_k if S_k is that
-    mask and outside the span if no S_k is."""
+def blade_brackets(codes) -> Iterator[Tuple[int, int, Optional[int], int]]:
+    """(i, j, k, sign) for every pair i < j of the signed blades s_i e_{S_i}
+    that anticommute, with [g_i, g_j] = 2 g_i g_j = sign * 2 g_k, or k None
+    if no S_k is the mask S_i xor S_j, which puts the bracket outside the
+    span; commuting pairs have a zero bracket and are skipped."""
     index = {mask: k for k, (_, mask) in enumerate(codes)}
     for i, (signs, masks, commutes) in enumerate(blade_products(codes, codes)):
         for j in range(i + 1, len(codes)):
             if not commutes[j]:
                 k = index.get(masks[j])
-                yield i, j, (None if k is None
-                             else {k: _TWO[signs[j] * codes[k][0]]})
+                yield i, j, k, 0 if k is None else signs[j] * codes[k][0]
+
+
+_TWO = {1: ExactScalar(2), -1: ExactScalar(-2)}
 
 
 def structure_constants(generators: Sequence[GeneralOp]
                         ) -> Dict[Tuple[int, int, int], ExactScalar]:
     """c^k_{ij} with [g_i, g_j] = sum_k c^k_{ij} g_k, exact; sparse dict.
-
-    The generators must be nonzero and mutually orthogonal, which makes the
-    expansion unique; anything else is rejected with ValueError.
-    """
-    brackets = bracket_coordinates(generators)
-    if any(op.is_zero for op in generators):
-        raise ValueError("generator set contains a zero operator; "
-                         "structure constants would not be unique")
+    Every constant is +-2 (blade_brackets). ValueError unless the
+    generators are distinct signed blades whose brackets stay in their
+    span."""
     table: Dict[Tuple[int, int, int], ExactScalar] = {}
-    # the coordinate objects repeat (the basis builds each once, the blade
-    # rule has two), so each is negated once, keyed by identity; the table
-    # holds every one of them, so no id is reused meanwhile
-    negated: Dict[int, ExactScalar] = {}
     # the pairs i < j fix the table, since c^k_{ji} = -c^k_{ij}
-    for i, j, coords in brackets:
-        if coords is None:
+    for i, j, k, sign in blade_brackets(
+            require_blades(generators, "generator set")):
+        if k is None:
             raise ValueError(
                 f"commutator of generators {i},{j} lies outside the span")
-        for k, c in coords.items():
-            key = id(c)
-            if key not in negated:
-                negated[key] = -c
-            table[(i, j, k)], table[(j, i, k)] = c, negated[key]
+        table[(i, j, k)], table[(j, i, k)] = _TWO[sign], _TWO[-sign]
     return table

@@ -3,17 +3,20 @@
 The sign rule of BLADE_SIGNS is checked on all 64 x 64 ordered products of
 the blades of g1..g6 built here by @, and every signed blade must come back
 from blade_codes with its own code. A generator set that breaks a Clifford
-relation gives no codes, so the tables fall back to the matrix rows.
+relation gives no codes: the tables then refuse every set, and the claims
+that read codes fail without an exception.
 """
 
 import pytest
 
-from ercd import algebras
+from ercd import algebras, cli
 from ercd.algebras import (BLADE_SIGNS, OrtSet, blade_codes, cd16,
-                           extended_gammas, pd_gammas, pgi8)
+                           extended_gammas, pgi8)
 from ercd.operators import GeneralOp, compose
 from ercd.relations import commutator_table, multiplication_table
+from ercd.reporting import SuiteConfig
 from ercd.spans import structure_constants
+from ercd.suites import run_suite
 
 
 def _blades():
@@ -52,12 +55,6 @@ def test_a_set_that_is_not_distinct_blades_has_no_codes(ops):
     assert blade_codes(ops(_blades())) is None
 
 
-def _tables(ortset):
-    gens = [op for lbl, op in ortset if lbl != "I"]
-    return (multiplication_table(ortset), commutator_table(ortset),
-            structure_constants(gens))
-
-
 @pytest.fixture
 def fresh_blades():
     """Clears the process-wide blade cache before and after the test."""
@@ -66,33 +63,51 @@ def fresh_blades():
     algebras._signed_blades.cache_clear()
 
 
-def test_broken_clifford_relations_give_no_codes(fresh_blades, monkeypatch):
-    sets = (cd16(), pgi8())
+def _break_clifford(monkeypatch):
+    """g2 -> g1 in the generators the blades are built from, which breaks
+    {g1, g2} = 0."""
     gens = extended_gammas()
-    # g2 -> g1 breaks {g1, g2} = 0
     broken = OrtSet("broken", tuple(
         (lbl, gens.get("g1") if lbl == "g2" else op) for lbl, op in gens))
     monkeypatch.setattr(algebras, "extended_gammas", lambda: broken)
+
+
+def test_broken_clifford_relations_give_no_codes(fresh_blades, monkeypatch):
+    sets = (cd16(), pgi8())
+    _break_clifford(monkeypatch)
     for ortset in sets:
         assert blade_codes(ortset.ops()) is None
-    # the tables fall back to the matrix rows and agree with the codes
-    fallback = [_tables(s) for s in sets]
+        for table in (multiplication_table, commutator_table):
+            with pytest.raises(ValueError, match=f"^{ortset.name} is not a "
+                               "set of distinct signed blades$"):
+                table(ortset)
+        with pytest.raises(ValueError, match="^generator set is not a set "
+                           "of distinct signed blades$"):
+            structure_constants([op for lbl, op in ortset if lbl != "I"])
     monkeypatch.undo()
     algebras._signed_blades.cache_clear()
     assert all(blade_codes(s.ops()) is not None for s in sets)
-    assert fallback == [_tables(s) for s in sets]
 
 
-def test_the_code_path_raises_the_matrix_path_message():
-    # pd_gammas are distinct blades whose commutators leave their span;
-    # doubled, they are no blades and take the matrix path
-    gens = pd_gammas().ops()
-    assert blade_codes(gens) is not None
-    assert blade_codes([g.scaled(2) for g in gens]) is None
-    with pytest.raises(ValueError) as blade:
-        structure_constants(gens)
-    with pytest.raises(ValueError) as matrix:
-        structure_constants([g.scaled(2) for g in gens])
-    assert str(blade.value) == str(matrix.value)
-    assert str(blade.value) == ("commutator of generators 0,1 lies outside "
-                                "the span")
+BLADE_CLAIMS = ("ercd.ort-properties", "percd.so8-table",
+                "a32.maximal-invariance", "pgi.set-8")
+
+
+def test_broken_blades_fail_the_blade_claims(fresh_blades, monkeypatch,
+                                             capsys):
+    # the clean run builds, and caches, every set the suites read
+    config = SuiteConfig(suites=("ercd", "percd", "a32", "pgi"))
+    clean = {c.claim_id: c.status for c in run_suite(config).claims}
+    cd16()
+    assert all(clean[claim] == "pass" for claim in BLADE_CLAIMS)
+    algebras._signed_blades.cache_clear()
+    _break_clifford(monkeypatch)
+    broken = {c.claim_id: c.status for c in run_suite(config).claims}
+    assert {claim for claim, status in broken.items()
+            if status != clean[claim]} == set(BLADE_CLAIMS)
+    assert all(broken[claim] == "fail" for claim in BLADE_CLAIMS)
+    assert cli.main(["verify", "--suite", "pgi"]) == 1
+    capsys.readouterr()
+    assert cli.main(["dump", "--set", "cd16", "--kind", "multiplication"]) == 2
+    assert capsys.readouterr().err == (
+        "ercd: error: cd16 is not a set of distinct signed blades\n")

@@ -13,7 +13,7 @@ from ercd.relations import (SO13_METRIC, casimir_spin_squared,
                             check_so15, check_so8, classify_hermiticity,
                             closure_check, commutator_table,
                             composition_closure_check, gamma_product_identities,
-                            match_to_basis, multiplication_table,
+                            multiplication_table,
                             pgi_orientation_check, squares_and_pairing_check,
                             verify_explicit_forms)
 from ercd.scalars import ExactScalar, HALF, ZERO
@@ -74,13 +74,22 @@ def test_so8_disjoint_pairs_commute():
 
 
 def test_bosonic_structure_constants_match_fundamental():
-    fund = [op for _, op in sorted(so8_generators().items())]
+    # alpha_AB = 2 s^{AB} are blades, so the blade rule gives their
+    # constants; the bosonic s^{AB}, no blades, satisfy the same ones
+    # halved, [s_i, s_j] = sum_k (c^k_ij / 2) s_k, exactly
+    fund = [op for lbl, op in percd29() if lbl != "I"]
     breve = [op for _, op in sorted(bosonic_so8_generators().items())]
-    assert structure_constants(fund) == structure_constants(breve)
+    terms = {}
+    for (i, j, k), c in structure_constants(fund).items():
+        terms.setdefault((i, j), []).append(breve[k].scaled(c * HALF))
+    for i, x in enumerate(breve):
+        for j, y in enumerate(breve):
+            assert commutator(x, y) == sum(terms.get((i, j), []),
+                                           GeneralOp.zero())
 
 
 def test_structure_constants_antisymmetric_in_first_two_slots():
-    gens = [op for _, op in sorted(so8_generators().items())]
+    gens = [op for lbl, op in percd29() if lbl != "I"]
     table = structure_constants(gens)
     for (i, j, k), c in table.items():
         assert table.get((j, i, k), ZERO) == -c
@@ -267,15 +276,15 @@ def test_squares_and_pairing_of_full_basis():
 
 def test_squares_and_pairing_failures():
     # x + y squares to 2I for anticommuting x, y, and neither commutes
-    # nor anticommutes with x; 2I squares to 4I
+    # nor anticommutes with x; 2I squares to 4I. Neither is a signed
+    # blade, so the check reports that as its one failure and never raises
     x, y = ercd64().get("alpha_01"), ercd64().get("alpha_02")
     two = GeneralOp.identity().scaled(2)
     mixed = OrtSet("mixed", (("x", x), ("x+y", x + y), ("2I", two)))
-    assert blade_codes(mixed.ops()) is None  # the matrix path
+    assert blade_codes(mixed.ops()) is None
     rep = squares_and_pairing_check(mixed)
     assert rep.checks_total == 6
-    assert rep.failures == ["x+y^2 not +-I", "2I^2 not +-I",
-                            "x,x+y neither commute nor anticommute"]
+    assert rep.failures == ["mixed is not a set of distinct signed blades"]
 
 
 def test_composition_closure_of_small_sets():
@@ -297,43 +306,22 @@ def test_commutator_table_antisymmetry_and_zero_diagonal():
     assert rows[("alpha_01", "alpha_01")] == "0"
 
 
-def test_commutator_table_names_a_unit_multiple():
-    # [s12, s13] = s23 in the compact table: the unit*label entry
-    s = so8_generators()
-    triple = OrtSet("triple", tuple((f"s{a}{b}", s[(a, b)])
-                                    for a, b in ((1, 2), (1, 3), (2, 3))))
-    rows = {(r[0], r[1]): r[2] for r in commutator_table(triple)}
-    assert rows[("s12", "s13")] == "1*s23"
-    assert rows[("s13", "s12")] == "-1*s23"
-
-
-def test_match_to_basis():
-    basis = cd16()
-    op = basis.get("alpha_03")
-    i_scaled = GeneralOp.imaginary_unit() @ op
-    assert match_to_basis(basis, i_scaled) == ("i", "alpha_03")
-    assert match_to_basis(basis, op) == ("1", "alpha_03")
-
-
 def test_match_maps_belong_to_their_ort_set():
-    # a clean and a corrupted set look up the same products in maps of
-    # their own, never in a map cached for another set
+    # a clean and a corrupted set, built and dropped in turn so that a new
+    # set may take the id of the one before, each get their own answer:
+    # the rows of the clean set, the ValueError of the corrupted one
     from ercd.suites import corrupted_pd_gammas
-    clean = pd_gammas()
-    bad = corrupted_pd_gammas("g2", 0, 1)
-    g2, bad_g2 = clean.get("g2"), bad.get("g2")
-    assert match_to_basis(clean, g2) == ("1", "g2")
-    assert match_to_basis(bad, g2) is None
-    assert match_to_basis(bad, bad_g2) == ("1", "g2")
-    assert match_to_basis(clean, bad_g2) is None
-    assert clean.unit_multiples is not bad.unit_multiples
-    # sets built and dropped in turn, so that a new set may take the id of
-    # the one before, each answer from their own map
-    variants = [clean.elements, bad.elements]
+    clean = cd16().elements
+    bad_g2 = corrupted_pd_gammas("g2", 0, 1).get("g2")
+    variants = [clean, (("bad", bad_g2),) + clean[1:]]
+    rows = multiplication_table(cd16())
+    assert all(unit != "?" for _, _, unit, _ in rows)
     for k in range(8):
         probe = OrtSet("probe", variants[k % 2])
-        own, other = (dict(variants[k % 2])["g2"],
-                      dict(variants[1 - k % 2])["g2"])
-        assert match_to_basis(probe, own) == ("1", "g2")
-        assert match_to_basis(probe, other) is None
+        if k % 2:
+            with pytest.raises(ValueError, match="^probe is not a set of "
+                               "distinct signed blades$"):
+                multiplication_table(probe)
+        else:
+            assert multiplication_table(probe) == rows
         del probe

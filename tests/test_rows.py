@@ -1,19 +1,21 @@
-"""The row kernels of operators against the per-pair operators.
+"""The row kernels of operators and the blade tables against per-pair
+references.
 
-Every row product, commutator and anticommutator is checked against @,
+Every commutator and anticommutator row is checked against
 operators.commutator and operators.anticommutator on three sets: ercd64,
 a32 (all d = 1, no sqrt2 part) and the bosonic so(8) generators
-(d = 2 and 4, with sqrt2 parts). structure_constants, closure_check and
-the two dump tables are checked against per-pair references kept here,
-and the kernel's overflow guard against that of @. The tables of the six
-dumpable sets come from blade codes; sets the codes do not name (halves of
-blades, a doubled ort, op with -op, a zero operator) take the matrix rows
-and must give the same rows and the same errors. closure_check and
-squares_and_pairing_check must give the same reports on blade codes as on
-the matrix rows. check_rotation_table, which reads one integer row per
-generator (operators.bracket_matches), and rotation_defects are checked
-against the per-pair metric-contraction rule kept here, on every rotation
-family of the suites, on faulted tables and near the int64 limit.
+(d = 2 and 4, with sqrt2 parts), and the kernel's overflow guard against
+that of @. structure_constants, closure_check, squares_and_pairing_check
+and the two dump tables read blade codes; they are checked against
+per-pair references kept here (one product or bracket per pair, with the
+matrices). A set the codes do not name (halves of blades, a doubled ort,
+op with -op, a zero operator, a sum of blades) is refused: the tables and
+structure_constants raise one ValueError, and the three checks report it
+as their one failure. check_rotation_table, which reads one integer row
+per generator (operators.bracket_matches), and rotation_defects are
+checked against the per-pair metric-contraction rule kept here, on every
+rotation family of the suites, on faulted tables and near the int64
+limit.
 """
 
 import tracemalloc
@@ -22,7 +24,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ercd import algebras
 from ercd.algebras import (OrtSet, a32, blade_codes, bosonic_so8_generators,
                            cd16, ercd64, pd_gammas, percd29, pgi8,
                            pgi_lorentz6, so6, so8_generators, so15_generators)
@@ -30,8 +31,9 @@ from ercd.operators import (GeneralOp, anticommutator, commutator, gram, mat,
                             row_products)
 from ercd.relations import (COMPACT8, SO13_METRIC, SO15_METRIC,
                             check_rotation_table, closure_check,
-                            commutator_table, multiplication_table,
-                            rotation_defects, squares_and_pairing_check)
+                            commutator_table, composition_closure_check,
+                            multiplication_table, rotation_defects,
+                            squares_and_pairing_check)
 from ercd.scalars import HALF, ExactScalar
 from ercd.spans import structure_constants
 from ercd.suites import corrupted_pd_gammas, dump_tables
@@ -57,22 +59,23 @@ def _same(row_op, op):
     assert row_op._bound >= int(np.abs(row_op._pq).max())
 
 
+def _not_blades(name):
+    return f"{name} is not a set of distinct signed blades"
+
+
 @pytest.mark.parametrize("name", sorted(SETS))
 def test_rows_equal_the_per_pair_products(name):
     ops = SETS[name]()
     for x in ops:
-        prods, comms, antis, halves = row_products(x, ops, "xy", "[]", "{}",
-                                                   "[]/2")
-        for y, prod, comm, anti, half in zip(ops, prods, comms, antis, halves):
-            _same(prod, x @ y)
+        comms, antis = row_products(x, ops, -1), row_products(x, ops, 1)
+        for y, comm, anti in zip(ops, comms, antis):
             _same(comm, commutator(x, y))
             _same(anti, anticommutator(x, y))
-            _same(half, commutator(x, y).scaled(HALF))
 
 
 def test_an_empty_row_has_no_products():
     x = ercd64().ops()[1]
-    assert row_products(x, [], "[]", "{}") == [[], []]
+    assert row_products(x, [], -1) == row_products(x, [], 1) == []
 
 
 def _scalar(rat, sur, den):
@@ -106,6 +109,10 @@ def _reference_structure_constants(gens):
 def test_structure_constants_match_the_per_pair_reference(name):
     ops = SETS[name]() if name in SETS else DUMPABLE[name]().ops()
     gens = [op for op in ops if op != GeneralOp.identity()]
+    if blade_codes(gens) is None:  # the bosonic so(8) family
+        with pytest.raises(ValueError, match=_not_blades("generator set")):
+            structure_constants(gens)
+        return
     assert structure_constants(gens) == _reference_structure_constants(gens)
 
 
@@ -114,58 +121,86 @@ CLOSURE_SETS = {
     "a32": (a32, True),
     "bosonic-so8": (lambda: OrtSet("bosonic-so8", tuple(
         (f"s{a}{b}", op)
-        for (a, b), op in sorted(bosonic_so8_generators().items()))), True),
+        for (a, b), op in sorted(bosonic_so8_generators().items()))), False),
     "pd-gammas": (pd_gammas, False),
     "ercd64-part": (lambda: OrtSet("part", ercd64().elements[5:17]), False),
 }
 
 
-@pytest.mark.parametrize("name", sorted(CLOSURE_SETS))
-def test_closure_check_matches_the_per_pair_reference(name):
-    build, closes = CLOSURE_SETS[name]
-    ortset = build()
+def _reference_closure(ortset):
+    """(checks_total, failures) of the Lie closure from one commutator
+    and one span membership test per pair."""
     ops, labels = ortset.ops(), ortset.labels()
-    failures = [f"[{labels[i]}, {labels[j]}] outside span"
-                for i in range(len(ops)) for j in range(i + 1, len(ops))
-                if _reference_coordinates(ops, commutator(ops[i], ops[j]))
-                is None]
-    rep = closure_check(ortset)
-    assert rep.checks_total == len(ops) * (len(ops) - 1) // 2
-    assert rep.failures == failures
-    assert rep.passed == closes
+    return len(ops) * (len(ops) - 1) // 2, [
+        f"[{labels[i]}, {labels[j]}] outside span"
+        for i in range(len(ops)) for j in range(i + 1, len(ops))
+        if _reference_coordinates(ops, commutator(ops[i], ops[j])) is None]
+
+
+def _reference_pairing(ortset):
+    """(checks_total, failures) of the squares and the pairing from one
+    square against +-I and one commutator and anticommutator per pair."""
+    items, ident = list(ortset), GeneralOp.identity()
+    failures = [f"{lbl}^2 not +-I" for lbl, op in items
+                if op @ op not in (ident, -ident)]
+    failures += [f"{li},{lj} neither commute nor anticommute"
+                 for i, (li, x) in enumerate(items) for lj, y in items[i + 1:]
+                 if not (commutator(x, y).is_zero
+                         or anticommutator(x, y).is_zero)]
+    return len(items) * (len(items) + 1) // 2, failures
 
 
 def _report(rep):
     return rep.checks_total, rep.failures
 
 
+def _refused(reference, ortset):
+    """The report of a check that refuses a set of no blade codes."""
+    return reference[0], [_not_blades(ortset.name)]
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_SETS))
+def test_closure_check_matches_the_per_pair_reference(name):
+    build, closes = CLOSURE_SETS[name]
+    ortset = build()
+    expected = _reference_closure(ortset)
+    if blade_codes(ortset.ops()) is None:  # the bosonic so(8) family
+        assert not expected[1]
+        expected = _refused(expected, ortset)
+    rep = closure_check(ortset)
+    assert _report(rep) == expected
+    assert rep.passed == closes
+
+
 @pytest.mark.parametrize("ortset", [s() for s in DUMPABLE.values()]
                          + [b() for b, _ in CLOSURE_SETS.values()],
                          ids=lambda s: s.name)
-def test_closure_and_pairing_read_the_same_on_blades_as_on_rows(
-        ortset, monkeypatch):
-    blades = blade_codes(ortset.ops()) is not None
-    assert blades or ortset.name == "bosonic-so8"
-    reports = [_report(closure_check(ortset)),
-               _report(squares_and_pairing_check(ortset))]
-    # without blades every set takes the matrix rows
-    monkeypatch.setattr(algebras, "_signed_blades", lambda: {})
-    assert blade_codes(ortset.ops()) is None
-    assert reports == [_report(closure_check(ortset)),
-                       _report(squares_and_pairing_check(ortset))]
+def test_closure_and_pairing_read_the_same_on_blades_as_on_rows(ortset):
+    # the checks read blade codes; the references the per-pair products
+    expected = [_reference_closure(ortset), _reference_pairing(ortset)]
+    if blade_codes(ortset.ops()) is None:
+        assert ortset.name == "bosonic-so8"
+        expected = [_refused(e, ortset) for e in expected]
+    assert [_report(closure_check(ortset)),
+            _report(squares_and_pairing_check(ortset))] == expected
 
 
 def _reference_tables(ortset):
     """The multiplication and commutator rows from one product, one
-    commutator and unit_multiples lookups per pair."""
+    commutator and lookups in a map of the unit multiples per pair; each
+    ort enters 1, -1, i, -i in turn, and a later one wins."""
+    units, i_op = {}, GeneralOp.imaginary_unit()
+    for lbl, op in ortset:
+        units.update({op: ("1", lbl), -op: ("-1", lbl),
+                      i_op @ op: ("i", lbl), -(i_op @ op): ("-i", lbl)})
     mult, comm = [], []
     for li, x in ortset:
         for lj, y in ortset:
-            hit = ortset.unit_multiples.get(x @ y)
+            hit = units.get(x @ y)
             mult.append((li, lj, *(hit or ("?", "outside-basis"))))
             c = commutator(x, y)
-            hit = ortset.unit_multiples.get(c)
-            half = ortset.unit_multiples.get(c.scaled(HALF))
+            hit = units.get(c)
+            half = units.get(c.scaled(HALF))
             comm.append((li, lj, "0" if c.is_zero
                          else f"{hit[0]}*{hit[1]}" if hit
                          else f"2*{half[0]}*{half[1]}" if half else "mixed"))
@@ -188,36 +223,48 @@ def _with(ortset, index, op, label):
     return OrtSet(f"{ortset.name}-changed", tuple(elements))
 
 
-# sets the blade codes do not name: (set, structure-constant error or None)
+def _mixed():
+    # x + y squares to 2I and neither commutes nor anticommutes with x
+    x, y = ercd64().get("alpha_01"), ercd64().get("alpha_02")
+    return OrtSet("mixed", (("x", x), ("x+y", x + y),
+                            ("2I", GeneralOp.identity().scaled(2))))
+
+
+# sets the blade codes do not name
 OFF_BLADE = {
-    "so8-triple": (lambda: OrtSet("triple", tuple(
+    "so8-triple": lambda: OrtSet("triple", tuple(
         (f"s{a}{b}", so8_generators()[(a, b)])
-        for a, b in ((1, 2), (1, 3), (2, 3)))), None),
-    "ercd64-doubled": (lambda: _with(ercd64(), 5, ercd64().ops()[5].scaled(2),
-                                     "twice"), None),
-    "cd16-plus-minus": (lambda: _with(cd16(), 2, -cd16().ops()[1], "minus"),
-                        "operators 0 and 1 are not orthogonal under the "
-                        "trace form"),
-    "cd16-zero": (lambda: _with(cd16(), 3, GeneralOp.zero(), "zero"),
-                  "generator set contains a zero operator; structure "
-                  "constants would not be unique"),
+        for a, b in ((1, 2), (1, 3), (2, 3)))),
+    "ercd64-doubled": lambda: _with(ercd64(), 5, ercd64().ops()[5].scaled(2),
+                                    "twice"),
+    "cd16-plus-minus": lambda: _with(cd16(), 2, -cd16().ops()[1], "minus"),
+    "cd16-zero": lambda: _with(cd16(), 3, GeneralOp.zero(), "zero"),
+    "mixed": _mixed,
+    "bosonic-so8": CLOSURE_SETS["bosonic-so8"][0],
 }
 
 
 @pytest.mark.parametrize("name", sorted(OFF_BLADE))
-def test_tables_off_the_blade_path_match_the_per_pair_reference(name):
-    build, error = OFF_BLADE[name]
-    ortset = build()
+def test_a_set_off_the_blade_path_is_refused(name):
+    ortset = OFF_BLADE[name]()
     assert blade_codes(ortset.ops()) is None
-    assert (multiplication_table(ortset),
-            commutator_table(ortset)) == _reference_tables(ortset)
-    gens = [op for lbl, op in ortset if lbl != "I"]
-    if error is None:
-        assert structure_constants(gens) == _reference_structure_constants(gens)
-    else:
+    for table in (multiplication_table, commutator_table):
         with pytest.raises(ValueError) as refused:
-            structure_constants(gens)
-        assert str(refused.value) == error
+            table(ortset)
+        assert str(refused.value) == _not_blades(ortset.name)
+    with pytest.raises(ValueError) as refused:
+        structure_constants([op for lbl, op in ortset if lbl != "I"])
+    assert str(refused.value) == _not_blades("generator set")
+    n = len(ortset)
+    for check, total in ((closure_check, n * (n - 1) // 2),
+                         (composition_closure_check, n * n),
+                         (squares_and_pairing_check, n * (n + 1) // 2)):
+        assert _report(check(ortset)) == (total, [_not_blades(ortset.name)])
+    # the mixed set fails the squares and the pairing pair by pair too
+    if name == "mixed":
+        assert _reference_pairing(ortset)[1] == [
+            "x+y^2 not +-I", "2I^2 not +-I",
+            "x,x+y neither commute nor anticommute"]
 
 
 def test_the_row_refuses_what_matmul_refuses():
@@ -226,13 +273,14 @@ def test_the_row_refuses_what_matmul_refuses():
     big = ops[9].scaled(2 ** 30)
     with pytest.raises(OverflowError):
         big @ big
-    for form in ("xy", "[]", "{}", "[]/2"):
+    for sign in (-1, 1):
         with pytest.raises(OverflowError):
-            row_products(big, ops[:3] + [big], form)
-    # against small orts the same products fit, in the row as with @
-    prods, comms = row_products(big, ops[:3], "xy", "[]")
-    assert prods == [big @ y for y in ops[:3]]
-    assert comms == [commutator(big, y) for y in ops[:3]]
+            row_products(big, ops[:3] + [big], sign)
+    # against small orts the same brackets fit, in the row as per pair
+    assert row_products(big, ops[:3], -1) == [commutator(big, y)
+                                              for y in ops[:3]]
+    assert row_products(big, ops[:3], 1) == [anticommutator(big, y)
+                                             for y in ops[:3]]
 
 
 def test_a_bracket_beyond_the_limit_raises_instead_of_wrapping():
@@ -244,19 +292,26 @@ def test_a_bracket_beyond_the_limit_raises_instead_of_wrapping():
     assert (x._pq == b).all() and x._d == 1
     sq = x @ x
     assert (sq._pq[0] == 24 * b * b).all()
-    (row,) = row_products(x, [x], "xy")
-    assert row == [sq]
     with pytest.raises(OverflowError):
         anticommutator(x, x)
     with pytest.raises(OverflowError):
-        row_products(x, [x], "{}")
-    (comm,) = row_products(x, [x], "[]")
-    assert comm[0].is_zero
+        row_products(x, [x], 1)
+    (comm,) = row_products(x, [x], -1)
+    assert comm.is_zero
+
+
+def test_a_zero_with_a_large_denominator_is_zero_over_one():
+    # x = s12 / 2**40 has d = 2**41, and x @ x a denominator beyond int64;
+    # [x, x] is zero, and its normal form is (0, 1), per pair and in a row
+    x = so8_generators()[(1, 2)].scaled(Fraction(1, 2 ** 40))
+    assert (x @ x)._d > np.iinfo(np.int64).max
+    for zero in (commutator(x, x), row_products(x, [x], -1)[0]):
+        _same(zero, GeneralOp.zero())
 
 
 def test_a_stale_bound_is_tightened_as_matmul_tightens_it():
     # each product multiplies the stored bound by 24; after 13 of them it
-    # is far above the true magnitude 1, and a product of two such ops
+    # is far above the true magnitude 1, and a bracket of two such ops
     # passes only after the guard reads the exact magnitudes
     ops = ercd64().ops()
     stale = []
@@ -267,11 +322,11 @@ def test_a_stale_bound_is_tightened_as_matmul_tightens_it():
         stale.append(prod)
     x, y = stale
     assert 24 * x._bound * y._bound > np.iinfo(np.int64).max
-    prods, comms, antis = row_products(x, [y, x], "xy", "[]", "{}")
+    comms = row_products(x, [y, x], -1)
     assert x._bound == 1 and y._bound == 1
-    assert prods == [x @ y, x @ x]
     assert comms == [commutator(x, y), commutator(x, x)]
-    assert antis == [anticommutator(x, y), anticommutator(x, x)]
+    assert row_products(x, [y, x], 1) == [anticommutator(x, y),
+                                          anticommutator(x, x)]
 
 
 @pytest.mark.parametrize("kind", ["multiplication", "commutator",
