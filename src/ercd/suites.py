@@ -183,8 +183,12 @@ def _rebuilt_forms() -> Dict[str, GeneralOp]:
 def _suite_pgi(ledger: Ledger, config: SuiteConfig) -> None:
     basis = pgi8()
     rep = composition_closure_check(basis)
-    ok = len(basis) == 8 and span_rank(basis.ops()) == 8 and rep.passed
-    _claim(ledger, "pgi.set-8", ok, detail="count=8, rank=8, products close")
+    rank = span_rank(basis.ops())
+    ok = len(basis) == 8 and rank == 8 and rep.passed
+    counts = f"count={len(basis)}, rank={rank}"
+    _claim(ledger, "pgi.set-8", ok,
+           detail=f"{counts}; {rep.failures[0]}" if rep.failures
+           else f"{counts}, products close")
 
     sextet = pgi_lorentz6()
     # s12 = -(i/2) I and s03 = -(i/2) g4, written out
@@ -286,8 +290,10 @@ def _suite_percd(ledger: Ledger, config: SuiteConfig) -> None:
 
     rep = check_so8(so8_generators())
     closure = closure_check(basis)
-    _claim(ledger, "percd.so8-table", rep.passed and closure.passed,
-           detail=f"{rep.checks_total} pairs, closure {closure.checks_total}")
+    failures = rep.failures + closure.failures
+    _claim(ledger, "percd.so8-table", not failures,
+           detail=failures[0] if failures
+           else f"{rep.checks_total} pairs, closure {closure.checks_total}")
 
     holds = gamma_product_identities()
     _claim(ledger, "percd.five-product", holds["g0 g1 g2 g3 g4 = -I"])
@@ -352,10 +358,14 @@ def _suite_a32(ledger: Ledger, config: SuiteConfig) -> None:
     ok = ok and dim == 32
     details.append(f"centralizer=32" if dim == 32 else f"centralizer={dim}")
 
-    ok = ok and spans_equal(kernel, basis.ops())
-    details.append("centralizer span = basis span")
+    spans_match = spans_equal(kernel, basis.ops())
+    ok = ok and spans_match
+    details.append("centralizer span = basis span" if spans_match
+                   else "centralizer span != basis span")
 
-    ok = ok and closure_check(basis).passed
+    closure = closure_check(basis)
+    ok = ok and closure.passed
+    details += closure.failures[:1]
 
     fw = fw_hamiltonian(config.mass)
     bad = [lbl for lbl, op in basis
@@ -431,7 +441,7 @@ def _fw_nonlocal(ledger: Ledger, m: float, fw, hd, samples, tol: float,
     vp, vm = fw_transform(m, +1)(q), fw_transform(m, -1)(q)
     h_d = hd.symbol(q)
 
-    ident = MomentumSymbol.constant(GeneralOp.identity())(q)
+    ident = MomentumSymbol.scalar(lambda q: 1.0, "I")(q)
     worst = max((vp @ vm - ident).norm(), (vm @ vp - ident).norm())
     _claim(ledger, "fw.transform-inverse", worst < tol, residual=worst,
            detail=used, tol=tol)
@@ -483,7 +493,8 @@ def _fw_nonlocal(ledger: Ledger, m: float, fw, hd, samples, tol: float,
 def flip_anticommutation_residual(values) -> float:
     """The largest +q-half entry of the defects {g_a, g_b} + 2 delta_ab I
     of generators evaluated on one signed batch."""
-    unit = SymbolValues(2.0 * np.eye(4), None)
+    # a constant's value on the empty batch broadcasts over any batch
+    unit = MomentumSymbol.scalar(lambda q: 2.0, "2I")(signed_batch(()))
     return max(defect.norm() for _, _, defect in
                anticommutation_defects(values, (-1,) * len(values), unit))
 
@@ -540,7 +551,7 @@ def _suite_poincare(ledger: Ledger, config: SuiteConfig) -> None:
     momenta = [evaluate(g, q) for name, g in translation_generators(m)
                if name != "p0"]
     positions = [evaluate(position_op(b), q) for b in range(3)]
-    ident = MomentumSymbol.constant(GeneralOp.identity(), "I")
+    ident = MomentumSymbol.scalar(lambda q: 1.0, "I")
     unit = evaluate(XOp({ZERO_MULTI: ident}), q)
     worst = 0.0
     for n in range(3):

@@ -6,7 +6,9 @@ antilinear part. Symbols are evaluated on signed batches: an array Q of
 shape (2, N, 3) holding N momenta and their reflections, Q[1] = -Q[0]
 (``signed_batch``). A ``MomentumSymbol`` only evaluates: on a batch it
 gives a ``SymbolValues``, the parts A and B, each of shape (2, N, 4, 4) or
-(1, 1, 4, 4) when constant. All algebra works on those values.
+(1, 1, 4, 4) when constant. A part that is c(q) I is stored as its scalar
+c, of shape (2, N, 1, 1) or (1, 1, 1, 1) when constant (``scalar``). All
+algebra works on those values.
 
 A part that is zero by construction is absent: the B of a
 ``linear_matrix`` symbol, the A of an ``antilinear_matrix`` one, a part of
@@ -23,10 +25,13 @@ is the one place the product is formed:
     B = Ax @ By + Bx @ conj(Ay[::-1]).
 
 A product with an absent factor is not formed, and a part both of whose
-terms are absent is absent. Sums, differences and scalar multiples act on
-both parts and keep absence, so the commutators of ``operators`` serve
-evaluated values unchanged. Dropping an exactly zero term turns x + 0
-into x, which changes at most the sign of a zero entry.
+terms are absent is absent. A product with a scalar factor is formed by
+broadcasting, and stays scalar when both factors are. Sums, differences and
+scalar multiples act on both parts and keep absence; a sum of a scalar part
+and a matrix part expands the scalar through eye(4), so c never reaches
+the off-diagonal entries. The commutators of ``operators`` serve evaluated
+values unchanged. Dropping an exactly zero term turns x + 0 into x, which
+changes at most the sign of a zero entry.
 
 ``MomentumSymbol.jet`` gives values and first q-derivatives from one pass
 on degree-1 array jets (``jets.Jet``) seeded with +e_a on the +q half and
@@ -69,14 +74,16 @@ class SymbolValues:
     """A symbol evaluated on a signed batch: the linear part a and the
     antilinear part b, each of shape (2, N, 4, 4), or (1, 1, 4, 4) for a
     part that does not depend on q, which broadcasts and is its own sign
-    flip; a 4x4 part is taken as such a constant, and None marks a part
-    that is zero by construction as absent.
+    flip; a 4x4 part is taken as such a constant. A part of shape
+    (2, N, 1, 1), or (1, 1, 1, 1) when constant, is a scalar c standing
+    for c I, and None marks a part that is zero by construction as absent.
 
     ``@`` is the flip-law product, which forms no product with an absent
-    factor; +, - and unary - act on both parts, and r * v is left
-    composition with the scalar r (r = 1j is the operator i). All of them
-    keep absence. ``.a``, ``.b`` and iteration read an absent part as a
-    (1, 1, 4, 4) zero.
+    factor and multiplies a scalar factor by broadcasting; +, - and unary
+    - act on both parts, and r * v is left composition with the scalar r
+    (r = 1j is the operator i). All of them keep absence and scalars.
+    ``.a``, ``.b`` and iteration read a scalar part as c I and an absent
+    part as a (1, 1, 4, 4) zero.
     """
 
     __slots__ = ("_a", "_b")
@@ -129,26 +136,52 @@ class SymbolValues:
                     if p is not None), default=0.0)
 
 
-# the part arithmetic of SymbolValues: None is an absent (zero) part
+# the part arithmetic of SymbolValues: None is an absent (zero) part, and a
+# part whose last axis has length 1 is a scalar c standing for c I
+
+_EYE4 = np.eye(4, dtype=complex)
+
+
+def _is_scalar(p) -> bool:
+    return p.shape[-1] == 1
+
 
 def _dense(p):
-    return np.zeros((1, 1, 4, 4), dtype=complex) if p is None else p
+    if p is None:
+        return np.zeros((1, 1, 4, 4), dtype=complex)
+    return p * _EYE4 if _is_scalar(p) else p
 
 
 def _product(x, y, flip=False):
     """x @ y, or x @ conj(y[::-1]) with flip, the reflected factor of the
-    flip law; None when a factor is absent."""
+    flip law; by broadcasting when a factor is scalar, None when a factor
+    is absent."""
     if x is None or y is None:
         return None
-    return x @ (np.conj(y[::-1]) if flip else y)
+    y = np.conj(y[::-1]) if flip else y
+    return x * y if _is_scalar(x) or _is_scalar(y) else x @ y
+
+
+def _matched(x, y):
+    """x and y, a scalar expanded through eye(4) when the other is a
+    matrix: plain broadcasting would add c to all 16 entries."""
+    if _is_scalar(x) == _is_scalar(y):
+        return x, y
+    return _dense(x), _dense(y)
 
 
 def _add(x, y):
-    return x if y is None else y if x is None else x + y
+    if x is None or y is None:
+        return x if y is None else y
+    x, y = _matched(x, y)
+    return x + y
 
 
 def _sub(x, y):
-    return x if y is None else -y if x is None else x - y
+    if x is None or y is None:
+        return x if y is None else -y
+    x, y = _matched(x, y)
+    return x - y
 
 
 def _components(q):
@@ -166,8 +199,8 @@ class MomentumSymbol:
     fn maps the momentum components (q1, q2, q3), each of shape
     (2, N, 1, 1) as plain arrays or jets, to the pair (A, B), or to the
     ``SymbolValues`` of a composite; a part that does not depend on q may
-    be a single 4x4 matrix, and a part that is zero by construction is
-    None.
+    be a single 4x4 matrix, a part that is c(q) I may be its scalar c
+    (``scalar``), and a part that is zero by construction is None.
     """
 
     __slots__ = ("fn", "label")
@@ -192,6 +225,19 @@ class MomentumSymbol:
         return cls(lambda q: parts, label or "const")
 
     @classmethod
+    def scalar(cls, fn: Callable, label: str = "") -> "MomentumSymbol":
+        """The linear symbol c(q) I, stored as its scalar: fn maps the
+        momentum components to c of shape (2, N, 1, 1), or to a number
+        when c is constant, kept as shape (1, 1, 1, 1)."""
+        def parts(q):
+            c = fn(q)
+            if not np.shape(c):
+                c = np.full((1, 1, 1, 1), c, dtype=complex)
+            return c, None
+
+        return cls(parts, label)
+
+    @classmethod
     def linear_matrix(cls, fn_a: Callable, label: str = "") -> "MomentumSymbol":
         return cls(lambda q: (fn_a(q), None), label)
 
@@ -208,8 +254,9 @@ class MomentumSymbol:
     def jet(self, q) -> Tuple[SymbolValues, Tuple[SymbolValues, ...]]:
         """Values and q-derivatives on the signed batch q from one seeded
         jet pass: (v, (d1, d2, d3)), where da = dv/dq_a on both halves.
-        A part that does not depend on q keeps the shape (1, 1, 4, 4), and
-        its derivatives are absent, as are those of an absent part."""
+        A derivative keeps the shape of its part, (2, N, 1, 1) for a
+        scalar; a part that does not depend on q keeps its constant shape,
+        and its derivatives are absent, as are those of an absent part."""
         v = self._eval(Jet.of_momenta(_components(q)))
         parts = (v._a, v._b)
         grads = [p.grad * _HALF_SIGN if isinstance(p, Jet) else (None,) * 3

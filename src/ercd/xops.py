@@ -61,7 +61,7 @@ class XOp:
 
 def position_op(a: int) -> XOp:
     """The canonical position operator x_a ~ i d/dq_a (unit coefficient)."""
-    return XOp({_E[a]: MomentumSymbol.constant(GeneralOp.identity(), "I")})
+    return XOp({_E[a]: MomentumSymbol.scalar(lambda q: 1.0, "I")})
 
 
 @dataclass
@@ -140,11 +140,9 @@ def translation_generators(mass: float) -> List[Tuple[str, XOp]]:
     """p0 = -i g0 omega and p_n = i q_n; unlike the boosts these need only
     m >= 0."""
     p0 = fw_hamiltonian(mass).scaled(-1j, "p0")
-    ident4 = np.eye(4, dtype=complex)
     gens = [("p0", XOp({ZERO_MULTI: p0}))]
     for n in range(3):
-        pn = MomentumSymbol.linear_matrix(lambda q, n=n: (1j * q[n]) * ident4,
-                                          f"p{n + 1}")
+        pn = MomentumSymbol.scalar(lambda q, n=n: 1j * q[n], f"p{n + 1}")
         gens.append((f"p{n + 1}", XOp({ZERO_MULTI: pn})))
     return gens
 
@@ -166,7 +164,6 @@ def build_poincare_generators(mass: float) -> List[Tuple[str, XOp]]:
         raise ValueError("boost generators need m > 0")
     gc0 = pd_gammas().get("g0").floats()[0]
     ig0 = 1j * gc0
-    ident4 = np.eye(4, dtype=complex)
     spin = breve_spin().ops()
     # i g0 spin_l, linear and antilinear parts; a part that is zero on the
     # exact operator is None and adds nothing
@@ -179,10 +176,10 @@ def build_poincare_generators(mass: float) -> List[Tuple[str, XOp]]:
     # rotations: j_ln = -x^l (i q_n) + x^n (i q_l) + spin_ln
     for (l, n) in ((2, 3), (3, 1), (1, 2)):
         coeffs: Dict[Multi, MomentumSymbol] = {
-            _E[l - 1]: MomentumSymbol.linear_matrix(
-                lambda q, n=n: (-1j * q[n - 1]) * ident4, f"-iq{n}"),
-            _E[n - 1]: MomentumSymbol.linear_matrix(
-                lambda q, l=l: (1j * q[l - 1]) * ident4, f"iq{l}"),
+            _E[l - 1]: MomentumSymbol.scalar(
+                lambda q, n=n: -1j * q[n - 1], f"-iq{n}"),
+            _E[n - 1]: MomentumSymbol.scalar(
+                lambda q, l=l: 1j * q[l - 1], f"iq{l}"),
             ZERO_MULTI: MomentumSymbol.constant(spin[_SPIN_SLOT[(l, n)]],
                                                 f"s{l}{n}"),
         }
@@ -207,8 +204,8 @@ def build_poincare_generators(mass: float) -> List[Tuple[str, XOp]]:
             return tuple(acc)
 
         const_sym = MomentumSymbol(boost_const, f"j0{k + 1}c")
-        t_sym = MomentumSymbol.linear_matrix(
-            lambda q, _k=k: (1j * q[_k]) * ident4, f"iq{k + 1}")
+        t_sym = MomentumSymbol.scalar(lambda q, _k=k: 1j * q[_k],
+                                      f"iq{k + 1}")
         coeffs = {_E[k]: x_sym, ZERO_MULTI: const_sym}
         gens.append((f"j0{k + 1}", XOp(coeffs, t_sym)))
 

@@ -9,7 +9,7 @@ that read codes fail without an exception.
 
 import pytest
 
-from ercd import algebras, cli
+from ercd import algebras, cli, suites
 from ercd.algebras import (BLADE_SIGNS, OrtSet, blade_codes, cd16,
                            extended_gammas, pgi8)
 from ercd.operators import GeneralOp, compose
@@ -102,12 +102,35 @@ def test_broken_blades_fail_the_blade_claims(fresh_blades, monkeypatch,
     assert all(clean[claim] == "pass" for claim in BLADE_CLAIMS)
     algebras._signed_blades.cache_clear()
     _break_clifford(monkeypatch)
-    broken = {c.claim_id: c.status for c in run_suite(config).claims}
+    claims = run_suite(config).claims
+    broken = {c.claim_id: c.status for c in claims}
     assert {claim for claim, status in broken.items()
             if status != clean[claim]} == set(BLADE_CLAIMS)
     assert all(broken[claim] == "fail" for claim in BLADE_CLAIMS)
+    # each blade claim names the failed blade check in its detail
+    details = {c.claim_id: c.detail for c in claims}
+    assert details["pgi.set-8"] == (
+        "count=8, rank=8; pgi8 is not a set of distinct signed blades")
+    assert details["percd.so8-table"] == (
+        "percd29 is not a set of distinct signed blades")
+    assert details["a32.maximal-invariance"] == (
+        "count=32, rank=32; centralizer=32; centralizer span = basis span; "
+        "a32 is not a set of distinct signed blades; "
+        "all 32 exact invariances")
     assert cli.main(["verify", "--suite", "pgi"]) == 1
     capsys.readouterr()
     assert cli.main(["dump", "--set", "cd16", "--kind", "multiplication"]) == 2
     assert capsys.readouterr().err == (
         "ercd: error: cd16 is not a set of distinct signed blades\n")
+
+
+def test_a32_names_a_span_mismatch(monkeypatch):
+    config = SuiteConfig(suites=("a32",))
+    (clean,) = run_suite(config).claims
+    assert clean.status == "pass"
+    assert "; centralizer span = basis span;" in clean.detail
+    monkeypatch.setattr(suites, "spans_equal", lambda *spans: False)
+    (claim,) = run_suite(config).claims
+    assert claim.status == "fail"
+    assert claim.detail == clean.detail.replace(
+        "centralizer span = basis span", "centralizer span != basis span")

@@ -384,8 +384,8 @@ def test_absent_parts_read_as_constant_zeros():
 
 
 def test_no_zero_part_by_construction_reaches_a_product(monkeypatch):
-    # every symbol made by linear_matrix, antilinear_matrix or constant
-    # must hand out its structurally zero parts as absent, with absent
+    # every symbol made by scalar, linear_matrix, antilinear_matrix or
+    # constant must hand out its structurally zero parts as absent, with absent
     # derivatives, and no part product may take an all-zero constant factor
     from ercd import suites
     from ercd.reporting import SuiteConfig
@@ -402,6 +402,7 @@ def test_no_zero_part_by_construction_reaches_a_product(monkeypatch):
 
         monkeypatch.setattr(MomentumSymbol, name, classmethod(wrapper))
 
+    tagging("scalar", lambda fn: [False, True])
     tagging("linear_matrix", lambda fn: [False, True])
     tagging("antilinear_matrix", lambda fn: [True, False])
     tagging("constant", lambda op: [p.is_zero for p in op.parts()])
@@ -418,7 +419,7 @@ def test_no_zero_part_by_construction_reaches_a_product(monkeypatch):
             assert (part is None) == zero, sym.label
         for d in derivatives:
             for part, value in zip((d._a, d._b), (v._a, v._b)):
-                if value is None or value.shape == (1, 1, 4, 4):
+                if value is None or value.shape[:2] == (1, 1):
                     assert part is None, sym.label
         checked.append(sym.label)
 
@@ -443,7 +444,7 @@ def test_no_zero_part_by_construction_reaches_a_product(monkeypatch):
     def counted(x, y, flip=False):
         if x is not None and y is not None:
             for f in (x, y):
-                assert f.shape != (1, 1, 4, 4) or f.any()
+                assert f.shape[:2] != (1, 1) or f.any()
             formed.append(flip)
         return product(x, y, flip)
 
@@ -453,3 +454,92 @@ def test_no_zero_part_by_construction_reaches_a_product(monkeypatch):
     # the instruments saw the generators' constants and products
     assert "I" in checked and "s23" in checked and "tC" in checked
     assert formed
+
+
+# ---------------------------------------------------------------------------
+# scalar parts
+# ---------------------------------------------------------------------------
+
+def _values_with_every_scalar(rng, n=3):
+    """Random values over every pattern of absent, matrix and scalar parts,
+    each present part constant or batch shaped; a scalar part has the
+    shape (1, 1, 1, 1) or (2, n, 1, 1)."""
+    shapes = (None, (1, 1, 4, 4), (2, n, 4, 4), (1, 1, 1, 1), (2, n, 1, 1))
+
+    def part(shape):
+        if shape is None:
+            return None
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    return [SymbolValues(part(sa), part(sb)) for sa in shapes for sb in shapes]
+
+
+def _expanded(v):
+    """v with every scalar part c written out as the matrix c eye(4)."""
+    return SymbolValues(*(p if p is None or p.shape[-1] == 4
+                          else p * np.eye(4) for p in (v._a, v._b)))
+
+
+def _assert_close(v, ref):
+    """Same absence, and every entry within 1e-14 of the reference's
+    largest entry."""
+    for part, expected in ((v._a, ref._a), (v._b, ref._b)):
+        assert (part is None) == (expected is None)
+    for got, expected in zip(v, ref):
+        scale = max(1.0, float(np.max(np.abs(expected))))
+        assert float(np.max(np.abs(got - expected))) <= 1e-14 * scale
+
+
+def test_scalar_parts_match_their_expanded_matrices():
+    values = _values_with_every_scalar(np.random.default_rng(20))
+    assert any(v._a is not None and v._a.shape[-1] == 1 for v in values)
+    for x in values:
+        for y in values:
+            # flip-law products with a scalar part on either side, and sums
+            # and differences of mixed scalar and matrix parts
+            _assert_close(x @ y, _expanded(x) @ _expanded(y))
+            _assert_close(x + y, _expanded(x) + _expanded(y))
+            _assert_close(x - y, _expanded(x) - _expanded(y))
+
+
+def test_a_product_of_scalars_stays_scalar():
+    q = signed_batch(SAMPLES[:5])
+    s = MomentumSymbol.scalar(lambda q: q[0] + 1j * q[1], "s")(q)
+    t = MomentumSymbol.scalar(lambda q: 2.0, "2")(q)
+    assert s._a.shape == (2, 5, 1, 1) and t._a.shape == (1, 1, 1, 1)
+    for v in (s @ s, s @ t, t @ s, s + t, s - t):
+        assert v._a.shape[-2:] == (1, 1) and v._b is None
+    assert (s @ t).a.shape == (2, 5, 4, 4)
+
+
+def test_a_scalar_never_spills_off_the_diagonal():
+    q = signed_batch(SAMPLES[:5])
+    rng = np.random.default_rng(21)
+    v = SymbolValues(_random_matrices(rng, 1.0, (2, 5)), None)
+    s = MomentumSymbol.scalar(lambda q: q[0] + 1j * q[1], "s")(q)
+    c = s._a
+    ident = np.eye(4)
+    assert np.array_equal((v + s).a, v.a + c * ident)
+    assert np.array_equal((s + v).a, c * ident + v.a)
+    assert np.array_equal((v - s).a, v.a - c * ident)
+    off = ~np.eye(4, dtype=bool)
+    for w in (v + s, s + v, v - s):
+        assert np.array_equal(w.a[..., off], v.a[..., off])
+    assert np.array_equal(s.a, c * ident)
+
+
+def test_norm_first_negation_and_scaling_on_scalar_parts():
+    q = signed_batch(SAMPLES[:5])
+    s = MomentumSymbol.scalar(lambda q: q[0] - 2j * q[2], "s")(q)
+    one = MomentumSymbol.scalar(lambda q: 1.0, "I")(q)
+    dense = _expanded(s)
+    assert s.norm() == dense.norm() == float(np.max(np.abs(s._a[0])))
+    assert one.norm() == 1.0
+    head = s.first(2)
+    assert head._a.shape == (2, 2, 1, 1)
+    assert np.array_equal(head.a, dense.first(2).a)
+    assert one.first(2)._a.shape == (1, 1, 1, 1)
+    for v, ref in ((-s, -dense), (3j * s, 3j * dense), (2.0 * one,
+                                                        2.0 * _expanded(one))):
+        assert v._a.shape[-1] == 1 and v._b is None
+        assert np.array_equal(v.a, ref.a)

@@ -103,6 +103,29 @@ def test_jet_mode_matches_finite_differences():
     assert count == 19 + 6  # every generator coefficient and tilde symbol
 
 
+def test_scalar_jet_keeps_the_scalar_shape():
+    # a c(q) I symbol stored as its scalar: values and derivatives of shape
+    # (2, N, 1, 1), against central differences of its dense reading
+    points = [(0.7, -1.3, 2.1), (-2.0, 0.4, 1.1)]
+    neg = [tuple(-c for c in p) for p in points]
+    sym = MomentumSymbol.scalar(lambda q: 1j * q[0] * q[1] + omega(q, M), "c")
+    vals, grads = sym.jet(signed_batch(points))
+    assert vals._a.shape == (2, len(points), 1, 1) and vals._b is None
+    for a in range(3):
+        assert grads[a]._a.shape == (2, len(points), 1, 1)
+        assert grads[a]._b is None
+        for half, pts in ((0, points), (1, neg)):
+            fd_a, fd_b = central_difference(sym, a, pts, h=1e-5)
+            assert np.max(np.abs(grads[a].a[half] - fd_a)) < 1e-7, (a, half)
+            assert not fd_b.any()
+    unit = MomentumSymbol.scalar(lambda q: 1.0, "I")
+    (a, b), grads = unit.jet(signed_batch(points))
+    assert unit(signed_batch(points))._a.shape == (1, 1, 1, 1)
+    assert a.shape == (1, 1, 4, 4) and np.array_equal(a[0, 0], np.eye(4))
+    assert not b.any() and all(
+        d._a is None and d._b is None for d in grads)
+
+
 def test_constant_has_zero_derivative():
     spin = dict(build_poincare_generators(M))["j12"].coeffs[(0, 0, 0)]
     (a, b), grads = spin.jet(signed_batch(SAMPLES[:3]))
