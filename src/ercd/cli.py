@@ -11,6 +11,7 @@ relative output paths.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -21,6 +22,40 @@ from .suites import DUMP_KINDS, dump_tables, run_suite
 
 _SUITE_CHOICES = SUITE_NAMES + ("all",)
 _TOL_KEYS = tuple(DEFAULT_TOLERANCES)
+
+# glibc's mallopt parameters (malloc.h) and the values the command line sets.
+# A flip-law commutator at the default 200 points allocates and frees a few
+# MB of 100 KB arrays. By default glibc hands free memory at the top of its
+# heap back to the OS once 128 KiB gather there, and page-faults it in again
+# for the next commutator. The values are the caps of glibc's own dynamic
+# thresholds on 64-bit hosts: the heap keeps up to 64 MiB of freed memory,
+# and it serves every array below 32 MiB, which is not mapped on its own.
+# Setting either parameter stops glibc adjusting both, so both are set: with
+# only the trim threshold, each 512 KB array of a 1000-point run would be
+# mapped and unmapped anew.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_SETTINGS = ((_M_TRIM_THRESHOLD, 64 << 20), (_M_MMAP_THRESHOLD, 32 << 20))
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Let glibc's heap keep the memory it frees, once per process; a no-op
+    on any other C library. Only the command line sets this: importing
+    ercd leaves the importer's allocator alone."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):
+        return
+    import ctypes  # numpy has loaded it already
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in _HEAP_SETTINGS:
+        mallopt(param, value)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -137,6 +172,7 @@ def _emit(content: str, out: Optional[str]) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    _keep_freed_heap()
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] not in ("verify", "dump", "-h", "--help"):
         argv.insert(0, "verify")  # bare flags mean verify

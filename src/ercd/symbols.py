@@ -26,7 +26,14 @@ is the one place the product is formed:
 
 A product with an absent factor is not formed, and a part both of whose
 terms are absent is absent. A product with a scalar factor is formed by
-broadcasting, and stays scalar when both factors are. Sums, differences and
+broadcasting, and stays scalar when both factors are. A constant 4x4
+matrix times a batch, on either side and with or without the flip, is one
+GEMM over the flattened batch, not one 4x4 product per point; with the
+constant on the left the result is a strided view of that GEMM's output.
+Each part product is a fresh array, and ``@`` adds the second term of a
+part into the first when the first has the sum's shape and dtype. Nothing
+else writes into an array: an operand, a part a caller holds and a value
+summed by ``xops`` are never changed. Sums, differences and
 scalar multiples act on both parts and keep absence; a sum of a scalar part
 and a matrix part expands the scalar through eye(4), so c never reaches
 the off-diagonal entries. The commutators of ``operators`` serve evaluated
@@ -106,9 +113,10 @@ class SymbolValues:
 
     def __matmul__(self, other: "SymbolValues") -> "SymbolValues":
         xa, xb, ya, yb = self._a, self._b, other._a, other._b
+        # each first product is fresh, so the second may be added into it
         return SymbolValues(
-            _add(_product(xa, ya), _product(xb, yb, flip=True)),
-            _add(_product(xa, yb), _product(xb, ya, flip=True)))
+            _add(_product(xa, ya), _product(xb, yb, flip=True), into=True),
+            _add(_product(xa, yb), _product(xb, ya, flip=True), into=True))
 
     def __add__(self, other: "SymbolValues") -> "SymbolValues":
         return SymbolValues(_add(self._a, other._a), _add(self._b, other._b))
@@ -152,14 +160,37 @@ def _dense(p):
     return p * _EYE4 if _is_scalar(p) else p
 
 
+def _is_constant(p) -> bool:
+    return p.shape[0] == 1
+
+
 def _product(x, y, flip=False):
     """x @ y, or x @ conj(y[::-1]) with flip, the reflected factor of the
     flip law; by broadcasting when a factor is scalar, None when a factor
-    is absent."""
+    is absent. The result is a fresh array."""
     if x is None or y is None:
         return None
+    if not (_is_scalar(x) or _is_scalar(y)) and (_is_constant(x)
+                                                 != _is_constant(y)):
+        return _constant_gemm(x, y, flip)
     y = np.conj(y[::-1]) if flip else y
     return x * y if _is_scalar(x) or _is_scalar(y) else x @ y
+
+
+def _constant_gemm(x, y, flip):
+    """The product of _product for a constant 4x4 matrix factor and a batch
+    one, as one GEMM over the batch: broadcasting would form one 4x4
+    product per point."""
+    if _is_constant(y):  # a constant is its own sign flip
+        y = np.conj(y) if flip else y
+        return (x.reshape(-1, 4) @ y[0, 0]).reshape(x.shape)
+    # c @ y[s, n] for every point: c times the points' matrices side by
+    # side, (4, 4) @ (4, 2N * 4), read back as a strided view
+    rows = y.transpose(2, 0, 1, 3)
+    rows = (np.conjugate(rows[:, ::-1], order="C") if flip
+            else np.ascontiguousarray(rows))
+    return (x[0, 0] @ rows.reshape(4, -1)).reshape(rows.shape
+                                                  ).transpose(1, 2, 0, 3)
 
 
 def _matched(x, y):
@@ -170,10 +201,16 @@ def _matched(x, y):
     return _dense(x), _dense(y)
 
 
-def _add(x, y):
+def _add(x, y, into=False):
+    """x + y; with into, written into x when x holds the sum's shape and
+    dtype, for an x that the caller formed and nobody else holds."""
     if x is None or y is None:
         return x if y is None else y
     x, y = _matched(x, y)
+    if (into and x.shape == np.broadcast_shapes(x.shape, y.shape)
+            and x.dtype == np.result_type(x, y)):
+        x += y
+        return x
     return x + y
 
 

@@ -79,8 +79,10 @@ class XValues:
                         for k, (v, _) in x.terms.items())
 
     def __sub__(self, other: "XValues") -> "XValues":
-        return self + XValues({k: (-v, None)
-                               for k, (v, _) in other.terms.items()})
+        out = {k: v for k, (v, _) in self.terms.items()}
+        for k, (v, _) in other.terms.items():
+            out[k] = out[k] - v if k in out else -v
+        return XValues({k: (v, None) for k, v in out.items()})
 
     def max_norm(self) -> float:
         """Largest coefficient entry modulus over the +q half."""

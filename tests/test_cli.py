@@ -1,13 +1,18 @@
 import contextlib
 import csv
+import ctypes
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ercd.cli
 import ercd.suites
 from ercd.cli import main
 from ercd.reporting import CLAIM_REGISTRY, Claim, Ledger, SuiteConfig
@@ -570,3 +575,108 @@ def test_dump_labels_round_trip():
     payload = json.loads(dump_tables("cd16", "multiplication", "json"))
     dumped = {e[0] for e in payload["entries"]}
     assert dumped == set(cd16().labels())
+
+
+# ---------------------------------------------------------------------------
+# the heap settings of the command line
+# ---------------------------------------------------------------------------
+
+def _on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+def _python(code: str) -> str:
+    """The last line that code prints in a fresh interpreter importing
+    this ercd."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ercd.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=300)
+    return done.stdout.splitlines()[-1]
+
+
+_RECORD_MALLOPT = """
+import ctypes, json, os
+calls = []
+
+class Libc:
+    def __getattr__(self, name):
+        if name != "mallopt":
+            raise AttributeError(name)
+        return lambda *args: calls.append(list(args)) or 1
+
+real = ctypes.CDLL
+ctypes.CDLL = lambda name, *a, **k: Libc() if name is None else real(name, *a, **k)
+import ercd, ercd.cli, ercd.suites, ercd.xops
+imported = list(calls)
+for _ in range(2):
+    ercd.cli.main(["verify", "--suite", "cd", "--out", os.devnull])
+print(json.dumps({"imported": imported, "main": calls}))
+"""
+
+
+def test_only_the_command_line_sets_the_heap_and_only_once():
+    calls = json.loads(_python(_RECORD_MALLOPT))
+    assert calls["imported"] == []
+    expected = [list(s) for s in ercd.cli._HEAP_SETTINGS]
+    assert calls["main"] == (expected if _on_glibc() else [])
+
+
+def _unknown_name(name):
+    raise ValueError(f"unrecognized configuration name {name!r}")
+
+
+def test_heap_settings_are_a_no_op_off_glibc(monkeypatch):
+    # musl and other C libraries have no such name, or no value for it;
+    # Windows has no os.confstr
+    def no_libc(name, *args, **kwargs):
+        raise AssertionError("the C library was opened off glibc")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_libc)
+    for confstr in (lambda name: None, _unknown_name):
+        monkeypatch.setattr(os, "confstr", confstr)
+        ercd.cli._keep_freed_heap.__wrapped__()
+    monkeypatch.delattr(os, "confstr")
+    ercd.cli._keep_freed_heap.__wrapped__()
+
+
+def test_heap_settings_survive_a_libc_without_mallopt(monkeypatch):
+    def failing(name, *args, **kwargs):
+        raise OSError("no such library")
+
+    monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+    monkeypatch.setattr(ctypes, "CDLL", failing)
+    ercd.cli._keep_freed_heap.__wrapped__()
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    ercd.cli._keep_freed_heap.__wrapped__()
+
+
+_POINCARE_FAULTS = """
+import os, resource
+import ercd.cli
+from ercd.reporting import SuiteConfig
+from ercd.suites import run_suite
+
+def cli():
+    ercd.cli.main(["verify", "--suite", "poincare", "--format", "json",
+                   "--out", os.devnull])
+
+def library():
+    run_suite(SuiteConfig(suites=("poincare",), fmt="json")).render()
+
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+{run}()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="the heap settings are glibc's")
+def test_the_command_line_keeps_the_poincare_heap_resident():
+    # the same poincare run with the settings of the command line and
+    # without them; the count of minor page faults, not a time
+    cli, library = (int(_python(_POINCARE_FAULTS.format(run=run)))
+                    for run in ("cli", "library"))
+    assert cli < library / 3, (cli, library)

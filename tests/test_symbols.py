@@ -543,3 +543,68 @@ def test_norm_first_negation_and_scaling_on_scalar_parts():
                                                         2.0 * _expanded(one))):
         assert v._a.shape[-1] == 1 and v._b is None
         assert np.array_equal(v.a, ref.a)
+
+
+# ---------------------------------------------------------------------------
+# GEMM products and in-place sums
+# ---------------------------------------------------------------------------
+
+def _per_point_product(x, y):
+    """The flip-law product x @ y, one np.matmul per point and sign: the
+    reference for the batched paths."""
+    xa, xb, ya, yb = (np.broadcast_to(p, (2, 3, 4, 4))
+                      for p in (x.a, x.b, y.a, y.b))
+    a, b = (np.zeros((2, 3, 4, 4), dtype=complex) for _ in range(2))
+    for s in range(2):
+        for n in range(3):
+            a[s, n] = (np.matmul(xa[s, n], ya[s, n])
+                       + np.matmul(xb[s, n], np.conj(yb[1 - s, n])))
+            b[s, n] = (np.matmul(xa[s, n], yb[s, n])
+                       + np.matmul(xb[s, n], np.conj(ya[1 - s, n])))
+    return a, b
+
+
+def _constant_and_batch_values(rng):
+    """Constant (1, 1, 4, 4) and batch (2, 3, 4, 4) values with linear or
+    antilinear parts or both, complex or real-valued."""
+    def values(shape):
+        def part(real):
+            return (rng.normal(size=shape) if real
+                    else _random_matrices(rng, 1.0, shape[:2]))
+
+        return [SymbolValues(*(part(real) if keep else None
+                               for keep, real in zip(present, reals)))
+                for reals in ((False, False), (True, False), (True, True))
+                for present in ((True, True), (True, False), (False, True))]
+
+    return values((1, 1, 4, 4)), values((2, 3, 4, 4))
+
+
+def test_constant_factor_gemm_and_in_place_sums_match_per_point_products():
+    # a constant on the left and on the right, through the flipped and the
+    # plain terms, linear and antilinear parts, complex and real-valued
+    constants, batches = _constant_and_batch_values(np.random.default_rng(22))
+    for c in constants:
+        for v in batches:
+            for x, y in ((c, v), (v, c)):
+                got = x @ y
+                for part, expected in zip(got, _per_point_product(x, y)):
+                    scale = max(1.0, float(np.max(np.abs(expected))))
+                    assert (float(np.max(np.abs(part - expected)))
+                            <= 1e-14 * scale)
+
+
+def test_algebra_leaves_every_operand_unchanged():
+    rng = np.random.default_rng(24)
+    constants, batches = _constant_and_batch_values(rng)
+    values = constants + batches + _values_with_every_scalar(rng)
+    copies = [[None if p is None else p.copy() for p in (v._a, v._b)]
+              for v in values]
+    for x in values:
+        -x, 1j * x, x.first(2)
+        for y in values:
+            x @ y, x + y, x - y, commutator(x, y), anticommutator(x, y)
+    for v, saved in zip(values, copies):
+        for part, copy in zip((v._a, v._b), saved):
+            assert (part is None) == (copy is None)
+            assert part is None or part.tobytes() == copy.tobytes()

@@ -399,3 +399,39 @@ def test_reports_are_judged_against_the_given_tolerance():
     assert closure.passed
     assert not poincare_closure_check(names, values,
                                       tol=closure.max_residual / 2).passed
+
+
+# ---------------------------------------------------------------------------
+# operands stay unchanged
+# ---------------------------------------------------------------------------
+
+def _arrays(values):
+    """Every array held by the values: coefficients and derivatives."""
+    for v in values:
+        for coeff, derivatives in v.terms.values():
+            for sym in (coeff,) + tuple(derivatives or ()):
+                yield from (p for p in (sym._a, sym._b) if p is not None)
+
+
+def test_algebra_leaves_the_generator_values_unchanged():
+    names, values = _generator_values(6)
+    held = list(_arrays(values))
+    saved = [p.copy() for p in held]
+    for x in values:
+        for y in values:
+            x + y, x - y, commutator(x, y)
+    poincare_closure_check(names, values, tol=CLOSURE_TOL)
+    assert all(p.tobytes() == s.tobytes() for p, s in zip(held, saved))
+
+
+def test_difference_is_the_sum_with_the_negated_values():
+    _, values = _generator_values(6)
+    for x in values:
+        for y in values:
+            negated = XValues({k: (-v, None) for k, (v, _) in y.terms.items()})
+            diff, ref = x - y, x + negated
+            assert list(diff.terms) == list(ref.terms)
+            for (d, _), (r, _) in zip(diff.terms.values(), ref.terms.values()):
+                for part, expected in zip((d._a, d._b), (r._a, r._b)):
+                    assert (part is None) == (expected is None)
+                    assert part is None or np.array_equal(part, expected)
