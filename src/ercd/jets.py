@@ -1,15 +1,16 @@
 """Degree-1 forward-mode jets (dual numbers over numpy arrays) for the
 q-derivatives of momentum symbols (Griewank & Walther, Evaluating
-Derivatives, SIAM 2008). Their one user, ``MomentumSymbol.jet``, hands
-back values and gradients as plain arrays.
+Derivatives, SIAM 2008). Their one user, ``MomentumSymbol.jet``, evaluates
+a symbol's scalar profiles on jets and hands back values and gradients as
+plain arrays; the symbol's constant operators never meet a jet.
 
 A Jet holds a value array ``val`` and its gradient ``grad`` of shape
 (3, *val.shape), where grad[a] is d val / d q_a. Jets take part in numpy
-arithmetic through ``__array_ufunc__``: + - * / sqrt conj and @ work
-between jets, arrays and scalars with the usual broadcasting, so a symbol
-written for plain momentum arrays evaluates unchanged on a jet. Plain
-operands are constants. Only degree 1 is kept: a jet's gradient is a plain
-array, and jets are never nested.
+arithmetic through ``__array_ufunc__``: + - * / sqrt and conj work between
+jets, arrays and scalars with the usual broadcasting, so a profile written
+for plain momentum arrays evaluates unchanged on a jet. Plain operands are
+constants. Only degree 1 is kept: a jet's gradient is a plain array, and
+jets are never nested.
 
 Momenta arrive as signed batches, N momenta and their reflections, with
 the sign axis first. ``Jet.of_momenta`` differentiates with respect to the
@@ -44,14 +45,6 @@ class Jet(np.lib.mixins.NDArrayOperatorsMixin):
             jets.append(cls(qa, grad))
         return tuple(jets)
 
-    @property
-    def shape(self):
-        return self.val.shape
-
-    def __getitem__(self, idx) -> "Jet":
-        idx = idx if isinstance(idx, tuple) else (idx,)
-        return Jet(self.val[idx], self.grad[(slice(None),) + idx])
-
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if method != "__call__" or kwargs or ufunc not in _RULES:
             return NotImplemented
@@ -81,11 +74,6 @@ def _quotient(val, vals, grads):
     return _sum(_times(gx, 1.0 / y), _times(gy, -val / y))
 
 
-def _matmul(val, vals, grads):
-    (x, y), (gx, gy) = vals, grads
-    return _sum(None if gx is None else gx @ y, None if gy is None else x @ gy)
-
-
 _RULES = {
     np.add: lambda val, vals, grads: _sum(*grads),
     np.subtract: lambda val, vals, grads: _sum(grads[0],
@@ -95,5 +83,4 @@ _RULES = {
     np.multiply: _product,
     np.true_divide: _quotient,
     np.sqrt: lambda val, vals, grads: grads[0] * (0.5 / val),
-    np.matmul: _matmul,
 }

@@ -193,6 +193,13 @@ class GeneralOp:
         return tuple(x[k, 0] + 1j * x[k, 1] if h[:, k].any() else None
                      for k in range(2))
 
+    def scalar_parts(self) -> Tuple[bool, bool]:
+        """Whether A and B are each c I for a complex c, zero included,
+        decided on the integers."""
+        h = self._halves()
+        diagonal = h[..., :1, :1] * np.eye(4, dtype=np.int64)
+        return tuple(bool((h[:, k] == diagonal[:, k]).all()) for k in range(2))
+
     def _halves(self) -> np.ndarray:
         """2d times (Ar, Ai; Br, Bi): axes rational or sqrt2 part, A or B,
         re or im, row, column."""

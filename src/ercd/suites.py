@@ -33,10 +33,9 @@ from .reporting import CLAIM_REGISTRY, Claim, Ledger, SuiteConfig, SUITE_NAMES
 from .scalars import ExactScalar, HALF, I_UNIT, ZERO
 from .spans import (OrthogonalBasis, centralizer_kernel, span_rank,
                     spans_equal, structure_constants)
-from .symbols import (MomentumSymbol, SymbolValues, check_equation_symmetry,
+from .symbols import (MomentumSymbol, check_equation_symmetry,
                       dirac_hamiltonian, fw_hamiltonian, fw_transform, pd_spin,
-                      sample_momenta, signed_batch, spin_matrices_complex,
-                      tilde_values)
+                      sample_momenta, signed_batch, spin_triple, tilde_values)
 from .xops import (XOp, ZERO_MULTI, build_poincare_generators,
                    casimir_report, commutator as xop_commutator, evaluate,
                    evolution_commutator_residual, poincare_closure_check,
@@ -441,7 +440,7 @@ def _fw_nonlocal(ledger: Ledger, m: float, fw, hd, samples, tol: float,
     vp, vm = fw_transform(m, +1)(q), fw_transform(m, -1)(q)
     h_d = hd.symbol(q)
 
-    ident = MomentumSymbol.scalar(lambda q: 1.0, "I")(q)
+    ident = MomentumSymbol((GeneralOp.identity(),), lambda q: (1.0,), "I")(q)
     worst = max((vp @ vm - ident).norm(), (vm @ vp - ident).norm())
     _claim(ledger, "fw.transform-inverse", worst < tol, residual=worst,
            detail=used, tol=tol)
@@ -450,15 +449,14 @@ def _fw_nonlocal(ledger: Ledger, m: float, fw, hd, samples, tol: float,
     _claim(ledger, "fw.conjugation-identity", worst < h_tol, residual=worst,
            detail=used, tol=h_tol)
 
-    sv = spin_matrices_complex()
     worst = 0.0
-    for j, s in enumerate(pd_spin(m)):
-        spin = s(q)
-        conj = vp @ SymbolValues(sv[j], None) @ vm
+    for s, s0 in zip(pd_spin(m), spin_triple()):
+        spin, const = s(q), MomentumSymbol((s0,), lambda q: (1.0,))(q)
+        conj = vp @ const @ vm
         worst = max(worst, (spin - conj).norm(),
                     commutator(spin, h_d).norm())
         a0, _ = s.value_at((0.0, 0.0, 0.0))
-        worst = max(worst, float(np.max(np.abs(a0 - sv[j]))))
+        worst = max(worst, float(np.max(np.abs(a0 - const.a[0, 0]))))
     _claim(ledger, "fw.nonlocal-spin", worst < tol, residual=worst,
            detail=used, tol=tol)
 
@@ -481,7 +479,8 @@ def _fw_nonlocal(ledger: Ledger, m: float, fw, hd, samples, tol: float,
     fundamentals["tg0"] = pd_gammas().get("g0")
     fundamentals["tC"] = GeneralOp.conjugation()
     for lbl, value in tilde_values(m, q).items():
-        conj = vp @ MomentumSymbol.constant(fundamentals[lbl])(q) @ vm
+        const = MomentumSymbol((fundamentals[lbl],), lambda q: (1.0,))
+        conj = vp @ const(q) @ vm
         worst = max(worst, (value - conj).norm())
     _claim(ledger, "fw.nonlocal-generators", worst < tol, residual=worst,
            detail="closed forms match the conjugation oracle; the "
@@ -494,7 +493,8 @@ def flip_anticommutation_residual(values) -> float:
     """The largest +q-half entry of the defects {g_a, g_b} + 2 delta_ab I
     of generators evaluated on one signed batch."""
     # a constant's value on the empty batch broadcasts over any batch
-    unit = MomentumSymbol.scalar(lambda q: 2.0, "2I")(signed_batch(()))
+    unit = MomentumSymbol((GeneralOp.identity(),), lambda q: (2.0,),
+                          "2I")(signed_batch(()))
     return max(defect.norm() for _, _, defect in
                anticommutation_defects(values, (-1,) * len(values), unit))
 
@@ -551,7 +551,7 @@ def _suite_poincare(ledger: Ledger, config: SuiteConfig) -> None:
     momenta = [evaluate(g, q) for name, g in translation_generators(m)
                if name != "p0"]
     positions = [evaluate(position_op(b), q) for b in range(3)]
-    ident = MomentumSymbol.scalar(lambda q: 1.0, "I")
+    ident = MomentumSymbol((GeneralOp.identity(),), lambda q: (1.0,), "I")
     unit = evaluate(XOp({ZERO_MULTI: ident}), q)
     worst = 0.0
     for n in range(3):

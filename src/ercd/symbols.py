@@ -2,19 +2,25 @@
 
 A symbol maps momentum q to a pair of 4x4 matrices (A(q), B(q)), the
 operator phi -> A(q) phi + B(q) conj(phi(-q)) with a linear and an
-antilinear part. Symbols are evaluated on signed batches: an array Q of
-shape (2, N, 3) holding N momenta and their reflections, Q[1] = -Q[0]
-(``signed_batch``). A ``MomentumSymbol`` only evaluates: on a batch it
-gives a ``SymbolValues``, the parts A and B, each of shape (2, N, 4, 4) or
-(1, 1, 4, 4) when constant. A part that is c(q) I is stored as its scalar
-c, of shape (2, N, 1, 1) or (1, 1, 1, 1) when constant (``scalar``). All
-algebra works on those values.
+antilinear part. Every symbol has one form, sum_t p_t(q) M_t: exact
+constant operators M_t (``GeneralOp``) times scalar profiles p_t
+(``MomentumSymbol``). The float images of the M_t are read once, when the
+symbol is built, through ``float_image``: the one place where the momentum
+layer turns exact operators into floats.
 
-A part that is zero by construction is absent: the B of a
-``linear_matrix`` symbol, the A of an ``antilinear_matrix`` one, a part of
-a ``constant`` whose exact matrix is zero, and the derivative of a part
-that does not depend on q. An absent part is never allocated, and no
-float data is scanned to decide it.
+Symbols are evaluated on signed batches: an array Q of shape (2, N, 3)
+holding N momenta and their reflections, Q[1] = -Q[0] (``signed_batch``).
+On a batch a symbol gives a ``SymbolValues``, the parts A and B, each of
+shape (2, N, 4, 4) or (1, 1, 4, 4) when constant. A part that is c(q) I is
+stored as its scalar c, of shape (2, N, 1, 1) or (1, 1, 1, 1) when
+constant. All algebra works on those values.
+
+The kind of each part is decided on the exact M_t when the symbol is
+built, and no float data is scanned to decide it. A part that no M_t has
+is absent, a part whose every contributing M_t is c I (the identity, the
+operator i) is a scalar, and a part whose profiles are all numbers is
+constant. The derivative of a constant part is absent too. An absent part
+is never allocated.
 
 Composition follows the momentum-flip law: antilinear parts see the
 reflected momentum. On a signed batch the reflected factor is a flip of
@@ -40,21 +46,23 @@ the off-diagonal entries. The commutators of ``operators`` serve evaluated
 values unchanged. Dropping an exactly zero term turns x + 0 into x, which
 changes at most the sign of a zero entry.
 
-``MomentumSymbol.jet`` gives values and first q-derivatives from one pass
-on degree-1 array jets (``jets.Jet``) seeded with +e_a on the +q half and
--e_a on the -q half, so the flip stays an index flip under differentiation.
+``MomentumSymbol.jet`` gives values and first q-derivatives from one pass:
+it evaluates the profiles on degree-1 array jets (``jets.Jet``) seeded
+with +e_a on the +q half and -e_a on the -q half, so the flip stays an
+index flip under differentiation, and applies the same sum to the values
+and to each gradient.
 
 Fourier convention: phi(x) = (2 pi)^(-3/2) Int d^3q e^{i q.x} phitilde(q),
 so d/dx_n has symbol i q_n and conjugation sends phitilde(q) to
-conj(phitilde(-q)). Constant symbols embed GeneralOps through their float
-images (``GeneralOp.floats``) and compose identically to the exact layer.
-An ``EquationOperator`` states a Hamiltonian once, by its exact terms; the
-symmetry check reads them, and its symbols are built from them.
+conj(phitilde(-q)). A constant symbol, one operator with the profile 1,
+composes identically to the exact layer. An ``EquationOperator`` states a
+Hamiltonian once, by its exact terms; the symmetry check reads them, and
+its symbols are built from them.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add
 from typing import Callable, Dict, List, Tuple
 
@@ -231,57 +239,29 @@ def _components(q):
 # ---------------------------------------------------------------------------
 
 class MomentumSymbol:
-    """q -> (A(q), B(q)) over signed batches.
+    """q -> sum_t p_t(q) M_t over signed batches.
 
-    fn maps the momentum components (q1, q2, q3), each of shape
-    (2, N, 1, 1) as plain arrays or jets, to the pair (A, B), or to the
-    ``SymbolValues`` of a composite; a part that does not depend on q may
-    be a single 4x4 matrix, a part that is c(q) I may be its scalar c
-    (``scalar``), and a part that is zero by construction is None.
+    ops are the exact operators M_t. profiles maps the momentum
+    components (q1, q2, q3), each of shape (2, N, 1, 1) as plain arrays or
+    jets, to the tuple of the scalar profiles p_t, each an array of that
+    shape, a jet or a number. The symbol reads the float image of each M_t
+    once, here, and decides here the kind of each part (module docstring).
     """
 
-    __slots__ = ("fn", "label")
+    __slots__ = ("ops", "profiles", "label", "_parts")
 
-    def __init__(self, fn: Callable, label: str = ""):
-        self.fn = fn
+    def __init__(self, ops, profiles: Callable, label: str = ""):
+        self.ops: Tuple[GeneralOp, ...] = tuple(ops)
+        self.profiles = profiles
         self.label = label
+        self._parts = _part_images(self.ops)
 
     def __call__(self, q) -> SymbolValues:
         """The values on the signed batch q of shape (2, N, 3)."""
-        return self._eval(_components(q))
+        return self._values(self.profiles(_components(q)))
 
-    def _eval(self, comps) -> SymbolValues:
-        v = self.fn(comps)
-        return v if isinstance(v, SymbolValues) else SymbolValues(*v)
-
-    @classmethod
-    def constant(cls, op: GeneralOp, label: str = "") -> "MomentumSymbol":
-        """The constant symbol of op, its float image ``op.floats()``; a
-        part whose exact matrix is zero is absent."""
-        parts = op.floats()
-        return cls(lambda q: parts, label or "const")
-
-    @classmethod
-    def scalar(cls, fn: Callable, label: str = "") -> "MomentumSymbol":
-        """The linear symbol c(q) I, stored as its scalar: fn maps the
-        momentum components to c of shape (2, N, 1, 1), or to a number
-        when c is constant, kept as shape (1, 1, 1, 1)."""
-        def parts(q):
-            c = fn(q)
-            if not np.shape(c):
-                c = np.full((1, 1, 1, 1), c, dtype=complex)
-            return c, None
-
-        return cls(parts, label)
-
-    @classmethod
-    def linear_matrix(cls, fn_a: Callable, label: str = "") -> "MomentumSymbol":
-        return cls(lambda q: (fn_a(q), None), label)
-
-    @classmethod
-    def antilinear_matrix(cls, fn_b: Callable, label: str = ""
-                          ) -> "MomentumSymbol":
-        return cls(lambda q: (None, fn_b(q)), label)
+    def _values(self, ps) -> SymbolValues:
+        return SymbolValues(*(_combine(part, ps) for part in self._parts))
 
     def value_at(self, q) -> Tuple[np.ndarray, np.ndarray]:
         """(A(q), B(q)) at one momentum triple."""
@@ -292,15 +272,54 @@ class MomentumSymbol:
         """Values and q-derivatives on the signed batch q from one seeded
         jet pass: (v, (d1, d2, d3)), where da = dv/dq_a on both halves.
         A derivative keeps the shape of its part, (2, N, 1, 1) for a
-        scalar; a part that does not depend on q keeps its constant shape,
-        and its derivatives are absent, as are those of an absent part."""
-        v = self._eval(Jet.of_momenta(_components(q)))
-        parts = (v._a, v._b)
-        grads = [p.grad * _HALF_SIGN if isinstance(p, Jet) else (None,) * 3
-                 for p in parts]
-        return (SymbolValues(*(p.val if isinstance(p, Jet) else p
-                               for p in parts)),
-                tuple(SymbolValues(da, db) for da, db in zip(*grads)))
+        scalar; a part whose profiles are all numbers keeps its constant
+        shape, and its derivatives are absent, as are those of an absent
+        part."""
+        ps = self.profiles(Jet.of_momenta(_components(q)))
+        jets = [isinstance(p, Jet) for p in ps]
+        grads = [p.grad * _HALF_SIGN if j else (None,) * 3
+                 for p, j in zip(ps, jets)]
+        return (self._values([p.val if j else p for p, j in zip(ps, jets)]),
+                tuple(self._values(d) for d in zip(*grads)))
+
+
+@lru_cache(maxsize=None)
+def float_image(op: GeneralOp):
+    """The complex 4x4 images (A, B) of op, None for a part that is exactly
+    zero: the one place where the momentum layer turns an exact operator
+    into floats (``GeneralOp.floats``). An operator never changes, so its
+    images are read once and kept, read-only."""
+    images = op.floats()
+    for image in (im for im in images if im is not None):
+        image.flags.writeable = False
+    return images
+
+
+# whether each part of an operator is c I, decided once per operator
+_scalar_parts = lru_cache(maxsize=None)(GeneralOp.scalar_parts)
+
+
+def _part_images(ops):
+    """Per part, A then B, the pairs (t, image) of the operators that have
+    it, in order: each image of shape (1, 1, 1, 1), holding c, when all of
+    those parts are c I, and of shape (1, 1, 4, 4) otherwise."""
+    images = [float_image(op) for op in ops]
+    parts = []
+    for k in range(2):
+        terms = [(t, im[k]) for t, im in enumerate(images)
+                 if im[k] is not None]
+        scalar = all(_scalar_parts(ops[t])[k] for t, _ in terms)
+        parts.append([(t, im[None, None, :1, :1] if scalar else im[None, None])
+                      for t, im in terms])
+    return parts
+
+
+def _combine(part, ps):
+    """sum_t p_t image_t over the terms of one part, in order; an absent
+    p_t, the derivative of a number, adds nothing, and a part with no term
+    is absent (None)."""
+    present = [ps[t] * image for t, image in part if ps[t] is not None]
+    return reduce(add, present) if present else None
 
 
 # ---------------------------------------------------------------------------
@@ -331,28 +350,23 @@ class EquationOperator:
     """The evolution operator d_0 + iH with H(q) = sum_t f_t(q) M_t, stated
     once by its terms (M_t, sigma_t, f_t): exact constant linear operators
     M_t and scalar profiles f_t, each even (sigma_t = +1) or odd
-    (sigma_t = -1) in q. ``symbol`` is built from the terms, and
-    ``check_equation_symmetry`` reads them exactly."""
+    (sigma_t = -1) in q. ``symbol`` is the terms themselves, the M_t with
+    the profiles f_t, and ``check_equation_symmetry`` reads them exactly."""
 
     def __init__(self, terms, label: str):
         self.terms: Tuple[Tuple[GeneralOp, int, Callable], ...] = tuple(terms)
         self.symbol = self.scaled(1, label)
 
     def scaled(self, c, label: str) -> MomentumSymbol:
-        """The symbol of c H: the sum of (c f_t(q)) floats(M_t) in term
-        order."""
-        images = [(f, m.floats()[0]) for m, _, f in self.terms]
-        return MomentumSymbol.linear_matrix(
-            lambda q: reduce(add, ((c * f(q)) * a for f, a in images)), label)
+        """The symbol of c H: the operators M_t with the profiles
+        c f_t(q)."""
+        fs = [f for _, _, f in self.terms]
+        return MomentumSymbol([m for m, _, _ in self.terms],
+                              lambda q: tuple(c * f(q) for f in fs), label)
 
     def hamiltonian(self, q) -> np.ndarray:
         a, _ = self.symbol.value_at(q)
         return a
-
-
-def _gamma_complex():
-    g = pd_gammas()
-    return {k: g.get(f"g{k}").floats()[0] for k in range(5)}
 
 
 def omega(q, mass: float):
@@ -391,24 +405,21 @@ def fw_transform(mass: float, sign: int = +1) -> MomentumSymbol:
     if mass <= 0:
         raise ValueError("the basis-change symbol needs m > 0 "
                          "(denominator degenerates at q = 0 otherwise)")
-    gc = _gamma_complex()
-    ident = np.eye(4, dtype=complex)
 
-    def fn_a(q):
+    def profiles(q):
         w = omega(q, mass)
-        norm = np.sqrt((w + mass) * w * 2.0)
-        acc = ((-sign * q[0]) * gc[1] + (-sign * q[1]) * gc[2]
-               + (-sign * q[2]) * gc[3] + (w + mass) * ident)
-        return (1.0 / norm) * acc
+        r = 1.0 / np.sqrt((w + mass) * w * 2.0)
+        return (r * (-sign * q[0]), r * (-sign * q[1]), r * (-sign * q[2]),
+                r * (w + mass))
 
-    return MomentumSymbol.linear_matrix(fn_a, f"V{'+' if sign > 0 else '-'}")
+    return MomentumSymbol(pd_gammas().ops()[1:4] + [GeneralOp.identity()],
+                          profiles, f"V{'+' if sign > 0 else '-'}")
 
 
-def spin_matrices_complex() -> List[np.ndarray]:
+def spin_triple() -> List[GeneralOp]:
     """The constant spin triple (s_23, s_31, s_12) = (gm gn / 2)."""
     s = so15_generators()
-    return [s[(2, 3)].floats()[0], -s[(1, 3)].floats()[0],
-            s[(1, 2)].floats()[0]]
+    return [s[(2, 3)], -s[(1, 3)], s[(1, 2)]]
 
 
 def pd_spin(mass: float) -> List[MomentumSymbol]:
@@ -422,21 +433,23 @@ def pd_spin(mass: float) -> List[MomentumSymbol]:
     """
     if mass <= 0:
         raise ValueError("nonlocal spin needs m > 0")
-    gc = _gamma_complex()
-    sv = spin_matrices_complex()
+    spins, gammas = spin_triple(), pd_gammas().ops()[1:4]
 
     def make(j):
-        def fn_a(q):
-            w = omega(q, mass)
-            k, l = (j + 1) % 3, (j + 2) % 3
-            gxq = q[l] * gc[k + 1] + (-q[k]) * gc[l + 1]
-            q2 = q[0] * q[0] + q[1] * q[1] + q[2] * q[2]
-            sdotq = q[0] * sv[0] + q[1] * sv[1] + q[2] * sv[2]
-            acc = sv[j] + (-1.0 / (2.0 * w)) * gxq
-            third = (-q2) * sv[j] + q[j] * sdotq
-            return acc + (1.0 / (w * (w + mass))) * third
+        k, l = (j + 1) % 3, (j + 2) % 3
 
-        return MomentumSymbol.linear_matrix(fn_a, f"s{j + 1}_pd")
+        def profiles(q):
+            w = omega(q, mass)
+            c = 1.0 / (w * (w + mass))
+            q2 = q[0] * q[0] + q[1] * q[1] + q[2] * q[2]
+            h = -1.0 / (2.0 * w)
+            # the coefficient of s_i: c q_j q_i, and 1 + c (q_j^2 - q^2) at j
+            on_spins = tuple(1.0 + c * ((-q2) + q[j] * q[j]) if i == j
+                             else c * (q[j] * q[i]) for i in range(3))
+            return on_spins + (h * q[l], h * (-q[k]))
+
+        return MomentumSymbol(spins + [gammas[k], gammas[l]], profiles,
+                              f"s{j + 1}_pd")
 
     return [make(j) for j in range(3)]
 
@@ -449,49 +462,44 @@ def tilde_gammas(mass: float) -> List[Tuple[str, MomentumSymbol]]:
     """
     if mass <= 0:
         raise ValueError("nonlocal generators need m > 0")
-    gc = _gamma_complex()
-    ident = np.eye(4, dtype=complex)
+    g0, g1, g2, g3, g4 = pd_gammas().ops()
+    gammas, ident = [g1, g2, g3], GeneralOp.identity()
 
-    def gamma_dot_q(q):
-        return q[0] * gc[1] + q[1] * gc[2] + q[2] * gc[3]
+    def closed_form(base, label, k=None):
+        # (1/w) base (m + gamma.q), and for the vector k also
+        # (q_k / (w (w + m))) (gamma.q + w + m)
+        ops = [base] + [base @ x for x in gammas]
+        if k is not None:
+            ops += gammas + [ident]
 
-    def make_vector(k):
-        def fn_a(q):
+        def profiles(q):
             w = omega(q, mass)
-            core = mass * ident + gamma_dot_q(q)
-            first = (1.0 / w) * (gc[k + 1] @ core)
-            second = (q[k] / (w * (w + mass))) * (gamma_dot_q(q)
-                                                  + (w + mass) * ident)
-            return first + second
+            r = 1.0 / w
+            first = (r * mass, r * q[0], r * q[1], r * q[2])
+            if k is None:
+                return first
+            d = q[k] / (w * (w + mass))
+            return first + (d * q[0], d * q[1], d * q[2], d * (w + mass))
 
-        return MomentumSymbol.linear_matrix(fn_a, f"tg{k + 1}")
+        return MomentumSymbol(ops, profiles, label)
 
-    def make_scaled(base, label):
-        def fn_a(q):
-            w = omega(q, mass)
-            core = mass * ident + gamma_dot_q(q)
-            return (1.0 / w) * (base @ core)
+    # expansion of V+(q) conj(V-(-q)): scalar, g1 q1 + g3 q3, and the
+    # g1 g2, g2 g3 cross terms survive (conjugation flips only g2)
+    conj = GeneralOp.conjugation()
+    tc_ops = [x @ conj for x in (ident, g1 @ g2, g2 @ g3, g1, g3)]
 
-        return MomentumSymbol.linear_matrix(fn_a, label)
-
-    def tc_fn(q):
-        # expansion of V+(q) conj(V-(-q)): scalar, g1 q1 + g3 q3, and the
-        # g1 g2, g2 g3 cross terms survive (conjugation flips only g2)
+    def tc_profiles(q):
         w = omega(q, mass)
         c = w + mass
-        g12 = gc[1] @ gc[2]
-        g23 = gc[2] @ gc[3]
-        acc = ((2.0 * mass * c + 2.0 * q[1] * q[1]) * ident
-               + (-2.0 * q[0] * q[1]) * g12 + (2.0 * q[1] * q[2]) * g23
-               + (-2.0 * c * q[0]) * gc[1] + (-2.0 * c * q[2]) * gc[3])
-        return (1.0 / (2.0 * w * c)) * acc
+        r = 1.0 / (2.0 * w * c)
+        return (r * (2.0 * mass * c + 2.0 * q[1] * q[1]),
+                r * (-2.0 * q[0] * q[1]), r * (2.0 * q[1] * q[2]),
+                r * (-2.0 * c * q[0]), r * (-2.0 * c * q[2]))
 
-    tg1, tg2, tg3 = (make_vector(k) for k in range(3))
-    tg4 = make_scaled(gc[4], "tg4")
-    tg0 = make_scaled(gc[0], "tg0")
-    t_c = MomentumSymbol.antilinear_matrix(tc_fn, "tC")
-    return [("tg1", tg1), ("tg2", tg2), ("tg3", tg3), ("tg4", tg4),
-            ("tg0", tg0), ("tC", t_c)]
+    return [*((f"tg{k + 1}", closed_form(gammas[k], f"tg{k + 1}", k))
+              for k in range(3)),
+            ("tg4", closed_form(g4, "tg4")), ("tg0", closed_form(g0, "tg0")),
+            ("tC", MomentumSymbol(tc_ops, tc_profiles, "tC"))]
 
 
 def tilde_values(mass: float, q) -> Dict[str, SymbolValues]:

@@ -5,7 +5,8 @@ from them.
 Normal form keeps all position factors on the left: a term x^alpha S(q)
 means "apply the matrix symbol, then multiply by positions", with x_b
 acting as i d/dq_b in momentum space. An ``XOp`` holds the symbol
-coefficients; ``evaluate`` runs each once on a signed batch
+coefficients, each exact operators times scalar profiles
+(``MomentumSymbol``); ``evaluate`` runs each once on a signed batch
 (``MomentumSymbol.jet``), and the algebra works on the resulting
 ``XValues``: per key a ``SymbolValues`` and its q-derivatives. Products
 use the reordering rule
@@ -61,7 +62,8 @@ class XOp:
 
 def position_op(a: int) -> XOp:
     """The canonical position operator x_a ~ i d/dq_a (unit coefficient)."""
-    return XOp({_E[a]: MomentumSymbol.scalar(lambda q: 1.0, "I")})
+    return XOp({_E[a]: MomentumSymbol((GeneralOp.identity(),),
+                                      lambda q: (1.0,), "I")})
 
 
 @dataclass
@@ -144,7 +146,8 @@ def translation_generators(mass: float) -> List[Tuple[str, XOp]]:
     p0 = fw_hamiltonian(mass).scaled(-1j, "p0")
     gens = [("p0", XOp({ZERO_MULTI: p0}))]
     for n in range(3):
-        pn = MomentumSymbol.scalar(lambda q, n=n: 1j * q[n], f"p{n + 1}")
+        pn = MomentumSymbol((GeneralOp.identity(),),
+                            lambda q, n=n: (1j * q[n],), f"p{n + 1}")
         gens.append((f"p{n + 1}", XOp({ZERO_MULTI: pn})))
     return gens
 
@@ -164,13 +167,10 @@ def build_poincare_generators(mass: float) -> List[Tuple[str, XOp]]:
     """
     if mass <= 0:
         raise ValueError("boost generators need m > 0")
-    gc0 = pd_gammas().get("g0").floats()[0]
-    ig0 = 1j * gc0
+    ident, g0 = GeneralOp.identity(), pd_gammas().get("g0")
     spin = breve_spin().ops()
-    # i g0 spin_l, linear and antilinear parts; a part that is zero on the
-    # exact operator is None and adds nothing
-    ig0_spin = [tuple(None if m is None else ig0 @ m for m in op.floats())
-                for op in spin]
+    i_g0 = GeneralOp.imaginary_unit() @ g0
+    i_g0_spin = [i_g0 @ s for s in spin]  # exact, both parts
     x_sym = fw_hamiltonian(mass).scaled(-1j, "-ig0w")
 
     gens = translation_generators(mass)
@@ -178,12 +178,12 @@ def build_poincare_generators(mass: float) -> List[Tuple[str, XOp]]:
     # rotations: j_ln = -x^l (i q_n) + x^n (i q_l) + spin_ln
     for (l, n) in ((2, 3), (3, 1), (1, 2)):
         coeffs: Dict[Multi, MomentumSymbol] = {
-            _E[l - 1]: MomentumSymbol.scalar(
-                lambda q, n=n: -1j * q[n - 1], f"-iq{n}"),
-            _E[n - 1]: MomentumSymbol.scalar(
-                lambda q, l=l: 1j * q[l - 1], f"iq{l}"),
-            ZERO_MULTI: MomentumSymbol.constant(spin[_SPIN_SLOT[(l, n)]],
-                                                f"s{l}{n}"),
+            _E[l - 1]: MomentumSymbol(
+                (ident,), lambda q, n=n: (-1j * q[n - 1],), f"-iq{n}"),
+            _E[n - 1]: MomentumSymbol(
+                (ident,), lambda q, l=l: (1j * q[l - 1],), f"iq{l}"),
+            ZERO_MULTI: MomentumSymbol((spin[_SPIN_SLOT[(l, n)]],),
+                                       lambda q: (1.0,), f"s{l}{n}"),
         }
         gens.append((f"j{l}{n}", XOp(coeffs)))
 
@@ -191,23 +191,19 @@ def build_poincare_generators(mass: float) -> List[Tuple[str, XOp]]:
     # i g0 (i q_k / (2 omega))  +  i g0 (spin x iq)_k / (omega + m);
     # time part x0 (i q_k)
     for k in range(3):
-        def boost_const(q, _k=k):
-            w = omega(q, mass)
-            # i g0 * i q_k/(2w) = -(q_k/2w) g0; the B part starts absent
-            acc = [(-q[_k] / (2.0 * w)) * gc0, None]
-            # (spin x iq)_k = sum eps_klm spin_l (i q_m), left-scaled
-            lm = ((_k + 1) % 3, (_k + 2) % 3)
-            for l, m_idx, sign in ((lm[0], lm[1], 1.0), (lm[1], lm[0], -1.0)):
-                cq = (sign * 1j / (w + mass)) * q[m_idx]
-                for half, s in enumerate(ig0_spin[l]):
-                    if s is not None:
-                        acc[half] = (cq * s if acc[half] is None
-                                     else acc[half] + cq * s)
-            return tuple(acc)
+        # (spin x iq)_k = sum eps_klm spin_l (i q_m), left-scaled by i g0
+        l, m_idx = (k + 1) % 3, (k + 2) % 3
 
-        const_sym = MomentumSymbol(boost_const, f"j0{k + 1}c")
-        t_sym = MomentumSymbol.scalar(lambda q, _k=k: 1j * q[_k],
-                                      f"iq{k + 1}")
+        def boost_const(q, k=k, l=l, m_idx=m_idx):
+            w = omega(q, mass)
+            # i g0 * i q_k/(2w) = -(q_k/2w) g0
+            return (-q[k] / (2.0 * w), (1j / (w + mass)) * q[m_idx],
+                    (-1j / (w + mass)) * q[l])
+
+        const_sym = MomentumSymbol((g0, i_g0_spin[l], i_g0_spin[m_idx]),
+                                   boost_const, f"j0{k + 1}c")
+        t_sym = MomentumSymbol((ident,), lambda q, k=k: (1j * q[k],),
+                               f"iq{k + 1}")
         coeffs = {_E[k]: x_sym, ZERO_MULTI: const_sym}
         gens.append((f"j0{k + 1}", XOp(coeffs, t_sym)))
 

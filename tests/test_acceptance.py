@@ -26,10 +26,9 @@ from ercd.reporting import DEFAULT_TOLERANCES
 from ercd.scalars import ExactScalar, ZERO
 from ercd.spans import (centralizer_kernel, span_rank, spans_equal)
 from ercd.suites import corrupted_pd_gammas
-from ercd.symbols import (MomentumSymbol, SymbolValues,
-                          check_equation_symmetry, dirac_hamiltonian,
-                          fw_hamiltonian, fw_transform, pd_spin,
-                          sample_momenta, signed_batch, spin_matrices_complex,
+from ercd.symbols import (MomentumSymbol, check_equation_symmetry,
+                          dirac_hamiltonian, fw_hamiltonian, fw_transform,
+                          pd_spin, sample_momenta, signed_batch, spin_triple,
                           tilde_values)
 from ercd.xops import (build_poincare_generators, casimir_report, evaluate,
                        evolution_commutator_residual, poincare_closure_check)
@@ -37,6 +36,11 @@ from ercd.xops import (build_poincare_generators, casimir_report, evaluate,
 MOMENTUM_TOL = 1e-12
 SYMMETRY_TOL = 1e-10
 CLOSURE_TOL = 1e-8
+
+
+def _const(op):
+    """The constant symbol of op: the operator with the profile 1."""
+    return MomentumSymbol((op,), lambda q: (1.0,))
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -151,18 +155,17 @@ def test_criterion_8_transform_identities():
     samples = sample_momenta(100, seed=42, radius=10.0)
     q = signed_batch(samples)
     vp, vm = fw_transform(m, +1)(q), fw_transform(m, -1)(q)
-    ident = MomentumSymbol.constant(GeneralOp.identity())(q)
+    ident = _const(GeneralOp.identity())(q)
     fw, hd = fw_hamiltonian(m), dirac_hamiltonian(m)
     h_d = hd.symbol(q)
 
     worst_inverse = max((vp @ vm - ident).norm(), (vm @ vp - ident).norm())
     worst_conj = (vp @ fw.symbol(q) @ vm - h_d).norm()
 
-    sv = spin_matrices_complex()
     worst_spin = 0.0
-    for j, s in enumerate(pd_spin(m)):
+    for s, s0 in zip(pd_spin(m), spin_triple()):
         spin = s(q)
-        conj = vp @ SymbolValues(sv[j], np.zeros((4, 4), dtype=complex)) @ vm
+        conj = vp @ _const(s0)(q) @ vm
         worst_spin = max(worst_spin, commutator(spin, h_d).norm(),
                          (spin - conj).norm())
 
@@ -177,10 +180,9 @@ def test_criterion_8_transform_identities():
                               float(np.max(np.abs(ac.a[0] - target))),
                               float(np.max(np.abs(ac.b[0]))))
     ext = extended_gammas()
-    fundamentals = {f"tg{k}": MomentumSymbol.constant(ext.get(f"g{k}"))
-                    for k in range(1, 8)}
-    fundamentals["tg0"] = MomentumSymbol.constant(pd_gammas().get("g0"))
-    fundamentals["tC"] = MomentumSymbol.constant(GeneralOp.conjugation())
+    fundamentals = {f"tg{k}": _const(ext.get(f"g{k}")) for k in range(1, 8)}
+    fundamentals["tg0"] = _const(pd_gammas().get("g0"))
+    fundamentals["tC"] = _const(GeneralOp.conjugation())
     near = signed_batch(samples[:30])
     vp, vm = fw_transform(m, +1)(near), fw_transform(m, -1)(near)
     for lbl, value in tilde_values(m, near).items():

@@ -6,7 +6,7 @@ from ercd.operators import GeneralOp, anticommutator, commutator
 from ercd.symbols import (MomentumSymbol, SymbolValues,
                           check_equation_symmetry, dirac_hamiltonian,
                           fw_hamiltonian, fw_transform, omega, pd_spin,
-                          sample_momenta, signed_batch, spin_matrices_complex,
+                          sample_momenta, signed_batch, spin_triple,
                           tilde_gammas, tilde_values)
 from ercd import symbols
 from ercd.reporting import DEFAULT_TOLERANCES
@@ -19,7 +19,13 @@ Q = signed_batch(SAMPLES)
 
 
 def _const(op, label=""):
-    return MomentumSymbol.constant(op, label)
+    """The constant symbol of op: the operator with the profile 1."""
+    return MomentumSymbol((op,), lambda q: (1.0,), label)
+
+
+def _scalar(fn, label=""):
+    """The symbol fn(q) I."""
+    return MomentumSymbol((GeneralOp.identity(),), lambda q: (fn(q),), label)
 
 
 IDENT = _const(GeneralOp.identity(), "I")
@@ -92,10 +98,9 @@ def test_hamiltonian_conjugation_identity():
 
 
 def test_nonlocal_spin_at_rest_is_constant_spin():
-    sv = spin_matrices_complex()
-    for j, s in enumerate(pd_spin(M)):
+    for s, s0 in zip(pd_spin(M), spin_triple()):
         a, _ = s.value_at((0.0, 0.0, 0.0))
-        assert np.allclose(a, sv[j], atol=TOL)
+        assert np.allclose(a, _const(s0)(Q).a[0, 0], atol=TOL)
 
 
 def test_nonlocal_spin_commutes_with_local_hamiltonian():
@@ -107,9 +112,8 @@ def test_nonlocal_spin_commutes_with_local_hamiltonian():
 
 def test_nonlocal_spin_equals_conjugated_spin():
     vp, vm = _transforms(Q)
-    sv = spin_matrices_complex()
-    for j, s in enumerate(pd_spin(M)):
-        conj = vp @ SymbolValues(sv[j], np.zeros((4, 4), dtype=complex)) @ vm
+    for s, s0 in zip(pd_spin(M), spin_triple()):
+        conj = vp @ _const(s0)(Q) @ vm
         assert (s(Q) - conj).norm() < TOL
 
 
@@ -189,21 +193,21 @@ def _random_matrices(rng, scale, shape=()):
 def test_flip_composition_is_associative():
     rng = np.random.default_rng(3)
 
+    orts = ercd64().ops()  # they span every real-linear operator
+
     def random_symbol():
         # O(1) entries over the sample ball so triple products stay O(1);
         # both parts have even and odd pieces, so the flip matters
-        c0, d0 = _random_matrices(rng, 0.3), _random_matrices(rng, 0.3)
-        c1 = _random_matrices(rng, 0.03, (3,))
-        d1 = _random_matrices(rng, 0.03, (3,))
+        c0 = 0.15 * rng.normal(size=len(orts))
+        c1 = 0.015 * rng.normal(size=(3, len(orts)))
 
-        def fn(q):
+        def profiles(q):
             # q holds the batch components, each of shape (2, N, 1, 1)
-            a = c0 + sum(q[k] * c1[k] for k in range(3))
-            b = d0 * (1.0 + 0.01 * q[0] * q[0]) \
-                + sum(q[k] * d1[k] for k in range(3))
-            return a, b
+            even = 1.0 + 0.01 * q[0] * q[0]
+            return tuple(c0[t] * even + sum(q[k] * c1[k, t] for k in range(3))
+                         for t in range(len(orts)))
 
-        return MomentumSymbol(fn, "rand")
+        return MomentumSymbol(orts, profiles, "rand")
 
     q = signed_batch(SAMPLES[:15])
     for _ in range(6):
@@ -296,10 +300,9 @@ def test_momentum_symbol_symmetry_check_numeric_path():
     # conjugated constant symmetry stays a symmetry of the local equation
     hd = dirac_hamiltonian(M)
     g7 = _const(extended_gammas().get("g7"))
-    sym = MomentumSymbol(lambda q: vp._eval(q) @ g7._eval(q) @ vm._eval(q),
-                         "V+ g7 V-")
     q = signed_batch(SAMPLES[:25])
-    assert commutator(sym(q), 1j * hd.symbol(q)).norm() < TOL
+    composite = vp(q) @ g7(q) @ vm(q)  # V+ g7 V-
+    assert commutator(composite, 1j * hd.symbol(q)).norm() < TOL
 
 
 def test_exact_terms_and_symbol_state_the_same_hamiltonian():
@@ -374,7 +377,7 @@ def test_sparse_algebra_matches_the_dense_formula():
 
 
 def test_absent_parts_read_as_constant_zeros():
-    v = MomentumSymbol.linear_matrix(lambda q: q[0] * np.eye(4))(Q)
+    v = MomentumSymbol((pd_gammas().get("g1"),), lambda q: (q[0],))(Q)
     assert v._b is None
     assert v.b.shape == (1, 1, 4, 4) and not v.b.any()
     a, b = v
@@ -384,28 +387,22 @@ def test_absent_parts_read_as_constant_zeros():
 
 
 def test_no_zero_part_by_construction_reaches_a_product(monkeypatch):
-    # every symbol made by scalar, linear_matrix, antilinear_matrix or
-    # constant must hand out its structurally zero parts as absent, with absent
-    # derivatives, and no part product may take an all-zero constant factor
+    # every symbol must hand out as absent each part that all of its exact
+    # operators lack, with absent derivatives, and no part product may take
+    # an all-zero constant factor
     from ercd import suites
     from ercd.reporting import SuiteConfig
 
     zero_by_construction = {}  # id(symbol) -> (symbol, [a zero, b zero])
+    init = MomentumSymbol.__init__
 
-    def tagging(name, zeros_of):
-        made = getattr(MomentumSymbol, name).__func__
+    def tagging(sym, ops, profiles, label=""):
+        init(sym, ops, profiles, label)
+        parts = [op.parts() for op in sym.ops]
+        zero_by_construction[id(sym)] = (
+            sym, [all(p[k].is_zero for p in parts) for k in range(2)])
 
-        def wrapper(cls, arg, label=""):
-            sym = made(cls, arg, label)
-            zero_by_construction[id(sym)] = (sym, zeros_of(arg))
-            return sym
-
-        monkeypatch.setattr(MomentumSymbol, name, classmethod(wrapper))
-
-    tagging("scalar", lambda fn: [False, True])
-    tagging("linear_matrix", lambda fn: [False, True])
-    tagging("antilinear_matrix", lambda fn: [True, False])
-    tagging("constant", lambda op: [p.is_zero for p in op.parts()])
+    monkeypatch.setattr(MomentumSymbol, "__init__", tagging)
 
     checked = []
 
@@ -504,8 +501,8 @@ def test_scalar_parts_match_their_expanded_matrices():
 
 def test_a_product_of_scalars_stays_scalar():
     q = signed_batch(SAMPLES[:5])
-    s = MomentumSymbol.scalar(lambda q: q[0] + 1j * q[1], "s")(q)
-    t = MomentumSymbol.scalar(lambda q: 2.0, "2")(q)
+    s = _scalar(lambda q: q[0] + 1j * q[1], "s")(q)
+    t = _scalar(lambda q: 2.0, "2")(q)
     assert s._a.shape == (2, 5, 1, 1) and t._a.shape == (1, 1, 1, 1)
     for v in (s @ s, s @ t, t @ s, s + t, s - t):
         assert v._a.shape[-2:] == (1, 1) and v._b is None
@@ -516,7 +513,7 @@ def test_a_scalar_never_spills_off_the_diagonal():
     q = signed_batch(SAMPLES[:5])
     rng = np.random.default_rng(21)
     v = SymbolValues(_random_matrices(rng, 1.0, (2, 5)), None)
-    s = MomentumSymbol.scalar(lambda q: q[0] + 1j * q[1], "s")(q)
+    s = _scalar(lambda q: q[0] + 1j * q[1], "s")(q)
     c = s._a
     ident = np.eye(4)
     assert np.array_equal((v + s).a, v.a + c * ident)
@@ -530,8 +527,8 @@ def test_a_scalar_never_spills_off_the_diagonal():
 
 def test_norm_first_negation_and_scaling_on_scalar_parts():
     q = signed_batch(SAMPLES[:5])
-    s = MomentumSymbol.scalar(lambda q: q[0] - 2j * q[2], "s")(q)
-    one = MomentumSymbol.scalar(lambda q: 1.0, "I")(q)
+    s = _scalar(lambda q: q[0] - 2j * q[2], "s")(q)
+    one = _scalar(lambda q: 1.0, "I")(q)
     dense = _expanded(s)
     assert s.norm() == dense.norm() == float(np.max(np.abs(s._a[0])))
     assert one.norm() == 1.0
@@ -608,3 +605,72 @@ def test_algebra_leaves_every_operand_unchanged():
         for part, copy in zip((v._a, v._b), saved):
             assert (part is None) == (copy is None)
             assert part is None or part.tobytes() == copy.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# one form: exact operators times scalar profiles
+# ---------------------------------------------------------------------------
+
+def test_part_kinds_come_from_the_exact_operators():
+    n = len(SAMPLES)
+    q0, q1 = Q[..., 0, None, None], Q[..., 1, None, None]
+    one, g1 = GeneralOp.identity(), pd_gammas().get("g1")
+    # I and the operator i give scalar parts
+    for op, c in ((one, 1.0), (GeneralOp.imaginary_unit(), 1j)):
+        v = MomentumSymbol((op,), lambda q: (q[0],))(Q)
+        assert v._a.shape == (2, n, 1, 1) and v._b is None
+        assert np.array_equal(v._a, c * q0)
+    # C has an absent linear part
+    v = MomentumSymbol((GeneralOp.conjugation(),), lambda q: (q[1],))(Q)
+    assert v._a is None and v._b is not None
+    # (I, g1) is dense, and I puts nothing off the diagonal
+    v = MomentumSymbol((one, g1), lambda q: (q[0], q[1]))(Q)
+    assert v._a.shape == (2, n, 4, 4) and v._b is None
+    g1_part = MomentumSymbol((g1,), lambda q: (q[1],))(Q).a
+    off = ~np.eye(4, dtype=bool)
+    assert np.array_equal(v.a[..., off], g1_part[..., off])
+    assert np.array_equal(np.diagonal(v.a, axis1=-2, axis2=-1),
+                          np.broadcast_to(q0[..., 0], (2, n, 4)))
+    assert not np.diagonal(g1_part, axis1=-2, axis2=-1).any()
+    # number profiles give constant shapes, with absent derivatives
+    for op, shape in ((one, (1, 1, 1, 1)), (g1, (1, 1, 4, 4))):
+        v, ds = MomentumSymbol((op,), lambda q: (2.0,)).jet(Q)
+        assert v._a.shape == shape and v._b is None
+        assert all(d._a is None and d._b is None for d in ds)
+    # a number beside a profile that depends on q: batch shaped, and only
+    # the q-dependent term is differentiated
+    v, ds = MomentumSymbol((g1, one), lambda q: (q[1], 2.0)).jet(Q)
+    assert v._a.shape == (2, n, 4, 4)
+    g1_image = MomentumSymbol((g1,), lambda q: (1.0,))(Q).a
+    assert np.array_equal(ds[1].a, np.broadcast_to(g1_image, (2, n, 4, 4)))
+    assert not ds[0].a.any() and not ds[2].a.any()
+
+
+def test_float_images_are_read_at_one_seam(monkeypatch):
+    # a bump of g0's image at the seam alone fails exactly the sampled claims
+    # that read g0 (a bumped GeneralOp.floats fails the same ones), and no
+    # exact claim moves
+    from ercd import suites
+    from ercd.reporting import SUITE_NAMES, SuiteConfig
+
+    config = SuiteConfig(suites=SUITE_NAMES)
+    before = {c.claim_id: c.status for c in suites.run_suite(config).claims}
+    g0 = pd_gammas().get("g0")
+    image = symbols.float_image
+
+    def bumped(op):
+        a, b = image(op)
+        if op == g0:
+            a = a.copy()
+            a[0, 1] += 1e-6
+        return a, b
+
+    monkeypatch.setattr(symbols, "float_image", bumped)
+    after = {c.claim_id: c.status for c in suites.run_suite(config).claims}
+    assert after.keys() == before.keys()
+    changed = sorted(k for k in before if after[k] != before[k])
+    assert changed == ["fw.conjugation-identity", "fw.local-hamiltonian",
+                       "fw.nonlocal-generators", "fw.nonlocal-rotations",
+                       "fw.nonlocal-spin", "fw.wave-operator",
+                       "poincare.casimirs", "poincare.generator-algebra"]
+    assert all(before[k] == "pass" and after[k] == "fail" for k in changed)

@@ -3,6 +3,7 @@ import pytest
 
 from ercd import poincare_oracle, suites
 from ercd.jets import Jet
+from ercd.operators import GeneralOp
 from ercd.reporting import DEFAULT_TOLERANCES, SuiteConfig
 from ercd.symbols import (MomentumSymbol, omega, sample_momenta, signed_batch,
                           tilde_gammas)
@@ -57,8 +58,9 @@ def test_jet_arithmetic_against_hand_derivatives():
     assert abs(s.grad[0, 1, 0] + 0.5 / np.sqrt(3.0)) < 1e-15
     c = np.conj((1.0 + 2.0j) * x)
     assert c.val[0, 0] == 3.0 - 6.0j and c.grad[0, 0, 0] == 1.0 - 2.0j
+    # jets meet constant matrices only as scalar factors
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    p = (x[..., None, None] * m) @ m
+    p = Jet(x.val[..., None, None], x.grad[..., None, None]) * (m @ m)
     assert np.array_equal(p.grad[0, 0, 0], m @ m)
     assert not p.grad[1:].any()
 
@@ -108,7 +110,8 @@ def test_scalar_jet_keeps_the_scalar_shape():
     # (2, N, 1, 1), against central differences of its dense reading
     points = [(0.7, -1.3, 2.1), (-2.0, 0.4, 1.1)]
     neg = [tuple(-c for c in p) for p in points]
-    sym = MomentumSymbol.scalar(lambda q: 1j * q[0] * q[1] + omega(q, M), "c")
+    sym = MomentumSymbol((GeneralOp.identity(),),
+                         lambda q: (1j * q[0] * q[1] + omega(q, M),), "c")
     vals, grads = sym.jet(signed_batch(points))
     assert vals._a.shape == (2, len(points), 1, 1) and vals._b is None
     for a in range(3):
@@ -118,7 +121,7 @@ def test_scalar_jet_keeps_the_scalar_shape():
             fd_a, fd_b = central_difference(sym, a, pts, h=1e-5)
             assert np.max(np.abs(grads[a].a[half] - fd_a)) < 1e-7, (a, half)
             assert not fd_b.any()
-    unit = MomentumSymbol.scalar(lambda q: 1.0, "I")
+    unit = MomentumSymbol((GeneralOp.identity(),), lambda q: (1.0,), "I")
     (a, b), grads = unit.jet(signed_batch(points))
     assert unit(signed_batch(points))._a.shape == (1, 1, 1, 1)
     assert a.shape == (1, 1, 4, 4) and np.array_equal(a[0, 0], np.eye(4))
@@ -166,10 +169,10 @@ def test_closure_check_evaluates_each_coefficient_once(monkeypatch):
         return jet(sym, q)
 
     def counted(sym, key):
-        def fn(q):
+        def profiles(q):
             calls[key] = calls.get(key, 0) + 1
-            return sym.fn(q)
-        return MomentumSymbol(fn, sym.label)
+            return sym.profiles(q)
+        return MomentumSymbol(sym.ops, profiles, sym.label)
 
     def generators(mass):
         gens = build_poincare_generators(mass)
@@ -190,9 +193,8 @@ def test_closure_check_evaluates_each_coefficient_once(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _p_n(n):
-    ident = np.eye(4, dtype=complex)
-    sym = MomentumSymbol.linear_matrix(
-        lambda q, nn=n: 1j * q[nn] * ident, f"p{n + 1}")
+    sym = MomentumSymbol((GeneralOp.identity(),),
+                         lambda q, nn=n: (1j * q[nn],), f"p{n + 1}")
     return XOp({(0, 0, 0): sym})
 
 
