@@ -86,11 +86,11 @@ class GeneralOp:
     # constructors
     @classmethod
     def linear(cls, A) -> "GeneralOp":
-        return cls(mat(A) if not _is_matrix(A) else A, None)
+        return cls(A, None)
 
     @classmethod
     def antilinear(cls, B) -> "GeneralOp":
-        return cls(None, mat(B) if not _is_matrix(B) else B)
+        return cls(None, B)
 
     @classmethod
     def identity(cls) -> "GeneralOp":
@@ -376,10 +376,6 @@ def _checked(bound_of, *ops: GeneralOp) -> int:
 
 def _dot(row, v) -> ExactScalar:
     return sum((a * x for a, x in zip(row, v) if a), ZERO)
-
-
-def _is_matrix(x) -> bool:
-    return isinstance(x, tuple) and x and isinstance(x[0], tuple)
 
 
 def compose(*ops: GeneralOp) -> GeneralOp:

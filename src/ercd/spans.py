@@ -48,10 +48,6 @@ class OrthogonalBasis:
                              "under the trace form")
         self.norms = [_scalar(rat[k, k], sur[k, k], den[k, k])
                       for k in range(len(self.ops))]
-        # (k, Gram entry) -> (c_k, c_k R_k): the entries repeat, so each
-        # coefficient and term is built once, from one inverse norm per k
-        self._terms: Dict[tuple, Tuple[ExactScalar, GeneralOp]] = {}
-        self._inverses: List[Optional[ExactScalar]] = [None] * len(self.ops)
 
     @property
     def rank(self) -> int:
@@ -65,12 +61,9 @@ class OrthogonalBasis:
         out: List[Optional[Coordinates]] = [{} for _ in ops]
         totals: Dict[int, GeneralOp] = {}
         for k, j in np.argwhere((rat != 0) | (sur != 0)).tolist():
-            key = (k, int(rat[k, j]), int(sur[k, j]), den[k, j])
-            if key not in self._terms:
-                self._inverses[k] = self._inverses[k] or self.norms[k].inverse()
-                c = _scalar(*key[1:]) * self._inverses[k]
-                self._terms[key] = (c, self.ops[k].scaled(c))
-            out[j][k], term = self._terms[key]
+            out[j][k] = c = _scalar(rat[k, j], sur[k, j], den[k, j]) \
+                / self.norms[k]
+            term = self.ops[k].scaled(c)
             totals[j] = totals[j] + term if j in totals else term
         for j, op in enumerate(ops):
             # the exact reconstruction sum_k c_k R_k == op proves membership

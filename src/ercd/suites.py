@@ -22,9 +22,10 @@ from .algebras import (OrtSet, a32, bosonic_rep, bosonic_so8_generators,
                        percd29, rotation_family, so15_generators, so6,
                        so8_generators)
 from .operators import GeneralOp, commutator, compose
-from .relations import (anticommutation_defects, check_anticommutation,
-                        check_so8, check_so15, classify_hermiticity,
-                        closure_check, composition_closure_check,
+from .relations import (anticommutation_defects, casimir_spin_squared,
+                        check_anticommutation, check_so8, check_so15,
+                        classify_hermiticity, closure_check,
+                        composition_closure_check,
                         gamma_product_identities, multiplication_table,
                         commutator_table, pgi_orientation_check,
                         rotation_defects, squares_and_pairing_check,
@@ -33,13 +34,15 @@ from .reporting import CLAIM_REGISTRY, Claim, Ledger, SuiteConfig, SUITE_NAMES
 from .scalars import ExactScalar, HALF, I_UNIT, ZERO
 from .spans import (OrthogonalBasis, centralizer_kernel, span_rank,
                     spans_equal, structure_constants)
-from .symbols import (MomentumSymbol, check_equation_symmetry,
-                      dirac_hamiltonian, fw_hamiltonian, fw_transform, pd_spin,
-                      sample_momenta, signed_batch, spin_triple, tilde_values)
+from .symbols import (MomentumSymbol, SymbolValues, check_equation_symmetry,
+                      dirac_hamiltonian, fw_hamiltonian, fw_transform,
+                      max_modulus, pd_spin, sample_momenta, signed_batch,
+                      spin_triple, tilde_values)
 from .xops import (XOp, ZERO_MULTI, build_poincare_generators,
-                   casimir_report, commutator as xop_commutator, evaluate,
-                   evolution_commutator_residual, poincare_closure_check,
-                   position_op, translation_generators)
+                   commutator as xop_commutator, evaluate,
+                   evolution_commutator_residual, momentum_square,
+                   poincare_closure_check, position_op,
+                   translation_generators)
 
 
 # ---------------------------------------------------------------------------
@@ -381,23 +384,26 @@ def _suite_a32(ledger: Ledger, config: SuiteConfig) -> None:
 # fw suite
 # ---------------------------------------------------------------------------
 
-def _light_cone_residual(eq, points, m: float) -> float:
-    """Hermiticity of H(q) and its spectrum (-w, -w, w, w) over points."""
-    a, _ = eq.symbol(signed_batch(points))
-    h = a[0]
+def _light_cone_residual(h: SymbolValues, points, m: float) -> float:
+    """Hermiticity of the Hamiltonian values h on the signed batch of
+    points, and their spectrum (-w, -w, w, w) there."""
+    h = h.a[0]
     w = np.sqrt(np.sum(np.square(points), axis=1) + m * m)
     ev = np.linalg.eigvalsh(h)
-    return max(float(np.max(np.abs(h - np.conj(np.swapaxes(h, -1, -2))))),
-               float(np.max(np.abs(ev - np.stack([-w, -w, w, w], axis=1)))))
+    return max(max_modulus(h - np.conj(np.swapaxes(h, -1, -2))),
+               max_modulus(ev - np.stack([-w, -w, w, w], axis=1)))
 
 
 def _suite_fw(ledger: Ledger, config: SuiteConfig) -> None:
+    """Every symbol is evaluated once, on one batch whose first point is
+    q = 0; the light-cone checks read its first 40 points."""
     m = config.mass
     tol = config.tolerance("momentum")
     samples = sample_momenta(max(config.samples, 100), seed=config.seed,
                              radius=10.0)
+    q = signed_batch(samples)
     fw = fw_hamiltonian(m)
-    hd = dirac_hamiltonian(m)
+    h_fw, h_d = fw.symbol(q), dirac_hamiltonian(m).symbol(q)
 
     near = samples[:40]
     # the Hamiltonians' entries and eigenvalues are of size w ~ m, so their
@@ -406,18 +412,17 @@ def _suite_fw(ledger: Ledger, config: SuiteConfig) -> None:
 
     # at rest H is beta m, written out here rather than read from the g0
     # that built it
-    h0 = fw.hamiltonian((0.0, 0.0, 0.0))
-    worst = max(_light_cone_residual(fw, near, m),
-                float(np.max(np.abs(h0 - m * np.diag([1, 1, -1, -1])))))
+    worst = max(_light_cone_residual(h_fw.first(len(near)), near, m),
+                max_modulus(h_fw.a[0, 0] - m * np.diag([1, 1, -1, -1])))
     _claim(ledger, "fw.wave-operator", worst < h_tol, residual=worst,
            detail=f"{len(near)} points and q = 0", tol=h_tol)
 
-    worst = _light_cone_residual(hd, near, m)
+    worst = _light_cone_residual(h_d.first(len(near)), near, m)
     _claim(ledger, "fw.local-hamiltonian", worst < h_tol, residual=worst,
            detail=f"{len(near)} points", tol=h_tol)
 
     if m > 0:
-        _fw_nonlocal(ledger, m, fw, hd, samples, tol, h_tol)
+        _fw_nonlocal(ledger, m, h_fw, h_d, q, tol, h_tol)
     else:
         for claim_id in ("fw.transform-inverse", "fw.conjugation-identity",
                          "fw.nonlocal-spin", "fw.nonlocal-rotations",
@@ -430,22 +435,21 @@ def _suite_fw(ledger: Ledger, config: SuiteConfig) -> None:
            detail="bare space generator correctly rejected")
 
 
-def _fw_nonlocal(ledger: Ledger, m: float, fw, hd, samples, tol: float,
-                 h_tol: float) -> None:
-    """The claims on the basis change and the nonlocal operators (m > 0),
-    with h_tol the tolerance of the Hamiltonian identity. Each symbol is
-    evaluated once per batch, and the claims compose the values."""
-    used = f"{len(samples)} points"
-    q = signed_batch(samples)
+def _fw_nonlocal(ledger: Ledger, m: float, h_fw: SymbolValues,
+                 h_d: SymbolValues, q, tol: float, h_tol: float) -> None:
+    """The claims on the basis change and the nonlocal operators (m > 0).
+    h_fw and h_d are the Hamiltonians' values on the signed batch q, and
+    h_tol is the tolerance of the Hamiltonian identity. Each symbol is
+    evaluated once, and the claims compose the values."""
+    used = f"{q.shape[1]} points"
     vp, vm = fw_transform(m, +1)(q), fw_transform(m, -1)(q)
-    h_d = hd.symbol(q)
 
     ident = MomentumSymbol((GeneralOp.identity(),), lambda q: (1.0,), "I")(q)
     worst = max((vp @ vm - ident).norm(), (vm @ vp - ident).norm())
     _claim(ledger, "fw.transform-inverse", worst < tol, residual=worst,
            detail=used, tol=tol)
 
-    worst = (vp @ fw.symbol(q) @ vm - h_d).norm()
+    worst = (vp @ h_fw @ vm - h_d).norm()
     _claim(ledger, "fw.conjugation-identity", worst < h_tol, residual=worst,
            detail=used, tol=h_tol)
 
@@ -453,40 +457,39 @@ def _fw_nonlocal(ledger: Ledger, m: float, fw, hd, samples, tol: float,
     for s, s0 in zip(pd_spin(m), spin_triple()):
         spin, const = s(q), MomentumSymbol((s0,), lambda q: (1.0,))(q)
         conj = vp @ const @ vm
+        # point 0 is q = 0, where the nonlocal spin is the constant one
         worst = max(worst, (spin - conj).norm(),
-                    commutator(spin, h_d).norm())
-        a0, _ = s.value_at((0.0, 0.0, 0.0))
-        worst = max(worst, float(np.max(np.abs(a0 - const.a[0, 0]))))
+                    commutator(spin, h_d).norm(),
+                    max_modulus(spin.a[0, 0] - const.a[0, 0]))
     _claim(ledger, "fw.nonlocal-spin", worst < tol, residual=worst,
            detail=used, tol=tol)
 
-    # flip-law algebra on the nonlocal generators, evaluated once over the
-    # check points
-    few, near = samples[:4], samples[:40]
-    tilde = tilde_values(m, signed_batch(few))
-    gens = [tilde[f"tg{k}"] for k in range(1, 8)]
+    # the nine nonlocal operators, evaluated once on the first 40 points:
+    # the flip-law algebra reads their first 4
+    few, near = 4, 40
+    q = q[:, :near]
+    tilde = tilde_values(m, q)
+    gens = [tilde[f"tg{k}"].first(few) for k in range(1, 8)]
     worst = flip_rotation_residual(gens)
     _claim(ledger, "fw.nonlocal-rotations", worst < tol, residual=worst,
-           detail=f"{len(few)} points", tol=tol)
+           detail=f"{few} points", tol=tol)
 
     worst = flip_anticommutation_residual(gens)
-    # V-conjugation comparison for all nine nonlocal operators, on the
-    # 40-point batch: its V+ and V- are the first values of the full batch
-    q = signed_batch(near)
-    vp, vm = vp.first(len(near)), vm.first(len(near))
+    # V-conjugation comparison for all nine nonlocal operators
+    vp, vm = vp.first(near), vm.first(near)
     ext = extended_gammas()
     fundamentals = {f"tg{k}": ext.get(f"g{k}") for k in range(1, 8)}
     fundamentals["tg0"] = pd_gammas().get("g0")
     fundamentals["tC"] = GeneralOp.conjugation()
-    for lbl, value in tilde_values(m, q).items():
+    for lbl, value in tilde.items():
         const = MomentumSymbol((fundamentals[lbl],), lambda q: (1.0,))
         conj = vp @ const(q) @ vm
         worst = max(worst, (value - conj).norm())
     _claim(ledger, "fw.nonlocal-generators", worst < tol, residual=worst,
            detail="closed forms match the conjugation oracle; the "
                   "conjugation-image operator uses its expanded form; "
-                  f"anticommutators on {len(few)} points, conjugation on "
-                  f"{len(near)} points", tol=tol)
+                  f"anticommutators on {few} points, conjugation on "
+                  f"{near} points", tol=tol)
 
 
 def flip_anticommutation_residual(values) -> float:
@@ -568,14 +571,14 @@ def _suite_poincare(ledger: Ledger, config: SuiteConfig) -> None:
         names, gens = zip(*build_poincare_generators(m))
         values = [evaluate(g, q) for g in gens]
         worst_sym = evolution_commutator_residual(m, gens, values, q)
-        closure = poincare_closure_check(names, values, tol=closure_tol)
-        proof = "verified" if closure.oracle_verified else "not verified"
+        worst_closure, proved = poincare_closure_check(names, values)
         _claim(ledger, "poincare.generator-algebra",
-               worst_sym < sym_tol and closure.passed,
-               residual=max(worst_sym, closure.max_residual),
+               worst_sym < sym_tol and worst_closure < closure_tol and proved,
+               residual=max(worst_sym, worst_closure),
                detail=f"symmetry<{worst_sym:.1e}, closure<"
-                      f"{closure.max_residual:.1e} against the oracle "
-                      f"constants ({proof}); on {points}",
+                      f"{worst_closure:.1e} against the oracle constants "
+                      f"({'verified' if proved else 'not verified'}); "
+                      f"on {points}",
                tol=min(sym_tol, closure_tol))
     else:
         _out_of_scope(ledger, "poincare.generator-algebra",
@@ -592,13 +595,18 @@ def _suite_poincare(ledger: Ledger, config: SuiteConfig) -> None:
     _claim(ledger, "poincare.spin-triplet", ok,
            detail="su(2) closure exact; all three invariances exact")
 
-    cas = casimir_report(m, q, tol=mom_tol)
-    _claim(ledger, "poincare.casimirs", cas.passed,
-           residual=cas.momentum_square_spread,
-           detail=f"p.p = {cas.momentum_square_value.real:+.6f} (q-independent) "
-                  f"on {points}, spin square = -2 diag(1,1,1,0) exact",
+    value, deviation = momentum_square(m, q)
+    spin_square = GeneralOp.linear([[-2, 0, 0, 0], [0, -2, 0, 0],
+                                    [0, 0, -2, 0], [0, 0, 0, 0]])
+    ok = (abs(value + m ** 2) < mom_tol and deviation < mom_tol
+          and casimir_spin_squared(spin) == spin_square)
+    _claim(ledger, "poincare.casimirs", ok, residual=deviation,
+           detail=f"p.p = {value.real:+.6f} (q-independent) on {points}, "
+                  "spin square = -2 diag(1,1,1,0) exact",
            tol=mom_tol)
-    ledger.flags.append(cas.sign_flag)
+    ledger.flags.append("computed p.p = -m^2 I; magnitude matches the quoted "
+                        "invariant, sign differs under the anti-Hermitian "
+                        "generator convention")
 
     ok = breve_spin_from_compositions() == spin.ops()
     _claim(ledger, "poincare.spin-compositions", ok)

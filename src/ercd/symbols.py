@@ -62,6 +62,7 @@ its symbols are built from them.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache, reduce
 from operator import add
 from typing import Callable, Dict, List, Tuple
@@ -147,9 +148,17 @@ class SymbolValues:
                               for p in (self._a, self._b)))
 
     def norm(self) -> float:
-        """Largest entry modulus over the +q half; an absent part reads 0."""
-        return max((float(np.max(np.abs(p[0]))) for p in (self._a, self._b)
+        """Largest entry modulus over the +q half; an absent part reads 0
+        and a non-finite entry inf."""
+        return max((max_modulus(p[0]) for p in (self._a, self._b)
                     if p is not None), default=0.0)
+
+
+def max_modulus(x) -> float:
+    """The largest entry modulus of the array x, inf when an entry is NaN:
+    max() would read a NaN that does not come first as nothing."""
+    worst = float(np.max(np.abs(x)))
+    return worst if worst == worst else math.inf
 
 
 # the part arithmetic of SymbolValues: None is an absent (zero) part, and a
@@ -263,11 +272,6 @@ class MomentumSymbol:
     def _values(self, ps) -> SymbolValues:
         return SymbolValues(*(_combine(part, ps) for part in self._parts))
 
-    def value_at(self, q) -> Tuple[np.ndarray, np.ndarray]:
-        """(A(q), B(q)) at one momentum triple."""
-        a, b = self(signed_batch(q))
-        return np.array(a[0, 0]), np.array(b[0, 0])
-
     def jet(self, q) -> Tuple[SymbolValues, Tuple[SymbolValues, ...]]:
         """Values and q-derivatives on the signed batch q from one seeded
         jet pass: (v, (d1, d2, d3)), where da = dv/dq_a on both halves.
@@ -363,10 +367,6 @@ class EquationOperator:
         fs = [f for _, _, f in self.terms]
         return MomentumSymbol([m for m, _, _ in self.terms],
                               lambda q: tuple(c * f(q) for f in fs), label)
-
-    def hamiltonian(self, q) -> np.ndarray:
-        a, _ = self.symbol.value_at(q)
-        return a
 
 
 def omega(q, mass: float):

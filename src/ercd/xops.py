@@ -38,7 +38,8 @@ import numpy as np
 
 from .algebras import breve_spin, pd_gammas
 from .operators import GeneralOp
-from .symbols import MomentumSymbol, SymbolValues, fw_hamiltonian, omega
+from .symbols import (MomentumSymbol, SymbolValues, fw_hamiltonian,
+                      max_modulus, omega)
 
 Multi = Tuple[int, int, int]
 ZERO_MULTI: Multi = (0, 0, 0)
@@ -237,96 +238,47 @@ def evolution_commutator_residual(mass: float, gens: Sequence[XOp],
 # closure against the oracle constants
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ClosureResult:
-    pair: Tuple[str, str]
-    residual: float
-
-
-@dataclass
-class PoincareClosureReport:
-    results: List[ClosureResult]
-    max_residual: float
-    tol: float
-    oracle_verified: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual < self.tol and self.oracle_verified
-
-
-def poincare_closure_check(names: Sequence[str], values: Sequence[XValues],
-                           tol: float) -> PoincareClosureReport:
-    """Check [g_i, g_j] = sum_k c_k g_k for every pair i < j of the ten
+def poincare_closure_check(names: Sequence[str], values: Sequence[XValues]
+                           ) -> Tuple[float, bool]:
+    """Measure [g_i, g_j] = sum_k c_k g_k for every pair i < j of the ten
     generators, evaluated once on one signed batch (``evaluate``), with
     the exact structure constants c_k of the ring oracle. The residual
     of a pair is the largest coefficient entry of the difference over the
     +q half; a commutator coefficient at a key no generator uses counts in
-    full. The check passes when every residual is below tol and the oracle
-    proved each of its expansions."""
+    full. Returns the largest residual and whether the oracle proved each
+    of its expansions."""
     from .poincare_oracle import NAMES, oracle_structure_table
 
     if list(names) != NAMES:
         raise ValueError(f"generators {list(names)} are not the oracle's "
                          f"{NAMES}")
     table, verified = oracle_structure_table()
-    results: List[ClosureResult] = []
+    worst = 0.0
     for i, x in enumerate(values):
         for j in range(i + 1, len(values)):
             pair = (names[i], names[j])
             expansion = _collect(
                 (key, c * v) for c, g in zip(table[pair], values) if c
                 for key, (v, _) in g.terms.items())
-            resid = (commutator(x, values[j]) - expansion).max_norm()
-            results.append(ClosureResult(pair, resid))
-    return PoincareClosureReport(results, max(r.residual for r in results),
-                                 tol, verified)
+            worst = max(worst,
+                        (commutator(x, values[j]) - expansion).max_norm())
+    return worst, verified
 
 
 # ---------------------------------------------------------------------------
 # Casimir evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CasimirReport:
-    mass: float
-    momentum_square_value: complex
-    momentum_square_spread: float
-    spin_square_exact: bool
-    sign_flag: str
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return (abs(self.momentum_square_value + self.mass ** 2) < self.tol
-                and self.momentum_square_spread < self.tol
-                and self.spin_square_exact)
-
-
-def casimir_report(mass: float, q: np.ndarray, tol: float) -> CasimirReport:
-    """p^mu p_mu = p0 p0 - sum p_n p_n evaluated on the signed batch q
-    (expected -m^2 I, constant in q), and the exact matrix factor of the
-    spin-square invariant (expected -2 diag(1,1,1,0)). The sampled parts
-    are judged against tol."""
-    from .relations import casimir_spin_squared
-
+def momentum_square(mass: float, q: np.ndarray) -> Tuple[complex, float]:
+    """p^mu p_mu = p0 p0 - sum p_n p_n on the signed batch q, expected
+    -m^2 I and constant in q: its value at the first point, and its largest
+    deviation over the +q half from that constant multiple of I."""
     p = [g.coeffs[ZERO_MULTI](q) for _, g in translation_generators(mass)]
     a = (p[0] @ p[0]).a
     for pn in p[1:]:
         a = a - (pn @ pn).a
     acc = a[0]
     values = acc[:, 0, 0]
-    deviation = float(np.max(np.abs(acc - values[:, None, None] * np.eye(4))))
-    spread = float(np.max(np.abs(values - values[0])))
-
-    spin_sq = casimir_spin_squared(breve_spin())
-    expected = GeneralOp.linear([[-2, 0, 0, 0], [0, -2, 0, 0],
-                                 [0, 0, -2, 0], [0, 0, 0, 0]])
-    return CasimirReport(
-        mass,
-        complex(values[0]),
-        max(spread, deviation),
-        spin_sq == expected,
-        "computed p.p = -m^2 I; magnitude matches the quoted invariant, "
-        "sign differs under the anti-Hermitian generator convention",
-        tol)
+    return complex(values[0]), max(
+        max_modulus(values - values[0]),
+        max_modulus(acc - values[:, None, None] * np.eye(4)))

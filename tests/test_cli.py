@@ -17,6 +17,7 @@ import ercd.suites
 from ercd.cli import main
 from ercd.reporting import CLAIM_REGISTRY, Claim, Ledger, SuiteConfig
 from ercd.suites import dump_tables, run_suite
+from ercd.symbols import MomentumSymbol
 
 
 def test_run_suite_collects_expected_details():
@@ -38,7 +39,7 @@ def test_run_suite_fw_residuals_within_tolerance():
 def test_wave_operator_at_rest_is_compared_with_beta_m(monkeypatch):
     from ercd import symbols
     from ercd.algebras import OrtSet, pd_gammas
-    from ercd.symbols import fw_hamiltonian, sample_momenta
+    from ercd.symbols import fw_hamiltonian, sample_momenta, signed_batch
 
     clean = _claims(SuiteConfig(suites=("fw",)))["fw.wave-operator"]
     assert clean.status == "pass" and clean.residual == 0.0
@@ -51,7 +52,7 @@ def test_wave_operator_at_rest_is_compared_with_beta_m(monkeypatch):
         monkeypatch.setattr(module, "pd_gammas", lambda: negated)
     points = sample_momenta(40, seed=42, radius=10.0)
     assert ercd.suites._light_cone_residual(
-        fw_hamiltonian(1.0), points, 1.0) < 1e-12
+        fw_hamiltonian(1.0).symbol(signed_batch(points)), points, 1.0) < 1e-12
     claim = _claims(SuiteConfig(suites=("fw",)))["fw.wave-operator"]
     assert claim.failed and claim.residual == 2.0
 
@@ -333,6 +334,39 @@ def test_fw_evaluates_the_basis_change_once_per_sign(monkeypatch):
     assert run_suite(SuiteConfig(suites=("fw",))).passed
     # the 40-point conjugation check reads the first 40 of the 200 values
     assert batches == [200, 200]
+
+
+def test_fw_evaluates_each_symbol_on_one_batch(monkeypatch):
+    # the Hamiltonians once on the 200-point batch, whose point 0 is q = 0,
+    # and the six closed forms of tilde_gammas once on its first 40 points,
+    # of which the flip-law checks read the first 4
+    call = MomentumSymbol.__call__
+    batches = {}
+
+    def counted(symbol, q):
+        batches.setdefault(symbol.label, []).append(q.shape[1])
+        return call(symbol, q)
+
+    monkeypatch.setattr(MomentumSymbol, "__call__", counted)
+    assert run_suite(SuiteConfig(suites=("fw",))).passed
+    assert batches["H_fw"] == batches["H_d"] == [200]
+    for label in ("tg1", "tg2", "tg3", "tg4", "tg0", "tC"):
+        assert batches[label] == [40], label
+
+
+@pytest.mark.parametrize("suite, claim", [
+    ("fw", "fw.nonlocal-spin"), ("poincare", "poincare.generator-algebra")])
+def test_a_non_finite_residual_fails(suite, claim, capsys):
+    # m^2 underflows at m = 1e-200, so w(0) = 0 and the nonlocal spins and
+    # the boost coefficients are NaN at q = 0: the residual reads inf,
+    # where max() would have passed over a NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc, _, claims = _json_run(capsys, "--suite", suite,
+                                  "--mass", "1e-200")
+    assert rc == 1
+    assert claims[claim]["status"] == "fail"
+    assert claims[claim]["residual"] == float("inf")
 
 
 def test_sampled_claims_name_the_points_they_used(capsys):

@@ -31,6 +31,12 @@ def _scalar(fn, label=""):
 IDENT = _const(GeneralOp.identity(), "I")
 
 
+def _at_rest(sym):
+    """(A, B) of the symbol at q = 0."""
+    a, b = sym(signed_batch((0.0, 0.0, 0.0)))
+    return a[0, 0], b[0, 0]
+
+
 def _transforms(q):
     """V+ and V- evaluated on the signed batch q."""
     return fw_transform(M, +1)(q), fw_transform(M, -1)(q)
@@ -47,16 +53,16 @@ def test_sampling_is_deterministic_and_bounded():
 
 def test_hamiltonian_values_at_rest():
     g0, _ = pd_gammas().get("g0").floats()
-    h, _ = fw_hamiltonian(M).symbol.value_at((0.0, 0.0, 0.0))
+    h, _ = _at_rest(fw_hamiltonian(M).symbol)
     assert np.allclose(h, g0)
-    h, _ = dirac_hamiltonian(M).symbol.value_at((0.0, 0.0, 0.0))
+    h, _ = _at_rest(dirac_hamiltonian(M).symbol)
     assert np.allclose(h, g0)
 
 
 def test_hamiltonians_hermitian_with_light_cone_spectrum():
-    hd = dirac_hamiltonian(M)
-    for q in SAMPLES[:25]:
-        h = hd.hamiltonian(q)
+    points = SAMPLES[:25]
+    hd = dirac_hamiltonian(M).symbol(signed_batch(points)).a[0]
+    for q, h in zip(points, hd):
         assert np.allclose(h, h.conj().T, atol=TOL)
         w = float(np.sqrt(np.dot(q, q) + M * M))
         assert np.allclose(np.sort(np.linalg.eigvalsh(h)),
@@ -81,7 +87,7 @@ def test_transform_requires_positive_mass():
 
 def test_transform_is_identity_at_rest():
     vp = fw_transform(M, +1)
-    a, b = vp.value_at((0.0, 0.0, 0.0))
+    a, b = _at_rest(vp)
     assert np.allclose(a, np.eye(4)) and not b.any()
 
 
@@ -99,7 +105,7 @@ def test_hamiltonian_conjugation_identity():
 
 def test_nonlocal_spin_at_rest_is_constant_spin():
     for s, s0 in zip(pd_spin(M), spin_triple()):
-        a, _ = s.value_at((0.0, 0.0, 0.0))
+        a, _ = _at_rest(s)
         assert np.allclose(a, _const(s0)(Q).a[0, 0], atol=TOL)
 
 
@@ -120,7 +126,7 @@ def test_nonlocal_spin_equals_conjugated_spin():
 def test_tilde_vector_at_rest():
     tgs = dict(tilde_gammas(M))
     g4, _ = pd_gammas().get("g4").floats()
-    a, _ = tgs["tg4"].value_at((0.0, 0.0, 0.0))
+    a, _ = _at_rest(tgs["tg4"])
     assert np.allclose(a, g4, atol=TOL)
 
 

@@ -1,22 +1,22 @@
+import json
+
 import numpy as np
 import pytest
 
 from ercd import poincare_oracle, suites
+from ercd.cli import main
 from ercd.jets import Jet
 from ercd.operators import GeneralOp
-from ercd.reporting import DEFAULT_TOLERANCES, SuiteConfig
+from ercd.reporting import SuiteConfig
 from ercd.symbols import (MomentumSymbol, omega, sample_momenta, signed_batch,
                           tilde_gammas)
-from ercd.xops import (XOp, XValues, build_poincare_generators,
-                       casimir_report, commutator, compose, evaluate,
-                       evolution_commutator_residual, poincare_closure_check,
-                       position_op)
+from ercd.xops import (XOp, XValues, build_poincare_generators, commutator,
+                       compose, evaluate, evolution_commutator_residual,
+                       momentum_square, poincare_closure_check, position_op)
 
 M = 1.0
 SAMPLES = sample_momenta(20, seed=11, radius=5.0)
 CASIMIR_BATCH = signed_batch(sample_momenta(50, seed=42, radius=5.0))
-CLOSURE_TOL = DEFAULT_TOLERANCES["closure"]
-MOMENTUM_TOL = DEFAULT_TOLERANCES["momentum"]
 
 
 def _generator_values(n_samples, seed=42):
@@ -298,18 +298,15 @@ def test_boost_without_time_term_fails_symmetry():
 
 def test_closure_against_the_oracle_constants():
     names, values = _generator_values(200)
-    rep = poincare_closure_check(names, values, CLOSURE_TOL)
-    assert rep.max_residual < 1e-8
-    assert rep.oracle_verified
-    assert rep.passed
-    assert [r.pair for r in rep.results] == [
-        (a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    worst, verified = poincare_closure_check(names, values)
+    assert worst < 1e-8
+    assert verified
 
 
 def test_closure_check_needs_the_oracle_generators():
     names, values = _generator_values(3)
     with pytest.raises(ValueError, match="oracle"):
-        poincare_closure_check(names[::-1], values[::-1], CLOSURE_TOL)
+        poincare_closure_check(names[::-1], values[::-1])
 
 
 def test_least_squares_fit_matches_the_oracle_constants():
@@ -367,9 +364,9 @@ def test_generator_algebra_fails_against_a_wrong_oracle(fake, monkeypatch):
     monkeypatch.setattr(poincare_oracle, "oracle_structure_table",
                         lambda: oracle)
     names, values = _generator_values(20)
-    rep = poincare_closure_check(names, values, CLOSURE_TOL)
-    assert not rep.passed
-    assert (rep.max_residual > 1.0) == (fake is _changed_constant)
+    worst, verified = poincare_closure_check(names, values)
+    # a changed constant leaves a residual, an unproved table no proof
+    assert (worst > 1.0) == verified == (fake is _changed_constant)
     ledger = suites.run_suite(SuiteConfig(suites=("poincare",), samples=20))
     status = {c.claim_id: c.status for c in ledger.claims}
     assert status["poincare.generator-algebra"] == "fail"
@@ -378,29 +375,49 @@ def test_generator_algebra_fails_against_a_wrong_oracle(fake, monkeypatch):
 
 
 def test_casimir_report():
-    rep = casimir_report(M, CASIMIR_BATCH, MOMENTUM_TOL)
-    assert rep.passed
-    assert abs(rep.momentum_square_value + M * M) < 1e-12
-    assert rep.momentum_square_spread < 1e-12
-    assert rep.spin_square_exact
-    assert "sign" in rep.sign_flag
+    value, deviation = momentum_square(M, CASIMIR_BATCH)
+    assert abs(value + M * M) < 1e-12
+    assert deviation < 1e-12
+    ledger = suites.run_suite(SuiteConfig(suites=("poincare",), samples=20))
+    casimirs = {c.claim_id: c for c in ledger.claims}["poincare.casimirs"]
+    assert casimirs.status == "pass"
+    assert casimirs.residual == momentum_square(
+        M, signed_batch(sample_momenta(20, seed=42, radius=5.0)))[1]
+    assert "spin square = -2 diag(1,1,1,0) exact" in casimirs.detail
+    assert any("sign" in flag for flag in ledger.flags)
 
 
 def test_casimir_scales_with_mass():
-    rep = casimir_report(2.0, CASIMIR_BATCH, MOMENTUM_TOL)
-    assert abs(rep.momentum_square_value + 4.0) < 1e-11
+    value, _ = momentum_square(2.0, CASIMIR_BATCH)
+    assert abs(value + 4.0) < 1e-11
 
 
-def test_reports_are_judged_against_the_given_tolerance():
-    cas = casimir_report(M, CASIMIR_BATCH, MOMENTUM_TOL)
-    assert cas.passed
-    assert not casimir_report(M, CASIMIR_BATCH,
-                              tol=cas.momentum_square_spread / 2).passed
+def _failing_claims(capsys, *tol):
+    """The poincare claims that fail at 20 points under the --tol given."""
+    argv = ["verify", "--suite", "poincare", "--samples", "20",
+            "--format", "json"]
+    for key_value in tol:
+        argv += ["--tol", key_value]
+    rc = main(argv)
+    failing = [c["id"] for c in json.loads(capsys.readouterr().out)["claims"]
+               if c["status"] == "fail"]
+    assert rc == (1 if failing else 0)
+    return failing
+
+
+def test_poincare_claims_are_judged_against_the_configured_tolerance(capsys):
+    # the suite compares each measured residual with --tol: at half of it
+    # the claim fails, and no other
     names, values = _generator_values(20)
-    closure = poincare_closure_check(names, values, CLOSURE_TOL)
-    assert closure.passed
-    assert not poincare_closure_check(names, values,
-                                      tol=closure.max_residual / 2).passed
+    closure, _ = poincare_closure_check(names, values)
+    _, deviation = momentum_square(
+        M, signed_batch(sample_momenta(20, seed=42, radius=5.0)))
+    assert closure > 0.0 and deviation > 0.0
+    assert _failing_claims(capsys) == []
+    assert _failing_claims(capsys, f"closure={closure / 2!r}") == [
+        "poincare.generator-algebra"]
+    assert _failing_claims(capsys, f"momentum={deviation / 2!r}") == [
+        "poincare.casimirs"]
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +439,7 @@ def test_algebra_leaves_the_generator_values_unchanged():
     for x in values:
         for y in values:
             x + y, x - y, commutator(x, y)
-    poincare_closure_check(names, values, tol=CLOSURE_TOL)
+    poincare_closure_check(names, values)
     assert all(p.tobytes() == s.tobytes() for p, s in zip(held, saved))
 
 
