@@ -122,10 +122,13 @@ def _parse_tolerances(pairs: List[str]):
 
 def _check_run_numbers(mass: float, samples: int, seed: int) -> None:
     # the largest intermediate of the suites is 2 w (w + m) ~ 4 m^2, formed
-    # by the fw closed forms (and m^2 by the Casimir p.p = -m^2)
-    if not (mass >= 0 and math.isfinite(4.0 * mass * mass)):
-        raise ValueError("--mass must be nonnegative with 4 m^2 finite, "
-                         f"got {mass}")
+    # by the fw closed forms (and m^2 by the Casimir p.p = -m^2); below a
+    # normal 4 m^2 it loses its digits there or underflows to w(0) = 0
+    square = 4.0 * mass * mass
+    if not (mass >= 0 and math.isfinite(square)
+            and (mass == 0 or square >= sys.float_info.min)):
+        raise ValueError("--mass must be 0, or positive with 4 m^2 finite "
+                         f"and normal, got {mass}")
     if samples < 1:
         raise ValueError(f"--samples must be at least 1, got {samples}")
     if seed < 0:

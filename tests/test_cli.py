@@ -356,17 +356,18 @@ def test_fw_evaluates_each_symbol_on_one_batch(monkeypatch):
 
 @pytest.mark.parametrize("suite, claim", [
     ("fw", "fw.nonlocal-spin"), ("poincare", "poincare.generator-algebra")])
-def test_a_non_finite_residual_fails(suite, claim, capsys):
+def test_a_non_finite_residual_fails(suite, claim):
     # m^2 underflows at m = 1e-200, so w(0) = 0 and the nonlocal spins and
     # the boost coefficients are NaN at q = 0: the residual reads inf,
-    # where max() would have passed over a NaN
+    # where max() would have passed over a NaN (the command line refuses
+    # this mass, the library runs it)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rc, _, claims = _json_run(capsys, "--suite", suite,
-                                  "--mass", "1e-200")
-    assert rc == 1
-    assert claims[claim]["status"] == "fail"
-    assert claims[claim]["residual"] == float("inf")
+        ledger = run_suite(SuiteConfig(suites=(suite,), mass=1e-200))
+    claims = {c.claim_id: c for c in ledger.claims}
+    assert not ledger.passed
+    assert claims[claim].status == "fail"
+    assert claims[claim].residual == float("inf")
 
 
 def test_sampled_claims_name_the_points_they_used(capsys):
@@ -459,6 +460,8 @@ def test_cli_bad_tolerance_exits_2(capsys):
     ["--inject-fault", "g9,0,0"],
     ["--inject-fault", "g2,0,4"],
     ["--inject-fault", "g2,0"],
+    ["--mass", "1e-155"],
+    ["--mass", "1e-200"],
 ])
 def test_cli_bad_numbers_exit_2_before_any_suite(flags, capsys, monkeypatch):
     import ercd.cli
@@ -472,13 +475,19 @@ def test_cli_bad_numbers_exit_2_before_any_suite(flags, capsys, monkeypatch):
 
 
 def test_fw_runs_up_to_the_mass_limit(capsys):
-    # 1.3e154 overflows 2 w (w + m) ~ 4 m^2 and is refused (above); 1e150
-    # runs every closed form without a floating-point warning
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rc, _, claims = _json_run(capsys, "--suite", "fw", "--mass", "1e150")
-    assert rc == 0
-    assert all(c["status"] == "pass" for c in claims.values())
+    # 1.3e154 overflows 2 w (w + m) ~ 4 m^2 and 1e-155 takes it below the
+    # smallest normal float, and both are refused (above); 1e150 runs
+    # every closed form without a floating-point warning, and 7.5e-155
+    # runs fw and poincare without one
+    for suite, mass in (("fw", "1e150"), ("fw", "7.5e-155"),
+                        ("poincare", "7.5e-155")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, _, claims = _json_run(capsys, "--suite", suite,
+                                      "--mass", mass)
+        assert rc == 0, (suite, mass)
+        assert all(c["status"] == "pass" for c in claims.values()), \
+            (suite, mass)
 
 
 @pytest.mark.parametrize("mass", ["1e3", "1e6"])

@@ -113,6 +113,9 @@ MOMENTUM_RUNS = {
 }
 
 
+# a floating-point warning (a division by w = 0 at q = 0 and m = 0, say)
+# fails the run even where the report still matches
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(MOMENTUM_RUNS))
 def test_momentum_runs_match_the_recorded_reports(name, capsys):
     out = _run(["verify", *MOMENTUM_RUNS[name], "--format", "json"], capsys)

@@ -246,7 +246,7 @@ def test_batch_matches_value_at_loop():
     h = fw_hamiltonian(M).symbol
     evaluations = [sym for _, sym in tilde_gammas(M)] + [
         sym for _, g in build_poincare_generators(M)
-        for sym in g.coeffs.values()] + [lambda q: vp(q) @ h(q) @ vm(q)]
+        for sym in g.values()] + [lambda q: vp(q) @ h(q) @ vm(q)]
     points = SAMPLES[:6]
     q = signed_batch(points)
     for k, evaluation in enumerate(evaluations):

@@ -3,16 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from ercd import poincare_oracle, suites
+from ercd import poincare_oracle, suites, xops
 from ercd.cli import main
 from ercd.jets import Jet
 from ercd.operators import GeneralOp
 from ercd.reporting import SuiteConfig
 from ercd.symbols import (MomentumSymbol, omega, sample_momenta, signed_batch,
                           tilde_gammas)
-from ercd.xops import (XOp, XValues, build_poincare_generators, commutator,
-                       compose, evaluate, evolution_commutator_residual,
-                       momentum_square, poincare_closure_check, position_op)
+from ercd.xops import (X0_PARTS, XValues, build_poincare_generators,
+                       commutator, compose, evaluate, momentum_square,
+                       poincare_closure_check, position_op)
 
 M = 1.0
 SAMPLES = sample_momenta(20, seed=11, radius=5.0)
@@ -78,7 +78,7 @@ def test_jet_gradient_of_omega():
 def _jet_symbols():
     yield from ((f"{name}[{multi}]", sym)
                 for name, g in build_poincare_generators(M)
-                for multi, sym in g.coeffs.items())
+                for multi, sym in g.items())
     yield from tilde_gammas(M)
 
 
@@ -130,7 +130,7 @@ def test_scalar_jet_keeps_the_scalar_shape():
 
 
 def test_constant_has_zero_derivative():
-    spin = dict(build_poincare_generators(M))["j12"].coeffs[(0, 0, 0)]
+    spin = dict(build_poincare_generators(M))["j12"][(0, 0, 0)]
     (a, b), grads = spin.jet(signed_batch(SAMPLES[:3]))
     assert a.shape == b.shape == (1, 1, 4, 4)
     assert len(grads) == 3
@@ -159,7 +159,7 @@ def test_product_left_of_a_position_rejected():
 
 def test_closure_check_evaluates_each_coefficient_once(monkeypatch):
     # a whole poincare run evaluates the ten generators once for both the
-    # evolution and the closure check, and iH once
+    # invariance and the closure check, and no Hamiltonian besides p0
     calls = {}
     labels = []
     jet = MomentumSymbol.jet
@@ -176,8 +176,7 @@ def test_closure_check_evaluates_each_coefficient_once(monkeypatch):
 
     def generators(mass):
         gens = build_poincare_generators(mass)
-        return [(name, XOp({k: counted(sym, (name, k))
-                            for k, sym in g.coeffs.items()}, g.t_coeff))
+        return [(name, {k: counted(sym, (name, k)) for k, sym in g.items()})
                 for name, g in gens]
 
     monkeypatch.setattr(suites, "build_poincare_generators", generators)
@@ -185,7 +184,9 @@ def test_closure_check_evaluates_each_coefficient_once(monkeypatch):
     ledger = suites.run_suite(SuiteConfig(suites=("poincare",), samples=20))
     assert ledger.passed
     assert len(calls) == 19 and set(calls.values()) == {1}
-    assert labels.count("iH") == 1
+    # three momenta, three positions and the unit for the canonical pairs,
+    # then the 19 generator coefficients
+    assert len(labels) == 7 + 19 and labels.count("p0") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +196,7 @@ def test_closure_check_evaluates_each_coefficient_once(monkeypatch):
 def _p_n(n):
     sym = MomentumSymbol((GeneralOp.identity(),),
                          lambda q, nn=n: (1j * q[nn],), f"p{n + 1}")
-    return XOp({(0, 0, 0): sym})
+    return {(0, 0, 0): sym}
 
 
 def test_canonical_pairs():
@@ -264,10 +265,20 @@ def test_generators_require_positive_mass():
 
 
 def test_all_generators_commute_with_evolution_operator():
+    # [d_0 + iH, G] = 0 on the t = 0 slice, where iH = -p0: [p0, G] = T_G
     q = signed_batch(SAMPLES)
-    for name, g in build_poincare_generators(M):
-        residual = evolution_commutator_residual(M, [g], [evaluate(g, q)], q)
+    names, gens = zip(*build_poincare_generators(M))
+    values = [evaluate(g, q) for g in gens]
+    by_name = dict(zip(names, values))
+    residuals = []
+    for name, value in by_name.items():
+        x0_part = by_name[X0_PARTS[name]] if name in X0_PARTS else XValues({})
+        residual = (commutator(by_name["p0"], value) - x0_part).max_norm()
         assert residual < 1e-10, (name, residual)
+        residuals.append(residual)
+    # the check reads the same brackets from its p0 row
+    symmetry, _, _ = poincare_closure_check(names, values)
+    assert symmetry == max(residuals)
 
 
 def test_evolution_check_evaluates_the_hamiltonian_once(monkeypatch):
@@ -280,26 +291,63 @@ def test_evolution_check_evaluates_the_hamiltonian_once(monkeypatch):
 
     monkeypatch.setattr(MomentumSymbol, "jet", counted)
     q = signed_batch(SAMPLES)
-    gens = [g for _, g in build_poincare_generators(M)]
+    names, gens = zip(*build_poincare_generators(M))
     values = [evaluate(g, q) for g in gens]
-    assert evolution_commutator_residual(M, gens, values, q) < 1e-10
-    # iH once, and each of the 19 generator coefficients once
-    assert labels.count("iH") == 1 and len(labels) == 1 + 19
+    symmetry, closure, _ = poincare_closure_check(names, values)
+    assert symmetry < 1e-10 and closure < 1e-8
+    # each of the 19 generator coefficients once, p0 among them; the
+    # check evaluates nothing more, no iH in particular
+    assert labels.count("p0") == 1 and len(labels) == 19
 
 
-def test_boost_without_time_term_fails_symmetry():
-    # dropping the x0 bookkeeping must break the boost invariance
-    gens = dict(build_poincare_generators(M))
-    bare = XOp(gens["j01"].coeffs)
-    q = signed_batch(SAMPLES)
-    residual = evolution_commutator_residual(M, [bare], [evaluate(bare, q)], q)
-    assert residual > 1e-3
+def test_boost_without_time_term_fails_symmetry(monkeypatch):
+    # dropping the x0 bookkeeping must break the boost invariance, and
+    # only that: the closure does not read the x0 coefficients
+    names, values = _generator_values(20)
+    monkeypatch.delitem(X0_PARTS, "j01")
+    symmetry, closure, verified = poincare_closure_check(names, values)
+    assert symmetry > 1e-3
+    assert closure < 1e-8 and verified
+
+
+def test_a_boost_without_time_term_fails_the_generator_algebra(monkeypatch):
+    monkeypatch.delitem(X0_PARTS, "j01")
+    config = SuiteConfig(suites=("poincare",), samples=20)
+    claims = {c.claim_id: c for c in suites.run_suite(config).claims}
+    algebra = claims["poincare.generator-algebra"]
+    assert algebra.status == "fail" and algebra.residual > 1e-3
+    # the symmetry residual fails it, the closure residual is in tolerance
+    symmetry, closure = (float(part.split("<")[1].split()[0])
+                         for part in algebra.detail.split(", ")[:2])
+    assert symmetry == float(f"{algebra.residual:.1e}")
+    assert closure < config.tolerance("closure")
+    assert [k for k, c in claims.items() if c.status != "pass"] == [
+        "poincare.generator-algebra"]
+
+
+def test_a_poincare_run_forms_each_generator_bracket_once(monkeypatch):
+    # 45 brackets of the ten generators, the p0 row read by both checks,
+    # and 18 of the canonical pairs
+    counts = {}
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def counted(x, y):
+            counts[name] = counts.get(name, 0) + 1
+            return real(x, y)
+        monkeypatch.setattr(module, name, counted)
+
+    counting(xops, "commutator")
+    counting(suites, "xop_commutator")
+    assert suites.run_suite(SuiteConfig(suites=("poincare",))).passed
+    assert counts == {"commutator": 45, "xop_commutator": 18}
 
 
 def test_closure_against_the_oracle_constants():
     names, values = _generator_values(200)
-    worst, verified = poincare_closure_check(names, values)
-    assert worst < 1e-8
+    symmetry, worst, verified = poincare_closure_check(names, values)
+    assert worst < 1e-8 and symmetry < 1e-10
     assert verified
 
 
@@ -364,9 +412,11 @@ def test_generator_algebra_fails_against_a_wrong_oracle(fake, monkeypatch):
     monkeypatch.setattr(poincare_oracle, "oracle_structure_table",
                         lambda: oracle)
     names, values = _generator_values(20)
-    worst, verified = poincare_closure_check(names, values)
-    # a changed constant leaves a residual, an unproved table no proof
+    symmetry, worst, verified = poincare_closure_check(names, values)
+    # a changed constant leaves a residual, an unproved table no proof;
+    # the invariance does not read the oracle
     assert (worst > 1.0) == verified == (fake is _changed_constant)
+    assert symmetry < 1e-10
     ledger = suites.run_suite(SuiteConfig(suites=("poincare",), samples=20))
     status = {c.claim_id: c.status for c in ledger.claims}
     assert status["poincare.generator-algebra"] == "fail"
@@ -409,11 +459,13 @@ def test_poincare_claims_are_judged_against_the_configured_tolerance(capsys):
     # the suite compares each measured residual with --tol: at half of it
     # the claim fails, and no other
     names, values = _generator_values(20)
-    closure, _ = poincare_closure_check(names, values)
+    symmetry, closure, _ = poincare_closure_check(names, values)
     _, deviation = momentum_square(
         M, signed_batch(sample_momenta(20, seed=42, radius=5.0)))
-    assert closure > 0.0 and deviation > 0.0
+    assert symmetry > 0.0 and closure > 0.0 and deviation > 0.0
     assert _failing_claims(capsys) == []
+    assert _failing_claims(capsys, f"symmetry={symmetry / 2!r}") == [
+        "poincare.generator-algebra"]
     assert _failing_claims(capsys, f"closure={closure / 2!r}") == [
         "poincare.generator-algebra"]
     assert _failing_claims(capsys, f"momentum={deviation / 2!r}") == [
