@@ -14,7 +14,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .operators import GeneralOp, commutator, compose, mat, row_products
+from .operators import GeneralOp, anticommutator, commutator, compose, mat
 from .scalars import ExactScalar, HALF, I_UNIT, INV_SQRT2, ONE, ZERO
 
 Pair = Tuple[int, int]
@@ -127,9 +127,10 @@ def _signed_blades() -> Dict[GeneralOp, Tuple[int, int]]:
     """The 128 signed blades mapped to their codes, from 63 products; empty
     unless g1..g6 satisfy g_k^2 = -I and {g_k, g_l} = 0 exactly."""
     gens = extended_gammas().ops()[:6]
-    if any(a != GeneralOp.identity().scaled(-2) if k == l else not a.is_zero
-           for k, g in enumerate(gens)
-           for l, a in enumerate(row_products(g, gens, 1))):
+    zero, minus_two = GeneralOp.zero(), GeneralOp.identity().scaled(-2)
+    # {g_k, g_l} is symmetric in k and l: the 21 pairs k <= l suffice
+    if any(anticommutator(g, h) != (minus_two if k == l else zero)
+           for k, g in enumerate(gens) for l, h in enumerate(gens[k:], k)):
         return {}
     blades = [GeneralOp.identity()]
     for g in gens:  # e_{S + k} = e_S g_k, S below k: blades in mask order

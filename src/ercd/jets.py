@@ -13,11 +13,9 @@ constants. Only degree 1 is kept: a jet's gradient is a plain array, and
 jets are never nested.
 
 Momenta arrive as signed batches, N momenta and their reflections, with
-the sign axis first. ``Jet.of_momenta`` differentiates with respect to the
-momenta of the +q half: that half is seeded with e_a and the -q half with
--e_a. Every entry of a jet is then a function of the same q, so flipping
-the sign axis (the reflected momentum of the flip law) is a pure index
-flip, and the chain rule through q -> -q is already in the seed.
+the sign axis first. ``Jet.of_momenta`` seeds both halves with e_a, so
+each entry is differentiated with respect to its own momentum: on the -q
+half, d/dq_a is taken at -q.
 """
 
 from __future__ import annotations
@@ -35,13 +33,11 @@ class Jet(np.lib.mixins.NDArrayOperatorsMixin):
     @classmethod
     def of_momenta(cls, q):
         """Seed the components (q1, q2, q3) of a signed batch, each an
-        array with the sign axis first: jet a has gradient +e_a on the +q
-        half and -e_a on the -q half."""
+        array with the sign axis first: jet a has gradient e_a."""
         jets = []
         for a, qa in enumerate(q):
             grad = np.zeros((3,) + qa.shape)
-            grad[a, 0] = 1.0
-            grad[a, 1] = -1.0
+            grad[a] = 1.0
             jets.append(cls(qa, grad))
         return tuple(jets)
 

@@ -7,14 +7,15 @@ The carrier is its realification: with phi = u + iv written as (u; v),
          [Ai + Bi,  Ar - Br]] = (P + sqrt2*Q) / d,
 
 with int64 arrays P, Q and a positive integer d, normalised so that
-gcd(P, Q, d) = 1. Composition is integer matrix multiplication, the
-adjoint (A -> A^dagger, B -> B^T) is the transpose, and equality and
-hashing compare (P, Q, d). An operation whose int64 result could wrap
-raises OverflowError instead. ``floats`` reads the complex images of A and
-B straight from the carrier; it is the one exact-to-float path. The (A, B)
-matrices over Q(i, sqrt2) are views built on demand, uncached, for apply,
-the spinor action that tests keep as an independent oracle for
-composition.
+gcd(P, Q, d) = 1. Composition is integer matrix multiplication, on one of
+two paths: ``@`` for a pair, and ``bracket_matches`` for a rotation table,
+a row of brackets at a time. The adjoint (A -> A^dagger, B -> B^T) is the
+transpose, and equality and hashing compare (P, Q, d). An operation whose
+int64 result could wrap raises OverflowError instead. ``floats`` reads the
+complex images of A and B straight from the carrier; it is the one
+exact-to-float path. The (A, B) matrices over Q(i, sqrt2) are views built
+on demand, uncached, for apply, the spinor action that tests keep as an
+independent oracle for composition.
 
 The algebra is real: scalar multiplication is restricted to real field
 elements, and multiplication by i is composition with the operator i.
@@ -112,7 +113,6 @@ class GeneralOp:
 
     # composition: (X Y)(phi) = X(Y(phi)), the product of realifications
     def __matmul__(self, other: "GeneralOp") -> "GeneralOp":
-        # the unbatched case of the row formula
         bound = _checked(lambda b1, b2: 24 * b1 * b2, self, other)
         return _new(_product(self._pq, other._pq), self._d * other._d, bound)
 
@@ -273,25 +273,6 @@ def gram(xs: Sequence[GeneralOp], ys: Sequence[GeneralOp]
     return g[0, 0] + 2 * g[1, 1], g[0, 1] + g[1, 0], den
 
 
-def row_products(x: GeneralOp, ys: Sequence[GeneralOp], sign: int
-                 ) -> List[GeneralOp]:
-    """x @ y + sign * y @ x for every y of ys: the row of commutators [x, y]
-    for sign -1 and of anticommutators {x, y} for sign 1, from one batched
-    product of x with the stacked carriers of ys and one of them with x.
-    The whole row is normalised at once, and its operators are views into
-    one array. The overflow guard is that of @. Rows, not a table-wide
-    stack, keep the peak memory flat."""
-    if not ys:
-        return []
-    _checked(lambda bx, *bys: 24 * bx * max(bys), x, *ys)
-    stack = np.stack([y._pq for y in ys], axis=1)
-    xp = x._pq[:, None]
-    # a bracket sums two entries of at most _LIMIT each, so it cannot wrap
-    pq = _product(xp, stack) + sign * _product(stack, xp)
-    return _normal(np.ascontiguousarray(pq.transpose(1, 0, 2, 3)),
-                   [x._d * y._d for y in ys])
-
-
 def bracket_matches(ops: Sequence[GeneralOp], terms: np.ndarray,
                     signs: np.ndarray) -> Iterator[List[bool]]:
     """For each x = ops[p], whether [x, ops[q]] == signs[p, q] ops[terms[p,
@@ -299,8 +280,8 @@ def bracket_matches(ops: Sequence[GeneralOp], terms: np.ndarray,
     of shape (n, n) and signs in {-1, 0, 1}. The carriers are brought to
     one common denominator D and stacked as Y; the test then reads
     x Y_q - Y_q x == d_x signs[p, q] Y_{terms[p, q]} on integers, and no
-    operator is built per pair. The overflow guard is that of @. Rows, as
-    in row_products, keep the peak memory flat."""
+    operator is built per pair. The overflow guard is that of @. One row
+    per x, not a table-wide stack, keeps the peak memory flat."""
     if not ops:
         return
     dens = [op._d for op in ops]
@@ -331,24 +312,6 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     pq[0] += 2 * x[1, 1]
     pq[1] += x[1, 0]
     return pq
-
-
-def _normal(pq: np.ndarray, dens: List[int]) -> List[GeneralOp]:
-    """The operators pq[j] / dens[j] of a stack of carriers, in normal form
-    and with exact entry bounds; OverflowError if one exceeds _LIMIT."""
-    if any(d != 1 for d in dens):
-        entries = np.gcd.reduce(pq.reshape(len(dens), -1), axis=1).tolist()
-        # gcd(d, 0) = d: a zero carrier takes d = 1 and no division
-        gs = [math.gcd(d, e) if e else 1 for d, e in zip(dens, entries)]
-        pq = pq // np.array(gs, dtype=np.int64)[:, None, None, None]
-        dens = [d // g if e else 1 for d, g, e in zip(dens, gs, entries)]
-    bounds = np.abs(pq).max(axis=(1, 2, 3)).tolist()
-    if max(bounds) > _LIMIT:
-        raise OverflowError("operator result would exceed the int64 range")
-    ops = [GeneralOp.__new__(GeneralOp) for _ in dens]
-    for op, p, d, b in zip(ops, pq, dens, bounds):
-        op._pq, op._d, op._bound = p, d, b
-    return ops
 
 
 def _new(pq: np.ndarray, d: int, bound: int) -> GeneralOp:

@@ -187,7 +187,6 @@ def _coef_str(coef: Fraction, symbol: str) -> str:
 
 ZERO = ExactScalar(0)
 ONE = ExactScalar(1)
-MINUS_ONE = ExactScalar(-1)
 I_UNIT = ExactScalar(0, 0, 1)
 SQRT2 = ExactScalar(0, 1)
 INV_SQRT2 = ExactScalar(0, Fraction(1, 2))  # sqrt2/2

@@ -21,7 +21,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .algebras import blade_products, ercd64, require_blades
-from .operators import GeneralOp, gram, row_products
+from .operators import GeneralOp, commutator, gram
 from .scalars import ExactScalar
 
 Coordinates = Dict[int, ExactScalar]
@@ -97,7 +97,7 @@ def centralizer_kernel(x: GeneralOp) -> List[GeneralOp]:
     orts = OrthogonalBasis(ercd64().ops())
     if len(orts.ops) != 64 or orts.rank != 64:
         raise ValueError("ercd64 is not a basis of the operator space")
-    images = row_products(x, orts.ops, -1)
+    images = [commutator(x, o) for o in orts.ops]
     OrthogonalBasis(images)
     return [o for o, image in zip(orts.ops, images) if image.is_zero]
 

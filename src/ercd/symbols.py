@@ -48,9 +48,9 @@ changes at most the sign of a zero entry.
 
 ``MomentumSymbol.jet`` gives values and first q-derivatives from one pass:
 it evaluates the profiles on degree-1 array jets (``jets.Jet``) seeded
-with +e_a on the +q half and -e_a on the -q half, so the flip stays an
-index flip under differentiation, and applies the same sum to the values
-and to each gradient.
+with e_a on both halves, so each entry is differentiated with respect to
+its own momentum, and applies the same sum to the values and to each
+gradient.
 
 Fourier convention: phi(x) = (2 pi)^(-3/2) Int d^3q e^{i q.x} phitilde(q),
 so d/dx_n has symbol i q_n and conjugation sends phitilde(q) to
@@ -75,9 +75,6 @@ from .operators import GeneralOp
 
 Triple = Tuple[float, float, float]
 
-# d/dq of the -q half is minus the derivative taken at -q
-_HALF_SIGN = np.array([1.0, -1.0]).reshape(2, 1, 1, 1)
-
 
 def signed_batch(points) -> np.ndarray:
     """The signed batch (2, N, 3) of one momentum triple or a sequence of
@@ -90,9 +87,9 @@ class SymbolValues:
     """A symbol evaluated on a signed batch: the linear part a and the
     antilinear part b, each of shape (2, N, 4, 4), or (1, 1, 4, 4) for a
     part that does not depend on q, which broadcasts and is its own sign
-    flip; a 4x4 part is taken as such a constant. A part of shape
-    (2, N, 1, 1), or (1, 1, 1, 1) when constant, is a scalar c standing
-    for c I, and None marks a part that is zero by construction as absent.
+    flip. A part of shape (2, N, 1, 1), or (1, 1, 1, 1) when constant, is
+    a scalar c standing for c I, and None marks a part that is zero by
+    construction as absent.
 
     ``@`` is the flip-law product, which forms no product with an absent
     factor and multiplies a scalar factor by broadcasting; +, - and unary
@@ -106,8 +103,7 @@ class SymbolValues:
     __array_ufunc__ = None  # numpy scalars defer to __rmul__
 
     def __init__(self, a, b):
-        self._a, self._b = (p if p is None or len(p.shape) == 4
-                            else np.reshape(p, (1, 1, 4, 4)) for p in (a, b))
+        self._a, self._b = a, b
 
     @property
     def a(self) -> np.ndarray:
@@ -274,15 +270,15 @@ class MomentumSymbol:
 
     def jet(self, q) -> Tuple[SymbolValues, Tuple[SymbolValues, ...]]:
         """Values and q-derivatives on the signed batch q from one seeded
-        jet pass: (v, (d1, d2, d3)), where da = dv/dq_a on both halves.
+        jet pass: (v, (d1, d2, d3)), where da = dv/dq_a, each half taken
+        with respect to its own momentum.
         A derivative keeps the shape of its part, (2, N, 1, 1) for a
         scalar; a part whose profiles are all numbers keeps its constant
         shape, and its derivatives are absent, as are those of an absent
         part."""
         ps = self.profiles(Jet.of_momenta(_components(q)))
         jets = [isinstance(p, Jet) for p in ps]
-        grads = [p.grad * _HALF_SIGN if j else (None,) * 3
-                 for p, j in zip(ps, jets)]
+        grads = [p.grad if j else (None,) * 3 for p, j in zip(ps, jets)]
         return (self._values([p.val if j else p for p, j in zip(ps, jets)]),
                 tuple(self._values(d) for d in zip(*grads)))
 
@@ -522,13 +518,9 @@ def check_equation_symmetry(x: GeneralOp, eq: EquationOperator) -> bool:
     d_0 + iH? Exact (zero tolerance): x is one iff x iH = iH x under the
     flip law, that is, per exact term (M_t, sigma_t), the linear part L of
     x commutes with M_t and the antilinear part N satisfies
-    -sigma_t N M_t = M_t N."""
-    lin, anti = x.parts()
-    for m_t, sigma, _ in eq.terms:
-        if not lin.is_zero and lin @ m_t != m_t @ lin:
-            return False
-        if not anti.is_zero:
-            lhs = anti @ m_t
-            if (-lhs if sigma > 0 else lhs) != m_t @ anti:
-                return False
-    return True
+    -sigma_t N M_t = M_t N. With x = L + N, L - N = -(i x i), so that reads
+    x M_t = M_t x for an odd term and x M_t = -M_t (i x i) for an even
+    one."""
+    i_op = GeneralOp.imaginary_unit()
+    right = {-1: x, 1: -(i_op @ x @ i_op)}
+    return all(x @ m_t == m_t @ right[sigma] for m_t, sigma, _ in eq.terms)

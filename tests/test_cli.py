@@ -684,6 +684,18 @@ def test_the_command_line_loads_every_layer_module():
     assert {f"ercd.{name}" for name in _LAYER_MODULES} <= set(loaded)
 
 
+def test_the_exact_layers_load_no_momentum_module():
+    # the exact layers stand on their own: a process that decides only
+    # exact claims never loads the momentum symbols, jets or the oracle
+    loaded = _python("import sys, ercd.operators, ercd.algebras, "
+                     "ercd.spans, ercd.relations; "
+                     "print(' '.join(m for m in sys.modules "
+                     "if m.startswith('ercd.')))").split()
+    assert "ercd.relations" in loaded
+    assert not {"ercd.symbols", "ercd.jets", "ercd.xops",
+                "ercd.poincare_oracle"} & set(loaded)
+
+
 def _unknown_name(name):
     raise ValueError(f"unrecognized configuration name {name!r}")
 

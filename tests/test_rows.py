@@ -1,11 +1,8 @@
-"""The row kernels of operators and the blade tables against per-pair
+"""The row kernel of operators and the blade tables against per-pair
 references.
 
-Every commutator and anticommutator row is checked against
-operators.commutator and operators.anticommutator on three sets: ercd64,
-a32 (all d = 1, no sqrt2 part) and the bosonic so(8) generators
-(d = 2 and 4, with sqrt2 parts), and the kernel's overflow guard against
-that of @. structure_constants, closure_check, squares_and_pairing_check
+The brackets' overflow guard is checked against that of @, and the stored
+entry bounds as @ tightens them. structure_constants, closure_check, squares_and_pairing_check
 and the two dump tables read blade codes; they are checked against
 per-pair references kept here (one product or bracket per pair, with the
 matrices). A set the codes do not name (halves of blades, a doubled ort,
@@ -27,8 +24,7 @@ import pytest
 from ercd.algebras import (OrtSet, a32, blade_codes, bosonic_so8_generators,
                            cd16, ercd64, pd_gammas, percd29, pgi8,
                            pgi_lorentz6, so6, so8_generators, so15_generators)
-from ercd.operators import (GeneralOp, anticommutator, commutator, gram, mat,
-                            row_products)
+from ercd.operators import GeneralOp, anticommutator, commutator, gram, mat
 from ercd.relations import (COMPACT8, SO13_METRIC, SO15_METRIC,
                             check_rotation_table, closure_check,
                             commutator_table, composition_closure_check,
@@ -49,33 +45,18 @@ SETS = {
 }
 
 
-def _same(row_op, op):
+def _same(x, op):
     """Equal in value, in the normal form (P, Q, d) and in hash, with a
     stored bound that bounds the entries."""
-    assert row_op == op
-    assert row_op._d == op._d
-    assert row_op._pq.tobytes() == op._pq.tobytes()
-    assert hash(row_op) == hash(op)
-    assert row_op._bound >= int(np.abs(row_op._pq).max())
+    assert x == op
+    assert x._d == op._d
+    assert x._pq.tobytes() == op._pq.tobytes()
+    assert hash(x) == hash(op)
+    assert x._bound >= int(np.abs(x._pq).max())
 
 
 def _not_blades(name):
     return f"{name} is not a set of distinct signed blades"
-
-
-@pytest.mark.parametrize("name", sorted(SETS))
-def test_rows_equal_the_per_pair_products(name):
-    ops = SETS[name]()
-    for x in ops:
-        comms, antis = row_products(x, ops, -1), row_products(x, ops, 1)
-        for y, comm, anti in zip(ops, comms, antis):
-            _same(comm, commutator(x, y))
-            _same(anti, anticommutator(x, y))
-
-
-def test_an_empty_row_has_no_products():
-    x = ercd64().ops()[1]
-    assert row_products(x, [], -1) == row_products(x, [], 1) == []
 
 
 def _scalar(rat, sur, den):
@@ -273,14 +254,12 @@ def test_the_row_refuses_what_matmul_refuses():
     big = ops[9].scaled(2 ** 30)
     with pytest.raises(OverflowError):
         big @ big
-    for sign in (-1, 1):
+    for bracket in (commutator, anticommutator):
         with pytest.raises(OverflowError):
-            row_products(big, ops[:3] + [big], sign)
-    # against small orts the same brackets fit, in the row as per pair
-    assert row_products(big, ops[:3], -1) == [commutator(big, y)
-                                              for y in ops[:3]]
-    assert row_products(big, ops[:3], 1) == [anticommutator(big, y)
-                                             for y in ops[:3]]
+            bracket(big, big)
+        # against small orts the same brackets fit
+        for y in ops[:3]:
+            assert bracket(big, y) == bracket(ops[9], y).scaled(2 ** 30)
 
 
 def test_a_bracket_beyond_the_limit_raises_instead_of_wrapping():
@@ -294,19 +273,14 @@ def test_a_bracket_beyond_the_limit_raises_instead_of_wrapping():
     assert (sq._pq[0] == 24 * b * b).all()
     with pytest.raises(OverflowError):
         anticommutator(x, x)
-    with pytest.raises(OverflowError):
-        row_products(x, [x], 1)
-    (comm,) = row_products(x, [x], -1)
-    assert comm.is_zero
 
 
 def test_a_zero_with_a_large_denominator_is_zero_over_one():
     # x = s12 / 2**40 has d = 2**41, and x @ x a denominator beyond int64;
-    # [x, x] is zero, and its normal form is (0, 1), per pair and in a row
+    # [x, x] is zero, and its normal form is (0, 1)
     x = so8_generators()[(1, 2)].scaled(Fraction(1, 2 ** 40))
     assert (x @ x)._d > np.iinfo(np.int64).max
-    for zero in (commutator(x, x), row_products(x, [x], -1)[0]):
-        _same(zero, GeneralOp.zero())
+    _same(commutator(x, x), GeneralOp.zero())
 
 
 def test_a_stale_bound_is_tightened_as_matmul_tightens_it():
@@ -322,11 +296,13 @@ def test_a_stale_bound_is_tightened_as_matmul_tightens_it():
         stale.append(prod)
     x, y = stale
     assert 24 * x._bound * y._bound > np.iinfo(np.int64).max
-    comms = row_products(x, [y, x], -1)
+    # the same operators built afresh carry their exact bounds
+    fresh_x, fresh_y = (GeneralOp(op.A, op.B) for op in stale)
+    assert fresh_x._bound == fresh_y._bound == 1
+    assert commutator(x, y) == commutator(fresh_x, fresh_y)
     assert x._bound == 1 and y._bound == 1
-    assert comms == [commutator(x, y), commutator(x, x)]
-    assert row_products(x, [y, x], 1) == [anticommutator(x, y),
-                                          anticommutator(x, x)]
+    assert x @ y == fresh_x @ fresh_y
+    assert anticommutator(x, x) == anticommutator(fresh_x, fresh_x)
 
 
 @pytest.mark.parametrize("kind", ["multiplication", "commutator",

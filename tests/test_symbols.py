@@ -331,6 +331,33 @@ def test_exact_terms_and_symbol_state_the_same_hamiltonian():
     assert verdicts == {True, False}
 
 
+def _symmetry_by_parts(x, eq):
+    """The rule on the parts: L commutes with every M_t, and the
+    antilinear part N satisfies -sigma_t N M_t = M_t N."""
+    lin, anti = x.parts()
+    return all(lin @ m_t == m_t @ lin
+               and (anti @ m_t).scaled(-sigma) == m_t @ anti
+               for m_t, sigma, _ in eq.terms)
+
+
+def test_the_twisted_commutation_agrees_with_the_parts_rule():
+    # every ercd64 ort, and sums of a linear and an antilinear ort: I and
+    # alpha_45 with C alpha_24 or C alpha_25 are symmetries of all three
+    # Hamiltonians or of the massless one, alpha_05 + C alpha_01 of H_fw
+    # only, and a sum with alpha_01 or with C of none
+    orts = ercd64().ops()
+    mixed = [orts[0] + orts[44], orts[16] - orts[60].scaled(2),
+             orts[15] + orts[43], orts[5] + orts[33], orts[1] + orts[44],
+             orts[0] + GeneralOp.conjugation()]
+    assert all(not x.is_linear and not x.is_antilinear for x in mixed)
+    for eq in (fw_hamiltonian(1.0), dirac_hamiltonian(0.0),
+               dirac_hamiltonian(1.0)):
+        for xs in (orts, mixed):
+            verdicts = [check_equation_symmetry(x, eq) for x in xs]
+            assert verdicts == [_symmetry_by_parts(x, eq) for x in xs]
+            assert set(verdicts) == {True, False}, eq.symbol.label
+
+
 # ---------------------------------------------------------------------------
 # absent parts
 # ---------------------------------------------------------------------------

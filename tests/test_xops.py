@@ -49,13 +49,14 @@ def test_jet_arithmetic_against_hand_derivatives():
     x = _momentum_jets((3.0, 0.0, 0.0))[0]
     y = x * x + 2.0 * x + 1.0
     assert y.val[0, 0] == 16.0 and y.grad[0, 0, 0] == 8.0
-    # the -q half holds (-3)^2 - 6 + 1 = 4, differentiated through q -> -q
-    assert y.val[1, 0] == 4.0 and y.grad[0, 1, 0] == 4.0
+    # the -q half holds y(-3) = 4, differentiated in its own momentum:
+    # y'(-3) = -4
+    assert y.val[1, 0] == 4.0 and y.grad[0, 1, 0] == -4.0
     z = 1.0 / x
     assert abs(z.grad[0, 0, 0] + 1.0 / 9.0) < 1e-15
     s = np.sqrt(x + 6.0)
     assert abs(s.grad[0, 0, 0] - 0.5 / 3.0) < 1e-15
-    assert abs(s.grad[0, 1, 0] + 0.5 / np.sqrt(3.0)) < 1e-15
+    assert abs(s.grad[0, 1, 0] - 0.5 / np.sqrt(3.0)) < 1e-15
     c = np.conj((1.0 + 2.0j) * x)
     assert c.val[0, 0] == 3.0 - 6.0j and c.grad[0, 0, 0] == 1.0 - 2.0j
     # jets meet constant matrices only as scalar factors
@@ -71,8 +72,9 @@ def test_jet_gradient_of_omega():
     wv = float(np.sqrt(1 + 4 + 4 + 1))
     assert np.all(np.abs(w.val - wv) < 1e-15)
     for a, qa in enumerate(q):
-        # omega is even, so d/dq_a omega(-q) = d/dq_a omega(q) = q_a / omega
-        assert np.all(np.abs(w.grad[a] - qa / wv) < 1e-14)
+        # d omega / d q_a = q_a / omega, and -q_a / omega on the -q half
+        assert np.all(np.abs(w.grad[a, 0] - qa / wv) < 1e-14)
+        assert np.all(np.abs(w.grad[a, 1] + qa / wv) < 1e-14)
 
 
 def _jet_symbols():
