@@ -5,30 +5,29 @@ Casimir evaluation and Lie closure.
 Every check in this module is exact: a nonzero deviation is a hard
 failure, never a tolerance question. The metric-contraction rule of the
 rotation tables is one signed index, the term K and the sign of
-[s^P, s^Q], built once per family shape. check_rotation_table reads it one
-generator row at a time on integers (operators.bracket_matches);
-rotation_defects reads it pair by pair with @, + and - only, so evaluated
-symbols (``symbols.SymbolValues``) take it too, and the fw suite reads its
-defects on the nonlocal generators as float residuals, as it does those
-of ``anticommutation_defects``. The Lie closure, the squares-and-pairing
-check and the multiplication and commutator tables read a set through its
-blade codes (``algebras.blade_codes``) and form no matrix product. A set
-that is not distinct signed blades fails those three checks with one
-message, and the two tables raise it as a ValueError.
+[s^P, s^Q], built once per family shape (``_contraction``).
+check_rotation_table reads it one generator row at a time on integers
+(operators.bracket_matches), and the fw suite gathers it over the whole
+table of the nonlocal generators' evaluated products as float residuals
+(``suites.flip_rotation_residual``). The Lie closure, the
+squares-and-pairing check and the multiplication and commutator tables
+read a set through its blade codes (``algebras.blade_codes``) and form
+no matrix product. A set that is not distinct signed blades fails those
+three checks with one message, and the two tables raise it as a
+ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .algebras import (OrtSet, blade_codes, blade_products, extended_gammas,
                        pd_gammas, pgi_lorentz6, require_blades, so8_generators)
-from .operators import (GeneralOp, anticommutator, bracket_matches,
-                        commutator, compose)
+from .operators import GeneralOp, anticommutator, bracket_matches, compose
 from .spans import blade_brackets
 
 MetricSignature = Tuple[int, ...]
@@ -64,27 +63,17 @@ def check_anticommutation(gens, metric: MetricSignature) -> StructureReport:
     if len(items) != len(metric):
         raise ValueError("generator count does not match metric length")
     rep = StructureReport()
-    labels = [lbl for lbl, _ in items]
-    for a, b, defect in anticommutation_defects(
-            [op for _, op in items], metric, GeneralOp.identity().scaled(2)):
-        rep.checks_total += 1
-        if not defect.is_zero:
-            rep.failures.append(f"{{{labels[a]},{labels[b]}}} != "
-                                f"{2 * metric[a] if a == b else 0}*I")
-    return rep
-
-
-def anticommutation_defects(gens: Sequence, metric: MetricSignature, unit
-                            ) -> Iterator[Tuple[int, int, object]]:
-    """(a, b, {g_a, g_b} - metric[a] delta_ab unit) for every ordered pair,
-    with metric entries +-1 and unit the diagonal target (2I for the
-    Clifford relations), of the same type as the generators."""
-    for a, ga in enumerate(gens):
-        for b, gb in enumerate(gens):
+    two = GeneralOp.identity().scaled(2)
+    for a, (la, ga) in enumerate(items):
+        for b, (lb, gb) in enumerate(items):
             defect = anticommutator(ga, gb)
             if a == b:
-                defect = defect - unit if metric[a] > 0 else defect + unit
-            yield a, b, defect
+                defect = defect - two if metric[a] > 0 else defect + two
+            rep.checks_total += 1
+            if not defect.is_zero:
+                rep.failures.append(f"{{{la},{lb}}} != "
+                                    f"{2 * metric[a] if a == b else 0}*I")
+    return rep
 
 
 @lru_cache(maxsize=None)
@@ -114,24 +103,6 @@ def _contraction(pairs: Tuple[Pair, ...], metric: MetricSignature,
                         k, l, sign = l, k, -sign
                     terms[p, q], signs[p, q] = index[(k, l)], sign
     return terms, signs
-
-
-def rotation_defects(table: Dict[Pair, object], metric: MetricSignature,
-                     index_base: int = 0
-                     ) -> Iterator[Tuple[Pair, Pair, object]]:
-    """((m, n), (r, s), [s^{mn}, s^{rs}] - rhs) for every pair of pairs of
-    the family, rhs the term that the contraction rule of
-    check_rotation_table gives, formed pair by pair with @, + and - only,
-    so evaluated symbols (``symbols.SymbolValues``) take it too."""
-    pairs = sorted(table)
-    terms, signs = _contraction(tuple(pairs), metric, index_base)
-    for p, pair in enumerate(pairs):
-        for q, other in enumerate(pairs):
-            defect = commutator(table[pair], table[other])
-            if signs[p, q]:
-                term = table[pairs[terms[p, q]]]
-                defect = defect - term if signs[p, q] > 0 else defect + term
-            yield pair, other, defect
 
 
 def check_rotation_table(table: Dict[Pair, GeneralOp], metric: MetricSignature,

@@ -3,7 +3,10 @@
 Each suite emits claims into a ledger; run_suite executes the requested
 suites and reports pass/fail per claim. Constant-matrix claims are
 exact; momentum-space claims carry sampled residuals against the
-configured tolerances.
+configured tolerances. The fw suite's flip-law algebra of the nonlocal
+generators forms the products of every pair at once, as one table of
+block GEMMs on the +q half (``_flip_table``); the so(8) and Clifford
+residuals read that table and its transpose.
 """
 
 from __future__ import annotations
@@ -22,13 +25,13 @@ from .algebras import (OrtSet, a32, bosonic_rep, bosonic_so8_generators,
                        percd29, rotation_family, so15_generators, so6,
                        so8_generators)
 from .operators import GeneralOp, commutator, compose
-from .relations import (anticommutation_defects, casimir_spin_squared,
+from .relations import (_contraction, casimir_spin_squared,
                         check_anticommutation, check_so8, check_so15,
                         classify_hermiticity, closure_check,
                         composition_closure_check,
                         gamma_product_identities, multiplication_table,
                         commutator_table, pgi_orientation_check,
-                        rotation_defects, squares_and_pairing_check,
+                        squares_and_pairing_check,
                         verify_explicit_forms, COMPACT8)
 from .reporting import CLAIM_REGISTRY, Claim, Ledger, SuiteConfig, SUITE_NAMES
 from .scalars import ExactScalar, HALF, I_UNIT, ZERO
@@ -491,22 +494,62 @@ def _fw_nonlocal(ledger: Ledger, m: float, h_fw: SymbolValues,
                   f"{near} points", tol=tol)
 
 
+def _flip_table(values):
+    """The flip-law products v_P @ v_Q of n values on one signed batch,
+    every ordered pair at once, on the +q half only: the parts (a, b),
+    each of shape (N, n, 4, n, 4) with [:, P, :, Q] the product's part,
+    and the values' own +q half, (a, b) of shape (n, N, 4, 4).
+
+    The dense parts are stacked as (2, n, N, 4, 4), a constant one
+    broadcast over the batch, so an absent factor is a zero block and a
+    scalar one c I. Each of the four part products of the flip law is one
+    (4n, 4) @ (4, 4n) GEMM per point, and each entry is the sum over the
+    same four terms as a 4x4 product."""
+    n = len(values)
+    parts = np.broadcast_arrays(*(v.a for v in values), *(v.b for v in values))
+    a, b = np.stack(parts[:n], axis=1), np.stack(parts[n:], axis=1)
+
+    def block(x, y):
+        pts = x.shape[1]
+        rows = x.transpose(1, 0, 2, 3).reshape(pts, 4 * n, 4)
+        cols = y.transpose(1, 2, 0, 3).reshape(pts, 4, 4 * n)
+        return (rows @ cols).reshape(pts, n, 4, n, 4)
+
+    # the reflected factor reads the -q half, the last of a constant's one
+    ta = block(a[0], a[0])
+    ta += block(b[0], np.conj(b[-1]))
+    tb = block(a[0], b[0])
+    tb += block(b[0], np.conj(a[-1]))
+    return (ta, tb), (a[0], b[0])
+
+
+def _transposed(table):
+    """The table of products with the order of each pair swapped."""
+    return np.swapaxes(table, 1, 3)
+
+
 def flip_anticommutation_residual(values) -> float:
     """The largest +q-half entry of the defects {g_a, g_b} + 2 delta_ab I
     of generators evaluated on one signed batch."""
-    # a constant's value on the empty batch broadcasts over any batch
-    unit = MomentumSymbol((GeneralOp.identity(),), lambda q: (2.0,),
-                          "2I")(signed_batch(()))
-    return max(defect.norm() for _, _, defect in
-               anticommutation_defects(values, (-1,) * len(values), unit))
+    (ta, tb), _ = _flip_table(values)
+    unit = np.einsum("ab,ij->aibj", np.eye(len(values)), 2.0 * np.eye(4))
+    return max(max_modulus(ta + _transposed(ta) + unit),
+               max_modulus(tb + _transposed(tb)))
 
 
 def flip_rotation_residual(values) -> float:
-    """The largest +q-half entry of the so(8) defects of the rotation
-    family of seven generators evaluated on one signed batch."""
+    """The largest +q-half entry of the so(8) defects [s^P, s^Q] -
+    signs[P, Q] s^{terms[P, Q]} of the rotation family of seven generators
+    evaluated on one signed batch, with the contraction rule's signed
+    index (terms, signs) of ``relations._contraction``."""
     table = rotation_family([0.5 * v for v in values], 1)
-    return max(defect.norm() for _, _, defect in
-               rotation_defects(table, COMPACT8, 1))
+    pairs = sorted(table)
+    terms, signs = _contraction(tuple(pairs), COMPACT8, 1)
+    tables, family = _flip_table([table[pair] for pair in pairs])
+    signs = signs[:, None, :, None]
+    return max(max_modulus(t - _transposed(t)
+                           - signs * own[terms].transpose(2, 0, 3, 1, 4))
+               for t, own in zip(tables, family))
 
 
 # ---------------------------------------------------------------------------

@@ -37,12 +37,13 @@ matrix times a batch, on either side and with or without the flip, is one
 GEMM over the flattened batch, not one 4x4 product per point; with the
 constant on the left the result is a strided view of that GEMM's output.
 Each part product is a fresh array, and ``@`` adds the second term of a
-part into the first when the first has the sum's shape and dtype. Nothing
-else writes into an array: an operand, a part a caller holds and a value
-summed by ``xops`` are never changed. Sums, differences and
-scalar multiples act on both parts and keep absence; a sum of a scalar part
-and a matrix part expands the scalar through eye(4), so c never reaches
-the off-diagonal entries. The commutators of ``operators`` serve evaluated
+part into the first when the first has the sum's shape and dtype; a
+running sum (``accumulate``) adds into the parts that its own earlier
+additions formed in the same way. Nothing else writes into an array: an
+operand, a part a caller holds and a value summed by ``xops`` are never
+changed. Sums, differences and scalar multiples act on both parts and keep
+absence; a sum of a scalar part and a matrix part expands the scalar
+through eye(4), so c never reaches the off-diagonal entries. The commutators of ``operators`` serve evaluated
 values unchanged. Dropping an exactly zero term turns x + 0 into x, which
 changes at most the sign of a zero entry.
 
@@ -58,14 +59,19 @@ conj(phitilde(-q)). A constant symbol, one operator with the profile 1,
 composes identically to the exact layer. An ``EquationOperator`` states a
 Hamiltonian once, by its exact terms; the symmetry check reads them, and
 its symbols are built from them.
+
+The seeded momenta (``sample_momenta``) are drawn from ``pcg64_uniforms``,
+the uniform stream of numpy's default generator for the seed, bit for bit,
+in Python integer arithmetic: the points do not depend on the installed
+numpy version, and no run loads ``numpy.random``.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache, reduce
-from operator import add
-from typing import Callable, Dict, List, Tuple
+from operator import add, index
+from typing import Callable, Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -128,6 +134,17 @@ class SymbolValues:
 
     def __sub__(self, other: "SymbolValues") -> "SymbolValues":
         return SymbolValues(_sub(self._a, other._a), _sub(self._b, other._b))
+
+    def accumulate(self, other: "SymbolValues", formed=(False, False)):
+        """(self + other, formed) for a running sum. The formed marks of
+        self, per part, are those an earlier accumulate returned: a part
+        that this or an earlier addition formed is written into, and no
+        other. The marks returned name the parts of the sum that such an
+        addition formed, never an array that self or other held before."""
+        parts = [(_add(x, y, into=f), f if y is None else x is not None)
+                 for x, y, f in zip((self._a, self._b),
+                                    (other._a, other._b), formed)]
+        return SymbolValues(*(p for p, _ in parts)), tuple(f for _, f in parts)
 
     def __neg__(self) -> "SymbolValues":
         return self._map(np.negative)
@@ -326,17 +343,86 @@ def _combine(part, ps):
 # sampling
 # ---------------------------------------------------------------------------
 
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(seed: int) -> List[int]:
+    """The four 64-bit words that numpy's SeedSequence(seed) hands to
+    PCG64, generate_state(4, uint64): the seed's 32-bit words hashed into
+    a pool of four, the pool hashed out to eight 32-bit words, read as
+    little-endian pairs."""
+    seed = index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    # the seed's 32-bit words, least significant first, at least one
+    entropy = [seed >> 32 * k & _MASK32
+               for k in range(max(1, -(-seed.bit_length() // 32)))]
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[k] if k < len(entropy) else 0) for k in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const, words = 0x8B51F9DD, []
+    for k in range(8):
+        value = pool[k % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        words.append(value ^ value >> 16)
+    return [words[k] | words[k + 1] << 32 for k in range(0, 8, 2)]
+
+
+def pcg64_uniforms(seed: int, low: float, high: float) -> Iterator[float]:
+    """The stream of np.random.default_rng(seed).uniform(low, high), bit
+    for bit, without numpy.random: PCG64 (O'Neill 2014), the 128-bit LCG
+    with the XSL-RR output, seeded as numpy seeds it. A draw x gives
+    u = (x >> 11) 2^-53 and reads low + (high - low) u. The seed is
+    checked here, not at the first draw: a negative one is a ValueError."""
+    state_hi, state_lo, inc_hi, inc_lo = _seed_words(seed)
+    return _pcg64_draws(state_hi << 64 | state_lo, inc_hi << 64 | inc_lo,
+                        float(low), float(high) - float(low))
+
+
+def _pcg64_draws(state: int, inc: int, low: float, span: float):
+    mult, mask64, mask128 = _PCG_MULTIPLIER, _MASK64, _MASK128
+    # PCG's seeding: an odd increment, then two steps around adding state
+    inc = (inc << 1 | 1) & mask128
+    state = ((inc + state) * mult + inc) & mask128
+    while True:
+        state = (state * mult + inc) & mask128
+        x, rot = (state >> 64 ^ state) & mask64, state >> 122
+        x = (x >> rot | x << (64 - rot)) & mask64
+        yield low + span * ((x >> 11) * 2.0 ** -53)
+
+
 def sample_momenta(n: int, seed: int = 42, radius: float = 10.0
                    ) -> List[Triple]:
     """Deterministic seeded momenta in the ball |q| <= radius, always
     including the origin and axis-aligned points so degenerate directions
-    are exercised."""
-    rng = np.random.default_rng(seed)
+    are exercised; the others are triples of the seed's uniform stream
+    (``pcg64_uniforms``) kept when they fall in the ball."""
+    draws = pcg64_uniforms(seed, -radius, radius)
     r = radius / 2.0
     pts: List[Triple] = [(0.0, 0.0, 0.0), (r, 0.0, 0.0), (0.0, r, 0.0),
                          (0.0, 0.0, r)]
     while len(pts) < n:
-        v = rng.uniform(-radius, radius, 3)
+        v = np.array([next(draws), next(draws), next(draws)])
         if np.linalg.norm(v) <= radius:
             pts.append((float(v[0]), float(v[1]), float(v[2])))
     return pts[:n]

@@ -90,10 +90,17 @@ class XValues:
 
 def _collect(pieces) -> XValues:
     """The sum of the (key, values) pieces per key, in order; a sum
-    carries no derivatives."""
+    carries no derivatives. A key's second piece forms its sum, and the
+    later ones are added into that sum (``SymbolValues.accumulate``), never
+    into a piece."""
     out: Dict[Multi, SymbolValues] = {}
+    formed: Dict[Multi, Tuple[bool, bool]] = {}
     for key, v in pieces:
-        out[key] = out[key] + v if key in out else v
+        if key in out:
+            out[key], formed[key] = out[key].accumulate(
+                v, formed.get(key, (False, False)))
+        else:
+            out[key] = v
     return XValues({k: (v, None) for k, v in out.items()})
 
 

@@ -696,6 +696,18 @@ def test_the_exact_layers_load_no_momentum_module():
                 "ercd.poincare_oracle"} & set(loaded)
 
 
+def test_the_momentum_suites_load_no_numpy_random():
+    # the seeded momenta come from ercd's own uniform stream
+    loaded = _python("import contextlib, io, sys, ercd.cli\n"
+                     "with contextlib.redirect_stdout(io.StringIO()):\n"
+                     "    code = ercd.cli.main(['verify', '--suite', 'fw', "
+                     "'--suite', 'poincare'])\n"
+                     "print(code, ' '.join(m for m in sys.modules "
+                     "if m.startswith('numpy.')))").split()
+    assert loaded[0] == "0" and "numpy.linalg" in loaded
+    assert not {m for m in loaded if m.startswith("numpy.random")}
+
+
 def _unknown_name(name):
     raise ValueError(f"unrecognized configuration name {name!r}")
 

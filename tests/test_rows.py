@@ -9,10 +9,12 @@ matrices). A set the codes do not name (halves of blades, a doubled ort,
 op with -op, a zero operator, a sum of blades) is refused: the tables and
 structure_constants raise one ValueError, and the three checks report it
 as their one failure. check_rotation_table, which reads one integer row
-per generator (operators.bracket_matches), and rotation_defects are
-checked against the per-pair metric-contraction rule kept here, on every
-rotation family of the suites, on faulted tables and near the int64
-limit.
+per generator (operators.bracket_matches), and the signed index of the
+contraction rule are checked against the per-pair metric-contraction rule
+kept here, on every rotation family of the suites, on faulted tables and
+near the int64 limit. The fw suite's flip-law residuals, which form the
+whole table of products of evaluated symbols at once, are checked against
+that index read pair by pair.
 """
 
 import tracemalloc
@@ -21,18 +23,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ercd import relations
 from ercd.algebras import (OrtSet, a32, blade_codes, bosonic_so8_generators,
-                           cd16, ercd64, pd_gammas, percd29, pgi8,
-                           pgi_lorentz6, so6, so8_generators, so15_generators)
+                           cd16, ercd64, extended_gammas, pd_gammas, percd29,
+                           pgi8, pgi_lorentz6, rotation_family, so6,
+                           so8_generators, so15_generators)
 from ercd.operators import GeneralOp, anticommutator, commutator, gram, mat
 from ercd.relations import (COMPACT8, SO13_METRIC, SO15_METRIC,
                             check_rotation_table, closure_check,
                             commutator_table, composition_closure_check,
-                            multiplication_table, rotation_defects,
-                            squares_and_pairing_check)
+                            multiplication_table, squares_and_pairing_check)
 from ercd.scalars import HALF, ExactScalar
 from ercd.spans import structure_constants
-from ercd.suites import corrupted_pd_gammas, dump_tables
+from ercd.suites import (corrupted_pd_gammas, dump_tables,
+                         flip_anticommutation_residual, flip_rotation_residual)
+from ercd.symbols import (MomentumSymbol, SymbolValues, sample_momenta,
+                          signed_batch, tilde_values)
 
 DUMPABLE = {"cd16": cd16, "ercd64": ercd64, "percd29": percd29, "so6": so6,
             "a32": a32, "pgi8": pgi8}
@@ -346,6 +352,22 @@ def _reference_rotation(table, metric, base=0):
     return len(pairs) ** 2, failures, defects
 
 
+def rotation_defects(table, metric, base=0):
+    """((m, n), (r, s), [s^{mn}, s^{rs}] - rhs) for every pair of pairs,
+    rhs = signs[P, Q] s^{terms[P, Q]} from the signed index of
+    relations._contraction, formed pair by pair with @, + and - only, so
+    exact operators and evaluated symbols take it alike."""
+    pairs = sorted(table)
+    terms, signs = relations._contraction(tuple(pairs), metric, base)
+    for p, pair in enumerate(pairs):
+        for q, other in enumerate(pairs):
+            defect = commutator(table[pair], table[other])
+            if signs[p, q]:
+                term = table[pairs[terms[p, q]]]
+                defect = defect - term if signs[p, q] > 0 else defect + term
+            yield pair, other, defect
+
+
 def _so8_broken():
     table = dict(so8_generators())
     table[(3, 6)] = table[(3, 6)] + so8_generators()[(1, 2)].scaled(HALF)
@@ -377,9 +399,65 @@ def test_rotation_rows_match_the_per_pair_rule(name):
         assert len(failures) == failing
     rep = check_rotation_table(table, metric, base)
     assert (rep.checks_total, rep.failures) == (total, failures)
-    # rotation_defects, which the fw suite runs on evaluated symbols, reads
-    # the same contraction rule pair by pair
+    # the signed index, which the fw suite gathers over a table of
+    # evaluated symbols, reads the same contraction rule pair by pair
     assert [d for _, _, d in rotation_defects(table, metric, base)] == defects
+
+
+def _pair_by_pair_residuals(values):
+    """The residuals of flip_rotation_residual and
+    flip_anticommutation_residual, one flip-law product per pair: the
+    so(8) defects of the rotation family and {g_a, g_b} + 2 delta_ab I."""
+    table = rotation_family([0.5 * v for v in values], 1)
+    rotation = max(d.norm() for _, _, d
+                   in rotation_defects(table, COMPACT8, 1))
+    unit = MomentumSymbol((GeneralOp.identity(),), lambda q: (2.0,))(
+        signed_batch(()))
+    anti = max((anticommutator(x, y) + unit if a == b
+                else anticommutator(x, y)).norm()
+               for a, x in enumerate(values) for b, y in enumerate(values))
+    return rotation, anti
+
+
+def _flip_residuals(values):
+    return (flip_rotation_residual(values),
+            flip_anticommutation_residual(values))
+
+
+@pytest.mark.parametrize("mass", [1.0, 2.5, 1e-3, 1e3])
+def test_flip_tables_equal_the_pair_by_pair_rule_on_the_nonlocal_generators(
+        mass):
+    # the fw suite reads the first 4 points of a 40-point batch
+    q = signed_batch(sample_momenta(40, seed=42))
+    tilde = tilde_values(mass, q)
+    for n in (4, 40):
+        values = [tilde[f"tg{k}"].first(n) for k in range(1, 8)]
+        residuals = _flip_residuals(values)
+        assert residuals == _pair_by_pair_residuals(values)
+        assert max(residuals) < 1e-12
+
+
+def test_flip_tables_equal_the_pair_by_pair_rule_on_mixed_shapes():
+    # constant (1, 1, 4, 4) generators, a batch part beside a constant or
+    # absent one, and a scalar c(q) I part
+    ext = extended_gammas()
+    q = signed_batch(sample_momenta(3, seed=5))
+    gens = [MomentumSymbol((ext.get(f"g{k}"),), lambda q: (1.0,))(q)
+            for k in range(1, 8)]
+    assert _flip_residuals(gens) == _pair_by_pair_residuals(gens) == (0, 0)
+    scalar = MomentumSymbol((GeneralOp.identity(),),
+                            lambda q: (1e-2 * q[0],))(q)
+    bump = np.zeros((2, q.shape[1], 4, 4))
+    bump[0, 1, 2, 3] = 1e-2
+    extras = (SymbolValues(bump, None), SymbolValues(None, bump),
+              SymbolValues(0 * bump, bump), scalar)
+    for k in range(7):
+        for extra in extras:
+            values = list(gens)
+            values[k] = values[k] + extra
+            residuals = _flip_residuals(values)
+            assert residuals == _pair_by_pair_residuals(values)
+            assert min(residuals) > 1e-3
 
 
 def test_a_rotation_table_beyond_the_limit_raises_instead_of_wrapping():

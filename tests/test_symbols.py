@@ -51,6 +51,44 @@ def test_sampling_is_deterministic_and_bounded():
     assert sample_momenta(50, seed=2) != a
 
 
+def _numpy_sample_momenta(n, seed, radius):
+    """sample_momenta as it drew from numpy.random, kept as the reference
+    of the stream that replaced it."""
+    rng = np.random.default_rng(seed)
+    r = radius / 2.0
+    pts = [(0.0, 0.0, 0.0), (r, 0.0, 0.0), (0.0, r, 0.0), (0.0, 0.0, r)]
+    while len(pts) < n:
+        v = rng.uniform(-radius, radius, 3)
+        if np.linalg.norm(v) <= radius:
+            pts.append((float(v[0]), float(v[1]), float(v[2])))
+    return pts[:n]
+
+
+def test_the_uniform_stream_is_numpys_for_the_seed():
+    # seeds of one, two, three and seven 32-bit words (more than the pool
+    # of four), and the edges between them
+    for seed in [*range(201), 2**32 - 1, 2**32, 2**63, 10**20, 2**200 + 7]:
+        for low, high, k in ((-10.0, 10.0, 12), (0.0, 1.0, 5),
+                             (-0.5, 2.0, 3)):
+            draws = symbols.pcg64_uniforms(seed, low, high)
+            expected = np.random.default_rng(seed).uniform(low, high, k)
+            assert [next(draws) for _ in range(k)] == expected.tolist(), seed
+
+
+@pytest.mark.parametrize("radius", [0.5, 5, 10])
+def test_sampled_momenta_are_those_of_the_numpy_loop(radius):
+    for n in (1, 4, 5, 40, 200, 1000):
+        for seed in (0, 42):
+            assert (sample_momenta(n, seed=seed, radius=radius)
+                    == _numpy_sample_momenta(n, seed, radius))
+
+
+def test_a_negative_seed_raises_before_any_draw():
+    for n in (1, 4, 40):
+        with pytest.raises(ValueError):
+            sample_momenta(n, seed=-1)
+
+
 def test_hamiltonian_values_at_rest():
     g0, _ = pd_gammas().get("g0").floats()
     h, _ = _at_rest(fw_hamiltonian(M).symbol)

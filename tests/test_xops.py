@@ -508,3 +508,34 @@ def test_difference_is_the_sum_with_the_negated_values():
                 for part, expected in zip((d._a, d._b), (r._a, r._b)):
                     assert (part is None) == (expected is None)
                     assert part is None or np.array_equal(part, expected)
+
+
+def test_collect_adds_later_pieces_into_the_sum_it_formed():
+    # pieces with absent, scalar, constant and batch parts, up to four a
+    # key: the sums are those of + in the same order, bit for bit, the
+    # pieces are unchanged, and from the third piece on a formed part is
+    # written into
+    _, values = _generator_values(6)
+    pieces = [(key, v) for x in values for key, (v, _) in x.terms.items()]
+    pieces += [(key, 0.5 * v) for key, v in pieces[::-1]]
+    held = [p for _, v in pieces for p in (v._a, v._b) if p is not None]
+    saved = [p.copy() for p in held]
+    collected = xops._collect(pieces)
+    expected = {}
+    for key, v in pieces:
+        expected[key] = expected[key] + v if key in expected else v
+    assert list(collected.terms) == list(expected)
+    for (got, _), ref in zip(collected.terms.values(), expected.values()):
+        for part, want in zip((got._a, got._b), (ref._a, ref._b)):
+            assert (part is None) == (want is None)
+            assert part is None or part.tobytes() == want.tobytes()
+    assert all(p.tobytes() == s.tobytes() for p, s in zip(held, saved))
+    assert max(sum(k == key for k, _ in pieces) for key in expected) >= 4
+
+    x, y, z = (values[7].terms[(0, 0, 0)][0] for _ in range(3))  # j01
+    total, formed = x.accumulate(y)
+    assert formed == tuple(p is not None for p in (x._a, x._b))
+    again, formed_again = total.accumulate(z, formed)
+    assert formed_again == formed
+    assert all(p is q for p, q, f in zip((again._a, again._b),
+                                         (total._a, total._b), formed) if f)
