@@ -9,30 +9,39 @@ of momentum as first-order differential operators:
 
 The mass enters only through w, so q1, q2, q3 and w are algebraically
 independent, and every coefficient lies in the Laurent ring
-Q(i)[q1, q2, q3, w, 1/w] with d/dq_a w^k = k q_a w^(k-2). A ring element
-is a dict {(e1, e2, e3, k): (re, im)} of Fraction parts. The commutator
-of two first-order operators is first order with coefficients in the same
-ring, so an identity of coefficients there holds for every q and every
-m > 0: no sample points and no simplification are needed.
+Z[i][q1, q2, q3, w, 1/w] with d/dq_a w^k = k q_a w^(k-2). A ring element
+is a dict {(e1, e2, e3, k): (re, im)} of Python int parts: the ring holds
+the generators scaled by s_k (``SCALES``), 2 for the boosts, whose
+coefficients are then integers. The commutator of two first-order
+operators is first order with coefficients in the same ring, so an
+identity of coefficients there holds for every q and every m > 0: no
+sample points and no simplification are needed.
 
 Each generator owns one coordinate (slot, monomial, re/im) that no other
-generator uses. The constant c_k of an expansion is read off the
-commutator at the coordinate of g_k; then sum_k c_k g_k is rebuilt and
-must equal the commutator exactly. That equality is the proof and sets
-``verified``. Matrix/spin parts cannot change the structure constants of
-a representation, so the full generators must close with these constants.
+generator uses. The constant l_k of the expansion [s_i g_i, s_j g_j] =
+sum_k l_k s_k g_k is read off the commutator at the coordinate of s_k g_k
+as the ratio of two integers r_k / d_k; then, over the common denominator
+D of those ratios, sum_k (D r_k / d_k) s_k g_k is rebuilt and must equal D
+times the commutator exactly, in integers. That equality is the proof and
+sets ``verified``. The structure constant of the stated generators is
+c_k = l_k s_k / (s_i s_j), and its float is the correctly rounded
+quotient of two integers. Matrix/spin parts cannot change the structure
+constants of a representation, so the full generators must close with
+these constants.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Dict, List, Tuple
 
 NAMES = ["p0", "p1", "p2", "p3", "j23", "j31", "j12", "j01", "j02", "j03"]
+# the factor s_k of each generator in the ring, in the order of NAMES
+SCALES = (1, 1, 1, 1, 1, 1, 1, 2, 2, 2)
 
 Monomial = Tuple[int, int, int, int]    # powers of q1, q2, q3 and w
-Poly = Dict[Monomial, Tuple[Fraction, Fraction]]  # nonzero (re, im) terms
+Poly = Dict[Monomial, Tuple[int, int]]  # nonzero (re, im) terms
 DiffOp = Tuple[Poly, Poly, Poly, Poly]  # coeffs of d/dq_1..3, zeroth order
 Coordinate = Tuple[int, Monomial, int]  # (slot, monomial, 0 re / 1 im)
 
@@ -83,13 +92,13 @@ def _op(*terms) -> DiffOp:
 
 
 def _scalar_generators() -> List[DiffOp]:
-    """The ten scalar generators in the order of NAMES."""
-    half = Fraction(1, 2)
+    """The ten scalar generators in the order of NAMES, each scaled by its
+    s_k: the boosts as 2 j_0k = 2 w d/dq_k + q_k / w."""
     return ([_op((3, _W, 0, -1))]
             + [_op((3, _Q[n], 0, 1)) for n in range(3)]
             + [_op((l, _Q[n], 1, 0), (n, _Q[l], -1, 0))
                for l, n in ((1, 2), (2, 0), (0, 1))]
-            + [_op((k, _W, 1, 0), (3, _shift(_Q[k], k, 0, -1), half, 0))
+            + [_op((k, _W, 2, 0), (3, _shift(_Q[k], k, 0, -1), 1, 0))
                for k in range(3)])
 
 
@@ -104,12 +113,12 @@ def _commutator(f: DiffOp, g: DiffOp) -> DiffOp:
     return out
 
 
-def _coordinates(op: DiffOp) -> Dict[Coordinate, Fraction]:
+def _coordinates(op: DiffOp) -> Dict[Coordinate, int]:
     return {(slot, mono, part): c[part] for slot, poly in enumerate(op)
             for mono, c in poly.items() for part in (0, 1) if c[part]}
 
 
-def _owned(coords: List[Dict[Coordinate, Fraction]]) -> List[Coordinate]:
+def _owned(coords: List[Dict[Coordinate, int]]) -> List[Coordinate]:
     """For each generator the first coordinate no other generator uses."""
     owned = []
     for k, mine in enumerate(coords):
@@ -136,12 +145,19 @@ def oracle_structure_table() -> Tuple[Dict[Tuple[str, str], Tuple[float, ...]],
         for j in range(i + 1, len(gens)):
             comm = _commutator(gens[i], gens[j])
             read = _coordinates(comm)
-            lam = [Fraction(read.get(o, 0)) / c[o]
-                   for c, o in zip(coords, owned)]
+            # l_k = r_k / d_k, brought to the common denominator D
+            ratios = [(read.get(o, 0), c[o]) for c, o in zip(coords, owned)]
+            den = lcm(*(d for _, d in ratios))
+            lam = [r * (den // d) for r, d in ratios]
             rebuilt = _op(*((slot, mono, c * re, c * im)
-                            for c, g in zip(lam, gens)
+                            for c, g in zip(lam, gens) if c
                             for slot, poly in enumerate(g)
                             for mono, (re, im) in poly.items()))
-            verified = verified and rebuilt == comm
-            table[(NAMES[i], NAMES[j])] = tuple(float(c) for c in lam)
+            verified = verified and rebuilt == _op(
+                *((slot, mono, den * re, den * im)
+                  for slot, poly in enumerate(comm)
+                  for mono, (re, im) in poly.items()))
+            scale = den * SCALES[i] * SCALES[j]
+            table[(NAMES[i], NAMES[j])] = tuple(
+                c * s / scale for c, s in zip(lam, SCALES))
     return table, verified

@@ -42,8 +42,8 @@ from .symbols import (MomentumSymbol, SymbolValues, check_equation_symmetry,
                       max_modulus, pd_spin, sample_momenta, signed_batch,
                       spin_triple, tilde_values)
 from .xops import (ZERO_MULTI, build_poincare_generators,
-                   commutator as xop_commutator, evaluate, momentum_square,
-                   poincare_closure_check, position_op,
+                   commutator as xop_commutator, evaluate,
+                   momentum_square, poincare_closure_check, position_op,
                    translation_generators)
 
 
@@ -414,12 +414,12 @@ def _suite_fw(ledger: Ledger, config: SuiteConfig) -> None:
 
     # at rest H is beta m, written out here rather than read from the g0
     # that built it
-    worst = max(_light_cone_residual(h_fw.first(len(near)), near, m),
+    worst = max(_light_cone_residual(h_fw.points(slice(len(near))), near, m),
                 max_modulus(h_fw.a[0, 0] - m * np.diag([1, 1, -1, -1])))
     _claim(ledger, "fw.wave-operator", worst < h_tol, residual=worst,
            detail=f"{len(near)} points and q = 0", tol=h_tol)
 
-    worst = _light_cone_residual(h_d.first(len(near)), near, m)
+    worst = _light_cone_residual(h_d.points(slice(len(near))), near, m)
     _claim(ledger, "fw.local-hamiltonian", worst < h_tol, residual=worst,
            detail=f"{len(near)} points", tol=h_tol)
 
@@ -435,6 +435,12 @@ def _suite_fw(ledger: Ledger, config: SuiteConfig) -> None:
     g1 = pd_gammas().get("g1")
     _claim(ledger, "fw.negative-control", not check_equation_symmetry(g1, fw),
            detail="bare space generator correctly rejected")
+
+
+# the points of the fw batch at which the flip-law tables of the nonlocal
+# generators are formed (their stack grows as 28^2 N): q = 0, the first
+# axis point and the first two seeded points of ``sample_momenta``
+FLIP_POINTS = (0, 1, 4, 5)
 
 
 def _fw_nonlocal(ledger: Ledger, m: float, h_fw: SymbolValues,
@@ -467,18 +473,20 @@ def _fw_nonlocal(ledger: Ledger, m: float, h_fw: SymbolValues,
            detail=used, tol=tol)
 
     # the nine nonlocal operators, evaluated once on the first 40 points:
-    # the flip-law algebra reads their first 4
-    few, near = 4, 40
+    # the flip-law algebra reads 4 of them, two drawn from the seed
+    near = 40
     q = q[:, :near]
     tilde = tilde_values(m, q)
-    gens = [tilde[f"tg{k}"].first(few) for k in range(1, 8)]
+    gens = [tilde[f"tg{k}"].points(FLIP_POINTS) for k in range(1, 8)]
+    few = (f"{len(FLIP_POINTS)} points (q = 0, an axis point and the first "
+           "two seeded points)")
     worst = flip_rotation_residual(gens)
     _claim(ledger, "fw.nonlocal-rotations", worst < tol, residual=worst,
-           detail=f"{few} points", tol=tol)
+           detail=few, tol=tol)
 
     worst = flip_anticommutation_residual(gens)
     # V-conjugation comparison for all nine nonlocal operators
-    vp, vm = vp.first(near), vm.first(near)
+    vp, vm = vp.points(slice(near)), vm.points(slice(near))
     ext = extended_gammas()
     fundamentals = {f"tg{k}": ext.get(f"g{k}") for k in range(1, 8)}
     fundamentals["tg0"] = pd_gammas().get("g0")
@@ -490,7 +498,7 @@ def _fw_nonlocal(ledger: Ledger, m: float, h_fw: SymbolValues,
     _claim(ledger, "fw.nonlocal-generators", worst < tol, residual=worst,
            detail="closed forms match the conjugation oracle; the "
                   "conjugation-image operator uses its expanded form; "
-                  f"anticommutators on {few} points, conjugation on "
+                  f"anticommutators on {few}, conjugation on "
                   f"{near} points", tol=tol)
 
 
@@ -593,11 +601,11 @@ def _suite_poincare(ledger: Ledger, config: SuiteConfig) -> None:
                                     radius=5.0))
     points = f"{q.shape[1]} points"
 
-    momenta = [evaluate(g, q) for name, g in translation_generators(m)
-               if name != "p0"]
-    positions = [evaluate(position_op(b), q) for b in range(3)]
     ident = MomentumSymbol((GeneralOp.identity(),), lambda q: (1.0,), "I")
-    unit = evaluate({ZERO_MULTI: ident}, q)
+    values = evaluate(
+        [g for name, g in translation_generators(m) if name != "p0"]
+        + [position_op(b) for b in range(3)] + [{ZERO_MULTI: ident}], q)
+    momenta, positions, unit = values[:3], values[3:6], values[6]
     worst = 0.0
     for n in range(3):
         for mm in range(3):
@@ -612,7 +620,7 @@ def _suite_poincare(ledger: Ledger, config: SuiteConfig) -> None:
         # one bracket per pair of the ten generators serves both checks
         names, gens = zip(*build_poincare_generators(m))
         worst_sym, worst_closure, proved = poincare_closure_check(
-            names, [evaluate(g, q) for g in gens])
+            names, evaluate(gens, q))
         _claim(ledger, "poincare.generator-algebra",
                worst_sym < sym_tol and worst_closure < closure_tol and proved,
                residual=max(worst_sym, worst_closure),

@@ -24,8 +24,8 @@ is never allocated.
 
 Composition follows the momentum-flip law: antilinear parts see the
 reflected momentum. On a signed batch the reflected factor is a flip of
-the sign axis, not a second evaluation, and ``SymbolValues.__matmul__``
-is the one place the product is formed:
+the sign axis, not a second evaluation, and ``SymbolValues`` forms every
+product in one place (``_product``, per part product):
 
     A = Ax @ Ay + Bx @ conj(By[::-1]),
     B = Ax @ By + Bx @ conj(Ay[::-1]).
@@ -36,6 +36,12 @@ broadcasting, and stays scalar when both factors are. A constant 4x4
 matrix times a batch, on either side and with or without the flip, is one
 GEMM over the flattened batch, not one 4x4 product per point; with the
 constant on the left the result is a strided view of that GEMM's output.
+``half_matmul`` forms the same product on the +q half only, bit for bit
+that half of ``@``: the kind of each factor is read on the whole value,
+then the +q halves are taken, and the -q half of the reflected factor.
+Its result, whose batch parts have shape (1, N, ...), is marked ``half``:
+at N = 1 that is the shape of a constant, so it is never a factor of a
+product, and a sum with it is formed on the +q half.
 Each part product is a fresh array, and ``@`` adds the second term of a
 part into the first when the first has the sum's shape and dtype; a
 running sum (``accumulate``) adds into the parts that its own earlier
@@ -103,13 +109,15 @@ class SymbolValues:
     (r = 1j is the operator i). All of them keep absence and scalars.
     ``.a``, ``.b`` and iteration read a scalar part as c I and an absent
     part as a (1, 1, 4, 4) zero.
+    A value with ``half`` set, formed by ``half_matmul``, holds the +q
+    half only and is never a factor of a product (module docstring).
     """
 
-    __slots__ = ("_a", "_b")
+    __slots__ = ("_a", "_b", "half")
     __array_ufunc__ = None  # numpy scalars defer to __rmul__
 
-    def __init__(self, a, b):
-        self._a, self._b = a, b
+    def __init__(self, a, b, half=False):
+        self._a, self._b, self.half = a, b, half
 
     @property
     def a(self) -> np.ndarray:
@@ -123,17 +131,48 @@ class SymbolValues:
         return iter((self.a, self.b))
 
     def __matmul__(self, other: "SymbolValues") -> "SymbolValues":
+        return self._times(other, half=False)
+
+    def half_matmul(self, other: "SymbolValues") -> "SymbolValues":
+        """The +q half of self @ other, bit for bit: each part from the
+        +q half of the left factor and of the unreflected right one, and
+        from the -q half of the reflected one, A0 = Ax0 Ay0 +
+        Bx0 conj(By-) and B0 = Ax0 By0 + Bx0 conj(Ay-)."""
+        return self._times(other, half=True)
+
+    def _times(self, other: "SymbolValues", half: bool) -> "SymbolValues":
+        if self.half or other.half:
+            raise ValueError("a value held on the +q half only is not a "
+                             "factor of a product")
         xa, xb, ya, yb = self._a, self._b, other._a, other._b
         # each first product is fresh, so the second may be added into it
         return SymbolValues(
-            _add(_product(xa, ya), _product(xb, yb, flip=True), into=True),
-            _add(_product(xa, yb), _product(xb, ya, flip=True), into=True))
+            _add(_product(xa, ya, half=half),
+                 _product(xb, yb, flip=True, half=half), into=True),
+            _add(_product(xa, yb, half=half),
+                 _product(xb, ya, flip=True, half=half), into=True), half)
+
+    def positive_half(self) -> "SymbolValues":
+        """The values on the +q half: a view of each batch part, and a
+        constant part as it is."""
+        if self.half:
+            return self
+        return SymbolValues(*(p if p is None or _is_constant(p) else p[:1]
+                              for p in (self._a, self._b)), half=True)
+
+    def _aligned(self, other: "SymbolValues"):
+        """self and other, both on the +q half when either is."""
+        if self.half == other.half:
+            return self, other
+        return self.positive_half(), other.positive_half()
 
     def __add__(self, other: "SymbolValues") -> "SymbolValues":
-        return SymbolValues(_add(self._a, other._a), _add(self._b, other._b))
+        x, y = self._aligned(other)
+        return SymbolValues(_add(x._a, y._a), _add(x._b, y._b), x.half)
 
     def __sub__(self, other: "SymbolValues") -> "SymbolValues":
-        return SymbolValues(_sub(self._a, other._a), _sub(self._b, other._b))
+        x, y = self._aligned(other)
+        return SymbolValues(_sub(x._a, y._a), _sub(x._b, y._b), x.half)
 
     def accumulate(self, other: "SymbolValues", formed=(False, False)):
         """(self + other, formed) for a running sum. The formed marks of
@@ -141,10 +180,11 @@ class SymbolValues:
         that this or an earlier addition formed is written into, and no
         other. The marks returned name the parts of the sum that such an
         addition formed, never an array that self or other held before."""
-        parts = [(_add(x, y, into=f), f if y is None else x is not None)
-                 for x, y, f in zip((self._a, self._b),
-                                    (other._a, other._b), formed)]
-        return SymbolValues(*(p for p, _ in parts)), tuple(f for _, f in parts)
+        x, y = self._aligned(other)
+        parts = [(_add(p, r, into=f), f if r is None else p is not None)
+                 for p, r, f in zip((x._a, x._b), (y._a, y._b), formed)]
+        return (SymbolValues(*(p for p, _ in parts), x.half),
+                tuple(f for _, f in parts))
 
     def __neg__(self) -> "SymbolValues":
         return self._map(np.negative)
@@ -152,13 +192,18 @@ class SymbolValues:
     def __rmul__(self, r) -> "SymbolValues":
         return self._map(lambda p: r * p)
 
-    def first(self, n: int) -> "SymbolValues":
-        """The values on the first n points of the batch."""
-        return self._map(lambda p: p[:, :n])
+    def points(self, indices) -> "SymbolValues":
+        """The values on the points of the batch at indices (a slice or a
+        sequence), a constant part as it is; not of a +q half, whose batch
+        parts may have the shape of a constant."""
+        if self.half:
+            raise ValueError("a value held on the +q half only has no "
+                             "points to pick")
+        return self._map(lambda p: p if _is_constant(p) else p[:, indices])
 
     def _map(self, f) -> "SymbolValues":
         return SymbolValues(*(p if p is None else f(p)
-                              for p in (self._a, self._b)))
+                              for p in (self._a, self._b)), self.half)
 
     def norm(self) -> float:
         """Largest entry modulus over the +q half; an absent part reads 0
@@ -191,27 +236,34 @@ def _dense(p):
 
 
 def _is_constant(p) -> bool:
+    """Whether the part p of a value that is not a +q half is constant."""
     return p.shape[0] == 1
 
 
-def _product(x, y, flip=False):
+def _product(x, y, flip=False, half=False):
     """x @ y, or x @ conj(y[::-1]) with flip, the reflected factor of the
     flip law; by broadcasting when a factor is scalar, None when a factor
-    is absent. The result is a fresh array."""
+    is absent. With half, only its +q half: the +q half of x times that of
+    y, or the conjugate of y's -q half with flip. The kinds are read on the
+    whole factors, before the halves are taken. The result is a fresh
+    array."""
     if x is None or y is None:
         return None
-    if not (_is_scalar(x) or _is_scalar(y)) and (_is_constant(x)
-                                                 != _is_constant(y)):
-        return _constant_gemm(x, y, flip)
+    x_constant, y_constant = _is_constant(x), _is_constant(y)
+    if half:
+        x = x if x_constant else x[:1]
+        y = y if y_constant else y[-1:] if flip else y[:1]
+    if not (_is_scalar(x) or _is_scalar(y)) and x_constant != y_constant:
+        return _constant_gemm(x, y, flip, y_constant)
     y = np.conj(y[::-1]) if flip else y
     return x * y if _is_scalar(x) or _is_scalar(y) else x @ y
 
 
-def _constant_gemm(x, y, flip):
+def _constant_gemm(x, y, flip, y_constant):
     """The product of _product for a constant 4x4 matrix factor and a batch
     one, as one GEMM over the batch: broadcasting would form one 4x4
     product per point."""
-    if _is_constant(y):  # a constant is its own sign flip
+    if y_constant:  # a constant is its own sign flip
         y = np.conj(y) if flip else y
         return (x.reshape(-1, 4) @ y[0, 0]).reshape(x.shape)
     # c @ y[s, n] for every point: c times the points' matrices side by
@@ -544,16 +596,11 @@ def tilde_gammas(mass: float) -> List[Tuple[str, MomentumSymbol]]:
     """
     if mass <= 0:
         raise ValueError("nonlocal generators need m > 0")
-    g0, g1, g2, g3, g4 = pd_gammas().ops()
-    gammas, ident = [g1, g2, g3], GeneralOp.identity()
+    closed_ops, tc_ops = _tilde_operators()
 
-    def closed_form(base, label, k=None):
+    def closed_form(ops, label, k=None):
         # (1/w) base (m + gamma.q), and for the vector k also
         # (q_k / (w (w + m))) (gamma.q + w + m)
-        ops = [base] + [base @ x for x in gammas]
-        if k is not None:
-            ops += gammas + [ident]
-
         def profiles(q):
             w = omega(q, mass)
             r = 1.0 / w
@@ -565,11 +612,6 @@ def tilde_gammas(mass: float) -> List[Tuple[str, MomentumSymbol]]:
 
         return MomentumSymbol(ops, profiles, label)
 
-    # expansion of V+(q) conj(V-(-q)): scalar, g1 q1 + g3 q3, and the
-    # g1 g2, g2 g3 cross terms survive (conjugation flips only g2)
-    conj = GeneralOp.conjugation()
-    tc_ops = [x @ conj for x in (ident, g1 @ g2, g2 @ g3, g1, g3)]
-
     def tc_profiles(q):
         w = omega(q, mass)
         c = w + mass
@@ -578,10 +620,30 @@ def tilde_gammas(mass: float) -> List[Tuple[str, MomentumSymbol]]:
                 r * (-2.0 * q[0] * q[1]), r * (2.0 * q[1] * q[2]),
                 r * (-2.0 * c * q[0]), r * (-2.0 * c * q[2]))
 
-    return [*((f"tg{k + 1}", closed_form(gammas[k], f"tg{k + 1}", k))
+    return [*((f"tg{k + 1}", closed_form(closed_ops[k], f"tg{k + 1}", k))
               for k in range(3)),
-            ("tg4", closed_form(g4, "tg4")), ("tg0", closed_form(g0, "tg0")),
+            ("tg4", closed_form(closed_ops[3], "tg4")),
+            ("tg0", closed_form(closed_ops[4], "tg0")),
             ("tC", MomentumSymbol(tc_ops, tc_profiles, "tC"))]
+
+
+@lru_cache(maxsize=1)
+def _tilde_operators():
+    """The exact operators of ``tilde_gammas``, which do not depend on the
+    mass, formed once: per closed form of tg1..tg3, tg4 and tg0 the base
+    times (1, g1, g2, g3), and for tg1..tg3 also g1, g2, g3 and the
+    identity; then those of tC."""
+    g0, g1, g2, g3, g4 = pd_gammas().ops()
+    gammas, ident = [g1, g2, g3], GeneralOp.identity()
+    closed = [[base] + [base @ x for x in gammas]
+              for base in gammas + [g4, g0]]
+    for ops in closed[:3]:
+        ops += gammas + [ident]
+    # expansion of V+(q) conj(V-(-q)): scalar, g1 q1 + g3 q3, and the
+    # g1 g2, g2 g3 cross terms survive (conjugation flips only g2)
+    conj = GeneralOp.conjugation()
+    return (tuple(map(tuple, closed)),
+            tuple(x @ conj for x in (ident, g1 @ g2, g2 @ g3, g1, g3)))
 
 
 def tilde_values(mass: float, q) -> Dict[str, SymbolValues]:

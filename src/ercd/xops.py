@@ -6,29 +6,34 @@ Normal form keeps all position factors on the left: a term x^alpha S(q)
 means "apply the matrix symbol, then multiply by positions", with x_b
 acting as i d/dq_b in momentum space. An operator is the dict of its
 symbol coefficients by position multi-index, each exact operators times
-scalar profiles (``MomentumSymbol``); ``evaluate`` runs each once on a
-signed batch (``MomentumSymbol.jet``), and the algebra works on the
-resulting ``XValues``: per key a ``SymbolValues`` and its q-derivatives.
+scalar profiles (``MomentumSymbol``); ``evaluate`` runs each symbol
+once on a signed batch (``MomentumSymbol.jet``), however many
+coefficients are that symbol, and the algebra works on the resulting
+``XValues``: per key a ``SymbolValues`` and its q-derivatives.
 Products use the reordering rule
 
     S x_b T = x_b (S T) - i (dS/dq_b) T,
 
 which holds for antilinear coefficients too (positions are real and
-commute with conjugation): S T is the flip-law product ``S @ T`` of the
-values and dS/dq_b comes from the left coefficient's jet. The right
-factor has degree <= 1, and a coefficient formed by the algebra carries
-no derivative, so it never stands left of a position. The time coordinate
-never mixes with the q-calculus: the generators are built on the t = 0
-slice, and their x0 coefficients are stated as data (``X0_PARTS``).
-p0 and the boosts' x-coefficient are the diagonalized Hamiltonian's
-symbol scaled by -i (``EquationOperator.scaled``).
+commute with conjugation): S T is the flip-law product of the values and
+dS/dq_b comes from the left coefficient's jet. A product is read only by
+``max_norm``, over the +q half, so each piece is formed on that half
+alone (``SymbolValues.half_matmul``): the +q half of S and of dS/dq_b
+times T, whose -q half enters through the flip law. A product is
+therefore no factor of another, and the right factor has degree <= 1.
+The time coordinate never mixes with the q-calculus: the generators are
+built on the t = 0 slice, and their x0 coefficients are stated as data
+(``X0_PARTS``). p0 = -i g0 omega, the diagonalized Hamiltonian's symbol
+scaled by -i (``EquationOperator.scaled``), is one symbol, which is also
+the x-coefficient of the three boosts: the 19 coefficients of the ten
+generators are 16 symbols.
 
 The Lie closure of the ten generators is checked on their evaluated
 values against the structure constants that ``poincare_oracle`` proves
-exactly in a Laurent ring: each commutator minus its expansion must
-vanish. The p0 row of that table is also the invariance check: on the
-t = 0 slice iH = -p0, so [d_0 + iH, G] = 0 reads [p0, G] = T_G, the x0
-coefficient of G.
+exactly in a Laurent ring: each commutator minus its expansion, both on
+the +q half, must vanish. The p0 row of that table is also the invariance
+check: on the t = 0 slice iH = -p0, so [d_0 + iH, G] = 0 reads
+[p0, G] = T_G, the x0 coefficient of G.
 """
 
 from __future__ import annotations
@@ -87,6 +92,11 @@ class XValues:
         """Largest coefficient entry modulus over the +q half."""
         return max((v.norm() for v, _ in self.terms.values()), default=0.0)
 
+    def positive_half(self) -> "XValues":
+        """The coefficients on the +q half, without derivatives."""
+        return XValues({k: (v.positive_half(), None)
+                        for k, (v, _) in self.terms.items()})
+
 
 def _collect(pieces) -> XValues:
     """The sum of the (key, values) pieces per key, in order; a sum
@@ -104,16 +114,24 @@ def _collect(pieces) -> XValues:
     return XValues({k: (v, None) for k, v in out.items()})
 
 
-def evaluate(x: XSymbol, q) -> XValues:
-    """The coefficients of x on the signed batch q, each evaluated once
-    with its derivatives."""
-    return XValues({k: sym.jet(q) for k, sym in x.items()})
+def evaluate(xs: Sequence[XSymbol], q) -> List[XValues]:
+    """The coefficients of each x on the signed batch q with their
+    derivatives: one jet pass per symbol, whose values every coefficient
+    that is that symbol shares."""
+    jets: Dict[MomentumSymbol, Coeff] = {}
+    for x in xs:
+        for sym in x.values():
+            if sym not in jets:
+                jets[sym] = sym.jet(q)
+    return [XValues({k: jets[sym] for k, sym in x.items()}) for x in xs]
 
 
 def compose(x: XValues, y: XValues) -> XValues:
     """Product in normal form: x^alpha S times x^beta T is
     x^(alpha+beta) (S T), plus -i x^alpha (dS/dq_b) T when beta = e_b.
-    The product carries no derivatives."""
+    Each piece is formed on the +q half only (``half_matmul``), the half
+    that ``max_norm`` reads; so the product carries no derivatives, and it
+    is not a factor of another product."""
     if y.degree() > 1:
         raise ValueError("the right factor of a product must have "
                          "degree <= 1")
@@ -121,13 +139,13 @@ def compose(x: XValues, y: XValues) -> XValues:
     def pieces():
         for alpha, (s, ds) in x.terms.items():
             for beta, (t, _) in y.terms.items():
-                yield _madd_multi(alpha, beta), s @ t
+                yield _madd_multi(alpha, beta), s.half_matmul(t)
                 if beta == ZERO_MULTI:
                     continue
                 if ds is None:
-                    raise ValueError("a coefficient formed by a product has "
-                                     "no derivative (jets are degree 1)")
-                yield alpha, (-1j * ds[beta.index(1)]) @ t
+                    raise ValueError("a coefficient formed by the algebra "
+                                     "has no derivative (jets are degree 1)")
+                yield alpha, (-1j * ds[beta.index(1)]).half_matmul(t)
 
     return _collect(pieces())
 
@@ -178,9 +196,11 @@ def build_poincare_generators(mass: float) -> List[Tuple[str, XSymbol]]:
     spin = breve_spin().ops()
     i_g0 = GeneralOp.imaginary_unit() @ g0
     i_g0_spin = [i_g0 @ s for s in spin]  # exact, both parts
-    x_sym = fw_hamiltonian(mass).scaled(-1j, "-ig0w")
 
     gens = translation_generators(mass)
+    # the boosts' x-coefficient -i g0 omega is the symbol of p0 itself, so
+    # one evaluation (``evaluate``) serves all four
+    x_sym = gens[0][1][ZERO_MULTI]
 
     # rotations: j_ln = -x^l (i q_n) + x^n (i q_l) + spin_ln
     for (l, n) in ((2, 3), (3, 1), (1, 2)):
@@ -234,13 +254,15 @@ def poincare_closure_check(names: Sequence[str], values: Sequence[XValues]
         raise ValueError(f"generators {list(names)} are not the oracle's "
                          f"{NAMES}")
     table, verified = oracle_structure_table()
-    x0 = {g: values[names.index(p)] for g, p in X0_PARTS.items()}
+    # the brackets are +q halves, so the expansions are formed on that half
+    halves = [v.positive_half() for v in values]
+    x0 = {g: halves[names.index(p)] for g, p in X0_PARTS.items()}
     symmetry = closure = 0.0
     for i, x in enumerate(values):
         for j in range(i + 1, len(values)):
             pair = (names[i], names[j])
             expansion = _collect(
-                (key, c * v) for c, g in zip(table[pair], values) if c
+                (key, c * v) for c, g in zip(table[pair], halves) if c
                 for key, (v, _) in g.terms.items())
             bracket = commutator(x, values[j])
             closure = max(closure, (bracket - expansion).max_norm())

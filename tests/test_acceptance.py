@@ -212,7 +212,7 @@ def test_criterion_10_generator_suite():
     m = 1.0
     q = signed_batch(sample_momenta(200, seed=42, radius=5.0))
     names, gens = zip(*build_poincare_generators(m))
-    values = [evaluate(g, q) for g in gens]
+    values = evaluate(gens, q)
     worst_sym, closure, verified = poincare_closure_check(names, values)
     p_square, deviation = momentum_square(m, q)
     spin_square = casimir_spin_squared(breve_spin()) == GeneralOp.linear(

@@ -372,7 +372,7 @@ def test_a_non_finite_residual_fails(suite, claim):
 
 def test_sampled_claims_name_the_points_they_used(capsys):
     # --samples 1 is echoed, but fw floors its sample set at 100 points and
-    # some checks use only the first 4 or 40 of them
+    # some checks use only 4 or the first 40 of them
     rc, payload, claims = _json_run(capsys, "--suite", "fw", "--samples", "1")
     assert rc == 0 and payload["config"]["samples"] == 1
     details = {k: c["detail"] for k, c in claims.items()}
@@ -381,9 +381,10 @@ def test_sampled_claims_name_the_points_they_used(capsys):
     for k in ("fw.transform-inverse", "fw.conjugation-identity",
               "fw.nonlocal-spin"):
         assert details[k] == "100 points"
-    assert details["fw.nonlocal-rotations"] == "4 points"
+    four = "4 points (q = 0, an axis point and the first two seeded points)"
+    assert details["fw.nonlocal-rotations"] == four
     assert details["fw.nonlocal-generators"].endswith(
-        "anticommutators on 4 points, conjugation on 40 points")
+        f"anticommutators on {four}, conjugation on 40 points")
 
 
 def test_product_claims_read_the_named_identities(monkeypatch):

@@ -1,12 +1,13 @@
 """The Laurent-ring Poincare oracle against sympy and its guards.
 
-The oracle forms the 45 commutators of the scalar generators in the ring
-Q(i)[q1, q2, q3, w, 1/w] and proves each expansion there. sympy is the
-reference here: the generators are written again as sympy expressions in
-q and m with w = sqrt(q^2 + m^2), their commutators are compared with the
-ring's slot by slot, and the earlier `linsolve` solve at irrational points
-is replayed for a few pairs. The table is pinned to the one that solve
-gave.
+The oracle forms the 45 commutators of the scalar generators, each scaled
+by its integer factor s_k, in the ring Z[i][q1, q2, q3, w, 1/w] and proves
+each expansion there. sympy is the reference here: the stated, unscaled
+generators are written again as sympy expressions in q and m with
+w = sqrt(q^2 + m^2), and the ring's generators and commutators are
+compared slot by slot with them times s_k and s_i s_j; the earlier
+`linsolve` solve at irrational points is replayed for a few pairs. The
+table is pinned to the one that solve gave.
 """
 
 from fractions import Fraction
@@ -107,14 +108,27 @@ def test_table_equals_the_recorded_linsolve_table():
 
 
 def test_ring_commutators_equal_the_sympy_commutators():
-    ring, ref = po._scalar_generators(), _sympy_generators()
-    for g, h in zip(ring, ref):
-        assert all(_same(h[slot], g[slot]) for slot in range(4))
+    # the ring holds s_k g_k, so its commutators are s_i s_j [g_i, g_j]
+    ring, ref, scales = po._scalar_generators(), _sympy_generators(), po.SCALES
+    assert scales == (1,) * 7 + (2,) * 3
+    for g, h, s in zip(ring, ref, scales):
+        assert all(_same(s * h[slot], g[slot]) for slot in range(4))
     for i, j in PAIRS:
         comm = po._commutator(ring[i], ring[j])
         expected = _sympy_commutator(ref[i], ref[j])
         for slot in range(4):
-            assert _same(expected[slot], comm[slot]), (i, j, slot)
+            assert _same(scales[i] * scales[j] * expected[slot],
+                         comm[slot]), (i, j, slot)
+
+
+def test_the_ring_holds_only_integers():
+    gens = po._scalar_generators()
+    polys = [poly for g in gens for poly in g]
+    polys += [poly for i, j in PAIRS
+              for poly in po._commutator(gens[i], gens[j])]
+    assert all(type(c) is int for poly in polys
+               for re_im in poly.values() for c in re_im)
+    assert "Fraction" not in vars(po) and "fractions" not in vars(po)
 
 
 @pytest.mark.parametrize("pair", [("p0", "j01"), ("j01", "j02"),
@@ -131,7 +145,9 @@ def test_a_perturbed_generator_fails_the_proof(monkeypatch):
     gens = po._scalar_generators()
     zeroth = gens[po.NAMES.index("j01")][3]
     (mono,) = zeroth
-    zeroth[mono] = (Fraction(1), Fraction(0))  # q1 / w for q1 / (2 w)
+    # 2 q1 / w for q1 / w, the zeroth order of 2 j01
+    assert zeroth[mono] == (1, 0)
+    zeroth[mono] = (2, 0)
     monkeypatch.setattr(po, "_scalar_generators", lambda: gens)
     table, verified = po.oracle_structure_table.__wrapped__()
     assert not verified

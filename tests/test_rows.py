@@ -35,7 +35,9 @@ from ercd.relations import (COMPACT8, SO13_METRIC, SO15_METRIC,
                             multiplication_table, squares_and_pairing_check)
 from ercd.scalars import HALF, ExactScalar
 from ercd.spans import structure_constants
-from ercd.suites import (corrupted_pd_gammas, dump_tables,
+from ercd import suites
+from ercd.reporting import SuiteConfig
+from ercd.suites import (FLIP_POINTS, corrupted_pd_gammas, dump_tables,
                          flip_anticommutation_residual, flip_rotation_residual)
 from ercd.symbols import (MomentumSymbol, SymbolValues, sample_momenta,
                           signed_batch, tilde_values)
@@ -427,14 +429,39 @@ def _flip_residuals(values):
 @pytest.mark.parametrize("mass", [1.0, 2.5, 1e-3, 1e3])
 def test_flip_tables_equal_the_pair_by_pair_rule_on_the_nonlocal_generators(
         mass):
-    # the fw suite reads the first 4 points of a 40-point batch
+    # the fw suite reads 4 points of a 40-point batch
     q = signed_batch(sample_momenta(40, seed=42))
     tilde = tilde_values(mass, q)
-    for n in (4, 40):
-        values = [tilde[f"tg{k}"].first(n) for k in range(1, 8)]
+    for points in (FLIP_POINTS, slice(40)):
+        values = [tilde[f"tg{k}"].points(points) for k in range(1, 8)]
         residuals = _flip_residuals(values)
         assert residuals == _pair_by_pair_residuals(values)
         assert max(residuals) < 1e-12
+
+
+def test_the_flip_tables_read_points_drawn_from_the_seed(monkeypatch):
+    # q = 0 and an axis point, which every seed shares, and two points of
+    # the seed's stream
+    assert len(FLIP_POINTS) == 4 and sum(k >= 4 for k in FLIP_POINTS) >= 2
+    seen = []
+
+    def recorded(values):
+        seen.append(values)
+        return flip_rotation_residual(values)
+
+    monkeypatch.setattr(suites, "flip_rotation_residual", recorded)
+    for seed in (42, 7):
+        assert suites.run_suite(SuiteConfig(suites=("fw",), seed=seed)).passed
+        q = signed_batch(sample_momenta(40, seed=seed))
+        expected = tilde_values(1.0, q[:, list(FLIP_POINTS)])
+        for k, value in enumerate(seen[-1], 1):
+            assert all(np.array_equal(x, y) for x, y
+                       in zip(value, expected[f"tg{k}"])), (seed, k)
+    drawn = [k for k, p in enumerate(FLIP_POINTS) if p >= 4]
+    fixed = [k for k, p in enumerate(FLIP_POINTS) if p < 4]
+    a, b = (values[0].a for values in seen)
+    assert np.array_equal(a[:, fixed], b[:, fixed])
+    assert not np.any(np.all(a[:, drawn] == b[:, drawn], axis=(0, 2, 3)))
 
 
 def test_flip_tables_equal_the_pair_by_pair_rule_on_mixed_shapes():

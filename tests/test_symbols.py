@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,32 @@ def test_tilde_values_evaluate_each_closed_form_once(monkeypatch):
     for lbl, sym in syms:
         assert all(np.array_equal(x, y)
                    for x, y in zip(values[lbl], sym(q))), lbl
+
+
+def test_tilde_operators_are_formed_once_per_process(monkeypatch):
+    # the 22 exact products of the closed forms do not depend on the mass:
+    # after the first call no call forms one, at any mass
+    q = signed_batch(SAMPLES[:4])
+    first = tilde_values(M, q)
+    products = []
+    matmul = GeneralOp.__matmul__
+
+    def counted(x, y):
+        products.append((x, y))
+        return matmul(x, y)
+
+    monkeypatch.setattr(GeneralOp, "__matmul__", counted)
+    again = tilde_values(M, q)
+    tilde_values(2.5, q)
+    assert products == []
+    for lbl, value in first.items():
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(value, again[lbl])), lbl
+    monkeypatch.undo()
+    symbols._tilde_operators.cache_clear()
+    monkeypatch.setattr(GeneralOp, "__matmul__", counted)
+    tilde_gammas(M)
+    assert len(products) == 22
 
 
 def test_conjugation_preserves_anticommutators():
@@ -453,7 +481,7 @@ def test_absent_parts_read_as_constant_zeros():
     assert v.b.shape == (1, 1, 4, 4) and not v.b.any()
     a, b = v
     assert a.shape == (2, len(SAMPLES), 4, 4) and not b.any()
-    assert v.first(5).a.shape == (2, 5, 4, 4) and v.first(5)._b is None
+    assert v.points(slice(5)).a.shape == (2, 5, 4, 4) and v.points(slice(5))._b is None
     assert SymbolValues(None, None).norm() == 0.0
 
 
@@ -509,12 +537,12 @@ def test_no_zero_part_by_construction_reaches_a_product(monkeypatch):
     product = symbols._product
     formed = []
 
-    def counted(x, y, flip=False):
+    def counted(x, y, flip=False, half=False):
         if x is not None and y is not None:
             for f in (x, y):
                 assert f.shape[:2] != (1, 1) or f.any()
             formed.append(flip)
-        return product(x, y, flip)
+        return product(x, y, flip, half)
 
     monkeypatch.setattr(symbols, "_product", counted)
     ledger = suites.run_suite(SuiteConfig(suites=("fw", "poincare")))
@@ -570,6 +598,42 @@ def test_scalar_parts_match_their_expanded_matrices():
             _assert_close(x - y, _expanded(x) - _expanded(y))
 
 
+def test_the_half_product_is_the_positive_half_of_the_product(
+        monkeypatch, capsys):
+    # every pairing of absent, scalar, constant and batch parts, linear and
+    # antilinear, at one point, where a +q half has a constant's shape, and
+    # at 200: the +q half of x @ y, bit for bit
+    for n in (1, 200):
+        values = _values_with_every_scalar(np.random.default_rng(22), n)
+        for x in values:
+            for y in values:
+                full, half = x @ y, x.half_matmul(y)
+                assert half.half and not full.half
+                for got, ref in zip((half._a, half._b), (full._a, full._b)):
+                    assert (got is None) == (ref is None)
+                    assert got is None or (got.shape == ref[:1].shape and
+                                           got.tobytes() == ref[:1].tobytes())
+                # a +q half is never a factor, so never read as a constant
+                for a, b in ((half, y), (x, half)):
+                    for product in (a.__matmul__, a.half_matmul):
+                        with pytest.raises(ValueError, match=r"\+q half"):
+                            product(b)
+    # a poincare run at one point, and with every half product formed as
+    # the whole product's +q half: the same report, byte for byte
+    from ercd.cli import main
+    argv = ["verify", "--suite", "poincare", "--samples", "1",
+            "--format", "json"]
+    reports = []
+    for reference in (False, True):
+        if reference:
+            monkeypatch.setattr(SymbolValues, "half_matmul",
+                                lambda x, y: (x @ y).positive_half())
+        assert main(argv) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["summary"]["overall"] == "pass"
+
+
 def test_a_product_of_scalars_stays_scalar():
     q = signed_batch(SAMPLES[:5])
     s = _scalar(lambda q: q[0] + 1j * q[1], "s")(q)
@@ -603,10 +667,10 @@ def test_norm_first_negation_and_scaling_on_scalar_parts():
     dense = _expanded(s)
     assert s.norm() == dense.norm() == float(np.max(np.abs(s._a[0])))
     assert one.norm() == 1.0
-    head = s.first(2)
+    head = s.points(slice(2))
     assert head._a.shape == (2, 2, 1, 1)
-    assert np.array_equal(head.a, dense.first(2).a)
-    assert one.first(2)._a.shape == (1, 1, 1, 1)
+    assert np.array_equal(head.a, dense.points(slice(2)).a)
+    assert one.points(slice(2))._a.shape == (1, 1, 1, 1)
     for v, ref in ((-s, -dense), (3j * s, 3j * dense), (2.0 * one,
                                                         2.0 * _expanded(one))):
         assert v._a.shape[-1] == 1 and v._b is None
@@ -669,7 +733,7 @@ def test_algebra_leaves_every_operand_unchanged():
     copies = [[None if p is None else p.copy() for p in (v._a, v._b)]
               for v in values]
     for x in values:
-        -x, 1j * x, x.first(2)
+        -x, 1j * x, x.points(slice(2))
         for y in values:
             x @ y, x + y, x - y, commutator(x, y), anticommutator(x, y)
     for v, saved in zip(values, copies):

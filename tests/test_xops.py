@@ -24,7 +24,7 @@ def _generator_values(n_samples, seed=42):
     as the poincare suite evaluates them."""
     q = signed_batch(sample_momenta(n_samples, seed=seed, radius=5.0))
     names, gens = zip(*build_poincare_generators(M))
-    return names, [evaluate(g, q) for g in gens]
+    return names, evaluate(gens, q)
 
 
 def central_difference(x: MomentumSymbol, a: int, points, h: float = 1e-5):
@@ -140,7 +140,8 @@ def test_constant_has_zero_derivative():
 
 
 def _values(x):
-    return evaluate(x, signed_batch(SAMPLES[:5]))
+    (values,) = evaluate([x], signed_batch(SAMPLES[:5]))
+    return values
 
 
 def test_degree_above_one_rejected():
@@ -151,12 +152,19 @@ def test_degree_above_one_rejected():
 
 
 def test_product_left_of_a_position_rejected():
-    # a product carries no derivative: jets are degree 1, so a q-dependent
-    # product is never differentiated
-    pp = compose(_values(_p_n(0)), _values(_p_n(1)))
-    assert compose(_values(_p_n(2)), pp).degree() == 0
+    # a product holds the +q half only, so it is no factor of another
+    p1, p2, p3 = (_values(_p_n(n)) for n in range(3))
+    x1 = _values(position_op(0))
+    pp = compose(p1, p2)
+    for x, y in ((p3, pp), (pp, p3), (pp, x1)):
+        with pytest.raises(ValueError, match=r"\+q half only"):
+            compose(x, y)
+    # a sum carries no derivative: jets are degree 1, so a q-dependent
+    # sum is never differentiated
+    total = p1 + p2
+    assert compose(p3, total).degree() == 0
     with pytest.raises(ValueError, match="no derivative"):
-        compose(pp, _values(position_op(0)))
+        compose(total, x1)
 
 
 def test_closure_check_evaluates_each_coefficient_once(monkeypatch):
@@ -170,25 +178,33 @@ def test_closure_check_evaluates_each_coefficient_once(monkeypatch):
         labels.append(sym.label)
         return jet(sym, q)
 
-    def counted(sym, key):
-        def profiles(q):
-            calls[key] = calls.get(key, 0) + 1
-            return sym.profiles(q)
-        return MomentumSymbol(sym.ops, profiles, sym.label)
+    wrapped = {}
+
+    def counted(sym):
+        # one counting symbol per symbol, so a shared one stays shared
+        if sym not in wrapped:
+            def profiles(q):
+                calls[sym] = calls.get(sym, 0) + 1
+                return sym.profiles(q)
+            wrapped[sym] = MomentumSymbol(sym.ops, profiles, sym.label)
+        return wrapped[sym]
 
     def generators(mass):
         gens = build_poincare_generators(mass)
-        return [(name, {k: counted(sym, (name, k)) for k, sym in g.items()})
+        return [(name, {k: counted(sym) for k, sym in g.items()})
                 for name, g in gens]
 
     monkeypatch.setattr(suites, "build_poincare_generators", generators)
     monkeypatch.setattr(MomentumSymbol, "jet", counted_jet)
     ledger = suites.run_suite(SuiteConfig(suites=("poincare",), samples=20))
     assert ledger.passed
-    assert len(calls) == 19 and set(calls.values()) == {1}
+    # 19 coefficients, p0 also the x-coefficient of the three boosts: 16
+    # symbols, each evaluated once
+    assert sum(map(len, dict(generators(M)).values())) == 19
+    assert len(calls) == 16 and set(calls.values()) == {1}
     # three momenta, three positions and the unit for the canonical pairs,
-    # then the 19 generator coefficients
-    assert len(labels) == 7 + 19 and labels.count("p0") == 1
+    # then the 16 generator symbols
+    assert len(labels) == 7 + 16 and labels.count("p0") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +238,20 @@ def test_positions_commute():
 
 
 def test_orbital_rotation_commutators():
-    # [x_l p_n - x_n p_l, p_k] = delta_nk p_l - delta_lk p_n
+    # [x_l p_n - x_n p_l, p_k] = delta_nk p_l - delta_lk p_n, with the
+    # orbital part in normal form, x^(e_l) (i q_n) - x^(e_n) (i q_l)
+    ident = GeneralOp.identity()
+
     def orbital(l, n):
-        return (compose(_values(position_op(l)), _values(_p_n(n)))
-                - compose(_values(position_op(n)), _values(_p_n(l))))
+        return _values({
+            xops._E[l]: MomentumSymbol((ident,), lambda q: (1j * q[n],)),
+            xops._E[n]: MomentumSymbol((ident,), lambda q: (-1j * q[l],))})
 
     for l, n, k in ((0, 1, 1), (0, 1, 0), (1, 2, 0), (2, 0, 2)):
+        # the products of the positions and the momenta give that form
+        products = (compose(_values(position_op(l)), _values(_p_n(n)))
+                    - compose(_values(position_op(n)), _values(_p_n(l))))
+        assert (products - orbital(l, n)).max_norm() == 0.0
         lhs = commutator(orbital(l, n), _values(_p_n(k)))
         rhs = XValues({})
         if n == k:
@@ -245,7 +269,7 @@ def test_normal_form_reordering_consistency():
     for label, sym in _jet_symbols():
         s = XValues({(0, 0, 0): sym.jet(q)})
         for b in range(3):
-            x_b = evaluate(position_op(b), q)
+            (x_b,) = evaluate([position_op(b)], q)
             lhs = compose(s, x_b) - compose(x_b, s)
             (va, vb), _ = lhs.terms[(0, 0, 0)]
             fd = central_difference(sym, b, points, h=1e-5)
@@ -270,7 +294,7 @@ def test_all_generators_commute_with_evolution_operator():
     # [d_0 + iH, G] = 0 on the t = 0 slice, where iH = -p0: [p0, G] = T_G
     q = signed_batch(SAMPLES)
     names, gens = zip(*build_poincare_generators(M))
-    values = [evaluate(g, q) for g in gens]
+    values = evaluate(gens, q)
     by_name = dict(zip(names, values))
     residuals = []
     for name, value in by_name.items():
@@ -294,12 +318,13 @@ def test_evolution_check_evaluates_the_hamiltonian_once(monkeypatch):
     monkeypatch.setattr(MomentumSymbol, "jet", counted)
     q = signed_batch(SAMPLES)
     names, gens = zip(*build_poincare_generators(M))
-    values = [evaluate(g, q) for g in gens]
+    values = evaluate(gens, q)
     symmetry, closure, _ = poincare_closure_check(names, values)
     assert symmetry < 1e-10 and closure < 1e-8
-    # each of the 19 generator coefficients once, p0 among them; the
-    # check evaluates nothing more, no iH in particular
-    assert labels.count("p0") == 1 and len(labels) == 19
+    # the 19 generator coefficients are 16 symbols, each evaluated once:
+    # p0 is also the boosts' x-coefficient; the check evaluates nothing
+    # more, no iH in particular
+    assert labels.count("p0") == 1 and len(labels) == 16
 
 
 def test_boost_without_time_term_fails_symmetry(monkeypatch):
