@@ -3,24 +3,31 @@
     ercd verify --suite ercd --format json --out report.json
     ercd dump --set percd29 --kind structure-constants --format csv
 
+Each command reads its options from one table (_VERIFY, _DUMP), which
+also gives its help. An option takes its value as --opt VALUE or
+--opt=VALUE, and a unique prefix of its name names it (--samp 3). A
+value may be a negative number (--mass -1); any other word that starts
+with '-' is read as an option. --suite and --tol accumulate when
+repeated. Options with no command mean verify. -h or --help prints help
+and exits 0; ercd with no arguments prints it and exits 2.
+
 Exit status: 0 all checks pass, 1 verification failure, 2 usage or
-configuration error. ERCD_OUT_DIR sets the default output directory for
-relative output paths.
+configuration error. A usage error prints one line, 'ercd: error: ...',
+and raises SystemExit(2) before any suite runs. ERCD_OUT_DIR sets the
+default output directory for relative output paths.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import os
 import sys
-from typing import List, Optional
+from typing import Dict, List, NoReturn, Optional, Tuple
 
 from .reporting import DEFAULT_TOLERANCES, SUITE_NAMES, SuiteConfig
-from .suites import DUMP_KINDS, dump_tables, run_suite
+from .suites import DUMP_KINDS, DUMP_SETS, dump_tables, run_suite
 
-_SUITE_CHOICES = SUITE_NAMES + ("all",)
 _TOL_KEYS = tuple(DEFAULT_TOLERANCES)
 
 # glibc's mallopt parameters (malloc.h) and the values the command line sets.
@@ -58,45 +65,151 @@ def _keep_freed_heap() -> None:
         mallopt(param, value)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ercd",
-        description="Verification engine for the 64-dimensional extended "
-                    "real Clifford-Dirac operator algebra.")
-    sub = parser.add_subparsers(dest="command")
+class _Opt:
+    """One option of a command: the parser and the help text read it.
+    kind str, int or float converts the one value, list appends each
+    value, and bool takes no value."""
 
-    verify = sub.add_parser("verify", help="run verification suites")
-    verify.add_argument("--suite", action="append", choices=_SUITE_CHOICES,
-                        help="suite to run (repeatable; default: all)")
-    verify.add_argument("--mass", type=float, default=1.0,
-                        help="mass parameter for momentum-space suites")
-    verify.add_argument("--samples", type=int, default=200,
-                        help="seeded momentum sample count: poincare uses "
-                             "exactly this many points for every sampled "
-                             "check; fw uses at least 100 and fixed counts "
-                             "for some checks, named in each claim's detail")
-    verify.add_argument("--seed", type=int, default=42)
-    verify.add_argument("--tol", action="append", default=[],
-                        metavar="KEY=VALUE",
-                        help="tolerance override: " + "|".join(_TOL_KEYS))
-    verify.add_argument("--format", choices=("text", "json", "csv"),
-                        default="text")
-    verify.add_argument("--out", help="output path (default: stdout)")
-    verify.add_argument("--timings", action="store_true",
-                        help="include per-claim runtimes in JSON output: "
-                             "the time since the previous claim, so a "
-                             "suite's claims sum to its run")
-    verify.add_argument("--inject-fault", metavar="GAMMA,ROW,COL",
-                        help="test only: corrupt one generator matrix entry, "
-                             "e.g. g2,0,1")
+    def __init__(self, flag: str, kind: type, help: str, default=None,
+                 choices: Tuple[str, ...] = (), metavar: str = "",
+                 required: bool = False):
+        self.flag, self.kind, self.help = flag, kind, help
+        self.default, self.choices, self.required = default, choices, required
+        self.dest = flag[2:].replace("-", "_")
+        self.metavar = "{" + ",".join(choices) + "}" if choices else metavar
 
-    dump = sub.add_parser("dump", help="dump complete operator tables")
-    dump.add_argument("--set", required=True, dest="set_name",
-                      help="cd16 | ercd64 | percd29 | so6 | a32 | pgi8")
-    dump.add_argument("--kind", required=True, choices=DUMP_KINDS)
-    dump.add_argument("--format", choices=("json", "csv"), default="json")
-    dump.add_argument("--out", help="output path (default: stdout)")
-    return parser
+
+_HELP = _Opt("--help", bool, "(or -h) show this help and exit")
+_OUT = _Opt("--out", str, "output path (default: stdout)", metavar="PATH")
+
+_VERIFY = (
+    _HELP,
+    _Opt("--suite", list, "suite to run, repeatable", ("all",),
+         SUITE_NAMES + ("all",)),
+    _Opt("--mass", float, "mass parameter for momentum-space suites", 1.0,
+         metavar="M"),
+    _Opt("--samples", int, "seeded momentum sample count: poincare uses "
+         "exactly this many points for every sampled check; fw uses at "
+         "least 100 and fixed counts for some checks, named in each "
+         "claim's detail", 200, metavar="N"),
+    _Opt("--seed", int, "seed of the sampled momenta", 42, metavar="N"),
+    _Opt("--tol", list, "tolerance override, repeatable: KEY is "
+         + " | ".join(_TOL_KEYS), (), metavar="KEY=VALUE"),
+    _Opt("--format", str, "report format", "text", ("text", "json", "csv")),
+    _OUT,
+    _Opt("--timings", bool, "include per-claim runtimes in JSON output: "
+         "the time since the previous claim, so a suite's claims sum to "
+         "its run", False),
+    _Opt("--inject-fault", str, "test only: corrupt one generator matrix "
+         "entry, e.g. g2,0,1", metavar="GAMMA,ROW,COL"),
+)
+_DUMP = (
+    _HELP,
+    _Opt("--set", str, "operator set: " + " | ".join(DUMP_SETS),
+         metavar="SET", required=True),
+    _Opt("--kind", str, "table kind", choices=DUMP_KINDS, required=True),
+    _Opt("--format", str, "table format", "json", ("json", "csv")),
+    _OUT,
+)
+_COMMANDS = {"verify": ("run verification suites", _VERIFY),
+             "dump": ("dump complete operator tables", _DUMP)}
+
+
+def _help(*commands: str) -> str:
+    """Help for the commands given, with every option and choice."""
+    lines = ["usage: ercd [verify|dump] [options]", "",
+             "Verification engine for the 64-dimensional extended real "
+             "Clifford-Dirac operator algebra. Options with no command mean "
+             "verify. A unique prefix of an option names it, and "
+             "--opt=VALUE is --opt VALUE. Exit status: 0 all checks pass, "
+             "1 a verification failure, 2 a usage or configuration error."]
+    for command in commands:
+        about, table = _COMMANDS[command]
+        lines += ["", f"ercd {command}: {about}"]
+        for opt in table:
+            shown = (",".join(opt.default) if opt.kind is list
+                     else opt.default)
+            note = (" (required)" if opt.required else
+                    f" (default: {shown})" if shown not in (None, False, "")
+                    else "")
+            lines += [f"  {opt.flag} {opt.metavar}".rstrip(),
+                      f"      {opt.help}{note}"]
+    return "\n".join(lines) + "\n"
+
+
+def _usage_error(message: str) -> NoReturn:
+    print(f"ercd: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _is_value(token: str) -> bool:
+    """Whether token is a value rather than an option: it does not start
+    with '-', or it is '-' or a number such as -1 or -1e5."""
+    if not token.startswith("-") or token == "-":
+        return True
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _parse(argv: List[str]) -> Dict[str, object]:
+    """The command and its option values, keyed by dest; a usage error
+    prints one line and raises SystemExit(2), -h prints help and raises
+    SystemExit(0)."""
+    if argv[0] in ("-h", "--help"):
+        sys.stdout.write(_help(*_COMMANDS))
+        raise SystemExit(0)
+    command = argv[0] if argv[0] in _COMMANDS else "verify"
+    table = _COMMANDS[command][1]
+    values: Dict[str, object] = {}
+    tokens = iter(argv[1:] if argv[0] in _COMMANDS else argv)
+    for token in tokens:
+        if _is_value(token):
+            _usage_error(f"unrecognized arguments: {token}")
+        name, eq, value = token.partition("=")
+        # a name in full or a unique prefix: no flag is a prefix of another
+        prefix = "--help" if name == "-h" else name
+        matches = [opt for opt in table if opt.flag.startswith(prefix)]
+        if len(matches) != 1:
+            _usage_error(f"ambiguous option: {name} could match "
+                         + ", ".join(opt.flag for opt in matches)
+                         if matches else f"unrecognized arguments: {name}")
+        opt = matches[0]
+        if opt.kind is bool:
+            if eq:
+                _usage_error(f"argument {opt.flag}: ignored explicit "
+                             f"argument {value!r}")
+            if opt is _HELP:
+                sys.stdout.write(_help(command))
+                raise SystemExit(0)
+            values[opt.dest] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or not _is_value(value):
+                _usage_error(f"argument {opt.flag}: expected one argument")
+        if opt.choices and value not in opt.choices:
+            _usage_error(f"argument {opt.flag}: invalid choice: {value!r} "
+                         f"(choose from {', '.join(opt.choices)})")
+        if opt.kind is list:
+            values.setdefault(opt.dest, []).append(value)
+            continue
+        try:
+            values[opt.dest] = opt.kind(value)
+        except ValueError:
+            _usage_error(f"argument {opt.flag}: invalid "
+                         f"{opt.kind.__name__} value: {value!r}")
+    missing = [opt.flag for opt in table
+               if opt.required and opt.dest not in values]
+    if missing:
+        _usage_error("the following arguments are required: "
+                     + ", ".join(missing))
+    for opt in table:
+        values.setdefault(opt.dest, opt.default)
+    values["command"] = command
+    return values
 
 
 def _parse_tolerances(pairs: List[str]):
@@ -177,34 +290,30 @@ def _emit(content: str, out: Optional[str]) -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     _keep_freed_heap()
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] not in ("verify", "dump", "-h", "--help"):
-        argv.insert(0, "verify")  # bare flags mean verify
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-
-    if args.command is None:
-        parser.print_help()
+    if not argv:
+        sys.stdout.write(_help(*_COMMANDS))
         return 2
+    opts = _parse(argv)
 
     try:
-        if args.command == "dump":
-            content = dump_tables(args.set_name, args.kind, args.format)
-            _emit(content, _resolve_out(args.out))
+        if opts["command"] == "dump":
+            content = dump_tables(opts["set"], opts["kind"], opts["format"])
+            _emit(content, _resolve_out(opts["out"]))
             return 0
 
-        _check_run_numbers(args.mass, args.samples, args.seed)
+        _check_run_numbers(opts["mass"], opts["samples"], opts["seed"])
         config = SuiteConfig(
-            suites=tuple(args.suite) if args.suite else ("all",),
-            mass=args.mass,
-            samples=args.samples,
-            seed=args.seed,
-            tolerances=_parse_tolerances(args.tol),
-            fmt=args.format,
-            inject_fault=_parse_fault(args.inject_fault),
-            timings=args.timings,
+            suites=tuple(opts["suite"]),
+            mass=opts["mass"],
+            samples=opts["samples"],
+            seed=opts["seed"],
+            tolerances=_parse_tolerances(opts["tol"]),
+            fmt=opts["format"],
+            inject_fault=_parse_fault(opts["inject_fault"]),
+            timings=opts["timings"],
         )
         ledger = run_suite(config)
-        _emit(ledger.render(), _resolve_out(args.out))
+        _emit(ledger.render(), _resolve_out(opts["out"]))
         return 0 if ledger.passed else 1
     except (ValueError, OSError) as exc:
         print(f"ercd: error: {exc}", file=sys.stderr)

@@ -709,6 +709,7 @@ _DUMPABLE: Dict[str, Callable[[], OrtSet]] = {
     "pgi8": pgi8,
 }
 
+DUMP_SETS = tuple(_DUMPABLE)
 DUMP_KINDS = ("multiplication", "commutator", "structure-constants")
 
 

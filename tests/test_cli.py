@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import ctypes
+import importlib.util
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import time
 import warnings
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,8 +17,9 @@ from hypothesis import given, settings, strategies as st
 import ercd.cli
 import ercd.suites
 from ercd.cli import main
-from ercd.reporting import CLAIM_REGISTRY, Claim, Ledger, SuiteConfig
-from ercd.suites import dump_tables, run_suite
+from ercd.reporting import (CLAIM_REGISTRY, SUITE_NAMES, Claim, Ledger,
+                            SuiteConfig)
+from ercd.suites import DUMP_KINDS, dump_tables, run_suite
 from ercd.symbols import MomentumSymbol
 
 
@@ -441,7 +444,7 @@ def test_cli_bad_tolerance_exits_2(capsys):
         "got 'speed'\n")
 
 
-@pytest.mark.parametrize("flags", [
+_BAD_NUMBER_FLAGS = [
     ["--samples", "0"],
     ["--samples", "-5"],
     ["--tol", "momentum=nan"],
@@ -463,7 +466,10 @@ def test_cli_bad_tolerance_exits_2(capsys):
     ["--inject-fault", "g2,0"],
     ["--mass", "1e-155"],
     ["--mass", "1e-200"],
-])
+]
+
+
+@pytest.mark.parametrize("flags", _BAD_NUMBER_FLAGS)
 def test_cli_bad_numbers_exit_2_before_any_suite(flags, capsys, monkeypatch):
     import ercd.cli
     ran = []
@@ -523,7 +529,7 @@ def test_cli_numbers_exit_0_1_or_2_without_traceback(mass, samples, tol):
             contextlib.redirect_stderr(err):
         try:
             rc = main(argv)
-        except SystemExit as exc:  # argparse rejects a malformed value
+        except SystemExit as exc:  # a malformed value is a usage error
             rc = exc.code
     assert rc in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
@@ -559,6 +565,266 @@ def test_cli_tolerance_override(capsys):
     # an absurdly tight symmetry tolerance stays satisfied by exact claims,
     # while an absurd momentum tolerance forces fw failures
     assert main(["verify", "--suite", "fw", "--tol", "momentum=1e-30"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# the option tables against the argparse parser they replaced
+# ---------------------------------------------------------------------------
+
+def _argparse_parser():
+    """The argparse parser of the command line before its option tables,
+    without its help texts: the reference the tables are checked against."""
+    import argparse
+    parser = argparse.ArgumentParser(prog="ercd")
+    sub = parser.add_subparsers(dest="command")
+    verify = sub.add_parser("verify")
+    verify.add_argument("--suite", action="append",
+                        choices=SUITE_NAMES + ("all",))
+    verify.add_argument("--mass", type=float, default=1.0)
+    verify.add_argument("--samples", type=int, default=200)
+    verify.add_argument("--seed", type=int, default=42)
+    verify.add_argument("--tol", action="append", default=[])
+    verify.add_argument("--format", choices=("text", "json", "csv"),
+                        default="text")
+    verify.add_argument("--out")
+    verify.add_argument("--timings", action="store_true")
+    verify.add_argument("--inject-fault")
+    dump = sub.add_parser("dump")
+    dump.add_argument("--set", required=True, dest="set_name")
+    dump.add_argument("--kind", required=True, choices=DUMP_KINDS)
+    dump.add_argument("--format", choices=("json", "csv"), default="json")
+    dump.add_argument("--out")
+    return parser
+
+
+def _argparse_outcome(argv):
+    """What the argparse command line made of argv: ("verify", its
+    SuiteConfig, --out), ("dump", the dump_tables arguments, --out) or
+    ("exit", the exit code)."""
+    argv = list(argv)
+    if argv and argv[0] not in ("verify", "dump", "-h", "--help"):
+        argv.insert(0, "verify")
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = _argparse_parser().parse_args(argv)
+        except SystemExit as exc:
+            return ("exit", exc.code)
+    if args.command is None:
+        return ("exit", 2)
+    if args.command == "dump":
+        return ("dump", (args.set_name, args.kind, args.format), args.out)
+    try:
+        ercd.cli._check_run_numbers(args.mass, args.samples, args.seed)
+        config = SuiteConfig(
+            suites=tuple(args.suite) if args.suite else ("all",),
+            mass=args.mass, samples=args.samples, seed=args.seed,
+            tolerances=ercd.cli._parse_tolerances(args.tol),
+            fmt=args.format,
+            inject_fault=ercd.cli._parse_fault(args.inject_fault),
+            timings=args.timings)
+    except ValueError:
+        return ("exit", 2)
+    return ("verify", config, args.out)
+
+
+def _outcome(argv):
+    """What ercd.cli.main makes of argv, in the form of _argparse_outcome,
+    with the suites, dumps and output replaced by recorders; and what it
+    wrote to stderr."""
+    seen = []
+    ledger = SimpleNamespace(render=str, passed=True)
+    fakes = {"run_suite": lambda config: seen.append(("verify", config))
+             or ledger,
+             "dump_tables": lambda *args: seen.append(("dump", args)) or "",
+             "_emit": lambda content, out: seen.append(out)}
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        mp.delenv("ERCD_OUT_DIR", raising=False)
+        for name, fake in fakes.items():
+            mp.setattr(ercd.cli, name, fake)
+        try:
+            rc = main(list(argv))
+        except SystemExit as exc:
+            rc = exc.code
+    if seen:
+        assert rc == 0, argv
+        (command, args), out = seen
+        return (command, args, out), err.getvalue()
+    return ("exit", rc), err.getvalue()
+
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_workloads", os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "bench", "workloads.py"))
+_workloads = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(_workloads)
+
+_VALID_ARGV = [
+    # the README examples and the module docstring's
+    ["verify", "--suite", "all"],
+    ["verify", "--suite", "ercd", "--format", "json"],
+    ["verify", "--suite", "fw", "--mass", "2.0", "--samples", "300",
+     "--seed", "7"],
+    ["verify", "--suite", "cd", "--inject-fault", "g2,0,1"],
+    ["dump", "--set", "percd29", "--kind", "structure-constants",
+     "--format", "csv"],
+    ["dump", "--set", "cd16", "--kind", "multiplication", "--format", "json"],
+    ["verify", "--suite", "ercd", "--format", "json", "--out", "report.json"],
+    # the calls of this file
+    ["verify", "--suite", "cd"],
+    ["--suite", "cd"],
+    ["verify", "--suite", "percd"],
+    ["verify", "--suite", "cd", "--suite", "pgi", "--suite", "cd",
+     "--format", "json"],
+    ["verify", "--suite", "fw", "--mass", "0", "--format", "json"],
+    ["verify", "--suite", "poincare", "--samples", "3", "--format", "json"],
+    ["verify", "--suite", "fw", "--samples", "1", "--format", "json"],
+    ["verify", "--suite", "fw", "--mass", "7.5e-155", "--format", "json"],
+    ["verify", "--suite", "cd", "--mass", "0", "--samples", "1",
+     "--tol", "closure=1e-3"],
+    ["verify", "--suite", "cd", "--inject-fault", "g0,1,2"],
+    ["verify", "--suite", "cd", "--out", "/nonexistent-dir/x.json"],
+    ["verify", "--suite", "fw", "--tol", "momentum=1e-30"],
+    ["verify", "--suite", "cd", "--mass=1e3", "--samples=7",
+     "--tol=momentum=1e-9"],
+    ["dump", "--set", "cd16", "--kind", "multiplication", "--format", "csv"],
+    ["dump", "--set", "nope", "--kind", "commutator"],  # refused by the dump
+    # prefixes and = forms
+    ["--samp", "3"],
+    ["--samp=3", "--see=9", "--m", "2.5"],
+    ["verify", "--su", "cd", "--fo=json", "--o", "r.json", "--tim"],
+    ["verify", "--inj", "g0,1,2", "--format=csv"],
+    ["dump", "--s", "a32", "--ki=commutator", "--f", "csv", "--out=-"],
+    # repeated options: --suite and --tol accumulate, the others keep the last
+    ["--suite", "fw", "--suite=poincare", "--suite", "fw"],
+    ["--tol", "momentum=1e-9", "--tol=closure=1e-3", "--tol",
+     "momentum=1e-8"],
+    ["--mass", "3", "--mass", "2", "--format", "json", "--format", "csv"],
+    # negative values
+    ["--mass", "-0.0"],
+    ["--mass=-0"],
+    ["--out", "-"],
+] + [argv for workload in ("exact", "momentum", "tables")
+     for seed in (42, 7) for argv in _workloads.calls(workload, seed)]
+
+# each with an argument that the one-line message names
+_INVALID_ARGV = [
+    (["verify", "--suite", "bogus"], "--suite"),
+    (["verify", "--suite", "cd", "--tol", "nonsense"], "--tol"),
+    (["verify", "--suite", "cd", "--inject-fault", "g9,0,0"], "--inject-fault"),
+    (["verify", "--out", "--format", "json"], "--out"),
+    (["verify", "--suite"], "--suite"),
+    (["dump", "--set", "cd16", "--kind"], "--kind"),
+    (["verify", "--bogus"], "--bogus"),
+    (["--suite", "cd", "extra"], "extra"),
+    (["--suite", "cd", "-5"], "-5"),
+    (["verify", "-x"], "-x"),
+    (["verify", "--"], "--"),
+    (["dump", "--set", "cd16", "--kind", "commutator", "--timings"],
+     "--timings"),
+    (["--s", "cd"], "--s"),
+    (["--format", "xml"], "--format"),
+    (["dump", "--set", "cd16", "--kind", "bogus"], "--kind"),
+    (["dump", "--set", "cd16", "--kind", "commutator", "--format", "text"],
+     "--format"),
+    (["dump", "--set", "cd16"], "--kind"),
+    (["dump", "--kind", "commutator"], "--set"),
+    (["dump"], "--set"),
+    (["--samples", "2.5"], "--samples"),
+    (["--samples=1e3"], "--samples"),
+    (["--mass", "heavy"], "--mass"),
+    (["--seed", "0x10"], "--seed"),
+    (["--timings=yes"], "--timings"),
+    (["--mass", "-1", "--suite", "cd"], "--mass"),
+    (["--tol", "-1"], "--tol"),
+    (["--inject-fault", "-1,0,0"], "--inject-fault"),
+] + [(["verify", "--suite", "cd"] + flags, flags[0])
+     for flags in _BAD_NUMBER_FLAGS]
+
+# where the option tables deliberately differ: argv, what argparse made of
+# it, what the tables make of it
+_DIFFERENCES = [
+    # a number that argparse's negative-number pattern (-\d+ | -\d*\.\d+)
+    # misses is a value here: argparse refuses --mass -1e5 as a missing
+    # value, the range check here; -0e0 is mass 0 here, as -0.0 is on both
+    (["--mass", "-1e5"], ("exit", 2), ("exit", 2)),
+    (["--mass", "-0e0"], ("exit", 2), ("verify", SuiteConfig(mass=0.0), None)),
+    # the first usage error stops the command line here, before a later
+    # -h; argparse reports unknown arguments last, and ambiguous prefixes
+    # first, before an earlier -h
+    (["verify", "--bogus", "-h"], ("exit", 0), ("exit", 2)),
+    (["verify", "-h", "--s"], ("exit", 2), ("exit", 0)),
+]
+
+
+def test_the_option_tables_read_valid_argv_as_argparse_did():
+    for argv in _VALID_ARGV:
+        outcome, err = _outcome(argv)
+        assert outcome[0] != "exit" and err == "", argv
+        assert outcome == _argparse_outcome(argv), argv
+
+
+def test_the_option_tables_refuse_what_argparse_refused_in_one_line():
+    for argv, name in _INVALID_ARGV:
+        assert _argparse_outcome(argv) == ("exit", 2), argv
+        outcome, err = _outcome(argv)
+        assert outcome == ("exit", 2), argv
+        assert err.startswith("ercd: error: ") and err.count("\n") == 1, argv
+        assert name in err, argv
+
+
+def test_the_option_tables_differ_from_argparse_only_as_listed():
+    for argv, old, new in _DIFFERENCES:
+        assert _argparse_outcome(argv) == old, argv
+        assert _outcome(argv)[0] == new, argv
+    assert "--mass must be 0, or positive" in _outcome(["--mass", "-1e5"])[1]
+
+
+_TOKENS = ("verify", "dump", "--suite", "--su", "--suite=cd", "cd", "fw",
+           "all", "bogus", "--mass", "--mass=-2", "-1", "-5", "0", "2.5",
+           "x", "--samples", "--samp", "--samp=3", "3", "--seed", "--see",
+           "--tol", "--tol=momentum=1e-9", "closure=1e-3", "speed=1",
+           "--format", "--fo", "json", "csv", "text", "--out", "-", "r.json",
+           "--timings", "--tim", "--timings=1", "--inject-fault", "g0,1,2",
+           "g9,0,0", "--set", "cd16", "--kind", "--k", "commutator",
+           "--bogus", "--s", "-s", "--")
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=st.lists(st.sampled_from(_TOKENS), max_size=7))
+def test_the_option_tables_agree_with_argparse_on_any_line(argv):
+    # any line without -h or a number outside argparse's pattern
+    assert _outcome(argv)[0] == _argparse_outcome(argv)
+
+
+@pytest.mark.parametrize("argv,commands", [
+    (["-h"], ("verify", "dump")),
+    (["--help"], ("verify", "dump")),
+    (["verify", "-h"], ("verify",)),
+    (["--suite", "cd", "--he"], ("verify",)),
+    (["dump", "--help"], ("dump",)),
+])
+def test_help_lists_every_option_and_choice(argv, commands, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: ercd ")
+    subparsers = _argparse_parser()._subparsers._group_actions[0].choices
+    for command in commands:
+        for action in subparsers[command]._actions:
+            for text in action.option_strings + list(action.choices or ()):
+                assert text in out, (command, text)
+    if "dump" in commands:
+        assert all(name in out for name in ercd.suites.DUMP_SETS)
+
+
+def test_a_bare_ercd_prints_usage_and_exits_2(capsys):
+    assert main([]) == 2
+    assert capsys.readouterr().out.startswith("usage: ercd [verify|dump]")
 
 
 # ---------------------------------------------------------------------------
@@ -707,6 +973,19 @@ def test_the_momentum_suites_load_no_numpy_random():
                      "if m.startswith('numpy.')))").split()
     assert loaded[0] == "0" and "numpy.linalg" in loaded
     assert not {m for m in loaded if m.startswith("numpy.random")}
+
+
+def test_the_command_line_loads_no_argparse_gettext_or_locale():
+    # argparse's start-up (its gettext calls import locale) costs a cold
+    # process about 2.5 ms, a fifth of an exact suite's work
+    for argv in (["verify", "--suite", "cd"],
+                 ["dump", "--set", "cd16", "--kind", "multiplication"]):
+        loaded = _python("import contextlib, io, sys, ercd.cli\n"
+                         "with contextlib.redirect_stdout(io.StringIO()):\n"
+                         f"    code = ercd.cli.main({argv!r})\n"
+                         "print(code, *(m for m in ('argparse', 'gettext', "
+                         "'locale') if m in sys.modules))").split()
+        assert loaded == ["0"], argv
 
 
 def _unknown_name(name):
