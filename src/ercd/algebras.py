@@ -14,7 +14,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .operators import GeneralOp, anticommutator, commutator, compose, mat
+from .operators import GeneralOp, anticommutator, commutator, compose
 from .scalars import ExactScalar, HALF, I_UNIT, INV_SQRT2, ONE, ZERO
 
 Pair = Tuple[int, int]
@@ -58,9 +58,9 @@ class OrtSet:
 # ---------------------------------------------------------------------------
 
 def pauli_matrices():
-    s1 = mat([[0, 1], [1, 0]])
+    s1 = ((0, 1), (1, 0))
     s2 = ((ZERO, -I_UNIT), (I_UNIT, ZERO))
-    s3 = mat([[1, 0], [0, -1]])
+    s3 = ((1, 0), (0, -1))
     return s1, s2, s3
 
 
@@ -83,8 +83,8 @@ def pd_gammas() -> OrtSet:
     it squares to -I like the spatial generators).
     """
     s1, s2, s3 = pauli_matrices()
-    g0 = GeneralOp.linear(mat([[1, 0, 0, 0], [0, 1, 0, 0],
-                               [0, 0, -1, 0], [0, 0, 0, -1]]))
+    g0 = GeneralOp.linear([[1, 0, 0, 0], [0, 1, 0, 0],
+                           [0, 0, -1, 0], [0, 0, 0, -1]])
     g1 = GeneralOp.linear(_block_gamma(s1))
     g2 = GeneralOp.linear(_block_gamma(s2))
     g3 = GeneralOp.linear(_block_gamma(s3))
@@ -341,14 +341,14 @@ def bosonic_rep() -> Tuple[OrtSet, GeneralOp, GeneralOp]:
                                [z, z, one, z], [z, z, z, one]])
 
     sqrt2 = ExactScalar(0, 1)
-    w = GeneralOp(mat([[sqrt2, z, z, z], [z, z, z, z],
-                       [z, z, z, one], [z, z, z, -one]]),
-                  mat([[z, z, z, z], [z, z, i * sqrt2, z],
-                       [z, -one, z, z], [z, -one, z, z]])).scaled(r)
-    w_inv = GeneralOp(mat([[sqrt2, z, z, z], [z, z, z, z],
-                           [z, z, z, z], [z, z, one, -one]]),
-                      mat([[z, z, z, z], [z, z, -one, -one],
-                           [z, i * sqrt2, z, z], [z, z, z, z]])).scaled(r)
+    w = GeneralOp([[sqrt2, z, z, z], [z, z, z, z],
+                   [z, z, z, one], [z, z, z, -one]],
+                  [[z, z, z, z], [z, z, i * sqrt2, z],
+                   [z, -one, z, z], [z, -one, z, z]]).scaled(r)
+    w_inv = GeneralOp([[sqrt2, z, z, z], [z, z, z, z],
+                       [z, z, z, z], [z, z, one, -one]],
+                      [[z, z, z, z], [z, z, -one, -one],
+                       [z, i * sqrt2, z, z], [z, z, z, z]]).scaled(r)
 
     explicit = {"bg1": bg1, "bg2": bg2, "bg3": bg3, "bg4": bg4, "bg5": bg5,
                 "bg6": bg6, "bg7": bg7, "bg0": bg0, "bi": bi, "bC": bC}

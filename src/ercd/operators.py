@@ -7,10 +7,11 @@ The carrier is its realification: with phi = u + iv written as (u; v),
          [Ai + Bi,  Ar - Br]] = (P + sqrt2*Q) / d,
 
 with int64 arrays P, Q and a positive integer d, normalised so that
-gcd(P, Q, d) = 1. Composition is integer matrix multiplication, on one of
-two paths: ``@`` for a pair, and ``bracket_matches`` for a rotation table,
-a row of brackets at a time. The adjoint (A -> A^dagger, B -> B^T) is the
-transpose, and equality and hashing compare (P, Q, d). An operation whose
+gcd(P, Q, d) = 1; the constructor writes them by index from the entries'
+nonzero rational parts. Composition is integer matrix multiplication, on
+one of two paths: ``@`` for a pair, and ``bracket_matches`` for a rotation
+table, a row of brackets at a time. The adjoint (A -> A^dagger, B -> B^T)
+is the transpose, and equality and hashing compare (P, Q, d). An operation whose
 int64 result could wrap raises OverflowError instead. ``floats`` reads the
 complex images of A and B straight from the carrier; it is the one
 exact-to-float path. The (A, B) matrices over Q(i, sqrt2) are views built
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -39,9 +40,21 @@ Spinor = Tuple[ExactScalar, ...]
 _LIMIT = int(np.iinfo(np.int64).max) // 2
 
 
-def mat(rows: Iterable[Iterable]) -> Matrix:
-    return tuple(tuple(ExactScalar.coerce(x) if not isinstance(x, ExactScalar) else x
-                       for x in row) for row in rows)
+# per part a, b, c, d of entry (0, 0) of A, then B: flat R offsets and signs
+_FEEDS = tuple(
+    tuple(tuple((64 * (p & 1) + 8 * r + c, s) for r, c, s in blocks[p >> 1])
+          for p in range(4))
+    for blocks in ((((0, 0, 1), (4, 4, 1)), ((0, 4, -1), (4, 0, 1))),
+                   (((0, 0, 1), (4, 4, -1)), ((0, 4, 1), (4, 0, 1)))))
+
+
+def _rational_parts(x) -> tuple:
+    """a, b, c, d of an ExactScalar; an int or a Fraction itself."""
+    if isinstance(x, ExactScalar):
+        return x.a, x.b, x.c, x.d
+    if isinstance(x, (int, Fraction)):
+        return (x,)
+    raise TypeError(f"cannot coerce {type(x).__name__} to ExactScalar")
 
 
 class GeneralOp:
@@ -55,29 +68,25 @@ class GeneralOp:
     __slots__ = ("_pq", "_d", "_bound")
 
     def __init__(self, A: Matrix | None = None, B: Matrix | None = None):
-        zero = [[0] * 4] * 4
-        parts = [y for m in (A, B) for row in (zero if m is None else m)
-                 for x in map(ExactScalar.coerce, row)
-                 for y in (x.a, x.b, x.c, x.d)]
-        d = math.lcm(*(y.denominator for y in parts))
-        # axes: A or B, re or im, rational or sqrt2 part, row, column
-        (ar, ai), (br, bi) = np.array(
-            [y.numerator * (d // y.denominator) for y in parts],
-            dtype=np.int64).reshape(2, 4, 4, 2, 2).transpose(0, 3, 4, 1, 2)
-        self._set(np.block([[ar + br, bi - ai], [ai + bi, ar - br]]), d, 0)
-        if self._magnitude() > _LIMIT:
+        ms = [(feeds, m) for feeds, m in zip(_FEEDS, (A, B)) if m is not None]
+        if any(len(m) != 4 or any(len(row) != 4 for row in m) for _, m in ms):
+            raise ValueError("A and B are 4x4 matrices")
+        # (flat carrier index, sign, rational part) for every nonzero part
+        terms = [(at + k, s, y) for feeds, m in ms for i, row in enumerate(m)
+                 for at, x in enumerate(row, 8 * i)
+                 for feed, y in zip(feeds, _rational_parts(x)) if y
+                 for k, s in feed]
+        d = math.lcm(*(y.denominator for _, _, y in terms))
+        sums = {}
+        for at, s, y in terms:
+            sums[at] = sums.get(at, 0) + s * y.numerator * (d // y.denominator)
+        g = math.gcd(d, *sums.values())  # d when every entry is zero
+        bound = max(map(abs, sums.values()), default=0) // g
+        if bound > _LIMIT:
             raise OverflowError("operator entries exceed the int64 range")
-
-    def _set(self, pq: np.ndarray, d: int, bound: int) -> None:
-        """Store (pq, d) in normal form, gcd(P, Q, d) = 1."""
-        if d != 1:
-            e = int(np.gcd.reduce(pq, axis=None))
-            g = math.gcd(d, e)
-            if e == 0:  # zero: gcd(d, 0) = d, and its normal form is (0, 1)
-                d, bound = 1, 0
-            elif g != 1:
-                pq, d, bound = pq // g, d // g, bound // g
-        self._pq, self._d, self._bound = pq, d, bound
+        pq = np.zeros(128, dtype=np.int64)
+        pq[list(sums)] = [v // g for v in sums.values()]
+        self._pq, self._d, self._bound = pq.reshape(2, 8, 8), d // g, bound
 
     def _magnitude(self) -> int:
         """Tighten _bound to the largest absolute entry and return it."""
@@ -95,21 +104,21 @@ class GeneralOp:
 
     @classmethod
     def identity(cls) -> "GeneralOp":
-        return _integer(np.eye(8, dtype=np.int64))
+        return _IDENTITY
 
     @classmethod
     def zero(cls) -> "GeneralOp":
-        return _integer(np.zeros((8, 8), dtype=np.int64))
+        return _ZERO
 
     @classmethod
     def imaginary_unit(cls) -> "GeneralOp":
         """The operator i, i.e. phi -> i phi."""
-        return _integer(np.kron([[0, -1], [1, 0]], np.eye(4, dtype=np.int64)))
+        return _I
 
     @classmethod
     def conjugation(cls) -> "GeneralOp":
         """The antilinear involution phi -> conj(phi)."""
-        return _integer(np.kron([[1, 0], [0, -1]], np.eye(4, dtype=np.int64)))
+        return _C
 
     # composition: (X Y)(phi) = X(Y(phi)), the product of realifications
     def __matmul__(self, other: "GeneralOp") -> "GeneralOp":
@@ -137,17 +146,19 @@ class GeneralOp:
     def scaled(self, r) -> "GeneralOp":
         """Scale by a real field element. The algebra is real: multiplying
         by i must be written as composition with GeneralOp.imaginary_unit()."""
-        r = ExactScalar.coerce(r)
-        if not r.is_real:
+        a, b, *imaginary = _rational_parts(r) + (0,)  # (r, 0) for a rational
+        if any(imaginary):
             raise ValueError("scalars are restricted to the reals; "
                              "compose with the operator i instead")
         # r = (alpha + beta*sqrt2) / den with integers alpha, beta
-        den = math.lcm(r.a.denominator, r.b.denominator)
-        alpha = r.a.numerator * (den // r.a.denominator)
-        beta = r.b.numerator * (den // r.b.denominator)
+        den = math.lcm(a.denominator, b.denominator)
+        alpha = a.numerator * (den // a.denominator)
+        beta = b.numerator * (den // b.denominator)
         bound = _checked(lambda b: b * (abs(alpha) + 2 * abs(beta)), self)
-        p, q = self._pq
-        pq = np.stack((alpha * p + 2 * beta * q, beta * p + alpha * q))
+        pq = alpha * self._pq
+        if beta:  # and the sqrt2 cross terms
+            p, q = self._pq
+            pq += np.stack((2 * beta * q, beta * p))
         return _new(pq, self._d * den, bound)
 
     def adjoint(self) -> "GeneralOp":
@@ -217,11 +228,11 @@ class GeneralOp:
     # predicates
     @property
     def is_linear(self) -> bool:
-        return self.parts()[1].is_zero
+        return not self._halves()[:, 1].any()
 
     @property
     def is_antilinear(self) -> bool:
-        return self.parts()[0].is_zero
+        return not self._halves()[:, 0].any()
 
     @property
     def is_zero(self) -> bool:
@@ -315,14 +326,31 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _new(pq: np.ndarray, d: int, bound: int) -> GeneralOp:
+    """The operator (pq, d) in normal form, gcd(P, Q, d) = 1."""
+    if d != 1:
+        e = int(np.gcd.reduce(pq, axis=None))
+        g = math.gcd(d, e)
+        if e == 0:  # zero: gcd(d, 0) = d, and its normal form is (0, 1)
+            d, bound = 1, 0
+        elif g != 1:
+            pq, d, bound = pq // g, d // g, bound // g
     op = GeneralOp.__new__(GeneralOp)
-    op._set(pq, d, bound)
+    op._pq, op._d, op._bound = pq, d, bound
     return op
 
 
 def _integer(p: np.ndarray) -> GeneralOp:
-    """The operator with R = p, an integer matrix with entries 0 and +-1."""
-    return _new(np.stack((p, np.zeros_like(p))), 1, 1)
+    """The operator with R = p, entries 0 and +-1, on a read-only carrier."""
+    op = _new(np.stack((p, np.zeros_like(p))), 1, 1)
+    op._pq.flags.writeable = False
+    return op
+
+
+# the unit operators, formed once
+_IDENTITY, _ZERO, _I, _C = (
+    _integer(np.kron(m, np.eye(4, dtype=np.int64)))
+    for m in ([[1, 0], [0, 1]], [[0, 0], [0, 0]], [[0, -1], [1, 0]],
+              [[1, 0], [0, -1]]))
 
 
 def _checked(bound_of, *ops: GeneralOp) -> int:

@@ -192,6 +192,13 @@ class SymbolValues:
     def __rmul__(self, r) -> "SymbolValues":
         return self._map(lambda p: r * p)
 
+    def __imul__(self, r) -> "SymbolValues":
+        """r * self into the parts of its dtype, which nobody else holds."""
+        scaled = self._map(lambda p: np.multiply(
+            r, p, out=p if p.dtype == np.result_type(r, p) else None))
+        self._a, self._b = scaled._a, scaled._b
+        return self
+
     def points(self, indices) -> "SymbolValues":
         """The values on the points of the batch at indices (a slice or a
         sequence), a constant part as it is; not of a +q half, whose batch

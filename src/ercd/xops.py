@@ -9,7 +9,7 @@ symbol coefficients by position multi-index, each exact operators times
 scalar profiles (``MomentumSymbol``); ``evaluate`` runs each symbol
 once on a signed batch (``MomentumSymbol.jet``), however many
 coefficients are that symbol, and the algebra works on the resulting
-``XValues``: per key a ``SymbolValues`` and its q-derivatives.
+``XValues``: per key a ``SymbolValues`` and -i times its q-derivatives.
 Products use the reordering rule
 
     S x_b T = x_b (S T) - i (dS/dq_b) T,
@@ -54,7 +54,7 @@ XSymbol = Dict[Multi, MomentumSymbol]
 ZERO_MULTI: Multi = (0, 0, 0)
 _E = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
-# values and their three q-derivatives, or None when formed by the algebra
+# values and -i times their q-derivatives (None when formed by the algebra)
 Coeff = Tuple[SymbolValues, Optional[Tuple[SymbolValues, ...]]]
 
 
@@ -71,7 +71,7 @@ def position_op(a: int) -> XSymbol:
 @dataclass
 class XValues:
     """The spatial coefficients of an operator on one signed batch, each
-    with its derivatives d/dq_a when it was evaluated by ``evaluate``."""
+    with -i d/dq_a of it when it was evaluated by ``evaluate``."""
 
     terms: Dict[Multi, Coeff]
 
@@ -115,20 +115,23 @@ def _collect(pieces) -> XValues:
 
 
 def evaluate(xs: Sequence[XSymbol], q) -> List[XValues]:
-    """The coefficients of each x on the signed batch q with their
-    derivatives: one jet pass per symbol, whose values every coefficient
-    that is that symbol shares."""
+    """The coefficients of each x on the signed batch q with -i times
+    their derivatives: one jet pass and one scaling per symbol, whose
+    values every coefficient that is that symbol shares."""
     jets: Dict[MomentumSymbol, Coeff] = {}
     for x in xs:
         for sym in x.values():
             if sym not in jets:
-                jets[sym] = sym.jet(q)
+                v, ds = sym.jet(q)
+                for d in ds:  # into the jet's own arrays: no copy is held
+                    d *= -1j
+                jets[sym] = v, ds
     return [XValues({k: jets[sym] for k, sym in x.items()}) for x in xs]
 
 
 def compose(x: XValues, y: XValues) -> XValues:
     """Product in normal form: x^alpha S times x^beta T is
-    x^(alpha+beta) (S T), plus -i x^alpha (dS/dq_b) T when beta = e_b.
+    x^(alpha+beta) (S T), plus x^alpha (-i dS/dq_b) T when beta = e_b.
     Each piece is formed on the +q half only (``half_matmul``), the half
     that ``max_norm`` reads; so the product carries no derivatives, and it
     is not a factor of another product."""
@@ -145,7 +148,7 @@ def compose(x: XValues, y: XValues) -> XValues:
                 if ds is None:
                     raise ValueError("a coefficient formed by the algebra "
                                      "has no derivative (jets are degree 1)")
-                yield alpha, (-1j * ds[beta.index(1)]).half_matmul(t)
+                yield alpha, ds[beta.index(1)].half_matmul(t)
 
     return _collect(pieces())
 
@@ -188,7 +191,7 @@ def build_poincare_generators(mass: float) -> List[Tuple[str, XSymbol]]:
                                + (spin x p)_k / (omega + m) ).
 
     All are built on the t = 0 slice; the x0 p_k piece of a boost is its
-    x0 coefficient, stated in ``X0_PARTS``.
+    x0 coefficient, stated in ``X0_PARTS``. p0..p3 come first.
     """
     if mass <= 0:
         raise ValueError("boost generators need m > 0")

@@ -5,7 +5,7 @@ from ercd.algebras import (OrtSet, a32, bosonic_rep, breve_spin,
                            extended_gammas, pd_gammas, pgi8,
                            pgi_lorentz6, percd29, so15_generators, so6,
                            so8_generators)
-from ercd.operators import GeneralOp, compose, mat
+from ercd.operators import GeneralOp, compose
 from ercd.scalars import ExactScalar, HALF, I_UNIT, ZERO
 from ercd.spans import OrthogonalBasis, span_rank
 
@@ -31,8 +31,8 @@ def test_g5_is_antilinear_with_rotation_blocks():
     g5 = extended_gammas().get("g5")
     assert g5.is_antilinear
     # g1 g3 = diag(i sigma2, i sigma2), real rotation blocks
-    expected = mat([[0, 1, 0, 0], [-1, 0, 0, 0],
-                    [0, 0, 0, 1], [0, 0, -1, 0]])
+    expected = ((0, 1, 0, 0), (-1, 0, 0, 0),
+                (0, 0, 0, 1), (0, 0, -1, 0))
     assert g5.B == expected
 
 

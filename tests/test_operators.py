@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ercd import algebras, operators, suites
 from ercd.algebras import (a32, bosonic_rep, bosonic_so8_generators,
                            breve_spin, cd16, ercd64, extended_gammas,
                            pd_gammas, percd29, pgi8, pgi_lorentz6, so6,
                            so8_generators, so15_generators)
 from ercd.operators import (GeneralOp, anticommutator, commutator, compose,
-                            gram, mat)
-from ercd.scalars import HALF, ExactScalar, I_UNIT, ZERO
+                            gram)
+from ercd.reporting import SuiteConfig
+from ercd.scalars import HALF, ExactScalar, I_UNIT, INV_SQRT2, ZERO
 from ercd.spans import (centralizer_dimension, centralizer_kernel,
                         span_rank, spans_equal, structure_constants)
 
@@ -335,14 +337,14 @@ def test_linear_and_antilinear_parts():
 
 
 def test_huge_entries_raise_overflow_instead_of_wrapping():
-    big = GeneralOp.linear(mat([[2 ** 40, 0, 0, 0], [0, 1, 0, 0],
-                                [0, 0, 1, 0], [0, 0, 0, 1]]))
+    big = GeneralOp.linear([[2 ** 40, 0, 0, 0], [0, 1, 0, 0],
+                            [0, 0, 1, 0], [0, 0, 0, 1]])
     with pytest.raises(OverflowError):
         big @ big
     with pytest.raises(OverflowError):
         big.scaled(2 ** 30)
     with pytest.raises(OverflowError):
-        GeneralOp.linear(mat([[2 ** 70, 0, 0, 0]] + [[0] * 4] * 3))
+        GeneralOp.linear([[2 ** 70, 0, 0, 0]] + [[0] * 4] * 3)
     with pytest.raises(OverflowError):
         gram([big], [big])
 
@@ -359,3 +361,185 @@ def test_long_products_of_small_ops_do_not_overflow():
     assert sq == ident or sq == -ident
     rat, sur, den = gram([prod], [prod])
     assert Fraction(int(rat[0, 0]), den[0, 0]) == 8 and sur[0, 0] == 0
+
+
+# ---------------------------------------------------------------------------
+# the integer constructor and scaling against the per-entry references
+# ---------------------------------------------------------------------------
+
+def _reference_op(A=None, B=None):
+    """The operator by the per-entry constructor: every entry coerced to an
+    ExactScalar, its 128 rational parts over their lcm, the four blocks of
+    R joined by np.block, then the normal form."""
+    zero = [[0] * 4] * 4
+    parts = [y for m in (A, B) for row in (zero if m is None else m)
+             for x in map(ExactScalar.coerce, row)
+             for y in (x.a, x.b, x.c, x.d)]
+    d = math.lcm(*(y.denominator for y in parts))
+    (ar, ai), (br, bi) = np.array(
+        [y.numerator * (d // y.denominator) for y in parts],
+        dtype=np.int64).reshape(2, 4, 4, 2, 2).transpose(0, 3, 4, 1, 2)
+    op = operators._new(
+        np.block([[ar + br, bi - ai], [ai + bi, ar - br]]), d, 0)
+    if op._magnitude() > operators._LIMIT:
+        raise OverflowError("operator entries exceed the int64 range")
+    return op
+
+
+def _reference_scaled(op, r):
+    """op scaled by r through the coerced ExactScalar, both sqrt2 cross
+    terms stacked whatever r is."""
+    r = ExactScalar.coerce(r)
+    if not r.is_real:
+        raise ValueError("scalars are restricted to the reals")
+    den = math.lcm(r.a.denominator, r.b.denominator)
+    alpha = r.a.numerator * (den // r.a.denominator)
+    beta = r.b.numerator * (den // r.b.denominator)
+    bound = operators._checked(
+        lambda b: b * (abs(alpha) + 2 * abs(beta)), op)
+    p, q = op._pq
+    pq = np.stack((alpha * p + 2 * beta * q, beta * p + alpha * q))
+    return operators._new(pq, op._d * den, bound)
+
+
+def _same_carrier(x, y):
+    return x._pq.tobytes() == y._pq.tobytes() and x._d == y._d
+
+
+def _table_calls(monkeypatch):
+    """The arguments of every constructor and scaling call made while the
+    generator tables are built anew and every suite runs: pd_gammas,
+    extended_gammas, bosonic_rep with W and W^-1, breve_spin and the
+    explicit forms the suites write out."""
+    inits, scalings = [], []
+    init, scaled = GeneralOp.__init__, GeneralOp.scaled
+
+    def recorded_init(self, A=None, B=None):
+        inits.append((A, B))
+        init(self, A, B)
+
+    def recorded_scaled(self, r):
+        scalings.append((self, r))
+        return scaled(self, r)
+
+    monkeypatch.setattr(GeneralOp, "__init__", recorded_init)
+    monkeypatch.setattr(GeneralOp, "scaled", recorded_scaled)
+    for f in vars(algebras).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+    pd_gammas(), extended_gammas(), bosonic_rep(), breve_spin()
+    suites.run_suite(SuiteConfig(samples=4))
+    monkeypatch.undo()
+    return inits, scalings
+
+
+def test_the_tables_build_and_scale_as_the_references_do(monkeypatch):
+    inits, scalings = _table_calls(monkeypatch)
+    assert len(inits) >= 40 and len(scalings) >= 100
+    kinds = {type(x) for A, B in inits for m in (A, B) if m is not None
+             for row in m for x in row}
+    assert kinds == {int, ExactScalar}
+    for A, B in inits:
+        assert _same_carrier(GeneralOp(A, B), _reference_op(A, B))
+    assert {type(r) for _, r in scalings} == {int, ExactScalar}
+    assert any(r == INV_SQRT2 for _, r in scalings)
+    for op, r in scalings:
+        assert _same_carrier(op.scaled(r), _reference_scaled(op, r))
+
+
+# rationals with denominators 2**k m, k <= 40: sums and lcms stay inside
+# the int64 range, so both constructors succeed
+_rationals = st.builds(Fraction, st.integers(-4, 4),
+                       st.builds(lambda k, m: 2 ** k * m, st.integers(0, 40),
+                                 st.sampled_from((1, 3, 5, 7))))
+_field = st.one_of(st.integers(-3, 3), _rationals,
+                   st.builds(ExactScalar, _rationals, _rationals, _rationals,
+                             _rationals))
+_field_matrices = st.one_of(st.none(), st.lists(
+    st.lists(_field, min_size=4, max_size=4), min_size=4, max_size=4))
+_reals = st.one_of(st.integers(-5, 5), _rationals,
+                   st.builds(ExactScalar, _rationals, _rationals))
+
+
+@given(_field_matrices, _field_matrices, _reals)
+@settings(max_examples=150, deadline=None)
+def test_entries_over_q_i_sqrt2_build_and_scale_as_the_references_do(A, B, r):
+    op = GeneralOp(A, B)
+    assert _same_carrier(op, _reference_op(A, B))
+    assert op._bound == _reference_op(A, B)._magnitude()
+    try:
+        expected = _reference_scaled(op, r)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            op.scaled(r)
+    else:
+        assert _same_carrier(op.scaled(r), expected)
+
+
+def test_an_all_zero_input_builds_the_zero_operator():
+    zeros = [[0] * 4] * 4
+    for args in ((), (zeros,), (None, [[ZERO] * 4] * 4), (zeros, zeros),
+                 ([[Fraction(0, 3)] * 4] * 4, None)):
+        op = GeneralOp(*args)
+        assert _same_carrier(op, _reference_op(*args))
+        assert _same_carrier(op, GeneralOp.zero()) and op._bound == 0
+    # parts that cancel in the carrier leave the zero operator too
+    one = [[1, 0, 0, 0]] + [[0] * 4] * 3
+    cancel = GeneralOp.linear(one).scaled(Fraction(1, 3)) - GeneralOp.linear(
+        [[Fraction(1, 3), 0, 0, 0]] + [[0] * 4] * 3)
+    assert _same_carrier(cancel, GeneralOp.zero())
+
+
+def test_entries_beyond_the_limit_raise_the_references_overflow():
+    limit = operators._LIMIT
+    message = "operator entries exceed the int64 range"
+    for first in (limit + 1, -limit - 1, ExactScalar(0, 0, 0, limit + 1)):
+        rows = [[first, 0, 0, 0]] + [[0] * 4] * 3
+        for args in ((rows, None), (None, rows)):
+            with pytest.raises(OverflowError, match=message):
+                _reference_op(*args)
+            with pytest.raises(OverflowError, match=message):
+                GeneralOp(*args)
+    # the largest entry that fits is kept, as the reference keeps it
+    rows = [[limit, 0, 0, 0]] + [[0] * 4] * 3
+    assert _same_carrier(GeneralOp(rows), _reference_op(rows))
+
+
+def test_a_matrix_that_is_not_4x4_is_refused():
+    for m in ([[1] * 4] * 3, [[1] * 3] * 4, [[1] * 5] * 4):
+        with pytest.raises(ValueError):
+            GeneralOp.linear(m)
+    with pytest.raises(TypeError):
+        GeneralOp.linear([[1.0, 0, 0, 0]] + [[0] * 4] * 3)
+    with pytest.raises(TypeError):
+        pd_gammas().get("g1").scaled(0.5)
+
+
+def test_the_unit_operators_are_formed_once_on_read_only_carriers():
+    units = (GeneralOp.identity, GeneralOp.zero, GeneralOp.imaginary_unit,
+             GeneralOp.conjugation)
+    kron = (np.eye(8), np.zeros((8, 8)), np.kron([[0, -1], [1, 0]], np.eye(4)),
+            np.kron([[1, 0], [0, -1]], np.eye(4)))
+    for unit, p in zip(units, kron):
+        op = unit()
+        assert op is unit() and op._d == 1
+        assert np.array_equal(op._pq, np.stack((p, 0 * p)))
+        with pytest.raises(ValueError):
+            op._pq[0, 0, 0] = 5
+        with pytest.raises(ValueError):  # the adjoint's carrier is a view
+            op.adjoint()._pq[0, 0, 0] = 5
+    # arithmetic on a unit forms new, writable carriers
+    two = GeneralOp.identity() + GeneralOp.identity()
+    assert two._pq.flags.writeable and GeneralOp.identity()._pq[0, 0, 0] == 1
+
+
+def test_linearity_is_decided_as_the_parts_decide_it():
+    orts = ercd64().ops()
+    linear = [x for x in orts if x.parts()[1].is_zero]
+    antilinear = [x for x in orts if x.parts()[0].is_zero]
+    assert len(linear) == len(antilinear) == 32
+    ops = orts + [x + y for x in linear[:8] for y in antilinear]
+    ops += [GeneralOp.zero(), GeneralOp.zero().scaled(3)]
+    for op in ops:
+        a, b = op.parts()
+        assert op.is_linear == b.is_zero and op.is_antilinear == a.is_zero

@@ -28,7 +28,7 @@ from ercd.algebras import (OrtSet, a32, blade_codes, bosonic_so8_generators,
                            cd16, ercd64, extended_gammas, pd_gammas, percd29,
                            pgi8, pgi_lorentz6, rotation_family, so6,
                            so8_generators, so15_generators)
-from ercd.operators import GeneralOp, anticommutator, commutator, gram, mat
+from ercd.operators import GeneralOp, anticommutator, commutator, gram
 from ercd.relations import (COMPACT8, SO13_METRIC, SO15_METRIC,
                             check_rotation_table, closure_check,
                             commutator_table, composition_closure_check,
@@ -274,8 +274,8 @@ def test_a_bracket_beyond_the_limit_raises_instead_of_wrapping():
     # R = b (1 + sqrt2) J, J all ones: x @ x has entries 24 b^2, within the
     # limit, while {x, x} has 48 b^2, beyond it but below the int64 maximum
     b = 438_000_000
-    x = GeneralOp(mat([[ExactScalar(b, b)] * 4] * 4),
-                  mat([[ExactScalar(0, 0, b, b)] * 4] * 4))
+    x = GeneralOp([[ExactScalar(b, b)] * 4] * 4,
+                  [[ExactScalar(0, 0, b, b)] * 4] * 4)
     assert (x._pq == b).all() and x._d == 1
     sq = x @ x
     assert (sq._pq[0] == 24 * b * b).all()

@@ -809,3 +809,20 @@ def test_float_images_are_read_at_one_seam(monkeypatch):
                        "fw.nonlocal-spin", "fw.wave-operator",
                        "poincare.casimirs", "poincare.generator-algebra"]
     assert all(before[k] == "pass" and after[k] == "fail" for k in changed)
+
+
+def test_in_place_scaling_writes_only_into_parts_of_the_products_dtype():
+    complex_part = np.arange(8, dtype=complex).reshape(2, 1, 2, 2) - 3.5j
+    real_part = np.arange(8.0).reshape(2, 1, 2, 2) - 2.5
+    for a, b in ((complex_part, real_part), (None, complex_part)):
+        held = [p for p in (a, b) if p is not None]
+        expected = [-1j * p for p in held]
+        v = SymbolValues(a, b)
+        same = v
+        v *= -1j
+        assert v is same and (v._a is None) == (a is None)
+        got = [p for p in (v._a, v._b) if p is not None]
+        assert [p.tobytes() for p in got] == [p.tobytes() for p in expected]
+        # a complex part is written into, a real one formed anew
+        assert all((g is h) == (h.dtype == complex)
+                   for g, h in zip(got, held))

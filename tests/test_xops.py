@@ -8,8 +8,8 @@ from ercd.cli import main
 from ercd.jets import Jet
 from ercd.operators import GeneralOp
 from ercd.reporting import SuiteConfig
-from ercd.symbols import (MomentumSymbol, omega, sample_momenta, signed_batch,
-                          tilde_gammas)
+from ercd.symbols import (MomentumSymbol, SymbolValues, omega, sample_momenta,
+                          signed_batch, tilde_gammas)
 from ercd.xops import (X0_PARTS, XValues, build_poincare_generators,
                        commutator, compose, evaluate, momentum_square,
                        poincare_closure_check, position_op)
@@ -203,8 +203,9 @@ def test_closure_check_evaluates_each_coefficient_once(monkeypatch):
     assert sum(map(len, dict(generators(M)).values())) == 19
     assert len(calls) == 16 and set(calls.values()) == {1}
     # three momenta, three positions and the unit for the canonical pairs,
-    # then the 16 generator symbols
-    assert len(labels) == 7 + 16 and labels.count("p0") == 1
+    # then the 16 generator symbols, whose p1..p3 are the canonical momenta
+    assert len(labels) == 7 + 16 - 3 and labels.count("p0") == 1
+    assert all(labels.count(f"p{n}") == 1 for n in range(4))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +268,7 @@ def test_normal_form_reordering_consistency():
     points = SAMPLES[:5]
     q = signed_batch(points)
     for label, sym in _jet_symbols():
-        s = XValues({(0, 0, 0): sym.jet(q)})
+        (s,) = evaluate([{(0, 0, 0): sym}], q)
         for b in range(3):
             (x_b,) = evaluate([position_op(b)], q)
             lhs = compose(s, x_b) - compose(x_b, s)
@@ -325,6 +326,36 @@ def test_evolution_check_evaluates_the_hamiltonian_once(monkeypatch):
     # p0 is also the boosts' x-coefficient; the check evaluates nothing
     # more, no iH in particular
     assert labels.count("p0") == 1 and len(labels) == 16
+
+
+def test_each_derivative_is_scaled_by_minus_i_once(monkeypatch):
+    # evaluate scales the three derivatives of each of the 16 generator
+    # symbols by -i, in the jet's own arrays; the brackets scale none again
+    scalings = []
+    rmul, imul = SymbolValues.__rmul__, SymbolValues.__imul__
+
+    def counted(scale):
+        def scaled(v, r):
+            if isinstance(r, complex) and r == -1j:
+                scalings.append(id(v))
+            return scale(v, r)
+        return scaled
+
+    monkeypatch.setattr(SymbolValues, "__rmul__", counted(rmul))
+    monkeypatch.setattr(SymbolValues, "__imul__", counted(imul))
+    q = signed_batch(SAMPLES)
+    names, gens = zip(*build_poincare_generators(M))
+    values = evaluate(gens, q)
+    assert len(scalings) == len(set(scalings)) == 16 * 3
+    symmetry, closure, _ = poincare_closure_check(names, values)
+    assert symmetry < 1e-10 and closure < 1e-8
+    assert len(scalings) == 16 * 3
+    boost = gens[names.index("j01")][(0, 0, 0)]
+    _, ds = boost.jet(q)
+    for got, d in zip(values[names.index("j01")].terms[(0, 0, 0)][1], ds):
+        for part, ref in zip((got._a, got._b), (d._a, d._b)):
+            assert (part is None) == (ref is None)
+            assert part is None or part.tobytes() == (-1j * ref).tobytes()
 
 
 def test_boost_without_time_term_fails_symmetry(monkeypatch):
