@@ -15,7 +15,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .operators import GeneralOp, anticommutator, commutator, compose
-from .scalars import ExactScalar, HALF, I_UNIT, INV_SQRT2, ONE, ZERO
+from .scalars import ExactScalar, HALF, I_UNIT, INV_SQRT2, ONE, SQRT2, ZERO
 
 Pair = Tuple[int, int]
 
@@ -340,15 +340,14 @@ def bosonic_rep() -> Tuple[OrtSet, GeneralOp, GeneralOp]:
     bC = GeneralOp.antilinear([[one, z, z, z], [z, -one, z, z],
                                [z, z, one, z], [z, z, z, one]])
 
-    sqrt2 = ExactScalar(0, 1)
-    w = GeneralOp([[sqrt2, z, z, z], [z, z, z, z],
+    w = GeneralOp([[SQRT2, z, z, z], [z, z, z, z],
                    [z, z, z, one], [z, z, z, -one]],
-                  [[z, z, z, z], [z, z, i * sqrt2, z],
+                  [[z, z, z, z], [z, z, i * SQRT2, z],
                    [z, -one, z, z], [z, -one, z, z]]).scaled(r)
-    w_inv = GeneralOp([[sqrt2, z, z, z], [z, z, z, z],
+    w_inv = GeneralOp([[SQRT2, z, z, z], [z, z, z, z],
                        [z, z, z, z], [z, z, one, -one]],
                       [[z, z, z, z], [z, z, -one, -one],
-                       [z, i * sqrt2, z, z], [z, z, z, z]]).scaled(r)
+                       [z, i * SQRT2, z, z], [z, z, z, z]]).scaled(r)
 
     explicit = {"bg1": bg1, "bg2": bg2, "bg3": bg3, "bg4": bg4, "bg5": bg5,
                 "bg6": bg6, "bg7": bg7, "bg0": bg0, "bi": bi, "bC": bC}

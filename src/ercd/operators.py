@@ -14,9 +14,9 @@ table, a row of brackets at a time. The adjoint (A -> A^dagger, B -> B^T)
 is the transpose, and equality and hashing compare (P, Q, d). An operation whose
 int64 result could wrap raises OverflowError instead. ``floats`` reads the
 complex images of A and B straight from the carrier; it is the one
-exact-to-float path. The (A, B) matrices over Q(i, sqrt2) are views built
-on demand, uncached, for apply, the spinor action that tests keep as an
-independent oracle for composition.
+exact-to-float path. The carrier is the operator's one form: A and B over
+Q(i, sqrt2) are read back only by the tests, which keep the spinor action
+as an independent oracle for composition.
 
 The algebra is real: scalar multiplication is restricted to real field
 elements, and multiplication by i is composition with the operator i.
@@ -30,10 +30,9 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .scalars import ExactScalar, HALF, ZERO
+from .scalars import ExactScalar
 
 Matrix = Tuple[Tuple[ExactScalar, ...], ...]
-Spinor = Tuple[ExactScalar, ...]
 
 # every stored entry stays at or below this, so the sum or difference of
 # two entries never wraps
@@ -167,30 +166,6 @@ class GeneralOp:
         the realification."""
         return _new(self._pq.transpose(0, 2, 1), self._d, self._bound)
 
-    def parts(self) -> Tuple["GeneralOp", "GeneralOp"]:
-        """The linear part phi -> A phi and the antilinear part
-        phi -> B conj(phi), i.e. (X - i X i) / 2 and (X + i X i) / 2."""
-        i_op = GeneralOp.imaginary_unit()
-        turned = i_op @ self @ i_op
-        return (self - turned).scaled(HALF), (self + turned).scaled(HALF)
-
-    # the (A, B) view and its float image
-    @property
-    def A(self) -> Matrix:
-        return self._views()[0]
-
-    @property
-    def B(self) -> Matrix:
-        return self._views()[1]
-
-    def _views(self) -> Tuple[Matrix, Matrix]:
-        den = 2 * self._d
-        # axes: A or B, row, column, re or im, rational or sqrt2 part
-        parts = self._halves().transpose(1, 3, 4, 2, 0).reshape(2, 4, 4, 4)
-        return tuple(tuple(tuple(ExactScalar(*(Fraction(x, den) for x in e))
-                                 for e in row) for row in part)
-                     for part in parts.tolist())
-
     def floats(self) -> Tuple[np.ndarray | None, np.ndarray | None]:
         """The complex 4x4 images of A and B, read from the carrier; a part
         that is exactly zero is None, decided on the integers. The real or
@@ -219,12 +194,6 @@ class GeneralOp:
         return np.array(((r11 + r22, r21 - r12),
                          (r11 - r22, r21 + r12))).transpose(2, 0, 1, 3, 4)
 
-    def apply(self, phi: Spinor) -> Spinor:
-        A, B = self._views()
-        conj = tuple(x.conjugate() for x in phi)
-        return tuple(_dot(arow, phi) + _dot(brow, conj)
-                     for arow, brow in zip(A, B))
-
     # predicates
     @property
     def is_linear(self) -> bool:
@@ -252,17 +221,6 @@ class GeneralOp:
                 else "antilinear" if self.is_antilinear
                 else "mixed")
         return f"<GeneralOp {kind}>"
-
-    def realify(self) -> Matrix:
-        """The 8x8 real matrix R, entries in Q(sqrt2), acting on (u; v).
-
-        Injective multiplicative homomorphism:
-        realify(X @ Y) is the matrix product of realify(X) and realify(Y).
-        """
-        rat, sur = ([Fraction(x, self._d) for x in c]
-                    for c in self._pq.reshape(2, 64).tolist())
-        return tuple(tuple(ExactScalar(rat[k], sur[k])
-                           for k in range(8 * i, 8 * i + 8)) for i in range(8))
 
 
 def gram(xs: Sequence[GeneralOp], ys: Sequence[GeneralOp]
@@ -363,10 +321,6 @@ def _checked(bound_of, *ops: GeneralOp) -> int:
         if bound > _LIMIT:
             raise OverflowError("operator result would exceed the int64 range")
     return bound
-
-
-def _dot(row, v) -> ExactScalar:
-    return sum((a * x for a, x in zip(row, v) if a), ZERO)
 
 
 def compose(*ops: GeneralOp) -> GeneralOp:

@@ -67,10 +67,6 @@ class ExactScalar:
     def is_zero(self) -> bool:
         return not self
 
-    @property
-    def is_real(self) -> bool:
-        return not self.c and not self.d
-
     # -- ring/field operations ---------------------------------------------
 
     def __add__(self, other) -> "ExactScalar":

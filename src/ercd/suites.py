@@ -4,8 +4,9 @@ Each suite emits claims into a ledger; run_suite executes the requested
 suites and reports pass/fail per claim. Constant-matrix claims are
 exact; momentum-space claims carry sampled residuals against the
 configured tolerances. The fw suite's flip-law algebra of the nonlocal
-generators forms the products of every pair at once, as one table of
-block GEMMs on the +q half (``_flip_table``); the so(8) and Clifford
+generators forms the products of every pair at once, as one table on the
++q half (``_flip_table``): the generators side by side, through the one
+flip-law product ``SymbolValues.half_matmul``. The so(8) and Clifford
 residuals read that table and its transpose.
 """
 
@@ -196,7 +197,7 @@ def _suite_pgi(ledger: Ledger, config: SuiteConfig) -> None:
 
     sextet = pgi_lorentz6()
     # s12 = -(i/2) I and s03 = -(i/2) g4, written out
-    h, z = ExactScalar.rational(-1, 2), ZERO
+    h, z = algebras.MINUS_HALF, ZERO
     ih = h * I_UNIT
     expected_s12 = GeneralOp.linear([[ih, z, z, z], [z, ih, z, z],
                                      [z, z, ih, z], [z, z, z, ih]])
@@ -506,34 +507,26 @@ def _flip_table(values):
     """The flip-law products v_P @ v_Q of n values on one signed batch,
     every ordered pair at once, on the +q half only: the parts (a, b),
     each of shape (N, n, 4, n, 4) with [:, P, :, Q] the product's part,
-    and the values' own +q half, (a, b) of shape (n, N, 4, 4).
+    and the values' own +q half, (a, b) of shape (N, n, 4, 4).
 
-    The dense parts are stacked as (2, n, N, 4, 4), a constant one
+    The dense parts are stacked as (2, N, n, 4, 4), a constant one
     broadcast over the batch, so an absent factor is a zero block and a
-    scalar one c I. Each of the four part products of the flip law is one
-    (4n, 4) @ (4, 4n) GEMM per point, and each entry is the sum over the
-    same four terms as a 4x4 product."""
+    scalar one c I. The n values side by side as rows, (2, N, 4n, 4), times
+    the same side by side as columns, (2, N, 4, 4n), is one
+    ``half_matmul``: the one flip-law product, each of whose entries sums
+    the same terms as a 4x4 product."""
     n = len(values)
     parts = np.broadcast_arrays(*(v.a for v in values), *(v.b for v in values))
-    a, b = np.stack(parts[:n], axis=1), np.stack(parts[n:], axis=1)
-
-    def block(x, y):
-        pts = x.shape[1]
-        rows = x.transpose(1, 0, 2, 3).reshape(pts, 4 * n, 4)
-        cols = y.transpose(1, 2, 0, 3).reshape(pts, 4, 4 * n)
-        return (rows @ cols).reshape(pts, n, 4, n, 4)
-
-    # the reflected factor reads the -q half, the last of a constant's one
-    ta = block(a[0], a[0])
-    ta += block(b[0], np.conj(b[-1]))
-    tb = block(a[0], b[0])
-    tb += block(b[0], np.conj(a[-1]))
-    return (ta, tb), (a[0], b[0])
-
-
-def _transposed(table):
-    """The table of products with the order of each pair swapped."""
-    return np.swapaxes(table, 1, 3)
+    a, b = np.stack(parts[:n], axis=2), np.stack(parts[n:], axis=2)
+    sign, pts = a.shape[:2]
+    # the values side by side, on both sign halves: a stack of the +q half
+    # alone would read as a constant
+    rows = [x.reshape(sign, pts, 4 * n, 4) for x in (a, b)]
+    cols = [x.transpose(0, 1, 3, 2, 4).reshape(sign, pts, 4, 4 * n)
+            for x in (a, b)]
+    table = SymbolValues(*rows).half_matmul(SymbolValues(*cols))
+    return ((table.a.reshape(pts, n, 4, n, 4),
+             table.b.reshape(pts, n, 4, n, 4)), (a[0], b[0]))
 
 
 def flip_anticommutation_residual(values) -> float:
@@ -541,8 +534,8 @@ def flip_anticommutation_residual(values) -> float:
     of generators evaluated on one signed batch."""
     (ta, tb), _ = _flip_table(values)
     unit = np.einsum("ab,ij->aibj", np.eye(len(values)), 2.0 * np.eye(4))
-    return max(max_modulus(ta + _transposed(ta) + unit),
-               max_modulus(tb + _transposed(tb)))
+    return max(max_modulus(ta + np.swapaxes(ta, 1, 3) + unit),
+               max_modulus(tb + np.swapaxes(tb, 1, 3)))
 
 
 def flip_rotation_residual(values) -> float:
@@ -555,8 +548,8 @@ def flip_rotation_residual(values) -> float:
     terms, signs = _contraction(tuple(pairs), COMPACT8, 1)
     tables, family = _flip_table([table[pair] for pair in pairs])
     signs = signs[:, None, :, None]
-    return max(max_modulus(t - _transposed(t)
-                           - signs * own[terms].transpose(2, 0, 3, 1, 4))
+    return max(max_modulus(t - np.swapaxes(t, 1, 3)
+                           - signs * own[:, terms].transpose(0, 1, 3, 2, 4))
                for t, own in zip(tables, family))
 
 
@@ -638,7 +631,9 @@ def _suite_poincare(ledger: Ledger, config: SuiteConfig) -> None:
 
     spin = breve_spin()
     s1, s2, s3 = spin.ops()
-    ok = s3.A[0][0] == -I_UNIT and s3.A[1][1] == I_UNIT
+    z = ZERO
+    ok = s3 == GeneralOp.linear([[-I_UNIT, z, z, z], [z, I_UNIT, z, z],
+                                 [z, z, z, z], [z, z, z, z]])
     ok = ok and commutator(s1, s2) == s3 and commutator(s2, s3) == s1 \
         and commutator(s3, s1) == s2
     fw = fw_hamiltonian(m)

@@ -101,14 +101,16 @@ class SymbolValues:
     part that does not depend on q, which broadcasts and is its own sign
     flip. A part of shape (2, N, 1, 1), or (1, 1, 1, 1) when constant, is
     a scalar c standing for c I, and None marks a part that is zero by
-    construction as absent.
+    construction as absent. A part may also stack n 4x4 blocks, as rows
+    (2, N, 4n, 4) or as columns (2, N, 4, 4n): the product of such rows
+    and columns holds the product of every pair of blocks at once.
 
     ``@`` is the flip-law product, which forms no product with an absent
     factor and multiplies a scalar factor by broadcasting; +, - and unary
     - act on both parts, and r * v is left composition with the scalar r
     (r = 1j is the operator i). All of them keep absence and scalars.
-    ``.a``, ``.b`` and iteration read a scalar part as c I and an absent
-    part as a (1, 1, 4, 4) zero.
+    ``.a`` and ``.b`` read a scalar part as c I and an absent part as a
+    (1, 1, 4, 4) zero.
     A value with ``half`` set, formed by ``half_matmul``, holds the +q
     half only and is never a factor of a product (module docstring).
     """
@@ -126,9 +128,6 @@ class SymbolValues:
     @property
     def b(self) -> np.ndarray:
         return _dense(self._b)
-
-    def __iter__(self):
-        return iter((self.a, self.b))
 
     def __matmul__(self, other: "SymbolValues") -> "SymbolValues":
         return self._times(other, half=False)

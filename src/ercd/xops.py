@@ -78,10 +78,6 @@ class XValues:
     def degree(self) -> int:
         return max((sum(k) for k in self.terms), default=0)
 
-    def __add__(self, other: "XValues") -> "XValues":
-        return _collect((k, v) for x in (self, other)
-                        for k, (v, _) in x.terms.items())
-
     def __sub__(self, other: "XValues") -> "XValues":
         out = {k: v for k, (v, _) in self.terms.items()}
         for k, (v, _) in other.terms.items():

@@ -41,6 +41,7 @@ from ercd.suites import (FLIP_POINTS, corrupted_pd_gammas, dump_tables,
                          flip_anticommutation_residual, flip_rotation_residual)
 from ercd.symbols import (MomentumSymbol, SymbolValues, sample_momenta,
                           signed_batch, tilde_values)
+from exact_oracles import views
 
 DUMPABLE = {"cd16": cd16, "ercd64": ercd64, "percd29": percd29, "so6": so6,
             "a32": a32, "pgi8": pgi8}
@@ -305,7 +306,7 @@ def test_a_stale_bound_is_tightened_as_matmul_tightens_it():
     x, y = stale
     assert 24 * x._bound * y._bound > np.iinfo(np.int64).max
     # the same operators built afresh carry their exact bounds
-    fresh_x, fresh_y = (GeneralOp(op.A, op.B) for op in stale)
+    fresh_x, fresh_y = (GeneralOp(*views(op)) for op in stale)
     assert fresh_x._bound == fresh_y._bound == 1
     assert commutator(x, y) == commutator(fresh_x, fresh_y)
     assert x._bound == 1 and y._bound == 1
@@ -426,6 +427,23 @@ def _flip_residuals(values):
             flip_anticommutation_residual(values))
 
 
+def _blocks_unlike_the_pair_products(values):
+    """The blocks [:, P, :, Q] of the flip table, as (P, Q, part), that
+    differ from the dense part of values[P].half_matmul(values[Q])."""
+    (ta, tb), _ = suites._flip_table(values)
+    unlike = []
+    for p, x in enumerate(values):
+        for q, y in enumerate(values):
+            product = x.half_matmul(y)
+            for name, table, part in (("a", ta, product.a),
+                                      ("b", tb, product.b)):
+                block = table[:, p, :, q]
+                if not np.array_equal(block,
+                                      np.broadcast_to(part[0], block.shape)):
+                    unlike.append((p, q, name))
+    return unlike
+
+
 @pytest.mark.parametrize("mass", [1.0, 2.5, 1e-3, 1e3])
 def test_flip_tables_equal_the_pair_by_pair_rule_on_the_nonlocal_generators(
         mass):
@@ -455,8 +473,9 @@ def test_the_flip_tables_read_points_drawn_from_the_seed(monkeypatch):
         q = signed_batch(sample_momenta(40, seed=seed))
         expected = tilde_values(1.0, q[:, list(FLIP_POINTS)])
         for k, value in enumerate(seen[-1], 1):
-            assert all(np.array_equal(x, y) for x, y
-                       in zip(value, expected[f"tg{k}"])), (seed, k)
+            want = expected[f"tg{k}"]
+            assert (np.array_equal(value.a, want.a)
+                    and np.array_equal(value.b, want.b)), (seed, k)
     drawn = [k for k, p in enumerate(FLIP_POINTS) if p >= 4]
     fixed = [k for k, p in enumerate(FLIP_POINTS) if p < 4]
     a, b = (values[0].a for values in seen)
@@ -485,6 +504,7 @@ def test_flip_tables_equal_the_pair_by_pair_rule_on_mixed_shapes():
             residuals = _flip_residuals(values)
             assert residuals == _pair_by_pair_residuals(values)
             assert min(residuals) > 1e-3
+            assert not _blocks_unlike_the_pair_products(values)
 
 
 def test_a_rotation_table_beyond_the_limit_raises_instead_of_wrapping():

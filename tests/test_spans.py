@@ -19,6 +19,7 @@ from ercd.operators import GeneralOp, commutator
 from ercd.spans import (OrthogonalBasis, centralizer_dimension,
                         centralizer_kernel, span_rank, spans_equal,
                         structure_constants)
+from exact_oracles import is_real, realify
 
 K = QQ.algebraic_field(sqrt(2))
 
@@ -56,7 +57,7 @@ def _columns(ops):
                                      + Rational(*key[2:]) * sqrt(2))
         return memo[key]
 
-    rows = [[entry(x) for row in op.realify() for x in row] for op in ops]
+    rows = [[entry(x) for row in realify(op) for x in row] for op in ops]
     return DomainMatrix(rows, (len(rows), 64), K).transpose()
 
 
@@ -150,7 +151,7 @@ def test_structure_constants_match_reference_elimination(name):
             structure_constants(gens)
         return
     table = structure_constants(gens)
-    assert all(c.is_real for c in table.values())
+    assert all(is_real(c) for c in table.values())
     assert {key: (c.a, c.b) for key, c in table.items()} == expected
 
 

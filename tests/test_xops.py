@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ercd import poincare_oracle, suites, xops
+from ercd.algebras import OrtSet, breve_spin
 from ercd.cli import main
 from ercd.jets import Jet
 from ercd.operators import GeneralOp
@@ -27,11 +28,23 @@ def _generator_values(n_samples, seed=42):
     return names, evaluate(gens, q)
 
 
+def _parts(v):
+    """The dense parts (A, B) of evaluated values."""
+    return v.a, v.b
+
+
+def _sum(x, y):
+    """x + y, key by key, as a product sums its pieces (``xops._collect``)."""
+    return xops._collect((k, v) for z in (x, y)
+                         for k, (v, _) in z.terms.items())
+
+
 def central_difference(x: MomentumSymbol, a: int, points, h: float = 1e-5):
     """d/dq_a of (A, B) at points by central differences with step h: the
     independent cross-check of the jets."""
     step = h * np.eye(3)[a]
-    (ap, bp), (am, bm) = (x(signed_batch(np.asarray(points) + s * step))
+    (ap, bp), (am, bm) = (_parts(x(signed_batch(np.asarray(points)
+                                                + s * step)))
                           for s in (1.0, -1.0))
     return (ap[0] - am[0]) / (2.0 * h), (bp[0] - bm[0]) / (2.0 * h)
 
@@ -92,15 +105,15 @@ def test_jet_mode_matches_finite_differences():
     full = (2, len(points), 4, 4)
     for label, sym in _jet_symbols():
         vals, grads = sym.jet(q)
-        plain = tuple(sym(q))
+        plain = _parts(sym(q))
         for a in range(3):
             for half, pts in ((0, points), (1, neg)):
                 fd = central_difference(sym, a, pts, h=1e-5)
-                for part, grad in enumerate(grads[a]):
+                for part, grad in enumerate(_parts(grads[a])):
                     jet = np.broadcast_to(grad, full)
                     assert np.max(np.abs(jet[half] - fd[part])) < 1e-7, \
                         (label, a, half, part)
-        for part, val in enumerate(vals):
+        for part, val in enumerate(_parts(vals)):
             # the jet pass yields the plain values too, bit for bit
             assert np.array_equal(val, plain[part]), label
         count += 1
@@ -124,7 +137,8 @@ def test_scalar_jet_keeps_the_scalar_shape():
             assert np.max(np.abs(grads[a].a[half] - fd_a)) < 1e-7, (a, half)
             assert not fd_b.any()
     unit = MomentumSymbol((GeneralOp.identity(),), lambda q: (1.0,), "I")
-    (a, b), grads = unit.jet(signed_batch(points))
+    vals, grads = unit.jet(signed_batch(points))
+    a, b = _parts(vals)
     assert unit(signed_batch(points))._a.shape == (1, 1, 1, 1)
     assert a.shape == (1, 1, 4, 4) and np.array_equal(a[0, 0], np.eye(4))
     assert not b.any() and all(
@@ -133,10 +147,11 @@ def test_scalar_jet_keeps_the_scalar_shape():
 
 def test_constant_has_zero_derivative():
     spin = dict(build_poincare_generators(M))["j12"][(0, 0, 0)]
-    (a, b), grads = spin.jet(signed_batch(SAMPLES[:3]))
+    vals, grads = spin.jet(signed_batch(SAMPLES[:3]))
+    a, b = _parts(vals)
     assert a.shape == b.shape == (1, 1, 4, 4)
     assert len(grads) == 3
-    assert not any(part.any() for grad in grads for part in grad)
+    assert not any(part.any() for grad in grads for part in _parts(grad))
 
 
 def _values(x):
@@ -161,7 +176,7 @@ def test_product_left_of_a_position_rejected():
             compose(x, y)
     # a sum carries no derivative: jets are degree 1, so a q-dependent
     # sum is never differentiated
-    total = p1 + p2
+    total = _sum(p1, p2)
     assert compose(p3, total).degree() == 0
     with pytest.raises(ValueError, match="no derivative"):
         compose(total, x1)
@@ -222,7 +237,8 @@ def test_canonical_pairs():
     for n in range(3):
         for m in range(3):
             comm = commutator(_values(_p_n(n)), _values(position_op(m)))
-            for key, ((va, vb), _) in comm.terms.items():
+            for key, (v, _) in comm.terms.items():
+                va, vb = _parts(v)
                 expect = (1.0 if n == m else 0.0) * np.eye(4) \
                     if key == (0, 0, 0) else np.zeros((4, 4))
                 assert np.max(np.abs(va[0] - expect)) < 1e-13
@@ -256,7 +272,7 @@ def test_orbital_rotation_commutators():
         lhs = commutator(orbital(l, n), _values(_p_n(k)))
         rhs = XValues({})
         if n == k:
-            rhs = rhs + _values(_p_n(l))
+            rhs = _sum(rhs, _values(_p_n(l)))
         if l == k:
             rhs = rhs - _values(_p_n(n))
         assert (lhs - rhs).max_norm() < 1e-12
@@ -272,14 +288,14 @@ def test_normal_form_reordering_consistency():
         for b in range(3):
             (x_b,) = evaluate([position_op(b)], q)
             lhs = compose(s, x_b) - compose(x_b, s)
-            (va, vb), _ = lhs.terms[(0, 0, 0)]
+            va, vb = _parts(lhs.terms[(0, 0, 0)][0])
             fd = central_difference(sym, b, points, h=1e-5)
             assert np.max(np.abs(va[0] + 1j * fd[0])) < 1e-7, (label, b)
             assert np.max(np.abs(vb[0] + 1j * fd[1])) < 1e-7, (label, b)
             # the position terms cancel
             assert max(np.max(np.abs(v[0])) for key, (pair, _) in
                        lhs.terms.items() if key != (0, 0, 0)
-                       for v in pair) < 1e-12, (label, b)
+                       for v in _parts(pair)) < 1e-12, (label, b)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +443,7 @@ def test_least_squares_fit_matches_the_oracle_constants():
         matrix parts, on the +q half."""
         flat = np.concatenate([
             np.broadcast_to(part[0], (20, 4, 4)).ravel()
-            for k in keys for part in (x.terms[k][0] if k in x.terms
+            for k in keys for part in (_parts(x.terms[k][0]) if k in x.terms
                                        else (zero, zero))])
         return np.concatenate([flat.real, flat.imag])
 
@@ -530,6 +546,21 @@ def test_poincare_claims_are_judged_against_the_configured_tolerance(capsys):
         "poincare.casimirs"]
 
 
+def test_a_changed_s3_fails_the_spin_triplet(monkeypatch):
+    # s3 is compared whole with diag(-i, i, 0, 0): one entry bumped, and
+    # the triplet relabelled (s2, s3, s1), which keeps the su(2) brackets
+    # and the three invariances, so that comparison alone fails it
+    s1, s2, s3 = breve_spin().ops()
+    bump = GeneralOp.linear([[0] * 4, [0] * 4, [0, 0, 1, 0], [0] * 4])
+    for ops in ((s1, s2, s3 + bump), (s2, s3, s1)):
+        triplet = OrtSet("breve_spin", tuple(zip(("s1", "s2", "s3"), ops)))
+        monkeypatch.setattr(suites, "breve_spin", lambda: triplet)
+        ledger = suites.run_suite(SuiteConfig(suites=("poincare",),
+                                              samples=4))
+        status = {c.claim_id: c.status for c in ledger.claims}
+        assert status["poincare.spin-triplet"] == "fail", ops
+
+
 # ---------------------------------------------------------------------------
 # operands stay unchanged
 # ---------------------------------------------------------------------------
@@ -548,7 +579,7 @@ def test_algebra_leaves_the_generator_values_unchanged():
     saved = [p.copy() for p in held]
     for x in values:
         for y in values:
-            x + y, x - y, commutator(x, y)
+            _sum(x, y), x - y, commutator(x, y)
     poincare_closure_check(names, values)
     assert all(p.tobytes() == s.tobytes() for p, s in zip(held, saved))
 
@@ -558,7 +589,7 @@ def test_difference_is_the_sum_with_the_negated_values():
     for x in values:
         for y in values:
             negated = XValues({k: (-v, None) for k, (v, _) in y.terms.items()})
-            diff, ref = x - y, x + negated
+            diff, ref = x - y, _sum(x, negated)
             assert list(diff.terms) == list(ref.terms)
             for (d, _), (r, _) in zip(diff.terms.values(), ref.terms.values()):
                 for part, expected in zip((d._a, d._b), (r._a, r._b)):
