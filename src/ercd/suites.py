@@ -644,12 +644,15 @@ def _suite_poincare(ledger: Ledger, config: SuiteConfig) -> None:
     value, deviation = momentum_square(m, q)
     spin_square = GeneralOp.linear([[-2, 0, 0, 0], [0, -2, 0, 0],
                                     [0, 0, -2, 0], [0, 0, 0, 0]])
-    ok = (abs(value + m ** 2) < mom_tol and deviation < mom_tol
+    # the entries of p.p are of size w^2 <= 25 + m^2, so its rounding is
+    # judged against tol max(1, m^2)
+    pp_tol = mom_tol * max(1.0, m * m)
+    ok = (abs(value + m ** 2) < pp_tol and deviation < pp_tol
           and casimir_spin_squared(spin) == spin_square)
     _claim(ledger, "poincare.casimirs", ok, residual=deviation,
            detail=f"p.p = {value.real:+.6f} (q-independent) on {points}, "
                   "spin square = -2 diag(1,1,1,0) exact",
-           tol=mom_tol)
+           tol=pp_tol)
     ledger.flags.append("computed p.p = -m^2 I; magnitude matches the quoted "
                         "invariant, sign differs under the anti-Hermitian "
                         "generator convention")

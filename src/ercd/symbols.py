@@ -42,16 +42,13 @@ then the +q halves are taken, and the -q half of the reflected factor.
 Its result, whose batch parts have shape (1, N, ...), is marked ``half``:
 at N = 1 that is the shape of a constant, so it is never a factor of a
 product, and a sum with it is formed on the +q half.
-Each part product is a fresh array, and ``@`` adds the second term of a
-part into the first when the first has the sum's shape and dtype; a
-running sum (``accumulate``) adds into the parts that its own earlier
-additions formed in the same way. Nothing else writes into an array: an
-operand, a part a caller holds and a value summed by ``xops`` are never
-changed. Sums, differences and scalar multiples act on both parts and keep
-absence; a sum of a scalar part and a matrix part expands the scalar
-through eye(4), so c never reaches the off-diagonal entries. The commutators of ``operators`` serve evaluated
-values unchanged. Dropping an exactly zero term turns x + 0 into x, which
-changes at most the sign of a zero entry.
+No array is written once it is formed: every product, sum and scalar
+multiple forms new parts, so values may share their parts freely. Sums,
+differences and scalar multiples act on both parts and keep absence; a
+sum of a scalar part and a matrix part expands the scalar through eye(4),
+so c never reaches the off-diagonal entries. The commutators of
+``operators`` serve evaluated values unchanged. Dropping an exactly zero
+term turns x + 0 into x, which changes at most the sign of a zero entry.
 
 ``MomentumSymbol.jet`` gives values and first q-derivatives from one pass:
 it evaluates the profiles on degree-1 array jets (``jets.Jet``) seeded
@@ -144,12 +141,11 @@ class SymbolValues:
             raise ValueError("a value held on the +q half only is not a "
                              "factor of a product")
         xa, xb, ya, yb = self._a, self._b, other._a, other._b
-        # each first product is fresh, so the second may be added into it
         return SymbolValues(
             _add(_product(xa, ya, half=half),
-                 _product(xb, yb, flip=True, half=half), into=True),
+                 _product(xb, yb, flip=True, half=half)),
             _add(_product(xa, yb, half=half),
-                 _product(xb, ya, flip=True, half=half), into=True), half)
+                 _product(xb, ya, flip=True, half=half)), half)
 
     def positive_half(self) -> "SymbolValues":
         """The values on the +q half: a view of each batch part, and a
@@ -173,30 +169,11 @@ class SymbolValues:
         x, y = self._aligned(other)
         return SymbolValues(_sub(x._a, y._a), _sub(x._b, y._b), x.half)
 
-    def accumulate(self, other: "SymbolValues", formed=(False, False)):
-        """(self + other, formed) for a running sum. The formed marks of
-        self, per part, are those an earlier accumulate returned: a part
-        that this or an earlier addition formed is written into, and no
-        other. The marks returned name the parts of the sum that such an
-        addition formed, never an array that self or other held before."""
-        x, y = self._aligned(other)
-        parts = [(_add(p, r, into=f), f if r is None else p is not None)
-                 for p, r, f in zip((x._a, x._b), (y._a, y._b), formed)]
-        return (SymbolValues(*(p for p, _ in parts), x.half),
-                tuple(f for _, f in parts))
-
     def __neg__(self) -> "SymbolValues":
         return self._map(np.negative)
 
     def __rmul__(self, r) -> "SymbolValues":
         return self._map(lambda p: r * p)
-
-    def __imul__(self, r) -> "SymbolValues":
-        """r * self into the parts of its dtype, which nobody else holds."""
-        scaled = self._map(lambda p: np.multiply(
-            r, p, out=p if p.dtype == np.result_type(r, p) else None))
-        self._a, self._b = scaled._a, scaled._b
-        return self
 
     def points(self, indices) -> "SymbolValues":
         """The values on the points of the batch at indices (a slice or a
@@ -251,8 +228,7 @@ def _product(x, y, flip=False, half=False):
     flip law; by broadcasting when a factor is scalar, None when a factor
     is absent. With half, only its +q half: the +q half of x times that of
     y, or the conjugate of y's -q half with flip. The kinds are read on the
-    whole factors, before the halves are taken. The result is a fresh
-    array."""
+    whole factors, before the halves are taken."""
     if x is None or y is None:
         return None
     x_constant, y_constant = _is_constant(x), _is_constant(y)
@@ -289,16 +265,10 @@ def _matched(x, y):
     return _dense(x), _dense(y)
 
 
-def _add(x, y, into=False):
-    """x + y; with into, written into x when x holds the sum's shape and
-    dtype, for an x that the caller formed and nobody else holds."""
+def _add(x, y):
     if x is None or y is None:
         return x if y is None else y
     x, y = _matched(x, y)
-    if (into and x.shape == np.broadcast_shapes(x.shape, y.shape)
-            and x.dtype == np.result_type(x, y)):
-        x += y
-        return x
     return x + y
 
 

@@ -96,17 +96,10 @@ class XValues:
 
 def _collect(pieces) -> XValues:
     """The sum of the (key, values) pieces per key, in order; a sum
-    carries no derivatives. A key's second piece forms its sum, and the
-    later ones are added into that sum (``SymbolValues.accumulate``), never
-    into a piece."""
+    carries no derivatives."""
     out: Dict[Multi, SymbolValues] = {}
-    formed: Dict[Multi, Tuple[bool, bool]] = {}
     for key, v in pieces:
-        if key in out:
-            out[key], formed[key] = out[key].accumulate(
-                v, formed.get(key, (False, False)))
-        else:
-            out[key] = v
+        out[key] = out[key] + v if key in out else v
     return XValues({k: (v, None) for k, v in out.items()})
 
 
@@ -119,9 +112,7 @@ def evaluate(xs: Sequence[XSymbol], q) -> List[XValues]:
         for sym in x.values():
             if sym not in jets:
                 v, ds = sym.jet(q)
-                for d in ds:  # into the jet's own arrays: no copy is held
-                    d *= -1j
-                jets[sym] = v, ds
+                jets[sym] = v, tuple(-1j * d for d in ds)
     return [XValues({k: jets[sym] for k, sym in x.items()}) for x in xs]
 
 

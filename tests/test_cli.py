@@ -199,6 +199,41 @@ def test_basis_64_reads_the_written_forms(monkeypatch):
     assert claim.failed
 
 
+def _failed_bosonic_claims():
+    return sorted(k for k, c in _claims(SuiteConfig(suites=("bosonic",)))
+                  .items() if c.status != "pass")
+
+
+def test_a_bumped_basis_change_fails_the_bosonic_identities(monkeypatch):
+    # one entry of W bumped: every W-conjugation identity and W W^-1 = I
+    # fail; the so(8) table, rebuilt from the written generators, does not
+    # read W
+    from ercd.algebras import bosonic_rep
+    from ercd.operators import GeneralOp
+
+    assert _failed_bosonic_claims() == []
+    breve, w, w_inv = bosonic_rep()
+    bump = GeneralOp.linear([[0, 1, 0, 0], [0] * 4, [0] * 4, [0] * 4])
+    monkeypatch.setattr(ercd.suites, "bosonic_rep",
+                        lambda: (breve, w + bump, w_inv))
+    assert _failed_bosonic_claims() == [
+        "bosonic.basis-change", "bosonic.extras", "bosonic.generators"]
+
+
+def test_a_bumped_rotation_generator_fails_only_the_bosonic_table(
+        monkeypatch):
+    from ercd.algebras import bosonic_so8_generators
+    from ercd.operators import GeneralOp
+
+    family = dict(bosonic_so8_generators())
+    pair = min(family)
+    family[pair] = family[pair] + GeneralOp.linear(
+        [[0, 0, 1, 0], [0] * 4, [0] * 4, [0] * 4])
+    monkeypatch.setattr(ercd.suites, "bosonic_so8_generators",
+                        lambda: family)
+    assert _failed_bosonic_claims() == ["bosonic.so8-table"]
+
+
 def test_json_reports_are_byte_identical(tmp_path):
     config = SuiteConfig(suites=("cd",), fmt="json")
     a = run_suite(config).to_json()

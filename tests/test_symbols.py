@@ -558,6 +558,28 @@ def test_no_zero_part_by_construction_reaches_a_product(monkeypatch):
     assert formed
 
 
+def test_the_momentum_suites_write_into_no_array_a_value_holds(monkeypatch):
+    # every part a value receives is made read-only, so a write into any
+    # of them raises; the report is the unwritten run's, byte for byte
+    from ercd import suites
+    from ercd.reporting import SuiteConfig
+
+    config = SuiteConfig(suites=("fw", "poincare"))
+    expected = suites.run_suite(config).to_json()
+    init, frozen = SymbolValues.__init__, []
+
+    def read_only(self, a, b, half=False):
+        for p in (a, b):
+            if p is not None:
+                p.flags.writeable = False
+                frozen.append(p)
+        init(self, a, b, half)
+
+    monkeypatch.setattr(SymbolValues, "__init__", read_only)
+    assert suites.run_suite(config).to_json() == expected
+    assert frozen
+
+
 # ---------------------------------------------------------------------------
 # scalar parts
 # ---------------------------------------------------------------------------
@@ -718,7 +740,7 @@ def _constant_and_batch_values(rng):
     return values((1, 1, 4, 4)), values((2, 3, 4, 4))
 
 
-def test_constant_factor_gemm_and_in_place_sums_match_per_point_products():
+def test_constant_factor_gemm_and_sums_match_per_point_products():
     # a constant on the left and on the right, through the flipped and the
     # plain terms, linear and antilinear parts, complex and real-valued
     constants, batches = _constant_and_batch_values(np.random.default_rng(22))
@@ -788,17 +810,9 @@ def test_part_kinds_come_from_the_exact_operators():
     assert not ds[0].a.any() and not ds[2].a.any()
 
 
-def test_float_images_are_read_at_one_seam(monkeypatch):
-    # a bump of g0's image at the seam alone fails exactly the sampled claims
-    # that read g0 (a bumped GeneralOp.floats fails the same ones), and no
-    # exact claim moves
-    from ercd import suites
-    from ercd.reporting import SUITE_NAMES, SuiteConfig
-
-    config = SuiteConfig(suites=SUITE_NAMES)
-    before = {c.claim_id: c.status for c in suites.run_suite(config).claims}
-    g0 = pd_gammas().get("g0")
-    image = symbols.float_image
+def _bump_g0_image(monkeypatch):
+    """One entry of g0's float image bumped by 1e-6 at the seam."""
+    g0, image = pd_gammas().get("g0"), symbols.float_image
 
     def bumped(op):
         a, b = image(op)
@@ -808,6 +822,18 @@ def test_float_images_are_read_at_one_seam(monkeypatch):
         return a, b
 
     monkeypatch.setattr(symbols, "float_image", bumped)
+
+
+def test_float_images_are_read_at_one_seam(monkeypatch):
+    # a bump of g0's image at the seam alone fails exactly the sampled claims
+    # that read g0 (a bumped GeneralOp.floats fails the same ones), and no
+    # exact claim moves
+    from ercd import suites
+    from ercd.reporting import SUITE_NAMES, SuiteConfig
+
+    config = SuiteConfig(suites=SUITE_NAMES)
+    before = {c.claim_id: c.status for c in suites.run_suite(config).claims}
+    _bump_g0_image(monkeypatch)
     after = {c.claim_id: c.status for c in suites.run_suite(config).claims}
     assert after.keys() == before.keys()
     changed = sorted(k for k in before if after[k] != before[k])
@@ -818,18 +844,23 @@ def test_float_images_are_read_at_one_seam(monkeypatch):
     assert all(before[k] == "pass" and after[k] == "fail" for k in changed)
 
 
-def test_in_place_scaling_writes_only_into_parts_of_the_products_dtype():
-    complex_part = np.arange(8, dtype=complex).reshape(2, 1, 2, 2) - 3.5j
-    real_part = np.arange(8.0).reshape(2, 1, 2, 2) - 2.5
-    for a, b in ((complex_part, real_part), (None, complex_part)):
-        held = [p for p in (a, b) if p is not None]
-        expected = [-1j * p for p in held]
-        v = SymbolValues(a, b)
-        same = v
-        v *= -1j
-        assert v is same and (v._a is None) == (a is None)
-        got = [p for p in (v._a, v._b) if p is not None]
-        assert [p.tobytes() for p in got] == [p.tobytes() for p in expected]
-        # a complex part is written into, a real one formed anew
-        assert all((g is h) == (h.dtype == complex)
-                   for g, h in zip(got, held))
+def _casimirs(mass):
+    from ercd import suites
+    from ercd.reporting import SuiteConfig
+
+    config = SuiteConfig(suites=("poincare",), mass=mass)
+    return {c.claim_id: c for c in suites.run_suite(config).claims
+            }["poincare.casimirs"], config.tolerance("momentum")
+
+
+def test_casimirs_are_judged_at_the_mass_squared_scale(monkeypatch):
+    # the entries of p.p are of size w^2 <= 25 + m^2, so their rounding
+    # exceeds the absolute tolerance from m = 100 on; against tol max(1,
+    # m^2) the claim passes with the measured residual, and the bump of
+    # g0's image still fails it
+    for mass in (100.0, 1000.0, 1e5):
+        claim, tol = _casimirs(mass)
+        assert claim.status == "pass" and claim.tolerance == tol * mass ** 2
+        assert claim.residual > tol, mass
+    _bump_g0_image(monkeypatch)
+    assert _casimirs(1000.0)[0].status == "fail"

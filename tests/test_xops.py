@@ -346,19 +346,16 @@ def test_evolution_check_evaluates_the_hamiltonian_once(monkeypatch):
 
 def test_each_derivative_is_scaled_by_minus_i_once(monkeypatch):
     # evaluate scales the three derivatives of each of the 16 generator
-    # symbols by -i, in the jet's own arrays; the brackets scale none again
+    # symbols by -i; the brackets scale none again
     scalings = []
-    rmul, imul = SymbolValues.__rmul__, SymbolValues.__imul__
+    rmul = SymbolValues.__rmul__
 
-    def counted(scale):
-        def scaled(v, r):
-            if isinstance(r, complex) and r == -1j:
-                scalings.append(id(v))
-            return scale(v, r)
-        return scaled
+    def counted(v, r):
+        if isinstance(r, complex) and r == -1j:
+            scalings.append(id(v))
+        return rmul(v, r)
 
-    monkeypatch.setattr(SymbolValues, "__rmul__", counted(rmul))
-    monkeypatch.setattr(SymbolValues, "__imul__", counted(imul))
+    monkeypatch.setattr(SymbolValues, "__rmul__", counted)
     q = signed_batch(SAMPLES)
     names, gens = zip(*build_poincare_generators(M))
     values = evaluate(gens, q)
@@ -516,6 +513,20 @@ def test_casimir_scales_with_mass():
     assert abs(value + 4.0) < 1e-11
 
 
+def test_a_doubled_position_fails_only_the_canonical_pairs(monkeypatch):
+    # x_a with the coefficient 2 I: [p_a, x_a] = 2, one off the unit, and
+    # no other claim reads the positions
+    def doubled(a):
+        return {k: MomentumSymbol(s.ops, lambda q: (2.0,), "2I")
+                for k, s in position_op(a).items()}
+
+    monkeypatch.setattr(suites, "position_op", doubled)
+    claims = suites.run_suite(SuiteConfig(suites=("poincare",))).claims
+    failed = [c for c in claims if c.status != "pass"]
+    assert [c.claim_id for c in failed] == ["poincare.canonical-pairs"]
+    assert failed[0].residual == 1.0
+
+
 def _failing_claims(capsys, *tol):
     """The poincare claims that fail at 20 points under the --tol given."""
     argv = ["verify", "--suite", "poincare", "--samples", "20",
@@ -597,11 +608,10 @@ def test_difference_is_the_sum_with_the_negated_values():
                     assert part is None or np.array_equal(part, expected)
 
 
-def test_collect_adds_later_pieces_into_the_sum_it_formed():
+def test_collect_sums_the_pieces_as_plus_does_and_leaves_them_unchanged():
     # pieces with absent, scalar, constant and batch parts, up to four a
-    # key: the sums are those of + in the same order, bit for bit, the
-    # pieces are unchanged, and from the third piece on a formed part is
-    # written into
+    # key: the sums are those of + in the same order, bit for bit, and the
+    # pieces are unchanged
     _, values = _generator_values(6)
     pieces = [(key, v) for x in values for key, (v, _) in x.terms.items()]
     pieces += [(key, 0.5 * v) for key, v in pieces[::-1]]
@@ -618,11 +628,3 @@ def test_collect_adds_later_pieces_into_the_sum_it_formed():
             assert part is None or part.tobytes() == want.tobytes()
     assert all(p.tobytes() == s.tobytes() for p, s in zip(held, saved))
     assert max(sum(k == key for k, _ in pieces) for key in expected) >= 4
-
-    x, y, z = (values[7].terms[(0, 0, 0)][0] for _ in range(3))  # j01
-    total, formed = x.accumulate(y)
-    assert formed == tuple(p is not None for p in (x._a, x._b))
-    again, formed_again = total.accumulate(z, formed)
-    assert formed_again == formed
-    assert all(p is q for p, q, f in zip((again._a, again._b),
-                                         (total._a, total._b), formed) if f)
