@@ -20,6 +20,7 @@ default output directory for relative output paths.
 from __future__ import annotations
 
 import functools
+import gc
 import math
 import os
 import sys
@@ -30,6 +31,14 @@ from .suites import DUMP_KINDS, DUMP_SETS, dump_tables, run_suite
 
 _TOL_KEYS = tuple(DEFAULT_TOLERANCES)
 
+# `import ercd.cli` leaves about 22,500 objects that the cyclic collector
+# tracks, numpy's and ercd's module graph, which live until exit. Every
+# collection of the oldest generation traverses them, and so do the last
+# collections of interpreter shutdown, which were most of a cold run's
+# shutdown time (README, "Performance"). gc.freeze() moves them into the
+# permanent generation, which no collection traverses; objects made during
+# a run are collected as before.
+#
 # glibc's mallopt parameters (malloc.h) and the values the command line sets.
 # A flip-law commutator at the default 200 points allocates and frees a few
 # MB of 100 KB arrays. By default glibc hands free memory at the top of its
@@ -45,10 +54,15 @@ _HEAP_SETTINGS = ((_M_TRIM_THRESHOLD, 64 << 20), (_M_MMAP_THRESHOLD, 32 << 20))
 
 
 @functools.cache
-def _keep_freed_heap() -> None:
-    """Let glibc's heap keep the memory it frees, once per process; a no-op
-    on any other C library. Only the command line sets this: importing
-    ercd leaves the importer's allocator alone."""
+def _hold_process_heap() -> None:
+    """Once per process, freeze the start-up heap out of the collector's
+    reach and let glibc's heap keep the memory it frees. The freeze is a
+    no-op where the interpreter has no gc.freeze, and the heap setting on
+    any C library but glibc. Only the command line sets these: importing
+    ercd leaves the importer's allocator and collector alone."""
+    freeze = getattr(gc, "freeze", None)
+    if freeze is not None:
+        freeze()
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION"):
             return
@@ -288,7 +302,7 @@ def _emit(content: str, out: Optional[str]) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    _keep_freed_heap()
+    _hold_process_heap()
     argv = list(sys.argv[1:] if argv is None else argv)
     if not argv:
         sys.stdout.write(_help(*_COMMANDS))

@@ -12,7 +12,6 @@ byte-identical JSON (the runtimes are excluded from the canonical body;
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import time
@@ -201,6 +200,7 @@ class Ledger:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
+        import csv  # only a CSV output loads it
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["claim_id", "anchor", "status", "residual", "detail"])

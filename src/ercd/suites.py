@@ -12,7 +12,6 @@ residuals read that table and its transpose.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from typing import Callable, Dict
@@ -747,6 +746,7 @@ def dump_tables(set_name: str, kind: str, fmt: str = "json") -> str:
             for row in rows)
         return text.replace("\n    0\n", f"\n{entries}\n", 1) + "\n"
     if fmt == "csv":
+        import csv  # only a CSV output loads it
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(header)

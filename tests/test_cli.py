@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import ctypes
+import gc
 import importlib.util
 import io
 import json
@@ -944,8 +945,8 @@ def _python(code: str) -> str:
     return done.stdout.splitlines()[-1]
 
 
-_RECORD_MALLOPT = """
-import ctypes, json, os
+_RECORD_HEAP = """
+import ctypes, gc, json, os, weakref
 calls = []
 
 class Libc:
@@ -957,18 +958,40 @@ class Libc:
 real = ctypes.CDLL
 ctypes.CDLL = lambda name, *a, **k: Libc() if name is None else real(name, *a, **k)
 import ercd, ercd.cli, ercd.suites, ercd.xops
-imported = list(calls)
+imported = {"calls": list(calls), "frozen": gc.get_freeze_count(),
+            "enabled": gc.isenabled()}
+gc.collect()
+tracked = len(gc.get_objects())  # the live start-up heap
+after = []
 for _ in range(2):
     ercd.cli.main(["verify", "--suite", "cd", "--out", os.devnull])
-print(json.dumps({"imported": imported, "main": calls}))
+    after.append([gc.get_freeze_count(), gc.isenabled()])
+
+class Node:
+    pass
+
+node = Node()
+node.self = node
+ref = weakref.ref(node)
+del node
+gc.collect()
+print(json.dumps({"imported": imported, "tracked": tracked, "main": calls,
+                  "after": after, "cycle_freed": ref() is None}))
 """
 
 
-def test_only_the_command_line_sets_the_heap_and_only_once():
-    calls = json.loads(_python(_RECORD_MALLOPT))
-    assert calls["imported"] == []
+def test_only_the_command_line_sets_the_heap_and_collector_and_only_once():
+    # the command line freezes the start-up heap once, so that neither its
+    # collections nor shutdown's traverse the module graph again
+    record = json.loads(_python(_RECORD_HEAP))
+    assert record["imported"] == {"calls": [], "frozen": 0, "enabled": True}
     expected = [list(s) for s in ercd.cli._HEAP_SETTINGS]
-    assert calls["main"] == (expected if _on_glibc() else [])
+    assert record["main"] == (expected if _on_glibc() else [])
+    (first, on_first), (second, on_second) = record["after"]
+    assert first == second >= record["tracked"]
+    assert on_first and on_second
+    # garbage made after the freeze is still collected
+    assert record["cycle_freed"]
 
 
 # the benchmark's traced runs index the time of each of these layers
@@ -1012,14 +1035,15 @@ def test_the_momentum_suites_load_no_numpy_random():
 
 def test_the_command_line_loads_no_argparse_gettext_or_locale():
     # argparse's start-up (its gettext calls import locale) costs a cold
-    # process about 2.5 ms, a fifth of an exact suite's work
+    # process about 2.5 ms, a fifth of an exact suite's work; csv, which
+    # only a CSV output needs, about 0.5 ms
     for argv in (["verify", "--suite", "cd"],
                  ["dump", "--set", "cd16", "--kind", "multiplication"]):
         loaded = _python("import contextlib, io, sys, ercd.cli\n"
                          "with contextlib.redirect_stdout(io.StringIO()):\n"
                          f"    code = ercd.cli.main({argv!r})\n"
                          "print(code, *(m for m in ('argparse', 'gettext', "
-                         "'locale') if m in sys.modules))").split()
+                         "'locale', 'csv') if m in sys.modules))").split()
         assert loaded == ["0"], argv
 
 
@@ -1036,9 +1060,17 @@ def test_heap_settings_are_a_no_op_off_glibc(monkeypatch):
     monkeypatch.setattr(ctypes, "CDLL", no_libc)
     for confstr in (lambda name: None, _unknown_name):
         monkeypatch.setattr(os, "confstr", confstr)
-        ercd.cli._keep_freed_heap.__wrapped__()
+        ercd.cli._hold_process_heap.__wrapped__()
     monkeypatch.delattr(os, "confstr")
-    ercd.cli._keep_freed_heap.__wrapped__()
+    ercd.cli._hold_process_heap.__wrapped__()
+
+
+def test_the_freeze_is_a_no_op_without_gc_freeze(monkeypatch):
+    # an interpreter without gc.freeze runs the rest of the helper
+    frozen = gc.get_freeze_count()
+    monkeypatch.delattr(gc, "freeze")
+    ercd.cli._hold_process_heap.__wrapped__()
+    assert gc.get_freeze_count() == frozen
 
 
 def test_heap_settings_survive_a_libc_without_mallopt(monkeypatch):
@@ -1047,9 +1079,9 @@ def test_heap_settings_survive_a_libc_without_mallopt(monkeypatch):
 
     monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
     monkeypatch.setattr(ctypes, "CDLL", failing)
-    ercd.cli._keep_freed_heap.__wrapped__()
+    ercd.cli._hold_process_heap.__wrapped__()
     monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
-    ercd.cli._keep_freed_heap.__wrapped__()
+    ercd.cli._hold_process_heap.__wrapped__()
 
 
 _POINCARE_FAULTS = """
