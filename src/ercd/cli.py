@@ -8,8 +8,9 @@ also gives its help. An option takes its value as --opt VALUE or
 --opt=VALUE, and a unique prefix of its name names it (--samp 3). A
 value may be a negative number (--mass -1); any other word that starts
 with '-' is read as an option. --suite and --tol accumulate when
-repeated. Options with no command mean verify. -h or --help prints help
-and exits 0; ercd with no arguments prints it and exits 2.
+repeated; a --tol key given twice keeps its last value. Options with no
+command mean verify. -h or --help prints help and exits 0; ercd with no
+arguments prints it and exits 2.
 
 Exit status: 0 all checks pass, 1 verification failure, 2 usage or
 configuration error. A usage error prints one line, 'ercd: error: ...',
@@ -102,10 +103,10 @@ _VERIFY = (
          SUITE_NAMES + ("all",)),
     _Opt("--mass", float, "mass parameter for momentum-space suites", 1.0,
          metavar="M"),
-    _Opt("--samples", int, "seeded momentum sample count: poincare uses "
-         "exactly this many points for every sampled check; fw uses at "
-         "least 100 and fixed counts for some checks, named in each "
-         "claim's detail", 200, metavar="N"),
+    _Opt("--samples", int, "seeded momentum points, one batch per momentum "
+         "suite; fw's light-cone and conjugation checks read at most 40 of "
+         "them and its flip checks at most 4, as each claim's detail names",
+         200, metavar="N"),
     _Opt("--seed", int, "seed of the sampled momenta", 42, metavar="N"),
     _Opt("--tol", list, "tolerance override, repeatable: KEY is "
          + " | ".join(_TOL_KEYS), (), metavar="KEY=VALUE"),
@@ -227,7 +228,8 @@ def _parse(argv: List[str]) -> Dict[str, object]:
 
 
 def _parse_tolerances(pairs: List[str]):
-    out = []
+    """The --tol overrides as (key, value), the last value of each key."""
+    out = {}
     for pair in pairs:
         if "=" not in pair:
             raise ValueError(f"--tol must be KEY=VALUE, got {pair!r}")
@@ -243,8 +245,8 @@ def _parse_tolerances(pairs: List[str]):
         if not (math.isfinite(tol) and tol > 0):
             raise ValueError(f"--tol {key} must be finite and positive, "
                              f"got {value}")
-        out.append((key, tol))
-    return tuple(out)
+        out[key] = tol
+    return tuple(out.items())
 
 
 def _check_run_numbers(mass: float, samples: int, seed: int) -> None:

@@ -8,8 +8,8 @@ rotation tables is one signed index, the term K and the sign of
 [s^P, s^Q], built once per family shape (``_contraction``).
 check_rotation_table reads it one generator row at a time on integers
 (operators.bracket_matches), and the fw suite gathers it over the whole
-table of the nonlocal generators' evaluated products as float residuals
-(``suites.flip_rotation_residual``). The Lie closure, the
+flip table of the nonlocal generators' rotation family as float residuals
+(``suites.flip_residuals``). The Lie closure, the
 squares-and-pairing check and the multiplication and commutator tables
 read a set through its blade codes (``algebras.blade_codes``) and form
 no matrix product. A set that is not distinct signed blades fails those

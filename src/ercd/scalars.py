@@ -111,9 +111,6 @@ class ExactScalar:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "ExactScalar":
-        return ExactScalar(self.a, self.b, -self.c, -self.d)
-
     def inverse(self) -> "ExactScalar":
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero in Q(i, sqrt2)")

@@ -4,17 +4,17 @@ Each suite emits claims into a ledger; run_suite executes the requested
 suites and reports pass/fail per claim. Constant-matrix claims are
 exact; momentum-space claims carry sampled residuals against the
 configured tolerances. The fw suite's flip-law algebra of the nonlocal
-generators forms the products of every pair at once, as one table on the
-+q half (``_flip_table``): the generators side by side, through the one
-flip-law product ``SymbolValues.half_matmul``. The so(8) and Clifford
-residuals read that table and its transpose.
+generators forms the products of every pair of their rotation family at
+once, as one table on the +q half (``_flip_table``): the 28 members side
+by side, through the one flip-law product ``SymbolValues.half_matmul``.
+Both its so(8) and its Clifford residuals read that one table.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from typing import Callable, Dict
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -397,12 +397,12 @@ def _light_cone_residual(h: SymbolValues, points, m: float) -> float:
 
 
 def _suite_fw(ledger: Ledger, config: SuiteConfig) -> None:
-    """Every symbol is evaluated once, on one batch whose first point is
-    q = 0; the light-cone checks read its first 40 points."""
+    """Every symbol is evaluated once, on one batch of config.samples
+    points whose first point is q = 0; the light-cone checks read at most
+    its first 40."""
     m = config.mass
     tol = config.tolerance("momentum")
-    samples = sample_momenta(max(config.samples, 100), seed=config.seed,
-                             radius=10.0)
+    samples = sample_momenta(config.samples, seed=config.seed, radius=10.0)
     q = signed_batch(samples)
     fw = fw_hamiltonian(m)
     h_fw, h_d = fw.symbol(q), dirac_hamiltonian(m).symbol(q)
@@ -437,10 +437,13 @@ def _suite_fw(ledger: Ledger, config: SuiteConfig) -> None:
            detail="bare space generator correctly rejected")
 
 
-# the points of the fw batch at which the flip-law tables of the nonlocal
-# generators are formed (their stack grows as 28^2 N): q = 0, the first
-# axis point and the first two seeded points of ``sample_momenta``
+# the points of the fw batch at which the nonlocal generators' flip table
+# is formed (it grows as 28^2 N), and what the first k of them are, as many
+# as the batch holds: q = 0, an axis point, then seeded points
 FLIP_POINTS = (0, 1, 4, 5)
+_FLIP_READ = ("q = 0", "q = 0 and an axis point",
+              "q = 0, an axis point and the first seeded point",
+              "q = 0, an axis point and the first two seeded points")
 
 
 def _fw_nonlocal(ledger: Ledger, m: float, h_fw: SymbolValues,
@@ -473,19 +476,19 @@ def _fw_nonlocal(ledger: Ledger, m: float, h_fw: SymbolValues,
            detail=used, tol=tol)
 
     # the nine nonlocal operators, evaluated once on the first 40 points:
-    # the flip-law algebra reads 4 of them, two drawn from the seed
-    near = 40
-    q = q[:, :near]
+    # the flip-law algebra reads the FLIP_POINTS among them
+    q = q[:, :40]
+    near = q.shape[1]
+    flip = [k for k in FLIP_POINTS if k < near]
     tilde = tilde_values(m, q)
-    gens = [tilde[f"tg{k}"].points(FLIP_POINTS) for k in range(1, 8)]
-    few = (f"{len(FLIP_POINTS)} points (q = 0, an axis point and the first "
-           "two seeded points)")
-    worst = flip_rotation_residual(gens)
-    _claim(ledger, "fw.nonlocal-rotations", worst < tol, residual=worst,
-           detail=few, tol=tol)
+    gens = [tilde[f"tg{k}"].points(flip) for k in range(1, 8)]
+    few = f"{len(flip)} points ({_FLIP_READ[len(flip) - 1]})"
+    rotation, worst = flip_residuals(gens)
+    _claim(ledger, "fw.nonlocal-rotations", rotation < tol,
+           residual=rotation, detail=few, tol=tol)
 
-    worst = flip_anticommutation_residual(gens)
-    # V-conjugation comparison for all nine nonlocal operators
+    # the anticommutators' residual, then the V-conjugation comparison for
+    # all nine nonlocal operators
     vp, vm = vp.points(slice(near)), vm.points(slice(near))
     ext = extended_gammas()
     fundamentals = {f"tg{k}": ext.get(f"g{k}") for k in range(1, 8)}
@@ -528,28 +531,27 @@ def _flip_table(values):
              table.b.reshape(pts, n, 4, n, 4)), (a[0], b[0]))
 
 
-def flip_anticommutation_residual(values) -> float:
-    """The largest +q-half entry of the defects {g_a, g_b} + 2 delta_ab I
-    of generators evaluated on one signed batch."""
-    (ta, tb), _ = _flip_table(values)
-    unit = np.einsum("ab,ij->aibj", np.eye(len(values)), 2.0 * np.eye(4))
-    return max(max_modulus(ta + np.swapaxes(ta, 1, 3) + unit),
-               max_modulus(tb + np.swapaxes(tb, 1, 3)))
-
-
-def flip_rotation_residual(values) -> float:
-    """The largest +q-half entry of the so(8) defects [s^P, s^Q] -
+def flip_residuals(values) -> Tuple[float, float]:
+    """The largest +q-half entries of the so(8) defects [s^P, s^Q] -
     signs[P, Q] s^{terms[P, Q]} of the rotation family of seven generators
-    evaluated on one signed batch, with the contraction rule's signed
-    index (terms, signs) of ``relations._contraction``."""
+    g_a evaluated on one signed batch, with the contraction rule's signed
+    index (terms, signs) of ``relations._contraction``, and of their
+    defects {g_a, g_b} + 2 delta_ab I, both read from the family's one flip
+    table. Its members (a, 8) are the halves g_a / 2, so four times their
+    block is the generators' own products, bit for bit."""
     table = rotation_family([0.5 * v for v in values], 1)
     pairs = sorted(table)
     terms, signs = _contraction(tuple(pairs), COMPACT8, 1)
     tables, family = _flip_table([table[pair] for pair in pairs])
     signs = signs[:, None, :, None]
-    return max(max_modulus(t - np.swapaxes(t, 1, 3)
-                           - signs * own[:, terms].transpose(0, 1, 3, 2, 4))
-               for t, own in zip(tables, family))
+    rotation = max(max_modulus(t - np.swapaxes(t, 1, 3) - signs
+                               * own[:, terms].transpose(0, 1, 3, 2, 4))
+                   for t, own in zip(tables, family))
+    halves = [pairs.index((a, 8)) for a in range(1, 8)]
+    ta, tb = (4.0 * t[:, halves][:, :, :, halves] for t in tables)
+    return rotation, max(max_modulus(ta + np.swapaxes(ta, 1, 3)
+                                     + 2.0 * np.eye(28).reshape(7, 4, 7, 4)),
+                         max_modulus(tb + np.swapaxes(tb, 1, 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -82,8 +82,6 @@ from .algebras import pd_gammas, so15_generators
 from .jets import Jet
 from .operators import GeneralOp
 
-Triple = Tuple[float, float, float]
-
 
 def signed_batch(points) -> np.ndarray:
     """The signed batch (2, N, 3) of one momentum triple or a sequence of
@@ -440,19 +438,18 @@ def _pcg64_draws(state: int, inc: int, low: float, span: float):
 
 
 def sample_momenta(n: int, seed: int = 42, radius: float = 10.0
-                   ) -> List[Triple]:
+                   ) -> List[Tuple[float, float, float]]:
     """Deterministic seeded momenta in the ball |q| <= radius, always
     including the origin and axis-aligned points so degenerate directions
     are exercised; the others are triples of the seed's uniform stream
-    (``pcg64_uniforms``) kept when they fall in the ball."""
+    (``pcg64_uniforms``) kept when their three floats fall in the ball."""
     draws = pcg64_uniforms(seed, -radius, radius)
     r = radius / 2.0
-    pts: List[Triple] = [(0.0, 0.0, 0.0), (r, 0.0, 0.0), (0.0, r, 0.0),
-                         (0.0, 0.0, r)]
+    pts = [(0.0, 0.0, 0.0), (r, 0.0, 0.0), (0.0, r, 0.0), (0.0, 0.0, r)]
     while len(pts) < n:
-        v = np.array([next(draws), next(draws), next(draws)])
-        if np.linalg.norm(v) <= radius:
-            pts.append((float(v[0]), float(v[1]), float(v[2])))
+        x, y, z = next(draws), next(draws), next(draws)
+        if math.sqrt(x * x + y * y + z * z) <= radius:
+            pts.append((x, y, z))
     return pts[:n]
 
 

@@ -23,7 +23,7 @@ def views(op: GeneralOp):
 def apply(op: GeneralOp, phi):
     """A phi + B conj(phi) for a spinor phi of four ExactScalars."""
     A, B = views(op)
-    conj = tuple(x.conjugate() for x in phi)
+    conj = tuple(conjugate(x) for x in phi)
     return tuple(_dot(arow, phi) + _dot(brow, conj)
                  for arow, brow in zip(A, B))
 
@@ -46,6 +46,11 @@ def parts(op: GeneralOp):
     i_op = GeneralOp.imaginary_unit()
     turned = i_op @ op @ i_op
     return (op - turned).scaled(HALF), (op + turned).scaled(HALF)
+
+
+def conjugate(x: ExactScalar) -> ExactScalar:
+    """The complex conjugate a + b sqrt2 - i (c + d sqrt2)."""
+    return ExactScalar(x.a, x.b, -x.c, -x.d)
 
 
 def is_real(x: ExactScalar) -> bool:

@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -235,6 +236,26 @@ def test_a_bumped_rotation_generator_fails_only_the_bosonic_table(
     assert _failed_bosonic_claims() == ["bosonic.so8-table"]
 
 
+def test_a_scaled_nonlocal_generator_fails_only_its_two_claims(monkeypatch):
+    # 1.001 tg2 squares to -1.002001 I and keeps no compact table; the
+    # basis change, the spins and the Hamiltonians do not read it
+    values = ercd.suites.tilde_values
+
+    def scaled(mass, q):
+        tilde = values(mass, q)
+        tilde["tg2"] = 1.001 * tilde["tg2"]
+        return tilde
+
+    monkeypatch.setattr(ercd.suites, "tilde_values", scaled)
+    ledger = run_suite(SuiteConfig(suites=("fw",)))
+    failed = {c.claim_id: c.residual for c in ledger.claims
+              if c.status != "pass"}
+    assert sorted(failed) == ["fw.nonlocal-generators",
+                              "fw.nonlocal-rotations"]
+    assert failed["fw.nonlocal-rotations"] > 1e-4
+    assert failed["fw.nonlocal-generators"] > 1e-3
+
+
 def test_json_reports_are_byte_identical(tmp_path):
     config = SuiteConfig(suites=("cd",), fmt="json")
     a = run_suite(config).to_json()
@@ -410,20 +431,41 @@ def test_a_non_finite_residual_fails(suite, claim):
 
 
 def test_sampled_claims_name_the_points_they_used(capsys):
-    # --samples 1 is echoed, but fw floors its sample set at 100 points and
-    # some checks use only 4 or the first 40 of them
+    # --samples 1 is echoed and used: fw's batch is q = 0 alone, and the
+    # checks that read its first 40 or its flip points read that one point
     rc, payload, claims = _json_run(capsys, "--suite", "fw", "--samples", "1")
     assert rc == 0 and payload["config"]["samples"] == 1
     details = {k: c["detail"] for k, c in claims.items()}
-    assert details["fw.wave-operator"] == "40 points and q = 0"
-    assert details["fw.local-hamiltonian"] == "40 points"
+    assert details["fw.wave-operator"] == "1 points and q = 0"
+    assert details["fw.local-hamiltonian"] == "1 points"
     for k in ("fw.transform-inverse", "fw.conjugation-identity",
               "fw.nonlocal-spin"):
-        assert details[k] == "100 points"
-    four = "4 points (q = 0, an axis point and the first two seeded points)"
-    assert details["fw.nonlocal-rotations"] == four
+        assert details[k] == "1 points"
+    one = "1 points (q = 0)"
+    assert details["fw.nonlocal-rotations"] == one
     assert details["fw.nonlocal-generators"].endswith(
-        f"anticommutators on {four}, conjugation on 40 points")
+        f"anticommutators on {one}, conjugation on 1 points")
+
+
+@pytest.mark.parametrize("mass", ["0", "1e-3", "1", "1e3"])
+def test_fw_reads_at_most_the_echoed_samples(mass, capsys):
+    # the batch holds exactly --samples points, and the first-40 and
+    # flip-point checks read those of their points that it holds
+    flips = {1: "1 points (q = 0)", 2: "2 points (q = 0 and an axis point)",
+             5: "3 points (q = 0, an axis point and the first seeded point)",
+             6: "4 points (q = 0, an axis point and the first two seeded "
+                "points)"}
+    for n in (1, 2, 5, 6, 7):
+        rc, payload, claims = _json_run(capsys, "--suite", "fw", "--mass",
+                                        mass, "--samples", str(n))
+        assert rc == 0 and payload["config"]["samples"] == n, n
+        for c in claims.values():
+            counts = [int(k) for k in re.findall(r"(\d+) points", c["detail"])]
+            assert all(k <= n for k in counts), (n, c["id"], c["detail"])
+        if mass == "0":
+            continue
+        assert claims["fw.transform-inverse"]["detail"] == f"{n} points"
+        assert claims["fw.nonlocal-rotations"]["detail"] == flips[min(n, 6)]
 
 
 def test_product_claims_read_the_named_identities(monkeypatch):
@@ -601,6 +643,20 @@ def test_cli_tolerance_override(capsys):
     # an absurdly tight symmetry tolerance stays satisfied by exact claims,
     # while an absurd momentum tolerance forces fw failures
     assert main(["verify", "--suite", "fw", "--tol", "momentum=1e-30"]) == 1
+
+
+def test_a_repeated_tolerance_keeps_its_last_value(capsys):
+    # as --mass 2 --mass 3 runs at 3, the last --tol of a key is the one
+    # echoed and judged against
+    rc, payload, _ = _json_run(capsys, "--suite", "fw",
+                               "--tol", "momentum=1e-30",
+                               "--tol", "symmetry=1e-3",
+                               "--tol", "momentum=1e-5")
+    assert rc == 0
+    assert payload["config"]["tolerances"]["momentum"] == 1e-5
+    assert payload["config"]["tolerances"]["symmetry"] == 1e-3
+    assert ercd.cli._parse_tolerances(["momentum=1e-9", "momentum=1e-5"]) \
+        == (("momentum", 1e-5),)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@ as their one failure. check_rotation_table, which reads one integer row
 per generator (operators.bracket_matches), and the signed index of the
 contraction rule are checked against the per-pair metric-contraction rule
 kept here, on every rotation family of the suites, on faulted tables and
-near the int64 limit. The fw suite's flip-law residuals, which form the
-whole table of products of evaluated symbols at once, are checked against
-that index read pair by pair.
+near the int64 limit. The fw suite's flip-law residuals, which read one
+table of the products of evaluated symbols formed at once, are checked
+against that index and the anticommutators read pair by pair, and the
+table's block of the generators' halves against the generators' own
+table.
 """
 
 import tracemalloc
@@ -38,9 +40,9 @@ from ercd.spans import structure_constants
 from ercd import suites
 from ercd.reporting import SuiteConfig
 from ercd.suites import (FLIP_POINTS, corrupted_pd_gammas, dump_tables,
-                         flip_anticommutation_residual, flip_rotation_residual)
-from ercd.symbols import (MomentumSymbol, SymbolValues, sample_momenta,
-                          signed_batch, tilde_values)
+                         flip_residuals)
+from ercd.symbols import (MomentumSymbol, SymbolValues, max_modulus,
+                          sample_momenta, signed_batch, tilde_values)
 from exact_oracles import views
 
 DUMPABLE = {"cd16": cd16, "ercd64": ercd64, "percd29": percd29, "so6": so6,
@@ -408,8 +410,7 @@ def test_rotation_rows_match_the_per_pair_rule(name):
 
 
 def _pair_by_pair_residuals(values):
-    """The residuals of flip_rotation_residual and
-    flip_anticommutation_residual, one flip-law product per pair: the
+    """The residuals of flip_residuals, one flip-law product per pair: the
     so(8) defects of the rotation family and {g_a, g_b} + 2 delta_ab I."""
     table = rotation_family([0.5 * v for v in values], 1)
     rotation = max(d.norm() for _, _, d
@@ -422,9 +423,30 @@ def _pair_by_pair_residuals(values):
     return rotation, anti
 
 
-def _flip_residuals(values):
-    return (flip_rotation_residual(values),
-            flip_anticommutation_residual(values))
+def _generator_anticommutation(table, n):
+    """The Clifford residual {g_a, g_b} + 2 delta_ab I read from the flip
+    table (ta, tb) of n generators themselves: the reference for the one
+    that flip_residuals reads from their rotation family's table."""
+    ta, tb = table
+    unit = np.einsum("ab,ij->aibj", np.eye(n), 2.0 * np.eye(4))
+    return max(max_modulus(ta + np.swapaxes(ta, 1, 3) + unit),
+               max_modulus(tb + np.swapaxes(tb, 1, 3)))
+
+
+def _assert_the_halves_block_is_the_generator_table(values):
+    """Four times the block of the family's members (a, 8) = g_a / 2 in
+    the family's flip table is the flip table of the seven generators
+    themselves, bit for bit, and flip_residuals reads its Clifford
+    residual from that block."""
+    table = rotation_family([0.5 * v for v in values], 1)
+    pairs = sorted(table)
+    family, _ = suites._flip_table([table[pair] for pair in pairs])
+    halves = [pairs.index((a, 8)) for a in range(1, 8)]
+    generators, _ = suites._flip_table(values)
+    for part, own in zip(family, generators):
+        assert np.array_equal(4.0 * part[:, halves][:, :, :, halves], own)
+    assert flip_residuals(values)[1] == _generator_anticommutation(
+        generators, len(values))
 
 
 def _blocks_unlike_the_pair_products(values):
@@ -452,9 +474,10 @@ def test_flip_tables_equal_the_pair_by_pair_rule_on_the_nonlocal_generators(
     tilde = tilde_values(mass, q)
     for points in (FLIP_POINTS, slice(40)):
         values = [tilde[f"tg{k}"].points(points) for k in range(1, 8)]
-        residuals = _flip_residuals(values)
+        residuals = flip_residuals(values)
         assert residuals == _pair_by_pair_residuals(values)
         assert max(residuals) < 1e-12
+        _assert_the_halves_block_is_the_generator_table(values)
 
 
 def test_the_flip_tables_read_points_drawn_from_the_seed(monkeypatch):
@@ -465,9 +488,9 @@ def test_the_flip_tables_read_points_drawn_from_the_seed(monkeypatch):
 
     def recorded(values):
         seen.append(values)
-        return flip_rotation_residual(values)
+        return flip_residuals(values)
 
-    monkeypatch.setattr(suites, "flip_rotation_residual", recorded)
+    monkeypatch.setattr(suites, "flip_residuals", recorded)
     for seed in (42, 7):
         assert suites.run_suite(SuiteConfig(suites=("fw",), seed=seed)).passed
         q = signed_batch(sample_momenta(40, seed=seed))
@@ -490,7 +513,8 @@ def test_flip_tables_equal_the_pair_by_pair_rule_on_mixed_shapes():
     q = signed_batch(sample_momenta(3, seed=5))
     gens = [MomentumSymbol((ext.get(f"g{k}"),), lambda q: (1.0,))(q)
             for k in range(1, 8)]
-    assert _flip_residuals(gens) == _pair_by_pair_residuals(gens) == (0, 0)
+    assert flip_residuals(gens) == _pair_by_pair_residuals(gens) == (0, 0)
+    _assert_the_halves_block_is_the_generator_table(gens)
     scalar = MomentumSymbol((GeneralOp.identity(),),
                             lambda q: (1e-2 * q[0],))(q)
     bump = np.zeros((2, q.shape[1], 4, 4))
@@ -501,10 +525,26 @@ def test_flip_tables_equal_the_pair_by_pair_rule_on_mixed_shapes():
         for extra in extras:
             values = list(gens)
             values[k] = values[k] + extra
-            residuals = _flip_residuals(values)
+            residuals = flip_residuals(values)
             assert residuals == _pair_by_pair_residuals(values)
             assert min(residuals) > 1e-3
             assert not _blocks_unlike_the_pair_products(values)
+            _assert_the_halves_block_is_the_generator_table(values)
+
+
+def test_a_fw_run_forms_one_flip_table(monkeypatch):
+    # the so(8) and the Clifford residuals read the one table of the
+    # rotation family
+    tables = []
+
+    def counted(values):
+        tables.append(len(values))
+        return flip_table(values)
+
+    flip_table = suites._flip_table
+    monkeypatch.setattr(suites, "_flip_table", counted)
+    assert suites.run_suite(SuiteConfig(suites=("fw",))).passed
+    assert tables == [28]
 
 
 def test_a_rotation_table_beyond_the_limit_raises_instead_of_wrapping():
